@@ -59,12 +59,19 @@ def load_logs(path) -> list[ResponseLog]:
     for lineno, row in _read_rows(path, LOG_HEADER):
         if len(row) != 3:
             raise DataFormatError(f"{path} line {lineno}: expected 3 fields, got {len(row)}")
-        sid, eid, raw_score = (f.strip() for f in row)
+        sid, eid, raw_score = row
+        sid = sid.strip()
+        eid = eid.strip()
+        raw_score = raw_score.strip()
         if not sid or not eid:
             raise DataFormatError(f"{path} line {lineno}: empty id field")
-        if raw_score not in ("0", "1"):
+        if raw_score == "1":
+            score = 1
+        elif raw_score == "0":
+            score = 0
+        else:
             raise DataFormatError(f"{path} line {lineno}: score must be 0 or 1, got {raw_score!r}")
-        logs.append(ResponseLog(sid, eid, int(raw_score)))
+        logs.append(ResponseLog(sid, eid, score))
     return logs
 
 
@@ -224,13 +231,15 @@ def split_per_student(dataset: Dataset, spec: SplitSpec) -> Splits:
     data is represented everywhere.
     """
     rng = substream(spec.seed, "split")
-    by_student: dict[int, list[int]] = {}
-    for pos, s in enumerate(dataset.s_idx):
-        by_student.setdefault(int(s), []).append(pos)
+    # A stable sort keeps each student's positions in file order, which is
+    # what the permutation below consumes.
+    grouped = np.argsort(dataset.s_idx, kind="stable").astype(np.int64, copy=False)
+    sizes = np.bincount(dataset.s_idx)
+    ends = np.cumsum(sizes)
 
     train, val, test = [], [], []
-    for s in sorted(by_student):
-        positions = np.array(by_student[s], dtype=np.int64)
+    for s in np.flatnonzero(sizes).tolist():
+        positions = grouped[ends[s] - sizes[s] : ends[s]]
         if not spec.preserve_order:
             positions = rng.permutation(positions)
         n = len(positions)
@@ -244,15 +253,11 @@ def split_per_student(dataset: Dataset, spec: SplitSpec) -> Splits:
         if n_test == 0 and n_train >= 2:
             n_train -= 1
             n_test = 1
-        train.extend(positions[:n_train])
-        val.extend(positions[n_train : n_train + n_val])
-        test.extend(positions[n_train + n_val :])
+        train.append(positions[:n_train])
+        val.append(positions[n_train : n_train + n_val])
+        test.append(positions[n_train + n_val :])
 
-    return Splits(
-        train=np.array(train, dtype=np.int64),
-        val=np.array(val, dtype=np.int64),
-        test=np.array(test, dtype=np.int64),
-    )
+    return Splits(train=np.concatenate(train), val=np.concatenate(val), test=np.concatenate(test))
 
 
 def batches(indices: np.ndarray, batch_size: int, rng: np.random.Generator):

@@ -166,15 +166,18 @@ def diagnose(
 ) -> DiagnosisReport:
     """Per-concept mastery and confidence for one student.
 
-    Interaction counts are recomputed from the training split, since the
-    checkpoint stores parameters, not tracker state.
+    Interaction counts are recomputed from the student's positions in the
+    training split, since the checkpoint stores parameters, not tracker
+    state.
     """
     check_dataset_matches(ck, dataset)
     fn = diagnostic_from_checkpoint(ck)
     s = dataset.student_index(student_id)
     mu = ck.params[STUDENT_MEAN][s]
     sigma = np.sqrt(np.exp(ck.params[STUDENT_LOGVAR][s]))
-    counts = concept_interaction_counts(dataset, train_indices, fn)[s]
+    train_indices = np.asarray(train_indices, dtype=np.int64)
+    own = train_indices[dataset.s_idx[train_indices] == s]
+    counts = concept_interaction_counts(dataset, own, fn)[s]
     labels = ["overall"] if fn.variant == "irt" else dataset.concept_ids
     order = np.argsort(sigma, kind="stable")
     rank = np.empty(len(sigma), dtype=np.int64)

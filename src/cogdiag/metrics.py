@@ -60,14 +60,11 @@ def auc(probs, labels) -> float:
         raise MetricError("AUC needs both classes present")
     order = np.argsort(y, kind="stable")
     sorted_y = y[order]
+    # tie group [i, j] of the sorted scores shares the average 1-based rank
+    _, first, size = np.unique(sorted_y, return_index=True, return_counts=True)
+    last = first + size - 1
     ranks = np.empty(y.size, dtype=np.float64)
-    i = 0
-    while i < y.size:
-        j = i
-        while j + 1 < y.size and sorted_y[j + 1] == sorted_y[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0  # average of 1-based ranks
-        i = j + 1
+    ranks[order] = np.repeat(0.5 * (first + last) + 1.0, size)
     rank_sum = ranks[pos].sum()
     return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 

@@ -8,6 +8,7 @@ throughout the test suite.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,20 +27,29 @@ class GradCheckError(RuntimeError):
 def stable_sigmoid(x):
     """Numerically stable logistic function.
 
-    Branches on sign so no exp of a large positive number is ever taken;
-    safe for arguments far beyond +-1000.  Scalar in, float out; array
-    in, array out.  Non-finite input is a contract violation and raises.
+    With ``z = exp(-|x|)``, which never overflows, the result is
+    ``1 / (1 + z)`` for ``x >= 0`` and ``z / (1 + z)`` otherwise; safe for
+    arguments far beyond +-1000.  Arrays take both formulas in
+    preallocated buffers, picking by sign without indexing; 0-d input
+    takes a scalar path through the same ``np.exp``, so both paths agree
+    to the bit.  Scalar in, float out; array in, array out.  Non-finite
+    input is a contract violation and raises.
     """
     arr = np.asarray(x, dtype=np.float64)
+    if arr.ndim == 0:
+        v = float(arr)
+        if not math.isfinite(v):
+            raise ValueError("stable_sigmoid requires finite input")
+        z = float(np.exp(-abs(v)))
+        return 1.0 / (1.0 + z) if v >= 0 else z / (1.0 + z)
     if not np.all(np.isfinite(arr)):
         raise ValueError("stable_sigmoid requires finite input")
-    out = np.empty_like(arr)
-    pos = arr >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-arr[pos]))
-    expx = np.exp(arr[~pos])
-    out[~pos] = expx / (1.0 + expx)
-    if out.shape == ():
-        return float(out)
+    z = np.abs(arr)
+    np.negative(z, out=z)
+    np.exp(z, out=z)
+    out = np.add(z, 1.0)
+    np.copyto(z, 1.0, where=arr >= 0)  # numerator: 1 or z, by sign
+    np.divide(z, out, out=out)
     return out
 
 

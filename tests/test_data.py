@@ -16,6 +16,7 @@ from cogdiag.data import (
     load_qmatrix,
     split_per_student,
 )
+from cogdiag.seeding import substream
 
 
 def write(path, text):
@@ -217,6 +218,51 @@ class TestSplit:
             SplitSpec(train_fraction=0.0)
         with pytest.raises(ValueError):
             SplitSpec(train_fraction=0.9, val_fraction=0.2)
+
+
+def dict_grouped_split(dataset, spec):
+    """Reference: group positions per student with a dict, one position at a time."""
+    rng = substream(spec.seed, "split")
+    by_student = {}
+    for pos, s in enumerate(dataset.s_idx):
+        by_student.setdefault(int(s), []).append(pos)
+    train, val, test = [], [], []
+    for s in sorted(by_student):
+        positions = np.array(by_student[s], dtype=np.int64)
+        if not spec.preserve_order:
+            positions = rng.permutation(positions)
+        n = len(positions)
+        n_train = int(np.floor(n * spec.train_fraction))
+        n_val = max(1, int(np.floor(n * spec.val_fraction)))
+        n_test = n - n_train - n_val
+        if n_test == 0 and n_train >= 2:
+            n_train -= 1
+        train.extend(positions[:n_train])
+        val.extend(positions[n_train : n_train + n_val])
+        test.extend(positions[n_train + n_val :])
+    return [np.array(part, dtype=np.int64) for part in (train, val, test)]
+
+
+def interleaved_dataset(seed=0):
+    """Students whose logs alternate through the file, one with only three logs."""
+    rng = default_rng(seed)
+    owners = np.repeat(np.arange(6), [40, 300, 3, 120, 75, 260])
+    owners = owners[rng.permutation(len(owners))]
+    logs = [ResponseLog(f"s{o}", f"e{k % 37}", k % 2) for k, o in enumerate(owners)]
+    q = [(f"e{j}", f"c{j % 4}") for j in range(37)]
+    return build_dataset(logs, q, min_logs=1)
+
+
+class TestSplitReference:
+    @pytest.mark.parametrize("preserve_order", [False, True])
+    @pytest.mark.parametrize("seed", [0, 1, 9])
+    def test_matches_dict_grouping_bit_for_bit(self, preserve_order, seed):
+        ds = interleaved_dataset(seed)
+        spec = SplitSpec(seed=seed, preserve_order=preserve_order)
+        got = split_per_student(ds, spec)
+        for part, want in zip((got.train, got.val, got.test), dict_grouped_split(ds, spec)):
+            assert part.dtype == np.int64
+            np.testing.assert_array_equal(part, want)
 
 
 class TestBatches:

@@ -222,6 +222,30 @@ class TestDiagnose:
                 brute[ds.s_idx[pos], c] += 1
         np.testing.assert_array_equal(counts, brute)
 
+    def test_diagnose_counts_match_raw_logs(self):
+        cohort = planted_cohort(
+            n_students=25, n_exercises=30, n_concepts=4, per_student=18, seed=2
+        )
+        # s0007's logs are spread through everyone else's; the rest stay grouped
+        spread = [log for log in cohort.logs if log.student_id == "s0007"]
+        logs = [log for log in cohort.logs if log.student_id != "s0007"]
+        for k, log in enumerate(spread):
+            logs.insert(k * 23, log)
+        ds = build_dataset(logs, cohort.q_pairs, min_logs=1)
+        trainer, ck = trained_checkpoint(ds, "ncd")
+        concepts_of_exercise = {}
+        for eid, cid in cohort.q_pairs:
+            concepts_of_exercise.setdefault(eid, []).append(cid)
+        for sid in ("s0007", "s0000", "s0008", "s0024"):
+            brute = {cid: 0 for cid in ds.concept_ids}
+            for pos in trainer.splits.train:
+                if logs[pos].student_id == sid:
+                    for cid in concepts_of_exercise[logs[pos].exercise_id]:
+                        brute[cid] += 1
+            report = diagnose(ck, ds, trainer.splits.train, sid)
+            assert {row.concept_id: row.interactions for row in report.rows} == brute
+            assert sum(brute.values()) > 0
+
     def test_irt_counts_collapse_to_one_column(self):
         ds = toy_dataset()
         trainer, _ = trained_checkpoint(ds, "irt")

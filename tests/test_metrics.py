@@ -111,11 +111,19 @@ class TestAuc:
 
     def test_brute_force_equivalence(self):
         rng = default_rng(99)
+        cases = []
         for trial in range(50):
             n = int(rng.integers(5, 60))
             # quantized probabilities force plenty of ties
             y = rng.integers(0, 6, size=n) / 5.0
             r = (rng.uniform(size=n) < 0.5).astype(float)
+            cases.append((y, r))
+        # every score tied
+        cases.append((np.full(23, 0.37), (rng.uniform(size=23) < 0.5).astype(float)))
+        # six decimals, as in the predictions CSV: mostly distinct, some ties
+        y = np.round(rng.uniform(0.4, 0.4002, size=300), 6)
+        cases.append((y, (rng.uniform(size=300) < 0.5).astype(float)))
+        for y, r in cases:
             if r.min() == r.max():
                 r[0] = 1 - r[0]
             assert auc(y, r) == pytest.approx(auc_brute(y, r), abs=1e-12)

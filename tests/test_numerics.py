@@ -50,6 +50,76 @@ class TestStableSigmoid:
             stable_sigmoid(np.array([1.0, np.inf]))
 
 
+def masked_sigmoid(x):
+    """Reference: the sign-masked form, exp taken on each half separately."""
+    arr = np.asarray(x, dtype=np.float64)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("stable_sigmoid requires finite input")
+    out = np.empty_like(arr)
+    pos = arr >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-arr[pos]))
+    expx = np.exp(arr[~pos])
+    out[~pos] = expx / (1.0 + expx)
+    if out.shape == ():
+        return float(out)
+    return out
+
+
+def same_bits(a, b):
+    return np.array_equal(
+        np.asarray(a, dtype=np.float64).view(np.int64),
+        np.asarray(b, dtype=np.float64).view(np.int64),
+    )
+
+
+class TestStableSigmoidReference:
+    EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 36.7, -36.7, 745.2, -745.2]
+
+    def inputs(self):
+        rng = default_rng(12)
+        for scale in (1e-300, 1e-20, 1e-3, 1.0, 10.0, 40.0, 800.0, 1e6):
+            yield np.concatenate([rng.standard_normal(2000) * scale, self.EDGES])
+
+    def test_arrays_match_reference_bit_for_bit(self):
+        for xs in self.inputs():
+            assert same_bits(stable_sigmoid(xs), masked_sigmoid(xs))
+            grid = xs[:1800].reshape(30, 60)
+            assert same_bits(stable_sigmoid(grid), masked_sigmoid(grid))
+            strided = grid[::2, ::3]
+            assert same_bits(stable_sigmoid(strided), masked_sigmoid(strided))
+
+    def test_array_input_left_untouched(self):
+        xs = np.array([-2.0, 0.0, 3.0])
+        stable_sigmoid(xs)
+        np.testing.assert_array_equal(xs, [-2.0, 0.0, 3.0])
+
+    def test_zero_d_matches_reference_and_returns_float(self):
+        for xs in self.inputs():
+            for x in xs[::20]:
+                for form in (float(x), np.float64(x), np.array(x)):
+                    got = stable_sigmoid(form)
+                    assert type(got) is float
+                    assert same_bits(got, masked_sigmoid(form))
+
+    def test_integer_input(self):
+        assert stable_sigmoid(0) == 0.5
+        assert same_bits(stable_sigmoid(np.arange(-3, 4)), masked_sigmoid(np.arange(-3, 4)))
+
+    def test_empty_array(self):
+        assert stable_sigmoid(np.zeros(0)).shape == (0,)
+
+    def test_non_finite_raises_on_both_paths(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError):
+                stable_sigmoid(bad)
+            with pytest.raises(ValueError):
+                stable_sigmoid(np.float64(bad))
+            with pytest.raises(ValueError):
+                stable_sigmoid(np.array(bad))
+            with pytest.raises(ValueError):
+                stable_sigmoid(np.array([0.0, bad, 1.0]))
+
+
 class TestXavierInit:
     def test_bound_small_fans(self):
         w = xavier_init(3, 3, default_rng(0))
