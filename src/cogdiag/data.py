@@ -154,7 +154,8 @@ def build_dataset(
     Exercises present only in the Q-matrix are dropped; exercises present
     in the retained logs but absent from the Q-matrix are an error.
     Concepts are numbered by first appearance among retained exercises,
-    scanning the Q-matrix in file order.
+    scanning the Q-matrix in file order.  A repeated (exercise, concept)
+    pair counts once, as :func:`load_qmatrix` already ensures for files.
     """
     kept = filter_students(logs, min_logs)
     if not kept:
@@ -172,7 +173,7 @@ def build_dataset(
 
     concepts: dict[str, int] = {}
     concept_lists: dict[int, list[int]] = {j: [] for j in range(len(exercises))}
-    for eid, cid in q_pairs:
+    for eid, cid in dict.fromkeys(q_pairs):
         j = exercises.get(eid)
         if j is None:
             continue

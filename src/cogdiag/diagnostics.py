@@ -24,6 +24,7 @@ import numpy as np
 from . import tape
 from .latent import STUDENT_LOGVAR, STUDENT_MEAN
 from .numerics import ParameterStore, stable_sigmoid, xavier_init
+from .tape import _unbroadcast, value_of
 
 EXERCISE_DIFF = "exercise_diff"
 EXERCISE_DISC = "exercise_disc"
@@ -98,15 +99,47 @@ def exercise_params(store: ParameterStore, exercise: int) -> ExerciseParams:
 
 
 def predict_irt(theta, difficulty, discrimination, scale: float = 1.702):
-    """sigmoid(scale * discrimination * (theta - difficulty)), elementwise."""
-    gap = tape.sub(theta, difficulty)
-    return tape.sigmoid(tape.mul(tape.mul(gap, discrimination), scale))
+    """sigmoid(scale * discrimination * (theta - difficulty)), elementwise.
+
+    With Node inputs this is a single graph node whose gradient replays
+    the sub -> mul -> mul -> sigmoid chain, broadcasting included, so it
+    matches the composed tape ops to the bit.
+    """
+    tv, dv, av = value_of(theta), value_of(difficulty), value_of(discrimination)
+    gap = tv - dv
+    weighted = gap * av
+    yv = tape.sigmoid(weighted * scale)
+
+    def grads(g):
+        g_weighted = _unbroadcast(g * yv * (1.0 - yv) * scale, weighted.shape)
+        g_gap = _unbroadcast(g_weighted * av, gap.shape)
+        # the chain reaches discrimination before theta and difficulty
+        return (
+            _unbroadcast(g_weighted * gap, av.shape),
+            _unbroadcast(g_gap, tv.shape),
+            _unbroadcast(-g_gap, dv.shape),
+        )
+
+    return tape.fused(yv, (discrimination, theta, difficulty), grads)
 
 
 def predict_mirt(theta, difficulty, q_mask):
-    """sigmoid of the concept-masked sum of (theta - difficulty)."""
-    gap = tape.mul(tape.sub(theta, difficulty), q_mask)
-    return tape.sigmoid(tape.nsum(gap, axis=-1))
+    """sigmoid of the concept-masked sum of (theta - difficulty).
+
+    With Node inputs this is a single graph node replaying the composed
+    ops' backward pass; ``q_mask`` is data and gets no gradient.
+    """
+    tv, dv, qv = value_of(theta), value_of(difficulty), value_of(q_mask)
+    gap = tv - dv
+    masked = gap * qv
+    yv = tape.sigmoid(masked.sum(axis=-1))
+
+    def grads(g):
+        g = np.expand_dims(np.asarray(g * yv * (1.0 - yv)), -1)
+        g_gap = _unbroadcast(np.broadcast_to(g, masked.shape).copy() * qv, gap.shape)
+        return _unbroadcast(g_gap, tv.shape), _unbroadcast(-g_gap, dv.shape)
+
+    return tape.fused(yv, (theta, difficulty), grads)
 
 
 def predict_ncd(theta, difficulty, discrimination, q_mask, layers):

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import tape
 from .numerics import ParameterStore
-from .tape import value_of
+from .tape import LOG_FLOOR, _unbroadcast, value_of
 
 STUDENT_MEAN = "student_mu"
 STUDENT_LOGVAR = "student_logvar"
@@ -90,9 +90,32 @@ def apply_variance_dropout(variance, cfg: DropoutConfig, rng: np.random.Generato
 
 
 def draw_ability(mean, variance, eps: np.ndarray):
-    """z = mu + sqrt(variance) * eps, theta = sigmoid(z); returns (z, theta)."""
-    z = tape.add(mean, tape.mul(tape.sqrt(variance), eps))
-    return z, tape.sigmoid(z)
+    """z = mu + sqrt(variance) * eps, theta = sigmoid(z); returns (z, theta).
+
+    With Node inputs each output is a single graph node.  Its gradient
+    replays the backward pass of the sqrt -> mul -> add (-> sigmoid)
+    chain op for op, so values and gradients match the composed tape ops
+    to the bit in a graph that uses one of the two outputs, as training
+    uses theta.  ``eps`` is data and gets no gradient.
+    """
+    mv, vv, ev = value_of(mean), value_of(variance), value_of(eps)
+    sd = np.sqrt(vv)
+    spread = sd * ev
+    zv = mv + spread
+    thv = tape.sigmoid(zv)
+    safe = np.maximum(sd, 1e-150)
+
+    def z_grads(g):
+        return (
+            _unbroadcast(g, mv.shape),
+            _unbroadcast(_unbroadcast(g, spread.shape) * ev, vv.shape) * 0.5 / safe,
+        )
+
+    def theta_grads(g):
+        return z_grads(g * thv * (1.0 - thv))
+
+    inputs = (mean, variance)
+    return tape.fused(zv, inputs, z_grads), tape.fused(thv, inputs, theta_grads)
 
 
 def sample_ability(posterior: StudentPosterior, variance, rng: np.random.Generator):
@@ -104,18 +127,43 @@ def sample_ability(posterior: StudentPosterior, variance, rng: np.random.Generat
 def kl_standard(mean, variance):
     """KL(N(mean, variance) || N(0, I)), summed over the trailing axis.
 
-    0.5 * sum(mean^2 + variance - log(variance) - 1) per occurrence.
+    The consensus KL with a zero prior mean; ``x - 0.0`` is ``x`` to the
+    bit, so this equals the direct formula exactly.
     """
-    inner = tape.sub(tape.add(tape.square(mean), variance), tape.log(variance))
-    return tape.mul(tape.nsum(tape.sub(inner, 1.0), axis=-1), 0.5)
+    return kl_consensus(mean, variance, PriorConsensus(mean=np.zeros(())))
 
 
 def kl_consensus(mean, variance, prior: PriorConsensus):
-    """KL against N(prior.mean, I): recenters the mean term, keeps unit prior variance."""
-    inner = tape.sub(
-        tape.add(tape.square(tape.sub(mean, prior.mean)), variance), tape.log(variance)
-    )
-    return tape.mul(tape.nsum(tape.sub(inner, 1.0), axis=-1), 0.5)
+    """KL(N(mean, variance) || N(prior.mean, I)), summed over the trailing axis.
+
+    0.5 * sum((mean - prior.mean)^2 + variance - log(variance) - 1) per
+    occurrence, with the log argument floored at ``tape.LOG_FLOOR``.
+    With Node inputs this is a single graph node replaying the composed
+    ops' backward pass.  It lists ``variance`` twice, once for the linear
+    term and once for the log, because the one-op chain adds those two
+    contributions to the variance gradient as separate steps, and the
+    variance usually has other consumers whose additions interleave.
+    """
+    mv, vv = value_of(mean), value_of(variance)
+    gap = mv - value_of(prior.mean)
+    square_plus_var = gap * gap + vv
+    floored = np.maximum(vv, LOG_FLOOR)
+    inner = square_plus_var - np.log(floored) - 1.0
+    out = inner.sum(axis=-1) * 0.5
+    inside = vv >= LOG_FLOOR
+
+    def grads(g):
+        g = np.expand_dims(np.asarray(g * 0.5), -1)
+        g = np.broadcast_to(g, inner.shape).copy()
+        g_sum = _unbroadcast(g, square_plus_var.shape)
+        g_square = _unbroadcast(g_sum, gap.shape)
+        return (
+            _unbroadcast(g_square * 2.0 * gap, mv.shape),
+            _unbroadcast(g_sum, vv.shape),
+            _unbroadcast(-g, vv.shape) * inside / floored,
+        )
+
+    return tape.fused(out, (mean, variance, variance), grads)
 
 
 def compute_consensus(means: np.ndarray) -> PriorConsensus:

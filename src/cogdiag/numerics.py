@@ -97,6 +97,7 @@ class ParameterStore:
         self._row_sparse: set[str] = set()
         # name -> None (untouched), "dense", or list of row-index arrays
         self._touched: dict[str, object] = {}
+        self._scratch: dict[str, np.ndarray] = {}
 
     def add(self, name: str, value: np.ndarray, row_sparse: bool = False) -> None:
         if name in self.params:
@@ -164,6 +165,13 @@ class ParameterStore:
             self.v[name][:] = 0.0
         self.step_count = 0
 
+    def scratch(self, name: str) -> np.ndarray:
+        """A work buffer shaped like parameter ``name``, kept for reuse."""
+        buf = self._scratch.get(name)
+        if buf is None:
+            buf = self._scratch[name] = np.empty_like(self.params[name])
+        return buf
+
     def copy_params(self) -> dict[str, np.ndarray]:
         return {name: arr.copy() for name, arr in self.params.items()}
 
@@ -183,7 +191,7 @@ def adam_step(store: ParameterStore, cfg: AdamConfig, lazy: bool = False) -> Non
     Afterwards all gradient accumulators are zeroed and the shared step
     counter advances by one.
     """
-    plans: list[tuple[str, object]] = []
+    plans: list[tuple[str, object, np.ndarray]] = []
     for name in store.params:
         rows = None
         if lazy and name in store._row_sparse:
@@ -195,24 +203,35 @@ def adam_step(store: ParameterStore, cfg: AdamConfig, lazy: bool = False) -> Non
         grad = store.grads[name] if rows is None else store.grads[name][rows]
         if not np.all(np.isfinite(grad)):
             raise NonFiniteGradientError(f"non-finite gradient for parameter {name!r}")
-        plans.append((name, rows))
+        plans.append((name, rows, grad))
 
     t = store.step_count + 1
     bc1 = 1.0 - cfg.beta1**t
     bc2 = 1.0 - cfg.beta2**t
-    for name, rows in plans:
+    for name, rows, g in plans:
         if rows is None:
-            g = store.grads[name]
+            # in place, with the same operations in the same order as
+            # m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g;
+            # p -= lr*(m/bc1) / (sqrt(v/bc2) + eps)
             m = store.m[name]
             v = store.v[name]
-            m *= cfg.beta1
-            m += (1.0 - cfg.beta1) * g
+            buf = store.scratch(name)
+            np.multiply(g, 1.0 - cfg.beta2, out=buf)
+            buf *= g
             v *= cfg.beta2
-            v += (1.0 - cfg.beta2) * g * g
-            store.params[name] -= cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + cfg.epsilon)
+            v += buf
+            g *= 1.0 - cfg.beta1
+            m *= cfg.beta1
+            m += g
+            np.divide(m, bc1, out=buf)
+            buf *= cfg.learning_rate
+            np.divide(v, bc2, out=g)
+            np.sqrt(g, out=g)
+            g += cfg.epsilon
+            buf /= g
+            store.params[name] -= buf
             g[:] = 0.0
         else:
-            g = store.grads[name][rows]
             m = cfg.beta1 * store.m[name][rows] + (1.0 - cfg.beta1) * g
             v = cfg.beta2 * store.v[name][rows] + (1.0 - cfg.beta2) * g * g
             store.m[name][rows] = m

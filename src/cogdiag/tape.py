@@ -12,7 +12,9 @@ products.
 
 Ops are vectorized: one Node holds a whole batch worth of values, so
 graphs stay small (tens of nodes per training step) and the heavy
-lifting happens inside numpy.
+lifting happens inside numpy.  The training objective's hot formulas
+go further: :func:`fused` records each as a single Node whose gradient
+replays the one-op chain's backward pass, operation for operation.
 """
 
 from __future__ import annotations
@@ -122,6 +124,29 @@ def _node2(a, b, out, da, db) -> Node:
 
 def _node1(a: Node, out, da) -> Node:
     return Node(out, (a,), lambda g: (da(g),))
+
+
+def fused(out, inputs, grads):
+    """One Node for a whole formula, or ``out`` itself when no input is a Node.
+
+    ``grads(g)`` maps the output gradient to one gradient per entry of
+    ``inputs``, each already summed to that input's shape.  An input may
+    be listed more than once: each listing receives its own contribution,
+    added to the input's gradient as a separate step, so a fused formula
+    can keep the addition order of the one-op chain it replaces.  Inputs
+    that are not Nodes are constants and their gradients are dropped.
+    """
+    keep = [k for k, x in enumerate(inputs) if isinstance(x, Node)]
+    if not keep:
+        return out
+    if len(keep) == len(inputs):
+        return Node(out, inputs, grads)
+
+    def vjp(g):
+        full = grads(g)
+        return tuple(full[k] for k in keep)
+
+    return Node(out, [inputs[k] for k in keep], vjp)
 
 
 def add(a, b):

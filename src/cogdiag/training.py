@@ -52,9 +52,9 @@ from .latent import (
     kl_consensus,
     kl_standard,
 )
-from .numerics import AdamConfig, ParameterStore, adam_step
+from .numerics import AdamConfig, NonFiniteGradientError, ParameterStore, adam_step
 from .seeding import substream
-from .tape import value_of
+from .tape import LOG_FLOOR, _unbroadcast, value_of
 
 SIGN_MODES = ("consistent", "literal")
 
@@ -119,12 +119,20 @@ class CorrectnessTracker:
         self.seen = np.zeros((n_students, n_cells), dtype=np.int64)
 
     def update(self, students, cell_lists, probs, labels) -> None:
+        """Count one attempt, and a hit if the prediction was right, per cell.
+
+        The cells of one instance must be distinct, as the concepts of a
+        Dataset exercise are: a repeated cell would count twice.
+        """
+        if len(cell_lists) == 0:
+            return
         correct = (np.asarray(probs) >= 0.5) == (np.asarray(labels) == 1)
-        for i, s in enumerate(students):
-            cells = cell_lists[i]
-            self.seen[s, cells] += 1
-            if correct[i]:
-                self.hits[s, cells] += 1
+        sizes = [len(cells) for cells in cell_lists]
+        rows = np.repeat(np.asarray(students, dtype=np.int64), sizes)
+        cols = np.concatenate(cell_lists)
+        np.add.at(self.seen, (rows, cols), 1)
+        hit = np.repeat(correct, sizes)
+        np.add.at(self.hits, (rows[hit], cols[hit]), 1)
 
     def frequency(self, student: int, cell: int):
         n = self.seen[student, cell]
@@ -139,13 +147,36 @@ class CorrectnessTracker:
 
 
 def prediction_loss(probs, labels):
-    """Mean binary cross-entropy; accepts a Node or plain array of probs."""
+    """Mean binary cross-entropy; accepts a Node or plain array of probs.
+
+    Both logs floor their argument at ``tape.LOG_FLOOR``.  With a Node
+    this is a single graph node whose gradient replays the composed
+    log/mul/sub/add/mean/negate ops, so it matches them to the bit.  As
+    with ``tape.nmean``, a Node's mean multiplies by 1/n while a plain
+    array's divides by n; the two can differ in the last bit.
+    """
     labels = np.asarray(labels, dtype=np.float64)
-    per = tape.add(
-        tape.mul(tape.log(probs), labels),
-        tape.mul(tape.log(tape.sub(1.0, probs)), 1.0 - labels),
-    )
-    return tape.mul(tape.nmean(per), -1.0)
+    yv = value_of(probs)
+    miss = 1.0 - yv
+    floored_y = np.maximum(yv, LOG_FLOOR)
+    floored_miss = np.maximum(miss, LOG_FLOOR)
+    per = np.log(floored_y) * labels + np.log(floored_miss) * (1.0 - labels)
+    n = per.size
+    if n == 0:
+        raise ValueError("mean of an empty axis")
+    if not isinstance(probs, tape.Node):
+        return (per.sum() / float(n)) * -1.0
+    inv_n = 1.0 / np.asarray(float(n))
+    inside_y = yv >= LOG_FLOOR
+    inside_miss = miss >= LOG_FLOOR
+
+    def grads(g):
+        g = np.broadcast_to(np.asarray(g * -1.0 * inv_n), per.shape)
+        via_y = _unbroadcast(g * labels, yv.shape) * inside_y / floored_y
+        via_miss = _unbroadcast(g * (1.0 - labels), miss.shape) * inside_miss / floored_miss
+        return (via_y + _unbroadcast(-via_miss, yv.shape),)
+
+    return tape.fused((per.sum() * inv_n) * -1.0, (probs,), grads)
 
 
 def calibration_pair_loss(var_a, var_b, o_a, o_b, sign_mode: str = "consistent"):
@@ -201,7 +232,7 @@ def sample_pairs(
     contribute nothing.
     """
     B = len(students)
-    cols: list[list] = [[], [], [], [], [], []]
+    draws: list[tuple[int, int, int, int]] = []
     if B >= 2:
         for _ in range(count):
             i = int(rng.integers(0, B))
@@ -210,19 +241,20 @@ def sample_pairs(
             cells_j = cell_lists[j]
             ci = int(cells_i[rng.integers(0, len(cells_i))])
             cj = int(cells_j[rng.integers(0, len(cells_j))])
-            oi = tracker.frequency(int(students[i]), ci)
-            oj = tracker.frequency(int(students[j]), cj)
-            if oi is None or oj is None:
-                continue
-            for col, item in zip(cols, (i, ci, oi, j, cj, oj)):
-                col.append(item)
+            draws.append((i, ci, j, cj))
+    pos_a, cell_a, pos_b, cell_b = np.array(draws, dtype=np.int64).reshape(-1, 4).T
+    students = np.asarray(students, dtype=np.int64)
+    s_a, s_b = students[pos_a], students[pos_b]
+    seen_a = tracker.seen[s_a, cell_a]
+    seen_b = tracker.seen[s_b, cell_b]
+    keep = (seen_a != 0) & (seen_b != 0)
     return PairSample(
-        pos_a=np.array(cols[0], dtype=np.int64),
-        cell_a=np.array(cols[1], dtype=np.int64),
-        o_a=np.array(cols[2], dtype=np.float64),
-        pos_b=np.array(cols[3], dtype=np.int64),
-        cell_b=np.array(cols[4], dtype=np.int64),
-        o_b=np.array(cols[5], dtype=np.float64),
+        pos_a=pos_a[keep],
+        cell_a=cell_a[keep],
+        o_a=tracker.hits[s_a[keep], cell_a[keep]] / seen_a[keep],
+        pos_b=pos_b[keep],
+        cell_b=cell_b[keep],
+        o_b=tracker.hits[s_b[keep], cell_b[keep]] / seen_b[keep],
     )
 
 
@@ -429,7 +461,13 @@ class Trainer:
         self.prior: PriorConsensus | None = None
         self.history: list[EpochRecord] = []
 
-    def _epoch(self, phase: int, cfg: TrainConfig) -> dict:
+    def _epoch(self, phase: int, cfg: TrainConfig, epoch: int) -> dict:
+        """One pass over the train split; ``epoch`` numbers it in errors.
+
+        A non-finite loss or gradient is re-raised with the phase, epoch
+        and zero-based step prefixed to the message naming the term or
+        parameter.
+        """
         sums = np.zeros(4)
         steps = 0
         for batch_idx in batches(self.splits.train, cfg.batch_size, self._streams["batching"]):
@@ -443,10 +481,13 @@ class Trainer:
                 self._streams["dropout"],
                 self._streams["pairing"] if phase == 2 else None,
             )
-            breakdown, probs = batch_loss(
-                self.dataset, self.fn, self.store, batch_idx, cfg, noise, self.prior
-            )
-            adam_step(self.store, self.adam, lazy=cfg.lazy_adam)
+            try:
+                breakdown, probs = batch_loss(
+                    self.dataset, self.fn, self.store, batch_idx, cfg, noise, self.prior
+                )
+                adam_step(self.store, self.adam, lazy=cfg.lazy_adam)
+            except (NonFiniteLossError, NonFiniteGradientError) as exc:
+                raise type(exc)(f"phase {phase}, epoch {epoch}, step {steps}: {exc}") from exc
             if self.fn.variant == "ncd":
                 clamp_ncd_weights(self.store)
             if phase == 2:
@@ -476,7 +517,7 @@ class Trainer:
         stale = 0
         start = len(self.history)
         for epoch in range(max_epochs):
-            losses = self._epoch(phase, cfg)
+            losses = self._epoch(phase, cfg, start + epoch)
             val = self._validate()
             record = EpochRecord(phase=phase, epoch=start + epoch, **losses, **val)
             self.history.append(record)

@@ -143,6 +143,14 @@ class TestBuildDataset:
         with pytest.raises(DataValidationError, match="min_logs"):
             build_dataset(load_logs(logs_csv), load_qmatrix(q_csv), min_logs=100)
 
+    def test_repeated_qmatrix_pairs_count_once(self):
+        logs = [ResponseLog("s1", "e", 1), ResponseLog("s1", "f", 0)]
+        pairs = [("e", "c"), ("f", "d"), ("e", "c"), ("e", "d"), ("f", "d")]
+        ds = build_dataset(logs, pairs, min_logs=1)
+        assert ds.concept_ids == ["c", "d"]
+        np.testing.assert_array_equal(ds.concepts_of[0], [0, 1])
+        np.testing.assert_array_equal(ds.concepts_of[1], [1])
+
     def test_student_index_lookup(self, logs_csv, q_csv):
         ds = build_dataset(load_logs(logs_csv), load_qmatrix(q_csv), min_logs=1)
         assert ds.student_index("s2") == 1

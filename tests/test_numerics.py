@@ -218,6 +218,35 @@ class TestAdamStep:
         np.testing.assert_array_equal(store.params["a"], before_a)
         assert store.step_count == 0
 
+    def test_dense_in_place_matches_textbook_formula_bitwise(self):
+        # the out= buffer version against the expression it replaced
+        rng = default_rng(11)
+        store = ParameterStore()
+        store.add("w", rng.normal(size=(7, 5)))
+        store.add("b", rng.normal(size=5))
+        ref = {name: store.params[name].copy() for name in store.params}
+        m = {name: np.zeros_like(p) for name, p in ref.items()}
+        v = {name: np.zeros_like(p) for name, p in ref.items()}
+        cfg = AdamConfig(learning_rate=0.01)
+        for t in range(1, 4):
+            grads = {name: rng.normal(size=p.shape) * 10.0 ** rng.integers(-6, 3)
+                     for name, p in ref.items()}
+            for name, g in grads.items():
+                store.grads[name][:] = g
+            adam_step(store, cfg)
+            bc1 = 1.0 - cfg.beta1**t
+            bc2 = 1.0 - cfg.beta2**t
+            for name, g in grads.items():
+                m[name] *= cfg.beta1
+                m[name] += (1.0 - cfg.beta1) * g
+                v[name] *= cfg.beta2
+                v[name] += (1.0 - cfg.beta2) * g * g
+                ref[name] -= cfg.learning_rate * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + cfg.epsilon)
+                assert store.params[name].tobytes() == ref[name].tobytes()
+                assert store.m[name].tobytes() == m[name].tobytes()
+                assert store.v[name].tobytes() == v[name].tobytes()
+                assert not store.grads[name].any()
+
     def test_lazy_rows_match_dense_for_touched_rows(self):
         rng = default_rng(5)
         init = rng.normal(size=(6, 3))

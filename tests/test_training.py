@@ -333,6 +333,40 @@ class TestBatchLoss:
         with pytest.raises(NonFiniteLossError, match="kl"):
             batch_loss(ds, fn, store, batch_idx, cfg, noise)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_non_finite_loss_names_phase_epoch_and_step(self):
+        ds = tiny_dataset(seed=3)
+        cfg = quick_config(max_epochs=1, pretrain_epochs=3)
+
+        def poison(record):
+            # after phase one's first epoch the means overflow the KL square
+            trainer.store.params["student_mu"][:] = 1e200
+
+        trainer = Trainer(ds, DiagnosticFunction("mirt"), cfg, on_epoch=poison)
+        with pytest.raises(NonFiniteLossError, match=r"^phase 1, epoch 1, step 0: kl loss"):
+            trainer.train()
+
+    def test_non_finite_gradient_names_phase_epoch_and_step(self, monkeypatch):
+        from cogdiag import training
+        from cogdiag.numerics import NonFiniteGradientError
+
+        real_step = training.adam_step
+        calls = []
+
+        def adam_step(store, cfg, lazy=False):
+            calls.append(None)
+            if len(calls) == 3:
+                store.grads["exercise_diff"][:] = np.nan
+            real_step(store, cfg, lazy=lazy)
+
+        monkeypatch.setattr(training, "adam_step", adam_step)
+        trainer = Trainer(tiny_dataset(seed=3), DiagnosticFunction("mirt"), quick_config())
+        with pytest.raises(
+            NonFiniteGradientError,
+            match=r"^phase 1, epoch 0, step 2: non-finite gradient for parameter 'exercise_diff'",
+        ):
+            trainer.train()
+
     def test_full_objective_gradients(self):
         ds = tiny_dataset(seed=9, students=8, exercises=12, concepts=3, per_student=6)
         fn = DiagnosticFunction("ncd", mlp_hidden=(4, 3))
