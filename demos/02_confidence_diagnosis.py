@@ -29,7 +29,7 @@ print(f"trained on {len(trainer.splits.train)} interactions")
 print()
 print("=== 2. diagnose one student ===")
 student = dataset.student_ids[5]
-report = diagnose(checkpoint, dataset, trainer.splits.train, student)
+report = diagnose(checkpoint, student)
 print(f"student {student}  (rank 1 = the model's most confident concept)")
 print(f"{'rank':>4}  {'concept':>8}  {'mastery':>8}  {'sigma':>7}  {'evidence':>8}")
 for row in report.rows:

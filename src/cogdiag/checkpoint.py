@@ -4,20 +4,28 @@ Arrays travel as base64 of their little-endian float64 bytes, keys are
 sorted, separators fixed, nan/inf rejected.  Saving the same checkpoint
 twice therefore produces byte-identical files, and load -> save is the
 identity on bytes.  No pickling, so checkpoints are safe to share.
+
+A checkpoint carries everything ``diagnose`` and ``export-ability``
+print, including each student's training-evidence counts, so serving
+those needs no data files.  Files are replaced atomically: a crash
+while saving leaves the previous file, never a truncated one.
 """
 
 from __future__ import annotations
 
 import base64
 import json
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
 from .diagnostics import MLP_PARAMS, DiagnosticFunction
 from .numerics import ParameterStore
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 # parameters updated row-wise during training; everything else is dense
 EMBEDDING_PARAMS = ("student_mu", "student_logvar", "exercise_diff", "exercise_disc")
@@ -39,6 +47,9 @@ class Checkpoint:
     concept_ids: list[str]
     run_config: dict
     best_epoch: int
+    # training-split interactions per (student, latent cell): one column
+    # for irt, one per concept otherwise
+    train_counts: np.ndarray
     val_metrics: dict[str, float] = field(default_factory=dict)
     format_version: int = FORMAT_VERSION
 
@@ -57,6 +68,35 @@ def _decode_array(obj: dict) -> np.ndarray:
     return arr.reshape(obj["shape"])
 
 
+def _decode_counts(obj: dict, shape: tuple[int, int]) -> np.ndarray:
+    counts = _decode_array(obj)
+    if counts.shape != shape:
+        raise ValueError(f"train_counts has shape {counts.shape}, expected {shape}")
+    whole = np.isfinite(counts) & (counts >= 0) & (counts == np.floor(counts))
+    if not whole.all():
+        raise ValueError("train_counts holds a value that is not a nonnegative integer")
+    return counts.astype(np.int64)
+
+
+@contextmanager
+def atomic_write(path):
+    """Open ``path`` for writing text; readers see the old file or the whole new one.
+
+    The text goes to a temporary file in the same directory, which
+    replaces ``path`` only once the block has finished; if anything fails
+    first, the temporary file is deleted and ``path`` is left untouched.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_checkpoint(ck: Checkpoint, path) -> None:
     doc = {
         "format_version": ck.format_version,
@@ -70,10 +110,11 @@ def save_checkpoint(ck: Checkpoint, path) -> None:
         "concept_ids": ck.concept_ids,
         "run_config": ck.run_config,
         "best_epoch": ck.best_epoch,
+        "train_counts": _encode_array(ck.train_counts),
         "val_metrics": ck.val_metrics,
     }
     text = json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False)
-    with open(path, "w", encoding="ascii") as fh:
+    with atomic_write(path) as fh:
         fh.write(text)
         fh.write("\n")
 
@@ -87,9 +128,11 @@ def load_checkpoint(path) -> Checkpoint:
     version = doc.get("format_version")
     if version != FORMAT_VERSION:
         raise CheckpointError(
-            f"checkpoint {path} has format_version {version!r}, this build reads {FORMAT_VERSION}"
+            f"checkpoint {path} has format_version {version!r}, this build reads only "
+            f"format_version {FORMAT_VERSION}; retrain with `cogdiag train` to write one"
         )
     try:
+        width = DiagnosticFunction(doc["variant"]).latent_dim(len(doc["concept_ids"]))
         return Checkpoint(
             variant=doc["variant"],
             irt_scale=doc["irt_scale"],
@@ -103,10 +146,11 @@ def load_checkpoint(path) -> Checkpoint:
             concept_ids=doc["concept_ids"],
             run_config=doc["run_config"],
             best_epoch=doc["best_epoch"],
+            train_counts=_decode_counts(doc["train_counts"], (len(doc["student_ids"]), width)),
             val_metrics=doc["val_metrics"],
             format_version=version,
         )
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"checkpoint {path} is malformed: {exc}") from exc
 
 

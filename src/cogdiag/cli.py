@@ -4,9 +4,12 @@ Subcommands: train, eval, diagnose, export-ability, export-reliability.
 Exit codes: 0 success, 1 runtime failure (bad data files, missing or
 mismatched checkpoint, unknown ids), 2 usage or configuration errors.
 
-The eval-side commands rebuild the dataset from the files recorded in
-the checkpoint and verify the id maps match, so every published number
-is reproducible from the artifacts alone.  Published probabilities are
+``diagnose`` and ``export-ability`` read the checkpoint alone.  ``eval``
+and ``export-reliability`` rebuild the dataset from the files recorded
+in the checkpoint and verify the id maps match, so every published
+number is reproducible from the artifacts alone.  Every file is written
+to a temporary name and then renamed over its target, so a crash never
+leaves a truncated artifact.  Published probabilities are
 rounded to six decimals, and the printed metrics are computed on those
 rounded values; recomputing from the CSV gives the same numbers.
 """
@@ -23,6 +26,7 @@ import numpy as np
 from .checkpoint import (
     Checkpoint,
     CheckpointError,
+    atomic_write,
     diagnostic_from_checkpoint,
     load_checkpoint,
     save_checkpoint,
@@ -48,7 +52,7 @@ from .data import (
     split_per_student,
 )
 from .diagnostics import DiagnosticFunction
-from .inference import diagnose, evaluate_probs, predict_split
+from .inference import check_dataset_matches, diagnose, evaluate_probs, predict_split
 from .latent import STUDENT_LOGVAR, STUDENT_MEAN
 from .metrics import MetricError, calibration, format_reliability_csv
 from .numerics import NonFiniteGradientError, stable_sigmoid
@@ -93,7 +97,9 @@ def _run_config_from_checkpoint(ck: Checkpoint) -> RunConfig:
             "checkpoint run_config does not match this build's configuration schema"
         )
     cfg = RunConfig(**ck.run_config)
-    errors = validate_run_config(cfg)
+    # data files matter only to the commands that open them, and those fail
+    # naming a file they cannot open
+    errors = validate_run_config(cfg, check_files=False)
     if errors:
         raise CheckpointError("checkpoint configuration no longer valid: " + "; ".join(errors))
     return cfg
@@ -103,6 +109,7 @@ def _eval_context(checkpoint_path: str):
     ck = load_checkpoint(checkpoint_path)
     cfg = _run_config_from_checkpoint(ck)
     dataset = _load_dataset(cfg)
+    check_dataset_matches(ck, dataset)
     splits = _splits_for(cfg, dataset)
     return ck, cfg, dataset, splits
 
@@ -146,7 +153,8 @@ def cmd_train(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     ck_path = out_dir / "checkpoint.json"
     save_checkpoint(ck, ck_path)
-    (out_dir / "config_resolved.txt").write_text(format_config(cfg))
+    with atomic_write(out_dir / "config_resolved.txt") as fh:
+        fh.write(format_config(cfg))
     log_lines = ["epoch,phase,loss_pred,loss_kl,loss_cal,loss_total,val_acc,val_auc,val_ece"]
     for rec in trainer.history:
         log_lines.append(
@@ -154,7 +162,8 @@ def cmd_train(args) -> int:
             f"{rec.calibration:.6f},{rec.total:.6f},"
             f"{rec.val_acc:.6f},{rec.val_auc:.6f},{rec.val_ece:.6f}"
         )
-    (out_dir / "train_log.csv").write_text("\n".join(log_lines) + "\n")
+    with atomic_write(out_dir / "train_log.csv") as fh:
+        fh.write("\n".join(log_lines) + "\n")
     best = ck.val_metrics
     if best:
         print(
@@ -185,7 +194,8 @@ def cmd_eval(args) -> int:
             f"{dataset.exercise_ids[dataset.e_idx[pos]]},"
             f"{int(dataset.scores[pos])},{prob}"
         )
-    out.write_text("\n".join(lines) + "\n")
+    with atomic_write(out) as fh:
+        fh.write("\n".join(lines) + "\n")
 
     print(f"split {args.split} n {report.n}")
     print(f"ACC  {report.acc:.6f}")
@@ -198,8 +208,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    ck, cfg, dataset, splits = _eval_context(args.checkpoint)
-    report = diagnose(ck, dataset, splits.train, args.student)
+    ck = load_checkpoint(args.checkpoint)
+    _run_config_from_checkpoint(ck)
+    report = diagnose(ck, args.student)
 
     print(f"student {report.student_id}")
     print("mastery is sigmoid of the posterior mean; rank 1 = most confident (smallest sigma)")
@@ -216,24 +227,27 @@ def cmd_diagnose(args) -> int:
         lines.append(
             f"{row.rank},{row.concept_id},{row.mastery:.6f},{row.sigma:.6f},{row.interactions}"
         )
-    out.write_text("\n".join(lines) + "\n")
+    with atomic_write(out) as fh:
+        fh.write("\n".join(lines) + "\n")
     print(f"diagnosis written to {out}")
     return 0
 
 
 def cmd_export_ability(args) -> int:
-    ck, cfg, dataset, splits = _eval_context(args.checkpoint)
+    ck = load_checkpoint(args.checkpoint)
+    _run_config_from_checkpoint(ck)
     mastery = stable_sigmoid(ck.params[STUDENT_MEAN])
     sigma = np.sqrt(np.exp(ck.params[STUDENT_LOGVAR]))
-    labels = ["overall"] if ck.variant == "irt" else dataset.concept_ids
+    labels = ["overall"] if ck.variant == "irt" else ck.concept_ids
 
     out = _out_path(args.out, args.checkpoint, "ability.csv")
     lines = ["student_id,concept_id,mastery,sigma"]
-    for i, sid in enumerate(dataset.student_ids):
+    for i, sid in enumerate(ck.student_ids):
         for k, cid in enumerate(labels):
             lines.append(f"{sid},{cid},{mastery[i, k]:.6f},{sigma[i, k]:.6f}")
-    out.write_text("\n".join(lines) + "\n")
-    print(f"{len(dataset.student_ids) * len(labels)} rows written to {out}")
+    with atomic_write(out) as fh:
+        fh.write("\n".join(lines) + "\n")
+    print(f"{len(ck.student_ids) * len(labels)} rows written to {out}")
     return 0
 
 
@@ -245,7 +259,8 @@ def cmd_export_reliability(args) -> int:
     report = calibration(rounded, dataset.scores[indices], bins=cfg.bins)
 
     out = _out_path(args.out, args.checkpoint, f"reliability_{args.split}.csv")
-    out.write_text(format_reliability_csv(report))
+    with atomic_write(out) as fh:
+        fh.write(format_reliability_csv(report))
     print(f"split {args.split} ECE {report.ece:.6f} MCE {report.mce:.6f}")
     print(f"reliability table written to {out}")
     return 0

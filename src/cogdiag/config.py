@@ -104,18 +104,24 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
     return cfg
 
 
-def validate_run_config(cfg: RunConfig, values_known: bool = True) -> list[str]:
+def validate_run_config(
+    cfg: RunConfig, values_known: bool = True, check_files: bool = True
+) -> list[str]:
+    """Every problem with ``cfg``, as messages.
+
+    ``check_files=False`` skips the data file paths, for a configuration
+    read back from a checkpoint by a command that never opens them.
+    """
     if not values_known:
         return []
     errors = []
-    if not cfg.logs:
-        errors.append("'logs' (response log CSV path) is required")
-    elif not Path(cfg.logs).exists():
-        errors.append(f"logs file {cfg.logs!r} does not exist")
-    if not cfg.qmatrix:
-        errors.append("'qmatrix' (Q-matrix CSV path) is required")
-    elif not Path(cfg.qmatrix).exists():
-        errors.append(f"qmatrix file {cfg.qmatrix!r} does not exist")
+    if check_files:
+        for key, what in (("logs", "response log CSV path"), ("qmatrix", "Q-matrix CSV path")):
+            path = getattr(cfg, key)
+            if not path:
+                errors.append(f"'{key}' ({what}) is required")
+            elif not Path(path).exists():
+                errors.append(f"{key} file {path!r} does not exist")
     if cfg.variant not in VARIANTS:
         errors.append(f"variant must be one of {VARIANTS}, got {cfg.variant!r}")
     if cfg.min_logs < 1:

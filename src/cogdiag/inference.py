@@ -132,15 +132,22 @@ def concept_interaction_counts(
     Cells follow the diagnostic function's latent layout: one shared
     column for IRT, one per concept otherwise.
     """
-    d = fn.latent_dim(dataset.n_concepts)
-    counts = np.zeros((dataset.n_students, d), dtype=np.int64)
-    for pos in np.asarray(indices, dtype=np.int64):
-        s = dataset.s_idx[pos]
-        if fn.variant == "irt":
-            counts[s, 0] += 1
-        else:
-            counts[s, dataset.concepts_of[dataset.e_idx[pos]]] += 1
-    return counts
+    indices = np.asarray(indices, dtype=np.int64)
+    students = dataset.s_idx[indices]
+    if fn.variant == "irt":
+        return np.bincount(students, minlength=dataset.n_students).reshape(-1, 1)
+    # each position counts once for every concept of its exercise.  Laid end
+    # to end, the exercises' concepts form one flat array; a position's run
+    # of them starts at its exercise's offset there, so shifting one arange
+    # over all runs by (offset - the run's own start) gathers every run at once
+    exercises = dataset.e_idx[indices]
+    sizes = np.array([len(c) for c in dataset.concepts_of], dtype=np.int64)
+    reps = sizes[exercises]
+    shift = (np.cumsum(sizes) - sizes)[exercises] - (np.cumsum(reps) - reps)
+    cells = np.concatenate(dataset.concepts_of)[np.repeat(shift, reps) + np.arange(reps.sum())]
+    k = dataset.n_concepts
+    flat_cells = np.repeat(students, reps) * k + cells
+    return np.bincount(flat_cells, minlength=dataset.n_students * k).reshape(-1, k)
 
 
 @dataclass
@@ -158,27 +165,21 @@ class DiagnosisReport:
     rows: list[ConceptDiagnosis]  # sorted by rank
 
 
-def diagnose(
-    ck: Checkpoint,
-    dataset: Dataset,
-    train_indices: np.ndarray,
-    student_id: str,
-) -> DiagnosisReport:
+def diagnose(ck: Checkpoint, student_id: str) -> DiagnosisReport:
     """Per-concept mastery and confidence for one student.
 
-    Interaction counts are recomputed from the student's positions in the
-    training split, since the checkpoint stores parameters, not tracker
-    state.
+    Everything comes from the checkpoint: the student's row of posterior
+    means and variances, and the training interactions counted per cell
+    when the checkpoint was written.
     """
-    check_dataset_matches(ck, dataset)
-    fn = diagnostic_from_checkpoint(ck)
-    s = dataset.student_index(student_id)
+    try:
+        s = ck.student_ids.index(student_id)
+    except ValueError:
+        raise KeyError(f"unknown student id {student_id!r}") from None
     mu = ck.params[STUDENT_MEAN][s]
     sigma = np.sqrt(np.exp(ck.params[STUDENT_LOGVAR][s]))
-    train_indices = np.asarray(train_indices, dtype=np.int64)
-    own = train_indices[dataset.s_idx[train_indices] == s]
-    counts = concept_interaction_counts(dataset, own, fn)[s]
-    labels = ["overall"] if fn.variant == "irt" else dataset.concept_ids
+    counts = ck.train_counts[s]
+    labels = ["overall"] if ck.variant == "irt" else ck.concept_ids
     order = np.argsort(sigma, kind="stable")
     rank = np.empty(len(sigma), dtype=np.int64)
     rank[order] = np.arange(1, len(sigma) + 1)

@@ -550,6 +550,8 @@ class Trainer:
         return self.to_checkpoint(best_epoch, best_val)
 
     def to_checkpoint(self, best_epoch: int, val_metrics: dict) -> Checkpoint:
+        from .inference import concept_interaction_counts
+
         consensus = self.prior.mean if self.prior is not None else None
         return Checkpoint(
             variant=self.fn.variant,
@@ -562,6 +564,7 @@ class Trainer:
             concept_ids=list(self.dataset.concept_ids),
             run_config=config_snapshot(self.cfg),
             best_epoch=best_epoch,
+            train_counts=concept_interaction_counts(self.dataset, self.splits.train, self.fn),
             val_metrics={k.removeprefix("val_"): v for k, v in val_metrics.items()},
         )
 

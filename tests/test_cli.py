@@ -173,6 +173,20 @@ class TestEval:
         bad.write_text(json.dumps(blob))
         assert main(["eval", "--checkpoint", str(bad)]) == 1
 
+    def test_replaced_data_files_are_runtime_error(self, workspace, tmp_path, capsys):
+        cohort = planted_cohort(
+            n_students=30, n_exercises=40, n_concepts=4, per_student=25, seed=12
+        )
+        logs, qmatrix = tmp_path / "logs.csv", tmp_path / "q.csv"
+        write_cohort_csv(cohort, logs, qmatrix)
+        blob = json.loads(workspace["checkpoint"].read_text())
+        blob["run_config"].update(logs=str(logs), qmatrix=str(qmatrix))
+        moved = tmp_path / "moved.json"
+        moved.write_text(json.dumps(blob))
+        for command in ("eval", "export-reliability"):
+            assert main([command, "--checkpoint", str(moved), "--out", str(tmp_path / "o.csv")]) == 1
+            assert "disagree" in capsys.readouterr().err
+
 
 class TestDiagnose:
     def test_table_sorted_by_rank(self, workspace, capsys):
@@ -228,6 +242,35 @@ class TestExports:
         rows = out.read_text().splitlines()
         assert rows[0] == "bin,lo,hi,count,acc,avg_prob,gap"
         assert len(rows) == 1 + 10
+
+
+class TestServingWithoutData:
+    def test_diagnose_and_export_ability_need_only_the_checkpoint(self, tmp_path, capsys):
+        cohort = planted_cohort(n_students=12, n_exercises=20, n_concepts=3, per_student=15, seed=4)
+        logs, qmatrix = tmp_path / "logs.csv", tmp_path / "qmatrix.csv"
+        write_cohort_csv(cohort, logs, qmatrix)
+        config = tmp_path / "run.cfg"
+        config.write_text(
+            f"logs = {logs}\nqmatrix = {qmatrix}\noutput_dir = {tmp_path / 'run'}\n"
+            "variant = mirt\nmin_logs = 1\nmax_epochs = 1\npretrain_epochs = 1\nseed = 2\n"
+        )
+        assert main(["train", "--config", str(config)]) == 0
+        checkpoint = str(tmp_path / "run" / "checkpoint.json")
+
+        def serve(tag):
+            diag, ability = tmp_path / f"diag_{tag}.csv", tmp_path / f"ability_{tag}.csv"
+            assert main(["diagnose", "--checkpoint", checkpoint, "--student", "s0003",
+                         "--out", str(diag)]) == 0
+            assert main(["export-ability", "--checkpoint", checkpoint, "--out", str(ability)]) == 0
+            return diag.read_bytes(), ability.read_bytes()
+
+        with_data = serve("with")
+        logs.unlink()
+        qmatrix.unlink()
+        assert serve("without") == with_data
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", checkpoint]) == 1
+        assert str(logs) in capsys.readouterr().err
 
 
 class TestParser:

@@ -1,6 +1,7 @@
 """Checkpoint round-trips, evaluation, and per-student diagnosis."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from cogdiag.checkpoint import (
     Checkpoint,
     CheckpointError,
     FORMAT_VERSION,
+    _encode_array,
     diagnostic_from_checkpoint,
     load_checkpoint,
     save_checkpoint,
@@ -62,6 +64,7 @@ def hand_built_checkpoint(ds, mu_by_student):
         concept_ids=list(ds.concept_ids),
         run_config={},
         best_epoch=0,
+        train_counts=np.zeros((ds.n_students, 1), dtype=np.int64),
         val_metrics={},
     )
 
@@ -100,6 +103,72 @@ class TestCheckpointIO:
         path.write_text(json.dumps(blob))
         with pytest.raises(CheckpointError, match="version"):
             load_checkpoint(path)
+
+    def test_version_1_file_rejected_with_retrain_hint(self, tmp_path):
+        ds = toy_dataset()
+        _, ck = trained_checkpoint(ds)
+        path = tmp_path / "ck.json"
+        save_checkpoint(ck, path)
+        blob = json.loads(path.read_text())
+        blob["format_version"] = 1
+        del blob["train_counts"]
+        path.write_text(json.dumps(blob))
+        with pytest.raises(CheckpointError) as err:
+            load_checkpoint(path)
+        message = str(err.value)
+        assert "format_version 1" in message and "format_version 2" in message
+        assert "retrain" in message
+
+    @pytest.mark.parametrize(
+        "counts",
+        [np.zeros((3, 4)), np.full((25, 4), -1.0), np.full((25, 4), 0.5)],
+        ids=["wrong-shape", "negative", "fraction"],
+    )
+    def test_malformed_train_counts_rejected(self, tmp_path, counts):
+        ds = toy_dataset()
+        _, ck = trained_checkpoint(ds)
+        assert ck.train_counts.shape == (25, 4)
+        path = tmp_path / "ck.json"
+        save_checkpoint(ck, path)
+        blob = json.loads(path.read_text())
+        blob["train_counts"] = _encode_array(counts)
+        path.write_text(json.dumps(blob))
+        with pytest.raises(CheckpointError, match="malformed"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("variant", ["irt", "mirt", "ncd"])
+    def test_saved_train_counts_match_brute_force(self, tmp_path, variant):
+        ds = toy_dataset()
+        trainer, ck = trained_checkpoint(ds, variant)
+        path = tmp_path / "ck.json"
+        save_checkpoint(ck, path)
+        counts = load_checkpoint(path).train_counts
+        if variant == "irt":
+            brute = np.bincount(ds.s_idx[trainer.splits.train], minlength=ds.n_students)[:, None]
+        else:
+            brute = np.zeros((ds.n_students, ds.n_concepts), dtype=np.int64)
+            for pos in trainer.splits.train:
+                for c in ds.concepts_of[ds.e_idx[pos]]:
+                    brute[ds.s_idx[pos], c] += 1
+        assert counts.dtype == np.int64
+        np.testing.assert_array_equal(counts, brute)
+
+    def test_failed_save_leaves_previous_file(self, tmp_path, monkeypatch):
+        ds = toy_dataset()
+        _, ck = trained_checkpoint(ds)
+        path = tmp_path / "ck.json"
+        save_checkpoint(ck, path)
+        before = path.read_bytes()
+
+        def crash(src, dst):
+            raise OSError("simulated crash before the rename")
+
+        monkeypatch.setattr(os, "replace", crash)
+        ck.best_epoch += 1
+        with pytest.raises(OSError, match="simulated"):
+            save_checkpoint(ck, path)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["ck.json"]
 
     def test_malformed_json_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -242,7 +311,7 @@ class TestDiagnose:
                 if logs[pos].student_id == sid:
                     for cid in concepts_of_exercise[logs[pos].exercise_id]:
                         brute[cid] += 1
-            report = diagnose(ck, ds, trainer.splits.train, sid)
+            report = diagnose(ck, sid)
             assert {row.concept_id: row.interactions for row in report.rows} == brute
             assert sum(brute.values()) > 0
 
@@ -259,7 +328,7 @@ class TestDiagnose:
     def test_rank_one_is_lowest_sigma(self):
         ds = toy_dataset()
         trainer, ck = trained_checkpoint(ds, "mirt")
-        report = diagnose(ck, ds, trainer.splits.train, ds.student_ids[0])
+        report = diagnose(ck, ds.student_ids[0])
         sigmas = [row.sigma for row in report.rows]
         assert sigmas == sorted(sigmas)
         assert [row.rank for row in report.rows] == list(
@@ -271,7 +340,7 @@ class TestDiagnose:
         trainer, ck = trained_checkpoint(ds, "mirt")
         sid = ds.student_ids[3]
         s = ds.student_index(sid)
-        report = diagnose(ck, ds, trainer.splits.train, sid)
+        report = diagnose(ck, sid)
         by_concept = {row.concept_id: row for row in report.rows}
         for k, cid in enumerate(ds.concept_ids):
             mu = ck.params["student_mu"][s, k]
@@ -282,7 +351,7 @@ class TestDiagnose:
     def test_irt_reports_single_overall_row(self):
         ds = toy_dataset()
         trainer, ck = trained_checkpoint(ds, "irt")
-        report = diagnose(ck, ds, trainer.splits.train, ds.student_ids[0])
+        report = diagnose(ck, ds.student_ids[0])
         assert len(report.rows) == 1
         assert report.rows[0].concept_id == "overall"
 
@@ -290,4 +359,4 @@ class TestDiagnose:
         ds = toy_dataset()
         trainer, ck = trained_checkpoint(ds)
         with pytest.raises(KeyError):
-            diagnose(ck, ds, trainer.splits.train, "nobody")
+            diagnose(ck, "nobody")
