@@ -33,9 +33,7 @@ from .data import (
 )
 from .diagnostics import (
     DiagnosticFunction,
-    ExerciseParams,
     clamp_ncd_weights,
-    exercise_params,
     init_parameters,
     predict_irt,
     predict_mirt,
@@ -52,13 +50,9 @@ from .inference import (
 from .latent import (
     DropoutConfig,
     PriorConsensus,
-    StudentPosterior,
-    apply_variance_dropout,
     compute_consensus,
     kl_consensus,
     kl_standard,
-    posterior_of,
-    sample_ability,
 )
 from .metrics import BinReport, MetricError, acc, auc, calibration, reliability_rows, rmse
 from .numerics import (

@@ -22,13 +22,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .diagnostics import MLP_PARAMS, DiagnosticFunction
+from .diagnostics import DiagnosticFunction, parameter_layout
+from .latent import STUDENT_MEAN
 from .numerics import ParameterStore
 
 FORMAT_VERSION = 2
-
-# parameters updated row-wise during training; everything else is dense
-EMBEDDING_PARAMS = ("student_mu", "student_logvar", "exercise_diff", "exercise_disc")
 
 
 class CheckpointError(RuntimeError):
@@ -132,21 +130,30 @@ def load_checkpoint(path) -> Checkpoint:
             f"format_version {FORMAT_VERSION}; retrain with `cogdiag train` to write one"
         )
     try:
-        width = DiagnosticFunction(doc["variant"]).latent_dim(len(doc["concept_ids"]))
+        fn = DiagnosticFunction(doc["variant"], doc["irt_scale"], tuple(doc["mlp_hidden"]))
+        sizes = (len(doc["student_ids"]), len(doc["exercise_ids"]), len(doc["concept_ids"]))
+        layout = {name: shape for name, shape, _ in parameter_layout(fn, *sizes)}
+        params = {name: _decode_array(obj) for name, obj in doc["params"].items()}
+        shapes = {name: arr.shape for name, arr in params.items()}
+        if shapes != layout:
+            raise ValueError(f"parameter shapes {shapes} differ from the layout {layout}")
+        consensus = None if doc["consensus_mean"] is None else _decode_array(doc["consensus_mean"])
+        if consensus is not None and consensus.shape != layout[STUDENT_MEAN][1:]:
+            raise ValueError(
+                f"consensus_mean has shape {consensus.shape}, expected {layout[STUDENT_MEAN][1:]}"
+            )
         return Checkpoint(
             variant=doc["variant"],
             irt_scale=doc["irt_scale"],
             mlp_hidden=tuple(doc["mlp_hidden"]),
-            params={name: _decode_array(obj) for name, obj in doc["params"].items()},
-            consensus_mean=(
-                None if doc["consensus_mean"] is None else _decode_array(doc["consensus_mean"])
-            ),
+            params=params,
+            consensus_mean=consensus,
             student_ids=doc["student_ids"],
             exercise_ids=doc["exercise_ids"],
             concept_ids=doc["concept_ids"],
             run_config=doc["run_config"],
             best_epoch=doc["best_epoch"],
-            train_counts=_decode_counts(doc["train_counts"], (len(doc["student_ids"]), width)),
+            train_counts=_decode_counts(doc["train_counts"], layout[STUDENT_MEAN]),
             val_metrics=doc["val_metrics"],
             format_version=version,
         )
@@ -163,13 +170,7 @@ def diagnostic_from_checkpoint(ck: Checkpoint) -> DiagnosticFunction:
 def store_from_checkpoint(ck: Checkpoint) -> ParameterStore:
     """Rebuild a parameter store (fresh optimizer state) from saved arrays."""
     store = ParameterStore()
-    for name in EMBEDDING_PARAMS:
-        if name in ck.params:
-            store.add(name, ck.params[name], row_sparse=True)
-    for name in MLP_PARAMS:
-        if name in ck.params:
-            store.add(name, ck.params[name])
-    leftover = set(ck.params) - set(store.params)
-    if leftover:
-        raise CheckpointError(f"checkpoint holds unknown parameters: {sorted(leftover)}")
+    sizes = (len(ck.student_ids), len(ck.exercise_ids), len(ck.concept_ids))
+    for name, _, row_sparse in parameter_layout(diagnostic_from_checkpoint(ck), *sizes):
+        store.add(name, ck.params[name], row_sparse=row_sparse)
     return store

@@ -35,6 +35,7 @@ from .checkpoint import (
 from .config import (
     ConfigError,
     RunConfig,
+    diagnostic_of,
     format_config,
     parse_config_file,
     train_config_of,
@@ -44,14 +45,12 @@ from .data import (
     DataFormatError,
     DataValidationError,
     Dataset,
-    SplitSpec,
     Splits,
     build_dataset,
     load_logs,
     load_qmatrix,
     split_per_student,
 )
-from .diagnostics import DiagnosticFunction
 from .inference import check_dataset_matches, diagnose, evaluate_probs, predict_split
 from .latent import STUDENT_LOGVAR, STUDENT_MEAN
 from .metrics import MetricError, calibration, format_reliability_csv
@@ -77,29 +76,13 @@ def _load_dataset(cfg: RunConfig) -> Dataset:
     return build_dataset(load_logs(cfg.logs), load_qmatrix(cfg.qmatrix), min_logs=cfg.min_logs)
 
 
-def _splits_for(cfg: RunConfig, dataset: Dataset) -> Splits:
-    return split_per_student(
-        dataset,
-        SplitSpec(
-            train_fraction=cfg.train_fraction,
-            val_fraction=cfg.val_fraction,
-            seed=cfg.seed,
-            preserve_order=cfg.preserve_order,
-        ),
-    )
-
-
 def _run_config_from_checkpoint(ck: Checkpoint) -> RunConfig:
-    known = {f.name for f in fields(RunConfig)}
-    unknown = set(ck.run_config) - known
-    if unknown or not known <= set(ck.run_config):
+    if set(ck.run_config) != {f.name for f in fields(RunConfig)}:
         raise CheckpointError(
             "checkpoint run_config does not match this build's configuration schema"
         )
     cfg = RunConfig(**ck.run_config)
-    # data files matter only to the commands that open them, and those fail
-    # naming a file they cannot open
-    errors = validate_run_config(cfg, check_files=False)
+    errors = validate_run_config(cfg)
     if errors:
         raise CheckpointError("checkpoint configuration no longer valid: " + "; ".join(errors))
     return cfg
@@ -110,7 +93,7 @@ def _eval_context(checkpoint_path: str):
     cfg = _run_config_from_checkpoint(ck)
     dataset = _load_dataset(cfg)
     check_dataset_matches(ck, dataset)
-    splits = _splits_for(cfg, dataset)
+    splits = split_per_student(dataset, train_config_of(cfg).split)
     return ck, cfg, dataset, splits
 
 
@@ -127,11 +110,7 @@ def _out_path(arg_out, checkpoint_path: str, default_name: str) -> Path:
 def cmd_train(args) -> int:
     cfg = parse_config_file(args.config)
     dataset = _load_dataset(cfg)
-    fn = DiagnosticFunction(
-        variant=cfg.variant,
-        irt_scale=cfg.irt_scale,
-        mlp_hidden=(cfg.mlp_hidden1, cfg.mlp_hidden2),
-    )
+    fn = diagnostic_of(cfg)
 
     def progress(rec):
         print(

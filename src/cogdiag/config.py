@@ -8,12 +8,13 @@ per run attempt.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .diagnostics import VARIANTS
+from .diagnostics import DiagnosticFunction
 from .latent import DropoutConfig
-from .training import SIGN_MODES, TrainConfig
+from .training import TrainConfig
 
 
 class ConfigError(ValueError):
@@ -62,7 +63,14 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"expected a boolean, got {raw!r}")
 
 
-_PARSERS = {int: int, float: float, str: str, bool: _parse_bool}
+def _parse_float(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite float, got {raw!r}")
+    return value
+
+
+_PARSERS = {int: int, float: _parse_float, str: str, bool: _parse_bool}
 
 
 def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
@@ -97,64 +105,38 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
                 f"{type(getattr(defaults, key)).__name__}"
             )
 
-    cfg = RunConfig(**values) if not errors else defaults
-    errors.extend(validate_run_config(cfg, values_known=not errors))
-    if errors:
-        raise ConfigError(f"{source}: " + "; ".join(errors))
-    return cfg
-
-
-def validate_run_config(
-    cfg: RunConfig, values_known: bool = True, check_files: bool = True
-) -> list[str]:
-    """Every problem with ``cfg``, as messages.
-
-    ``check_files=False`` skips the data file paths, for a configuration
-    read back from a checkpoint by a command that never opens them.
-    """
-    if not values_known:
-        return []
-    errors = []
-    if check_files:
+    if not errors:
+        cfg = RunConfig(**values)
+        # only a config file names data files to open; a checkpoint's copy
+        # is checked by the commands that open them
         for key, what in (("logs", "response log CSV path"), ("qmatrix", "Q-matrix CSV path")):
             path = getattr(cfg, key)
             if not path:
                 errors.append(f"'{key}' ({what}) is required")
             elif not Path(path).exists():
                 errors.append(f"{key} file {path!r} does not exist")
-    if cfg.variant not in VARIANTS:
-        errors.append(f"variant must be one of {VARIANTS}, got {cfg.variant!r}")
-    if cfg.min_logs < 1:
+        errors.extend(validate_run_config(cfg))
+    if errors:
+        raise ConfigError(f"{source}: " + "; ".join(errors))
+    return cfg
+
+
+def validate_run_config(cfg: RunConfig) -> list[str]:
+    """Every problem with ``cfg`` except its data file paths, as messages.
+
+    Fields that feed a dataclass are checked by building it; TrainConfig is
+    built apart from its DropoutConfig, so a bad dropout hides none of its errors.
+    """
+    errors = []
+    if not (cfg.min_logs >= 1):
         errors.append(f"min_logs must be at least 1, got {cfg.min_logs}")
-    if cfg.bins < 1:
+    if not (cfg.bins >= 1):
         errors.append(f"bins must be at least 1, got {cfg.bins}")
-    if cfg.calibration_sign not in SIGN_MODES:
-        errors.append(f"calibration_sign must be one of {SIGN_MODES}")
-    for name, lo in (("gamma", 0.0), ("beta", 0.0)):
-        if getattr(cfg, name) < lo:
-            errors.append(f"{name} must be >= {lo}")
-    if cfg.learning_rate <= 0:
-        errors.append("learning_rate must be positive")
-    if cfg.batch_size < 1:
-        errors.append("batch_size must be positive")
-    if cfg.max_epochs < 0:
-        errors.append("max_epochs must be nonnegative")
-    if cfg.patience < 1:
-        errors.append("patience must be at least 1")
-    if cfg.seed < 0:
-        errors.append("seed must be nonnegative")
-    if not (0 < cfg.train_fraction < 1) or not (0 < cfg.val_fraction < 1):
-        errors.append("train_fraction and val_fraction must be in (0, 1)")
-    elif cfg.train_fraction + cfg.val_fraction >= 1:
-        errors.append("train_fraction + val_fraction must leave a test share")
-    if not (cfg.dropout_alpha > 0):
-        errors.append("dropout_alpha must be positive")
-    if not (0 < cfg.dropout_keep <= 1):
-        errors.append("dropout_keep must be in (0, 1]")
-    if cfg.mlp_hidden1 < 1 or cfg.mlp_hidden2 < 1:
-        errors.append("mlp hidden sizes must be positive")
-    if cfg.irt_scale <= 0:
-        errors.append("irt_scale must be positive")
+    for build in (diagnostic_of, dropout_of, lambda c: TrainConfig(**_train_fields(c))):
+        try:
+            build(cfg)
+        except ValueError as exc:
+            errors.append(str(exc))
     return errors
 
 
@@ -166,29 +148,45 @@ def parse_config_file(path) -> RunConfig:
     return parse_config_text(text, source=str(path))
 
 
-def train_config_of(cfg: RunConfig) -> TrainConfig:
-    return TrainConfig(
+def diagnostic_of(cfg: RunConfig) -> DiagnosticFunction:
+    return DiagnosticFunction(
+        variant=cfg.variant,
+        irt_scale=cfg.irt_scale,
+        mlp_hidden=(cfg.mlp_hidden1, cfg.mlp_hidden2),
+    )
+
+
+def dropout_of(cfg: RunConfig) -> DropoutConfig:
+    return DropoutConfig(
+        alpha=cfg.dropout_alpha,
+        keep_probability=cfg.dropout_keep,
+        enabled=cfg.dropout_enabled,
+    )
+
+
+def _train_fields(cfg: RunConfig) -> dict:
+    """TrainConfig's own fields; its ``dropout`` comes from :func:`dropout_of`."""
+    return dict(
         gamma=cfg.gamma,
         beta=cfg.beta,
         learning_rate=cfg.learning_rate,
         batch_size=cfg.batch_size,
         max_epochs=cfg.max_epochs,
-        pretrain_epochs=None if cfg.pretrain_epochs < 0 else cfg.pretrain_epochs,
+        pretrain_epochs=None if cfg.pretrain_epochs == -1 else cfg.pretrain_epochs,
         patience=cfg.patience,
         seed=cfg.seed,
         train_fraction=cfg.train_fraction,
         val_fraction=cfg.val_fraction,
         preserve_order=cfg.preserve_order,
-        pair_count=None if cfg.pair_count < 0 else cfg.pair_count,
+        pair_count=None if cfg.pair_count == -1 else cfg.pair_count,
         calibration_sign=cfg.calibration_sign,
-        dropout=DropoutConfig(
-            alpha=cfg.dropout_alpha,
-            keep_probability=cfg.dropout_keep,
-            enabled=cfg.dropout_enabled,
-        ),
         kl_dedup=cfg.kl_dedup,
         lazy_adam=cfg.lazy_adam,
     )
+
+
+def train_config_of(cfg: RunConfig) -> TrainConfig:
+    return TrainConfig(dropout=dropout_of(cfg), **_train_fields(cfg))
 
 
 def format_config(cfg: RunConfig) -> str:

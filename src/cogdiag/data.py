@@ -207,12 +207,15 @@ class SplitSpec:
     preserve_order: bool = False  # keep each student's interactions in file order
 
     def __post_init__(self):
+        problems = []
         if not (0 < self.train_fraction < 1):
-            raise ValueError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
+            problems.append(f"train_fraction must be in (0, 1), got {self.train_fraction}")
         if not (0 < self.val_fraction < 1):
-            raise ValueError(f"val_fraction must be in (0, 1), got {self.val_fraction}")
-        if self.train_fraction + self.val_fraction >= 1:
-            raise ValueError("train_fraction + val_fraction must leave room for a test share")
+            problems.append(f"val_fraction must be in (0, 1), got {self.val_fraction}")
+        if not problems and not (self.train_fraction + self.val_fraction < 1):
+            problems.append("train_fraction + val_fraction must leave room for a test share")
+        if problems:
+            raise ValueError("; ".join(problems))
 
 
 @dataclass

@@ -17,18 +17,17 @@ through a sigmoid, so both stay in (0, 1) without constraints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import tape
 from .latent import STUDENT_LOGVAR, STUDENT_MEAN
-from .numerics import ParameterStore, stable_sigmoid, xavier_init
+from .numerics import ParameterStore, xavier_init
 from .tape import _unbroadcast, value_of
 
 EXERCISE_DIFF = "exercise_diff"
 EXERCISE_DISC = "exercise_disc"
-MLP_PARAMS = ("mlp_w1", "mlp_b1", "mlp_w2", "mlp_b2", "mlp_w3", "mlp_b3")
 MLP_WEIGHTS = ("mlp_w1", "mlp_w2", "mlp_w3")
 
 VARIANTS = ("irt", "mirt", "ncd")
@@ -41,22 +40,42 @@ class DiagnosticFunction:
     mlp_hidden: tuple[int, int] = (512, 256)
 
     def __post_init__(self):
+        problems = []
         if self.variant not in VARIANTS:
-            raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        if self.irt_scale <= 0:
-            raise ValueError(f"irt_scale must be positive, got {self.irt_scale}")
-        if len(self.mlp_hidden) != 2 or any(h < 1 for h in self.mlp_hidden):
-            raise ValueError(f"mlp_hidden needs two positive sizes, got {self.mlp_hidden}")
+            problems.append(f"variant must be one of {VARIANTS}, got {self.variant!r}")
+        if not (self.irt_scale > 0):
+            problems.append(f"irt_scale must be positive, got {self.irt_scale}")
+        if len(self.mlp_hidden) != 2 or not all(h >= 1 for h in self.mlp_hidden):
+            problems.append(f"mlp_hidden needs two positive sizes, got {self.mlp_hidden}")
+        if problems:
+            raise ValueError("; ".join(problems))
 
     def latent_dim(self, n_concepts: int) -> int:
         """IRT keeps a single scalar ability; the others go per concept."""
         return 1 if self.variant == "irt" else n_concepts
 
 
-@dataclass
-class ExerciseParams:
-    difficulty: np.ndarray  # (d,) in (0, 1)
-    discrimination: float   # in (0, 1)
+def parameter_layout(
+    fn: DiagnosticFunction, n_students: int, n_exercises: int, n_concepts: int
+) -> list[tuple[str, tuple[int, ...], bool]]:
+    """(name, shape, row_sparse) of every parameter, in initialization order.
+
+    Embedding matrices are row_sparse, so the trainer can use lazy Adam
+    updates on them; MLP weights and biases stay dense.
+    """
+    d = fn.latent_dim(n_concepts)
+    layout = [
+        (STUDENT_MEAN, (n_students, d), True),
+        (STUDENT_LOGVAR, (n_students, d), True),
+        (EXERCISE_DIFF, (n_exercises, d), True),
+        (EXERCISE_DISC, (n_exercises, 1), True),
+    ]
+    if fn.variant == "ncd":
+        widths = (d, *fn.mlp_hidden, 1)
+        for k in range(1, 4):
+            layout.append((f"mlp_w{k}", (widths[k - 1], widths[k]), False))
+            layout.append((f"mlp_b{k}", (widths[k],), False))
+    return layout
 
 
 def init_parameters(
@@ -68,34 +87,13 @@ def init_parameters(
 ) -> ParameterStore:
     """Fresh store with every matrix Xavier-initialized, biases zero.
 
-    Embedding matrices are registered row_sparse so the trainer can use
-    lazy Adam updates on them; MLP weights stay dense.
+    The matrices draw from ``rng`` in :func:`parameter_layout` order.
     """
-    d = fn.latent_dim(n_concepts)
     store = ParameterStore()
-    store.add(STUDENT_MEAN, xavier_init(n_students, d, rng), row_sparse=True)
-    store.add(STUDENT_LOGVAR, xavier_init(n_students, d, rng), row_sparse=True)
-    store.add(EXERCISE_DIFF, xavier_init(n_exercises, d, rng), row_sparse=True)
-    store.add(EXERCISE_DISC, xavier_init(n_exercises, 1, rng), row_sparse=True)
-    if fn.variant == "ncd":
-        h1, h2 = fn.mlp_hidden
-        store.add("mlp_w1", xavier_init(d, h1, rng))
-        store.add("mlp_b1", np.zeros(h1))
-        store.add("mlp_w2", xavier_init(h1, h2, rng))
-        store.add("mlp_b2", np.zeros(h2))
-        store.add("mlp_w3", xavier_init(h2, 1, rng))
-        store.add("mlp_b3", np.zeros(1))
+    for name, shape, row_sparse in parameter_layout(fn, n_students, n_exercises, n_concepts):
+        value = xavier_init(*shape, rng) if len(shape) == 2 else np.zeros(shape)
+        store.add(name, value, row_sparse=row_sparse)
     return store
-
-
-def exercise_params(store: ParameterStore, exercise: int) -> ExerciseParams:
-    diff = store.params[EXERCISE_DIFF]
-    if not (0 <= exercise < diff.shape[0]):
-        raise IndexError(f"exercise index {exercise} out of range [0, {diff.shape[0]})")
-    return ExerciseParams(
-        difficulty=np.asarray(stable_sigmoid(diff[exercise])),
-        discrimination=float(stable_sigmoid(store.params[EXERCISE_DISC][exercise, 0])),
-    )
 
 
 def predict_irt(theta, difficulty, discrimination, scale: float = 1.702):

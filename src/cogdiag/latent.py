@@ -17,23 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tape
-from .numerics import ParameterStore
 from .tape import LOG_FLOOR, _unbroadcast, value_of
 
 STUDENT_MEAN = "student_mu"
 STUDENT_LOGVAR = "student_logvar"
-
-
-@dataclass
-class StudentPosterior:
-    """Per-dimension Gaussian belief about one student's mastery."""
-
-    mean: np.ndarray
-    log_var: np.ndarray
-
-    @property
-    def variance(self) -> np.ndarray:
-        return np.exp(self.log_var)
 
 
 @dataclass
@@ -52,22 +39,15 @@ class DropoutConfig:
     enabled: bool = True
 
     def __post_init__(self):
+        problems = []
         if not (self.alpha > 0):
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+            problems.append(f"dropout alpha must be positive, got {self.alpha}")
         if not (0 < self.keep_probability <= 1):
-            raise ValueError(
-                f"keep_probability must be in (0, 1], got {self.keep_probability}"
+            problems.append(
+                f"dropout keep_probability must be in (0, 1], got {self.keep_probability}"
             )
-
-
-def posterior_of(store: ParameterStore, student: int) -> StudentPosterior:
-    """Read one student's posterior out of the store (no graph involvement)."""
-    mu = store.params[STUDENT_MEAN]
-    if not (0 <= student < mu.shape[0]):
-        raise IndexError(f"student index {student} out of range [0, {mu.shape[0]})")
-    return StudentPosterior(
-        mean=mu[student].copy(), log_var=store.params[STUDENT_LOGVAR][student].copy()
-    )
+        if problems:
+            raise ValueError("; ".join(problems))
 
 
 def dropout_mask(shape, cfg: DropoutConfig, rng: np.random.Generator) -> np.ndarray:
@@ -80,13 +60,6 @@ def dropout_mask(shape, cfg: DropoutConfig, rng: np.random.Generator) -> np.ndar
 def apply_dropout_mask(variance, mask: np.ndarray, alpha: float):
     """Kept entries pass through bit-exact; dropped ones become exactly alpha."""
     return tape.where_mask(variance, mask, alpha)
-
-
-def apply_variance_dropout(variance, cfg: DropoutConfig, rng: np.random.Generator):
-    if not cfg.enabled:
-        return variance
-    mask = dropout_mask(np.shape(value_of(variance)), cfg, rng)
-    return apply_dropout_mask(variance, mask, cfg.alpha)
 
 
 def draw_ability(mean, variance, eps: np.ndarray):
@@ -116,12 +89,6 @@ def draw_ability(mean, variance, eps: np.ndarray):
 
     inputs = (mean, variance)
     return tape.fused(zv, inputs, z_grads), tape.fused(thv, inputs, theta_grads)
-
-
-def sample_ability(posterior: StudentPosterior, variance, rng: np.random.Generator):
-    """One reparameterized mastery draw for a whole posterior."""
-    eps = rng.standard_normal(np.shape(value_of(posterior.mean)))
-    return draw_ability(posterior.mean, variance, eps)
 
 
 def kl_standard(mean, variance):

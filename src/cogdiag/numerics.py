@@ -113,9 +113,6 @@ class ParameterStore:
                 raise ValueError(f"row_sparse parameter {name!r} must be 2-d")
             self._row_sparse.add(name)
 
-    def __contains__(self, name: str) -> bool:
-        return name in self.params
-
     def is_row_sparse(self, name: str) -> bool:
         return name in self._row_sparse
 

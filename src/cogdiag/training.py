@@ -83,24 +83,48 @@ class TrainConfig:
     lazy_adam: bool = True
 
     def __post_init__(self):
-        if self.gamma < 0 or self.beta < 0:
-            raise ValueError("loss weights must be nonnegative")
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be positive, got {self.batch_size}")
-        if self.max_epochs < 0:
-            raise ValueError(f"max_epochs must be nonnegative, got {self.max_epochs}")
-        if self.pretrain_epochs is not None and self.pretrain_epochs < 0:
-            raise ValueError("pretrain_epochs must be nonnegative")
-        if self.patience < 1:
-            raise ValueError(f"patience must be at least 1, got {self.patience}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
-        if self.pair_count is not None and self.pair_count < 0:
-            raise ValueError("pair_count must be nonnegative")
+        problems = []
+        if not (self.gamma >= 0):
+            problems.append(f"gamma must be nonnegative, got {self.gamma}")
+        if not (self.beta >= 0):
+            problems.append(f"beta must be nonnegative, got {self.beta}")
+        if not (self.batch_size >= 1):
+            problems.append(f"batch_size must be positive, got {self.batch_size}")
+        if not (self.max_epochs >= 0):
+            problems.append(f"max_epochs must be nonnegative, got {self.max_epochs}")
+        if self.pretrain_epochs is not None and not (self.pretrain_epochs >= 0):
+            problems.append(f"pretrain_epochs must be nonnegative, got {self.pretrain_epochs}")
+        if not (self.patience >= 1):
+            problems.append(f"patience must be at least 1, got {self.patience}")
+        if not (self.seed >= 0):
+            problems.append(f"seed must be nonnegative, got {self.seed}")
+        if self.pair_count is not None and not (self.pair_count >= 0):
+            problems.append(f"pair_count must be nonnegative, got {self.pair_count}")
         if self.calibration_sign not in SIGN_MODES:
-            raise ValueError(f"calibration_sign must be one of {SIGN_MODES}")
+            problems.append(
+                f"calibration_sign must be one of {SIGN_MODES}, got {self.calibration_sign!r}"
+            )
+        # the optimizer and the split check their own fields
+        for part in ("adam", "split"):
+            try:
+                getattr(self, part)
+            except ValueError as exc:
+                problems.append(str(exc))
+        if problems:
+            raise ValueError("; ".join(problems))
+
+    @property
+    def adam(self) -> AdamConfig:
+        return AdamConfig(learning_rate=self.learning_rate)
+
+    @property
+    def split(self) -> SplitSpec:
+        return SplitSpec(
+            train_fraction=self.train_fraction,
+            val_fraction=self.val_fraction,
+            seed=self.seed,
+            preserve_order=self.preserve_order,
+        )
 
 
 class CorrectnessTracker:
@@ -440,15 +464,7 @@ class Trainer:
         self.fn = fn
         self.cfg = cfg
         self.on_epoch = on_epoch
-        self.splits: Splits = split_per_student(
-            dataset,
-            SplitSpec(
-                train_fraction=cfg.train_fraction,
-                val_fraction=cfg.val_fraction,
-                seed=cfg.seed,
-                preserve_order=cfg.preserve_order,
-            ),
-        )
+        self.splits: Splits = split_per_student(dataset, cfg.split)
         self._streams = {
             name: substream(cfg.seed, name) for name in ("init", "batching", "sampling", "dropout", "pairing")
         }
@@ -457,7 +473,7 @@ class Trainer:
         )
         n_cells = fn.latent_dim(dataset.n_concepts)
         self.tracker = CorrectnessTracker(dataset.n_students, n_cells)
-        self.adam = AdamConfig(learning_rate=cfg.learning_rate)
+        self.adam = cfg.adam
         self.prior: PriorConsensus | None = None
         self.history: list[EpochRecord] = []
 
@@ -562,35 +578,11 @@ class Trainer:
             student_ids=list(self.dataset.student_ids),
             exercise_ids=list(self.dataset.exercise_ids),
             concept_ids=list(self.dataset.concept_ids),
-            run_config=config_snapshot(self.cfg),
+            run_config={},  # cmd_train stores the RunConfig it trained from
             best_epoch=best_epoch,
             train_counts=concept_interaction_counts(self.dataset, self.splits.train, self.fn),
             val_metrics={k.removeprefix("val_"): v for k, v in val_metrics.items()},
         )
-
-
-def config_snapshot(cfg: TrainConfig) -> dict:
-    """Flat JSON-safe view of a TrainConfig, for checkpoint provenance."""
-    return {
-        "gamma": cfg.gamma,
-        "beta": cfg.beta,
-        "learning_rate": cfg.learning_rate,
-        "batch_size": cfg.batch_size,
-        "max_epochs": cfg.max_epochs,
-        "pretrain_epochs": cfg.pretrain_epochs,
-        "patience": cfg.patience,
-        "seed": cfg.seed,
-        "train_fraction": cfg.train_fraction,
-        "val_fraction": cfg.val_fraction,
-        "preserve_order": cfg.preserve_order,
-        "pair_count": cfg.pair_count,
-        "calibration_sign": cfg.calibration_sign,
-        "dropout_alpha": cfg.dropout.alpha,
-        "dropout_keep": cfg.dropout.keep_probability,
-        "dropout_enabled": cfg.dropout.enabled,
-        "kl_dedup": cfg.kl_dedup,
-        "lazy_adam": cfg.lazy_adam,
-    }
 
 
 def train(dataset: Dataset, fn: DiagnosticFunction, cfg: TrainConfig) -> Checkpoint:

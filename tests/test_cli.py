@@ -9,9 +9,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cogdiag
+from cogdiag.checkpoint import load_checkpoint, save_checkpoint
 from cogdiag.cli import main
 from cogdiag.metrics import acc, auc, calibration, rmse
 from cogdiag.synth import planted_cohort, write_cohort_csv
@@ -88,6 +90,32 @@ class TestTrain:
         assert main(["train", "--config", str(bad)]) == 2
         err = capsys.readouterr().err
         assert "'logs'" in err and "variant" in err and "bins" in err
+
+    @pytest.mark.parametrize(
+        "line, key",
+        [
+            ("learning_rate = nan", "learning_rate"),
+            ("variant = irt\nirt_scale = nan", "irt_scale"),
+            ("gamma = nan", "gamma"),
+            ("beta = inf", "beta"),
+            ("pretrain_epochs = -7", "pretrain_epochs"),
+            ("pair_count = -7", "pair_count"),
+        ],
+    )
+    def test_non_finite_and_below_sentinel_values_are_usage_errors(
+        self, tmp_path, capsys, line, key
+    ):
+        cohort = planted_cohort(n_students=12, n_exercises=20, n_concepts=3, per_student=15, seed=4)
+        logs, qmatrix = tmp_path / "logs.csv", tmp_path / "qmatrix.csv"
+        write_cohort_csv(cohort, logs, qmatrix)
+        config = tmp_path / "run.cfg"
+        config.write_text(
+            f"logs = {logs}\nqmatrix = {qmatrix}\noutput_dir = {tmp_path / 'run'}\n"
+            f"min_logs = 1\nmax_epochs = 1\n{line}\n"
+        )
+        assert main(["train", "--config", str(config)]) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_progress_lines_printed(self, workspace, capsys, tmp_path):
         # rerun into a throwaway dir to capture stdout
@@ -186,6 +214,31 @@ class TestEval:
         for command in ("eval", "export-reliability"):
             assert main([command, "--checkpoint", str(moved), "--out", str(tmp_path / "o.csv")]) == 1
             assert "disagree" in capsys.readouterr().err
+
+
+class TestMalformedCheckpoint:
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda ck: ck.params.update(student_mu=ck.params["student_mu"][:-1]),
+            lambda ck: ck.params.update(mystery=np.zeros(3)),
+            lambda ck: setattr(ck, "consensus_mean", ck.consensus_mean[:-1]),
+        ],
+        ids=["short-student-mu", "extra-parameter", "short-consensus"],
+    )
+    def test_diagnose_and_eval_exit_one(self, workspace, tmp_path, capsys, damage):
+        ck = load_checkpoint(workspace["checkpoint"])
+        last_student = ck.student_ids[-1]
+        damage(ck)
+        bad = tmp_path / "bad.json"
+        save_checkpoint(ck, bad)
+        out = str(tmp_path / "out.csv")
+        for argv in (
+            ["diagnose", "--checkpoint", str(bad), "--student", last_student, "--out", out],
+            ["eval", "--checkpoint", str(bad), "--out", out],
+        ):
+            assert main(argv) == 1
+            assert "malformed" in capsys.readouterr().err
 
 
 class TestDiagnose:

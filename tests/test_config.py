@@ -7,12 +7,18 @@ import pytest
 from cogdiag.config import (
     ConfigError,
     RunConfig,
+    diagnostic_of,
     format_config,
     parse_config_file,
     parse_config_text,
     train_config_of,
     validate_run_config,
 )
+from cogdiag.data import SplitSpec
+from cogdiag.diagnostics import DiagnosticFunction
+from cogdiag.latent import DropoutConfig
+from cogdiag.numerics import AdamConfig
+from cogdiag.training import TrainConfig
 
 
 @pytest.fixture
@@ -93,16 +99,37 @@ class TestParsing:
             parse_config_file(tmp_path / "absent.cfg")
 
 
+# a bad value per key, and the dataclass whose check owns that key
+OWNED_CHECKS = [
+    ("variant", "dkt", lambda: DiagnosticFunction("dkt")),
+    ("irt_scale", "0", lambda: DiagnosticFunction("ncd", irt_scale=0.0)),
+    ("mlp_hidden1", "0", lambda: DiagnosticFunction("ncd", mlp_hidden=(0, 256))),
+    ("gamma", "-1", lambda: TrainConfig(gamma=-1.0)),
+    ("beta", "-0.5", lambda: TrainConfig(beta=-0.5)),
+    ("learning_rate", "0", lambda: AdamConfig(learning_rate=0.0)),
+    ("batch_size", "0", lambda: TrainConfig(batch_size=0)),
+    ("max_epochs", "-1", lambda: TrainConfig(max_epochs=-1)),
+    ("pretrain_epochs", "-7", lambda: TrainConfig(pretrain_epochs=-7)),
+    ("patience", "0", lambda: TrainConfig(patience=0)),
+    ("seed", "-1", lambda: TrainConfig(seed=-1)),
+    ("pair_count", "-2", lambda: TrainConfig(pair_count=-2)),
+    ("calibration_sign", "sideways", lambda: TrainConfig(calibration_sign="sideways")),
+    ("train_fraction", "1.5", lambda: SplitSpec(train_fraction=1.5)),
+    ("val_fraction", "0", lambda: SplitSpec(val_fraction=0.0)),
+    ("dropout_alpha", "0", lambda: DropoutConfig(alpha=0.0)),
+    ("dropout_keep", "1.5", lambda: DropoutConfig(keep_probability=1.5)),
+]
+
+
 class TestValidation:
     def test_required_paths(self):
-        errors = validate_run_config(RunConfig())
-        joined = "; ".join(errors)
-        assert "'logs'" in joined and "'qmatrix'" in joined
+        with pytest.raises(ConfigError) as err:
+            parse_config_text("")
+        assert "'logs'" in str(err.value) and "'qmatrix'" in str(err.value)
 
     def test_nonexistent_paths_flagged(self, tmp_path):
-        cfg = RunConfig(logs=str(tmp_path / "no.csv"), qmatrix=str(tmp_path / "no2.csv"))
-        joined = "; ".join(validate_run_config(cfg))
-        assert "does not exist" in joined
+        with pytest.raises(ConfigError, match="does not exist"):
+            parse_config_text(minimal_text(tmp_path / "no.csv", tmp_path / "no2.csv"))
 
     def test_bad_variant(self, data_files):
         logs, qmatrix = data_files
@@ -122,8 +149,18 @@ class TestValidation:
             logs=str(logs), qmatrix=str(qmatrix),
             gamma=-1.0, learning_rate=0.0, patience=0, dropout_keep=1.5,
         )
-        errors = validate_run_config(cfg)
-        assert len(errors) >= 4
+        joined = "; ".join(validate_run_config(cfg))
+        for name in ("gamma", "learning_rate", "patience", "keep_probability"):
+            assert name in joined
+
+    @pytest.mark.parametrize("key, raw, owner", OWNED_CHECKS, ids=[c[0] for c in OWNED_CHECKS])
+    def test_message_is_the_owning_dataclass_message(self, data_files, key, raw, owner):
+        logs, qmatrix = data_files
+        with pytest.raises(ValueError) as owned:
+            owner()
+        with pytest.raises(ConfigError) as parsed:
+            parse_config_text(minimal_text(logs, qmatrix, f"{key} = {raw}\n"))
+        assert str(parsed.value) == f"<config>: {owned.value}"
 
 
 class TestMapping:
@@ -155,3 +192,46 @@ class TestMapping:
         ))
         again = parse_config_text(format_config(cfg))
         assert dataclasses.asdict(again) == dataclasses.asdict(cfg)
+
+
+# keys that configure the run itself rather than a library dataclass
+RUN_ONLY_KEYS = {"logs", "qmatrix", "output_dir", "min_logs", "bins"}
+
+
+def built_fields(cfg):
+    """Every (dataclass, field, tuple position) value the builders derive from ``cfg``."""
+    tc = train_config_of(cfg)
+    flat = {}
+    for obj in (tc, tc.dropout, tc.split, diagnostic_of(cfg)):
+        for f in dataclasses.fields(obj):
+            value = getattr(obj, f.name)
+            if dataclasses.is_dataclass(value):
+                continue  # TrainConfig.dropout is visited as the DropoutConfig
+            items = enumerate(value) if isinstance(value, tuple) else [(None, value)]
+            for pos, item in items:
+                flat[(type(obj).__name__, f.name, pos)] = item
+    return flat
+
+
+def altered(value):
+    """A different value that every builder still accepts."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value + 1
+    if isinstance(value, float):
+        return value / 2
+    return {"ncd": "mirt", "consistent": "literal"}.get(value, value + "x")
+
+
+def test_every_dataclass_field_has_exactly_one_config_key():
+    base = RunConfig()
+    before = built_fields(base)
+    reached_by = {name: [] for name in before}
+    for f in dataclasses.fields(RunConfig):
+        after = built_fields(dataclasses.replace(base, **{f.name: altered(getattr(base, f.name))}))
+        hits = [name for name in before if after[name] != before[name]]
+        assert bool(hits) != (f.name in RUN_ONLY_KEYS), (f.name, hits)
+        for name in hits:
+            reached_by[name].append(f.name)
+    assert {name: keys for name, keys in reached_by.items() if len(keys) != 1} == {}

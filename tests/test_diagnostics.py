@@ -1,4 +1,4 @@
-"""The three diagnostic predictors and exercise parameter plumbing."""
+"""The three diagnostic predictors and the parameter layout."""
 
 import numpy as np
 import pytest
@@ -10,14 +10,14 @@ from cogdiag.diagnostics import (
     EXERCISE_DISC,
     DiagnosticFunction,
     clamp_ncd_weights,
-    exercise_params,
     init_parameters,
     mlp_layers,
+    parameter_layout,
     predict_irt,
     predict_mirt,
     predict_ncd,
 )
-from cogdiag.numerics import ParameterStore, grad_check, stable_sigmoid
+from cogdiag.numerics import ParameterStore, grad_check
 
 
 def ncd_reference(theta, diff, disc, q, layers):
@@ -70,7 +70,7 @@ class TestInitParameters:
     def test_irt_is_one_dimensional(self):
         store = init_parameters(DiagnosticFunction("irt"), 10, 20, 5, default_rng(0))
         assert store.params["student_mu"].shape == (10, 1)
-        assert "mlp_w1" not in store
+        assert "mlp_w1" not in store.params
 
     def test_deterministic(self):
         fn = DiagnosticFunction("mirt")
@@ -79,45 +79,19 @@ class TestInitParameters:
         for name in a.params:
             np.testing.assert_array_equal(a.params[name], b.params[name])
 
+    @pytest.mark.parametrize("variant", ["irt", "mirt", "ncd"])
+    def test_follows_the_layout(self, variant):
+        fn = DiagnosticFunction(variant, mlp_hidden=(8, 4))
+        store = init_parameters(fn, 10, 20, 5, default_rng(0))
+        got = [
+            (name, arr.shape, store.is_row_sparse(name)) for name, arr in store.params.items()
+        ]
+        assert got == parameter_layout(fn, 10, 20, 5)
+
     def test_xavier_bounds_hold(self):
         store = init_parameters(DiagnosticFunction("mirt"), 50, 100, 10, default_rng(1))
         bound = np.sqrt(6.0 / (50 + 10))
         assert np.max(np.abs(store.params["student_mu"])) <= bound
-
-
-class TestExerciseParams:
-    def test_zero_rows_give_half(self):
-        store = ParameterStore()
-        store.add(EXERCISE_DIFF, np.zeros((3, 4)))
-        store.add(EXERCISE_DISC, np.zeros((3, 1)))
-        p = exercise_params(store, 1)
-        np.testing.assert_array_equal(p.difficulty, np.full(4, 0.5))
-        assert p.discrimination == 0.5
-
-    def test_values_squashed_into_unit_interval(self):
-        store = ParameterStore()
-        store.add(EXERCISE_DIFF, np.array([[-100.0, 0.3]]))
-        store.add(EXERCISE_DISC, np.array([[50.0]]))
-        p = exercise_params(store, 0)
-        assert 0 <= p.difficulty[0] < 1e-8
-        assert p.difficulty[1] == pytest.approx(stable_sigmoid(0.3))
-        assert 0 < p.discrimination <= 1.0
-
-    def test_rows_are_independent(self):
-        store = ParameterStore()
-        store.add(EXERCISE_DIFF, np.zeros((2, 2)))
-        store.add(EXERCISE_DISC, np.zeros((2, 1)))
-        before = exercise_params(store, 0)
-        store.params[EXERCISE_DIFF][1] = 3.0
-        after = exercise_params(store, 0)
-        np.testing.assert_array_equal(before.difficulty, after.difficulty)
-
-    def test_out_of_range(self):
-        store = ParameterStore()
-        store.add(EXERCISE_DIFF, np.zeros((2, 2)))
-        store.add(EXERCISE_DISC, np.zeros((2, 1)))
-        with pytest.raises(IndexError):
-            exercise_params(store, 2)
 
 
 class TestPredictIRT:

@@ -194,12 +194,15 @@ class TestCheckpointIO:
         assert store.is_row_sparse("student_mu")
         assert not store.is_row_sparse("mlp_w1")
 
-    def test_store_rejects_unknown_params(self):
+    def test_store_rejects_unknown_params(self, tmp_path):
         ds = toy_dataset()
         _, ck = trained_checkpoint(ds)
         ck.params["mystery"] = np.zeros(3)
+        path = tmp_path / "ck.json"
+        save_checkpoint(ck, path)
+        # the layout check at load keeps the parameter out of any store
         with pytest.raises(CheckpointError, match="mystery"):
-            store_from_checkpoint(ck)
+            store_from_checkpoint(load_checkpoint(path))
 
     def test_diagnostic_from_checkpoint(self):
         ds = toy_dataset()

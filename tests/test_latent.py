@@ -1,4 +1,4 @@
-"""Posterior plumbing, variance dropout, sampling, KL terms."""
+"""Variance dropout, sampling, KL terms."""
 
 import numpy as np
 import pytest
@@ -11,14 +11,11 @@ from cogdiag.latent import (
     DropoutConfig,
     PriorConsensus,
     apply_dropout_mask,
-    apply_variance_dropout,
     compute_consensus,
     draw_ability,
     dropout_mask,
     kl_consensus,
     kl_standard,
-    posterior_of,
-    sample_ability,
 )
 from cogdiag.numerics import ParameterStore, grad_check
 
@@ -42,36 +39,11 @@ def store_with(mu, logvar):
     return store
 
 
-class TestPosterior:
-    def test_posterior_of_reads_rows(self):
-        store = store_with([[0.5, -1.0], [2.0, 0.0]], [[0.0, 1.0], [-1.0, 0.5]])
-        post = posterior_of(store, 1)
-        np.testing.assert_array_equal(post.mean, [2.0, 0.0])
-        np.testing.assert_allclose(post.variance, np.exp([-1.0, 0.5]))
-
-    def test_zero_logvar_gives_unit_variance(self):
-        post = posterior_of(store_with([[0.0]], [[0.0]]), 0)
-        assert post.variance[0] == 1.0
-
-    def test_out_of_range_raises(self):
-        store = store_with([[0.0]], [[0.0]])
-        with pytest.raises(IndexError):
-            posterior_of(store, 1)
-        with pytest.raises(IndexError):
-            posterior_of(store, -1)
-
-    def test_returns_copies(self):
-        store = store_with([[1.0]], [[0.0]])
-        post = posterior_of(store, 0)
-        post.mean[0] = 99.0
-        assert store.params[STUDENT_MEAN][0, 0] == 1.0
-
-
 class TestVarianceDropout:
     def test_disabled_is_identity(self):
         var = np.array([0.3, 2.0])
         cfg = DropoutConfig(enabled=False)
-        out = apply_variance_dropout(var, cfg, default_rng(0))
+        out = apply_dropout_mask(var, dropout_mask(var.shape, cfg, default_rng(0)), cfg.alpha)
         np.testing.assert_array_equal(out, var)
 
     def test_all_dropped_pins_to_alpha(self):
@@ -84,7 +56,7 @@ class TestVarianceDropout:
         rng = default_rng(42)
         var = rng.uniform(0.01, 3.0, size=1000)
         cfg = DropoutConfig(alpha=0.5, keep_probability=0.5)
-        out = apply_variance_dropout(var, cfg, rng)
+        out = apply_dropout_mask(var, dropout_mask(var.shape, cfg, rng), cfg.alpha)
         assert np.all((out == var) | (out == 0.5))
         assert np.any(out == 0.5) and np.any(out == var)
 
@@ -92,7 +64,7 @@ class TestVarianceDropout:
         rng = default_rng(7)
         var = np.full(100_000, 2.0)
         cfg = DropoutConfig(alpha=0.5, keep_probability=0.5)
-        out = apply_variance_dropout(var, cfg, rng)
+        out = apply_dropout_mask(var, dropout_mask(var.shape, cfg, rng), cfg.alpha)
         # expected mean 0.5 * 2.0 + 0.5 * 0.5 = 1.25
         assert abs(out.mean() - 1.25) < 0.02
 
@@ -117,10 +89,10 @@ class TestVarianceDropout:
 
 class TestSampling:
     def test_degenerate_variance_recovers_mean(self):
-        post = posterior_of(store_with([[0.3, -1.2]], [[0.0, 0.0]]), 0)
-        z, theta = sample_ability(post, np.full(2, 1e-14), default_rng(0))
-        np.testing.assert_allclose(z, post.mean, atol=1e-5)
-        np.testing.assert_allclose(theta, 1 / (1 + np.exp(-post.mean)), atol=1e-5)
+        mean = np.array([0.3, -1.2])
+        z, theta = draw_ability(mean, np.full(2, 1e-14), default_rng(0).standard_normal(2))
+        np.testing.assert_allclose(z, mean, atol=1e-5)
+        np.testing.assert_allclose(theta, 1 / (1 + np.exp(-mean)), atol=1e-5)
 
     def test_moments(self):
         rng = default_rng(123)
@@ -131,9 +103,9 @@ class TestSampling:
         assert np.all((theta > 0) & (theta < 1))
 
     def test_deterministic_under_seed(self):
-        post = posterior_of(store_with([[0.5]], [[0.3]]), 0)
-        a = sample_ability(post, post.variance, default_rng(9))
-        b = sample_ability(post, post.variance, default_rng(9))
+        mean, variance = np.array([0.5]), np.exp([0.3])
+        a = draw_ability(mean, variance, default_rng(9).standard_normal(1))
+        b = draw_ability(mean, variance, default_rng(9).standard_normal(1))
         np.testing.assert_array_equal(a[0], b[0])
 
 
