@@ -118,9 +118,12 @@ def save_checkpoint(ck: Checkpoint, path) -> None:
 
 
 def load_checkpoint(path) -> Checkpoint:
+    def reject(token):  # json.load would accept NaN and Infinity
+        raise CheckpointError(f"checkpoint {path} is malformed: {token} is not a number")
+
     try:
         with open(path, encoding="ascii") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_constant=reject)
     except (OSError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
     version = doc.get("format_version")

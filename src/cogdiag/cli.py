@@ -17,6 +17,7 @@ rounded values; recomputing from the CSV gives the same numbers.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -81,6 +82,12 @@ def _run_config_from_checkpoint(ck: Checkpoint) -> RunConfig:
         raise CheckpointError(
             "checkpoint run_config does not match this build's configuration schema"
         )
+    defaults = RunConfig()
+    for name, value in ck.run_config.items():
+        # what a config file could hold: a bool is not an int, 1e999 is no float
+        wrong_type = type(value) is not type(getattr(defaults, name))
+        if wrong_type or (isinstance(value, float) and not math.isfinite(value)):
+            raise CheckpointError(f"checkpoint run_config is malformed: {name} = {value!r}")
     cfg = RunConfig(**ck.run_config)
     errors = validate_run_config(cfg)
     if errors:

@@ -105,7 +105,10 @@ def filter_students(logs: list[ResponseLog], min_logs: int = 15) -> list[Respons
 
 @dataclass
 class Dataset:
-    """Indexed interactions plus the concept structure of every exercise."""
+    """Indexed interactions plus the concept structure of every exercise.
+
+    Exercise ``j``'s concepts are ``concept_idx[concept_ptr[j]:concept_ptr[j + 1]]`` (CSR).
+    """
 
     student_ids: list[str]
     exercise_ids: list[str]
@@ -113,7 +116,8 @@ class Dataset:
     s_idx: np.ndarray   # (n,) student index per interaction
     e_idx: np.ndarray   # (n,) exercise index per interaction
     scores: np.ndarray  # (n,) float64 in {0.0, 1.0}
-    concepts_of: list[np.ndarray] = field(repr=False)  # per exercise
+    concept_ptr: np.ndarray = field(repr=False)  # (n_exercises + 1,)
+    concept_idx: np.ndarray = field(repr=False)  # in Q-matrix order
 
     @property
     def n_interactions(self) -> int:
@@ -135,8 +139,7 @@ class Dataset:
     def dense_q(self) -> np.ndarray:
         """(n_exercises, n_concepts) float64 0/1 incidence matrix."""
         q = np.zeros((self.n_exercises, self.n_concepts))
-        for j, concepts in enumerate(self.concepts_of):
-            q[j, concepts] = 1.0
+        q[np.repeat(np.arange(self.n_exercises), np.diff(self.concept_ptr)), self.concept_idx] = 1.0
         return q
 
     def student_index(self, student_id: str) -> int:
@@ -195,8 +198,22 @@ def build_dataset(
         s_idx=np.array([students[log.student_id] for log in kept], dtype=np.int64),
         e_idx=np.array([exercises[log.exercise_id] for log in kept], dtype=np.int64),
         scores=np.array([log.score for log in kept], dtype=np.float64),
-        concepts_of=[np.array(concept_lists[j], dtype=np.int64) for j in range(len(exercises))],
+        concept_ptr=np.cumsum([0] + [len(c) for c in concept_lists.values()], dtype=np.int64),
+        concept_idx=np.array([k for c in concept_lists.values() for k in c], dtype=np.int64),
     )
+
+
+def cell_runs(ptr: np.ndarray, idx: np.ndarray, rows: np.ndarray):
+    """The CSR runs ``idx[ptr[r]:ptr[r + 1]]`` of ``rows``, laid end to end.
+
+    Returns (cells, run lengths).  One gather does it: a row's run starts
+    at ``ptr[r]`` in ``idx``, so shifting one arange over all runs by
+    (that start - the run's start in the output) reads every run at once.
+    """
+    starts = ptr[rows]
+    sizes = ptr[rows + 1] - starts
+    ends = np.cumsum(sizes)
+    return idx[np.repeat(starts - ends + sizes, sizes) + np.arange(ends[-1] if len(ends) else 0)], sizes
 
 
 @dataclass

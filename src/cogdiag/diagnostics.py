@@ -17,6 +17,7 @@ through a sigmoid, so both stay in (0, 1) without constraints.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +25,7 @@ import numpy as np
 from . import tape
 from .latent import STUDENT_LOGVAR, STUDENT_MEAN
 from .numerics import ParameterStore, xavier_init
-from .tape import _unbroadcast, value_of
+from .tape import value_of
 
 EXERCISE_DIFF = "exercise_diff"
 EXERCISE_DISC = "exercise_disc"
@@ -43,8 +44,8 @@ class DiagnosticFunction:
         problems = []
         if self.variant not in VARIANTS:
             problems.append(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        if not (self.irt_scale > 0):
-            problems.append(f"irt_scale must be positive, got {self.irt_scale}")
+        if not (0 < self.irt_scale < math.inf):
+            problems.append(f"irt_scale must be positive and finite, got {self.irt_scale}")
         if len(self.mlp_hidden) != 2 or not all(h >= 1 for h in self.mlp_hidden):
             problems.append(f"mlp_hidden needs two positive sizes, got {self.mlp_hidden}")
         if problems:
@@ -53,6 +54,12 @@ class DiagnosticFunction:
     def latent_dim(self, n_concepts: int) -> int:
         """IRT keeps a single scalar ability; the others go per concept."""
         return 1 if self.variant == "irt" else n_concepts
+
+    def cells(self, dataset) -> tuple[np.ndarray, np.ndarray]:
+        """Latent cells each exercise touches, CSR (ptr, idx): its concepts, or IRT's slot 0."""
+        if self.variant == "irt":
+            return np.arange(dataset.n_exercises + 1), np.zeros(dataset.n_exercises, dtype=np.int64)
+        return dataset.concept_ptr, dataset.concept_idx
 
 
 def parameter_layout(
@@ -97,47 +104,13 @@ def init_parameters(
 
 
 def predict_irt(theta, difficulty, discrimination, scale: float = 1.702):
-    """sigmoid(scale * discrimination * (theta - difficulty)), elementwise.
-
-    With Node inputs this is a single graph node whose gradient replays
-    the sub -> mul -> mul -> sigmoid chain, broadcasting included, so it
-    matches the composed tape ops to the bit.
-    """
-    tv, dv, av = value_of(theta), value_of(difficulty), value_of(discrimination)
-    gap = tv - dv
-    weighted = gap * av
-    yv = tape.sigmoid(weighted * scale)
-
-    def grads(g):
-        g_weighted = _unbroadcast(g * yv * (1.0 - yv) * scale, weighted.shape)
-        g_gap = _unbroadcast(g_weighted * av, gap.shape)
-        # the chain reaches discrimination before theta and difficulty
-        return (
-            _unbroadcast(g_weighted * gap, av.shape),
-            _unbroadcast(g_gap, tv.shape),
-            _unbroadcast(-g_gap, dv.shape),
-        )
-
-    return tape.fused(yv, (discrimination, theta, difficulty), grads)
+    """sigmoid(scale * discrimination * (theta - difficulty)), elementwise, on arrays."""
+    return tape.sigmoid((value_of(theta) - value_of(difficulty)) * value_of(discrimination) * scale)
 
 
 def predict_mirt(theta, difficulty, q_mask):
-    """sigmoid of the concept-masked sum of (theta - difficulty).
-
-    With Node inputs this is a single graph node replaying the composed
-    ops' backward pass; ``q_mask`` is data and gets no gradient.
-    """
-    tv, dv, qv = value_of(theta), value_of(difficulty), value_of(q_mask)
-    gap = tv - dv
-    masked = gap * qv
-    yv = tape.sigmoid(masked.sum(axis=-1))
-
-    def grads(g):
-        g = np.expand_dims(np.asarray(g * yv * (1.0 - yv)), -1)
-        g_gap = _unbroadcast(np.broadcast_to(g, masked.shape).copy() * qv, gap.shape)
-        return _unbroadcast(g_gap, tv.shape), _unbroadcast(-g_gap, dv.shape)
-
-    return tape.fused(yv, (theta, difficulty), grads)
+    """sigmoid of the concept-masked sum of (theta - difficulty), on arrays."""
+    return tape.sigmoid(((value_of(theta) - value_of(difficulty)) * value_of(q_mask)).sum(axis=-1))
 
 
 def predict_ncd(theta, difficulty, discrimination, q_mask, layers):

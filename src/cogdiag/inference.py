@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .checkpoint import Checkpoint, CheckpointError, diagnostic_from_checkpoint, store_from_checkpoint
-from .data import Dataset
+from .data import Dataset, cell_runs
 from .diagnostics import (
     EXERCISE_DIFF,
     EXERCISE_DISC,
@@ -133,20 +133,9 @@ def concept_interaction_counts(
     column for IRT, one per concept otherwise.
     """
     indices = np.asarray(indices, dtype=np.int64)
-    students = dataset.s_idx[indices]
-    if fn.variant == "irt":
-        return np.bincount(students, minlength=dataset.n_students).reshape(-1, 1)
-    # each position counts once for every concept of its exercise.  Laid end
-    # to end, the exercises' concepts form one flat array; a position's run
-    # of them starts at its exercise's offset there, so shifting one arange
-    # over all runs by (offset - the run's own start) gathers every run at once
-    exercises = dataset.e_idx[indices]
-    sizes = np.array([len(c) for c in dataset.concepts_of], dtype=np.int64)
-    reps = sizes[exercises]
-    shift = (np.cumsum(sizes) - sizes)[exercises] - (np.cumsum(reps) - reps)
-    cells = np.concatenate(dataset.concepts_of)[np.repeat(shift, reps) + np.arange(reps.sum())]
-    k = dataset.n_concepts
-    flat_cells = np.repeat(students, reps) * k + cells
+    cells, sizes = cell_runs(*fn.cells(dataset), dataset.e_idx[indices])
+    k = fn.latent_dim(dataset.n_concepts)
+    flat_cells = np.repeat(dataset.s_idx[indices], sizes) * k + cells
     return np.bincount(flat_cells, minlength=dataset.n_students * k).reshape(-1, k)
 
 

@@ -30,6 +30,9 @@ class PriorConsensus:
     mean: np.ndarray
 
 
+STANDARD_PRIOR = PriorConsensus(mean=np.zeros(()))  # phase one's N(0, I)
+
+
 @dataclass
 class DropoutConfig:
     """Bernoulli variance dropout: keep an entry or pin it to ``alpha``."""
@@ -62,14 +65,15 @@ def apply_dropout_mask(variance, mask: np.ndarray, alpha: float):
     return tape.where_mask(variance, mask, alpha)
 
 
-def draw_ability(mean, variance, eps: np.ndarray):
+def draw_ability(mean, variance, eps: np.ndarray, vjp: bool = False):
     """z = mu + sqrt(variance) * eps, theta = sigmoid(z); returns (z, theta).
 
     With Node inputs each output is a single graph node.  Its gradient
     replays the backward pass of the sqrt -> mul -> add (-> sigmoid)
     chain op for op, so values and gradients match the composed tape ops
     to the bit in a graph that uses one of the two outputs, as training
-    uses theta.  ``eps`` is data and gets no gradient.
+    uses theta.  ``eps`` is data and gets no gradient.  ``vjp=True``
+    returns theta and its gradient function, ``g -> (d mean, d variance)``.
     """
     mv, vv, ev = value_of(mean), value_of(variance), value_of(eps)
     sd = np.sqrt(vv)
@@ -87,6 +91,8 @@ def draw_ability(mean, variance, eps: np.ndarray):
     def theta_grads(g):
         return z_grads(g * thv * (1.0 - thv))
 
+    if vjp:
+        return thv, theta_grads
     inputs = (mean, variance)
     return tape.fused(zv, inputs, z_grads), tape.fused(thv, inputs, theta_grads)
 
@@ -97,10 +103,10 @@ def kl_standard(mean, variance):
     The consensus KL with a zero prior mean; ``x - 0.0`` is ``x`` to the
     bit, so this equals the direct formula exactly.
     """
-    return kl_consensus(mean, variance, PriorConsensus(mean=np.zeros(())))
+    return kl_consensus(mean, variance, STANDARD_PRIOR)
 
 
-def kl_consensus(mean, variance, prior: PriorConsensus):
+def kl_consensus(mean, variance, prior: PriorConsensus, vjp: bool = False):
     """KL(N(mean, variance) || N(prior.mean, I)), summed over the trailing axis.
 
     0.5 * sum((mean - prior.mean)^2 + variance - log(variance) - 1) per
@@ -110,6 +116,7 @@ def kl_consensus(mean, variance, prior: PriorConsensus):
     term and once for the log, because the one-op chain adds those two
     contributions to the variance gradient as separate steps, and the
     variance usually has other consumers whose additions interleave.
+    ``vjp=True`` returns the value and that gradient function.
     """
     mv, vv = value_of(mean), value_of(variance)
     gap = mv - value_of(prior.mean)
@@ -130,7 +137,7 @@ def kl_consensus(mean, variance, prior: PriorConsensus):
             _unbroadcast(-g, vv.shape) * inside / floored,
         )
 
-    return tape.fused(out, (mean, variance, variance), grads)
+    return (out, grads) if vjp else tape.fused(out, (mean, variance, variance), grads)
 
 
 def compute_consensus(means: np.ndarray) -> PriorConsensus:

@@ -42,7 +42,7 @@ def stable_sigmoid(x):
             raise ValueError("stable_sigmoid requires finite input")
         z = float(np.exp(-abs(v)))
         return 1.0 / (1.0 + z) if v >= 0 else z / (1.0 + z)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("stable_sigmoid requires finite input")
     z = np.abs(arr)
     np.negative(z, out=z)
@@ -95,7 +95,7 @@ class ParameterStore:
         self.v: dict[str, np.ndarray] = {}
         self.step_count: int = 0
         self._row_sparse: set[str] = set()
-        # name -> None (untouched), "dense", or list of row-index arrays
+        # name -> None (untouched), "dense", or the sorted distinct touched rows
         self._touched: dict[str, object] = {}
         self._scratch: dict[str, np.ndarray] = {}
 
@@ -118,37 +118,46 @@ class ParameterStore:
 
     def leaf(self, name: str) -> Node:
         """Graph leaf holding the whole parameter array."""
-        return Node(self.params[name], param_ref=(self, name, None))
+        return Node(self.params[name], param_ref=(self, name, None, None))
 
-    def row_leaf(self, name: str, rows) -> Node:
-        """Graph leaf holding a row gather ``params[name][rows]``.
+    def row_leaf(self, name: str, rows, inverse=None) -> Node:
+        """Graph leaf over the sorted distinct rows ``rows`` of a matrix.
 
-        Duplicate rows are fine: the fancy-index copy keeps them separate
-        on the way forward, and accumulate_grad scatter-adds them back.
+        Without ``inverse`` it holds ``params[name][rows]``, one gradient
+        row per row.  With it, the batch gather ``params[name][rows][inverse]``,
+        as ``np.unique(idx, return_inverse=True)`` splits a batch's
+        indices; repeated rows scatter-add back in occurrence order.
         """
         rows = np.asarray(rows, dtype=np.int64)
-        return Node(self.params[name][rows], param_ref=(self, name, rows))
+        block = self.params[name][rows]
+        return Node(block if inverse is None else block[inverse], param_ref=(self, name, rows, inverse))
 
-    def accumulate_grad(self, name: str, rows, grad: np.ndarray) -> None:
+    def accumulate_grad(self, name: str, rows, grad: np.ndarray, inverse=None) -> None:
+        """Add ``grad`` into the accumulator, whole (``rows=None``) or by rows.
+
+        Rows are as in :meth:`row_leaf`; the sums equal
+        ``np.add.at(grads, rows[inverse], grad)``, and ``rows`` join the
+        touched set without a further ``np.unique``.
+        """
         if rows is None:
             self.grads[name] += grad
             self._touched[name] = "dense"
             return
-        np.add.at(self.grads[name], rows, grad)
+        if inverse is None:
+            self.grads[name][rows] += grad
+        else:
+            block = self.grads[name][rows]
+            np.add.at(block, inverse, grad)
+            self.grads[name][rows] = block
         entry = self._touched[name]
         if entry is None:
-            self._touched[name] = [rows]
-        elif entry == "dense":
-            pass
-        else:
-            entry.append(rows)
+            self._touched[name] = rows
+        elif entry is not rows and not isinstance(entry, str):
+            self._touched[name] = np.union1d(entry, rows)
 
     def touched_rows(self, name: str):
         """Sorted unique row indices touched since the last step, or "dense"/None."""
-        entry = self._touched[name]
-        if entry is None or entry == "dense":
-            return entry
-        return np.unique(np.concatenate(entry))
+        return self._touched[name]
 
     def zero_grads(self) -> None:
         for name, g in self.grads.items():
@@ -190,52 +199,61 @@ def adam_step(store: ParameterStore, cfg: AdamConfig, lazy: bool = False) -> Non
     """
     plans: list[tuple[str, object, np.ndarray]] = []
     for name in store.params:
-        rows = None
-        if lazy and name in store._row_sparse:
-            touched = store.touched_rows(name)
-            if touched is None:
-                continue
-            if not isinstance(touched, str):
-                rows = touched
-        grad = store.grads[name] if rows is None else store.grads[name][rows]
-        if not np.all(np.isfinite(grad)):
+        rows = store.touched_rows(name) if lazy and name in store._row_sparse else "dense"
+        if rows is None:
+            continue
+        rows = None if isinstance(rows, str) else rows
+        grad = store.grads[name] if rows is None else store.grads[name].take(rows, axis=0)
+        if not np.isfinite(grad).all():
             raise NonFiniteGradientError(f"non-finite gradient for parameter {name!r}")
         plans.append((name, rows, grad))
 
     t = store.step_count + 1
     bc1 = 1.0 - cfg.beta1**t
     bc2 = 1.0 - cfg.beta2**t
+    sparse = [(name, rows, g) for name, rows, g in plans if rows is not None]
     for name, rows, g in plans:
-        if rows is None:
-            # in place, with the same operations in the same order as
-            # m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g;
-            # p -= lr*(m/bc1) / (sqrt(v/bc2) + eps)
-            m = store.m[name]
-            v = store.v[name]
-            buf = store.scratch(name)
-            np.multiply(g, 1.0 - cfg.beta2, out=buf)
-            buf *= g
-            v *= cfg.beta2
-            v += buf
-            g *= 1.0 - cfg.beta1
-            m *= cfg.beta1
-            m += g
-            np.divide(m, bc1, out=buf)
-            buf *= cfg.learning_rate
-            np.divide(v, bc2, out=g)
-            np.sqrt(g, out=g)
-            g += cfg.epsilon
-            buf /= g
-            store.params[name] -= buf
-            g[:] = 0.0
-        else:
-            m = cfg.beta1 * store.m[name][rows] + (1.0 - cfg.beta1) * g
-            v = cfg.beta2 * store.v[name][rows] + (1.0 - cfg.beta2) * g * g
-            store.m[name][rows] = m
-            store.v[name][rows] = v
-            store.params[name][rows] -= cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + cfg.epsilon)
-            store.grads[name][rows] = 0.0
         store._touched[name] = None
+        if rows is not None:
+            continue
+        # in place, with the same operations in the same order as
+        # m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g;
+        # p -= lr*(m/bc1) / (sqrt(v/bc2) + eps)
+        m = store.m[name]
+        v = store.v[name]
+        buf = store.scratch(name)
+        np.multiply(g, 1.0 - cfg.beta2, out=buf)
+        buf *= g
+        v *= cfg.beta2
+        v += buf
+        g *= 1.0 - cfg.beta1
+        m *= cfg.beta1
+        m += g
+        np.divide(m, bc1, out=buf)
+        buf *= cfg.learning_rate
+        np.divide(v, bc2, out=g)
+        np.sqrt(g, out=g)
+        g += cfg.epsilon
+        buf /= g
+        store.params[name] -= buf
+        g[:] = 0.0
+    if sparse:
+        # the touched rows of every lazy parameter, end to end: one
+        # elementwise update over all of them, the same operations per entry
+        g = np.concatenate([g.ravel() for _, _, g in sparse])
+        m = np.concatenate([store.m[name].take(rows, axis=0).ravel() for name, rows, _ in sparse])
+        v = np.concatenate([store.v[name].take(rows, axis=0).ravel() for name, rows, _ in sparse])
+        m = cfg.beta1 * m + (1.0 - cfg.beta1) * g
+        v = cfg.beta2 * v + (1.0 - cfg.beta2) * g * g
+        step = cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + cfg.epsilon)
+        end = 0
+        for name, rows, g in sparse:
+            at = slice(end, end + g.size)
+            end += g.size
+            store.m[name][rows] = m[at].reshape(g.shape)
+            store.v[name][rows] = v[at].reshape(g.shape)
+            store.params[name][rows] -= step[at].reshape(g.shape)
+            store.grads[name][rows] = 0.0
     store.step_count = t
 
 

@@ -54,9 +54,6 @@ class Node:
     def shape(self):
         return self.value.shape
 
-    def item(self) -> float:
-        return float(self.value)
-
     def __repr__(self):
         return f"Node(shape={self.value.shape}, leaf={self.param_ref is not None})"
 
@@ -342,5 +339,5 @@ def backprop(root: Node) -> None:
                 parent.grad = parent.grad + pgrad
     for node in order:
         if node.param_ref is not None and node.grad is not None:
-            store, name, rows = node.param_ref
-            store.accumulate_grad(name, rows, node.grad)
+            store, name, rows, inverse = node.param_ref
+            store.accumulate_grad(name, rows, node.grad, inverse)

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import tape
 from .checkpoint import Checkpoint
-from .data import Dataset, Splits, SplitSpec, batches, split_per_student
+from .data import Dataset, Splits, SplitSpec, batches, cell_runs, split_per_student
 from .diagnostics import (
     EXERCISE_DIFF,
     EXERCISE_DISC,
@@ -41,6 +41,7 @@ from .diagnostics import (
     predict_ncd,
 )
 from .latent import (
+    STANDARD_PRIOR,
     STUDENT_LOGVAR,
     STUDENT_MEAN,
     DropoutConfig,
@@ -50,11 +51,10 @@ from .latent import (
     draw_ability,
     dropout_mask,
     kl_consensus,
-    kl_standard,
 )
-from .numerics import AdamConfig, NonFiniteGradientError, ParameterStore, adam_step
+from .numerics import AdamConfig, NonFiniteGradientError, ParameterStore, adam_step, stable_sigmoid
 from .seeding import substream
-from .tape import LOG_FLOOR, _unbroadcast, value_of
+from .tape import EXP_CLAMP, LOG_FLOOR, _unbroadcast, value_of
 
 SIGN_MODES = ("consistent", "literal")
 
@@ -142,18 +142,17 @@ class CorrectnessTracker:
         self.hits = np.zeros((n_students, n_cells), dtype=np.int64)
         self.seen = np.zeros((n_students, n_cells), dtype=np.int64)
 
-    def update(self, students, cell_lists, probs, labels) -> None:
+    def update(self, students, exercises, cells, probs, labels) -> None:
         """Count one attempt, and a hit if the prediction was right, per cell.
 
-        The cells of one instance must be distinct, as the concepts of a
-        Dataset exercise are: a repeated cell would count twice.
+        ``cells`` is the (ptr, idx) CSR of every exercise's cells, as
+        :meth:`DiagnosticFunction.cells` gives it.  The cells of one
+        exercise must be distinct, as a Dataset's concepts are: a
+        repeated cell would count twice.
         """
-        if len(cell_lists) == 0:
-            return
         correct = (np.asarray(probs) >= 0.5) == (np.asarray(labels) == 1)
-        sizes = [len(cells) for cells in cell_lists]
+        cols, sizes = cell_runs(*cells, np.asarray(exercises, dtype=np.int64))
         rows = np.repeat(np.asarray(students, dtype=np.int64), sizes)
-        cols = np.concatenate(cell_lists)
         np.add.at(self.seen, (rows, cols), 1)
         hit = np.repeat(correct, sizes)
         np.add.at(self.hits, (rows[hit], cols[hit]), 1)
@@ -170,14 +169,15 @@ class CorrectnessTracker:
         return s, c, self.hits[s, c] / self.seen[s, c]
 
 
-def prediction_loss(probs, labels):
+def prediction_loss(probs, labels, vjp: bool = False):
     """Mean binary cross-entropy; accepts a Node or plain array of probs.
 
     Both logs floor their argument at ``tape.LOG_FLOOR``.  With a Node
     this is a single graph node whose gradient replays the composed
     log/mul/sub/add/mean/negate ops, so it matches them to the bit.  As
     with ``tape.nmean``, a Node's mean multiplies by 1/n while a plain
-    array's divides by n; the two can differ in the last bit.
+    array's divides by n; the two can differ in the last bit.  ``vjp=True``
+    returns the Node's value and gradient function without making it.
     """
     labels = np.asarray(labels, dtype=np.float64)
     yv = value_of(probs)
@@ -188,7 +188,7 @@ def prediction_loss(probs, labels):
     n = per.size
     if n == 0:
         raise ValueError("mean of an empty axis")
-    if not isinstance(probs, tape.Node):
+    if not (vjp or isinstance(probs, tape.Node)):
         return (per.sum() / float(n)) * -1.0
     inv_n = 1.0 / np.asarray(float(n))
     inside_y = yv >= LOG_FLOOR
@@ -200,10 +200,11 @@ def prediction_loss(probs, labels):
         via_miss = _unbroadcast(g * (1.0 - labels), miss.shape) * inside_miss / floored_miss
         return (via_y + _unbroadcast(-via_miss, yv.shape),)
 
-    return tape.fused((per.sum() * inv_n) * -1.0, (probs,), grads)
+    loss = (per.sum() * inv_n) * -1.0
+    return (loss, grads) if vjp else tape.fused(loss, (probs,), grads)
 
 
-def calibration_pair_loss(var_a, var_b, o_a, o_b, sign_mode: str = "consistent"):
+def calibration_pair_loss(var_a, var_b, o_a, o_b, sign_mode: str = "consistent", vjp: bool = False):
     """Hinge on a variance pair with the correctness gap as margin.
 
     ``consistent`` orients the hinge so that the side with higher
@@ -211,7 +212,8 @@ def calibration_pair_loss(var_a, var_b, o_a, o_b, sign_mode: str = "consistent")
     the ranking the confidence story wants.  ``literal`` keeps the
     flipped orientation some published implementations of this loss
     ship with; it penalizes the opposite ordering.  Ties in correctness
-    contribute exactly zero either way.
+    contribute exactly zero either way.  ``vjp=True`` takes arrays and
+    returns the hinge with its gradient function, ``g -> (d var_a, d var_b)``.
     """
     if sign_mode not in SIGN_MODES:
         raise ValueError(f"sign_mode must be one of {SIGN_MODES}")
@@ -222,7 +224,16 @@ def calibration_pair_loss(var_a, var_b, o_a, o_b, sign_mode: str = "consistent")
         direction = -direction
     margin = np.abs(o_a - o_b)
     spread = tape.mul(tape.sub(var_a, var_b), direction)
-    return tape.relu(tape.add(spread, margin))
+    hinge = tape.relu(tape.add(spread, margin))
+    if not vjp:
+        return hinge
+    active = hinge > 0.0  # where relu's argument is positive
+
+    def grads(g):  # back through relu, add, mul and sub, as the tape runs them
+        g_a = g * active * direction
+        return g_a, -g_a
+
+    return hinge, grads
 
 
 @dataclass
@@ -243,7 +254,8 @@ class PairSample:
 
 def sample_pairs(
     students: np.ndarray,
-    cell_lists: list,
+    exercises: np.ndarray,
+    cells: tuple[np.ndarray, np.ndarray],
     tracker: CorrectnessTracker,
     count: int,
     rng: np.random.Generator,
@@ -251,20 +263,21 @@ def sample_pairs(
     """Draw up to ``count`` calibration pairs from one batch.
 
     Each attempt picks two distinct instance positions uniformly, then
-    one cell uniformly from each side's exercise.  Pairs where either
-    cell has no tracked history yet are dropped, so early batches may
-    contribute nothing.
+    one cell uniformly from each side's exercise, read from the (ptr,
+    idx) CSR ``cells``.  Pairs where either cell has no tracked history
+    yet are dropped, so early batches may contribute nothing.
     """
     B = len(students)
+    ptr, idx = cells
+    exercises = np.asarray(exercises, dtype=np.int64)
     draws: list[tuple[int, int, int, int]] = []
     if B >= 2:
         for _ in range(count):
             i = int(rng.integers(0, B))
             j = int((i + rng.integers(1, B)) % B)
-            cells_i = cell_lists[i]
-            cells_j = cell_lists[j]
-            ci = int(cells_i[rng.integers(0, len(cells_i))])
-            cj = int(cells_j[rng.integers(0, len(cells_j))])
+            lo_i, lo_j = ptr[exercises[i]], ptr[exercises[j]]
+            ci = int(idx[lo_i + rng.integers(0, ptr[exercises[i] + 1] - lo_i)])
+            cj = int(idx[lo_j + rng.integers(0, ptr[exercises[j] + 1] - lo_j)])
             draws.append((i, ci, j, cj))
     pos_a, cell_a, pos_b, cell_b = np.array(draws, dtype=np.int64).reshape(-1, 4).T
     students = np.asarray(students, dtype=np.int64)
@@ -299,14 +312,6 @@ class LossBreakdown:
     total: float
 
 
-def batch_cells(dataset: Dataset, fn: DiagnosticFunction, batch_idx: np.ndarray) -> list:
-    """Tracker cells per instance: exercise concepts, or the IRT scalar slot."""
-    if fn.variant == "irt":
-        zero = np.zeros(1, dtype=np.int64)
-        return [zero] * len(batch_idx)
-    return [dataset.concepts_of[j] for j in dataset.e_idx[batch_idx]]
-
-
 def draw_batch_noise(
     dataset: Dataset,
     fn: DiagnosticFunction,
@@ -325,9 +330,114 @@ def draw_batch_noise(
     if rng_pairing is not None and tracker is not None and cfg.beta > 0:
         count = cfg.pair_count if cfg.pair_count is not None else cfg.batch_size
         pairs = sample_pairs(
-            dataset.s_idx[batch_idx], batch_cells(dataset, fn, batch_idx), tracker, count, rng_pairing
+            dataset.s_idx[batch_idx], dataset.e_idx[batch_idx], fn.cells(dataset), tracker, count,
+            rng_pairing,
         )
     return BatchNoise(eps=eps, keep_mask=keep, pairs=pairs)
+
+
+def _row_block(n_rows: int, at: np.ndarray, per_row, first=None):
+    # per-occurrence gradient rows summed into distinct rows from zeros, in
+    # occurrence order, as np.add.at summed them into the store; ``first``
+    # holds one row per distinct row, added before the occurrences
+    block = np.zeros((n_rows,) + per_row.shape[1:])
+    if first is not None:
+        block += first
+    np.add.at(block, at, per_row)
+    return block
+
+
+def _fused_objective(dataset, fn, store, cfg, noise, prior, e, r, student_rows, exercise_rows):
+    """irt/mirt: the whole objective as one Node over distinct-row leaves.
+
+    The leaves are mu and logvar at the batch's students, difficulty
+    (irt: and discrimination; mirt pins it to one) at its exercises.
+    The forward pass takes the composed graph's float operations, with
+    the fused draw, KL and BCE formulas giving values and VJPs.
+    The VJP replays the graph's backward pass op for op, var_hat summing
+    five contributions in order (draw, KL linear, KL log, pair side a,
+    pair side b), so the store receives the same bits.
+    """
+    (students, first, s_at), (exercises, e_at) = student_rows, exercise_rows
+    irt = fn.variant == "irt"
+    leaves = [store.row_leaf(STUDENT_MEAN, students), store.row_leaf(STUDENT_LOGVAR, students),
+              store.row_leaf(EXERCISE_DIFF, exercises)]
+    if irt:  # mirt pins discrimination to one; its rows never train
+        leaves.append(store.row_leaf(EXERCISE_DISC, exercises))
+    mu, logvar = leaves[0].value, leaves[1].value
+    keep, alpha = noise.keep_mask, cfg.dropout.alpha
+    var = np.exp(np.clip(logvar, -EXP_CLAMP, EXP_CLAMP))
+    var_inside = (logvar > -EXP_CLAMP) & (logvar < EXP_CLAMP)
+    var_at = var[s_at]
+    var_hat = np.where(keep, var_at, alpha)
+    mu_at = mu[s_at]
+    theta, theta_grads = draw_ability(mu_at, var_hat, noise.eps, vjp=True)
+    diff = stable_sigmoid(leaves[2].value)[e_at]
+    if irt:
+        disc = stable_sigmoid(leaves[3].value)[e_at]
+        y_col = predict_irt(theta, diff, disc, fn.irt_scale)
+        y = y_col.sum(axis=-1)
+    else:
+        q = dataset.dense_q[e]
+        y = predict_mirt(theta, diff, q)
+    l_pred, bce_grads = prediction_loss(y, r, vjp=True)
+    total, l_kl, l_rl = l_pred, 0.0, 0.0
+    if cfg.gamma > 0:
+        mu_k, var_k = (mu, np.where(keep[first], var, alpha)) if cfg.kl_dedup else (mu_at, var_hat)
+        kl_vec, kl_grads = kl_consensus(mu_k, var_k, prior or STANDARD_PRIOR, vjp=True)
+        inv_kl = 1.0 / np.asarray(float(kl_vec.size))
+        l_kl = kl_vec.sum() * inv_kl
+        total = total + l_kl * np.asarray(cfg.gamma)
+    p = noise.pairs
+    with_pairs = cfg.beta > 0 and p is not None and p.count > 0
+    if with_pairs:
+        hinge, hinge_grads = calibration_pair_loss(
+            var_hat[p.pos_a, p.cell_a], var_hat[p.pos_b, p.cell_b], p.o_a, p.o_b,
+            cfg.calibration_sign, vjp=True,
+        )
+        inv_pairs = 1.0 / np.asarray(float(p.count))
+        l_rl = hinge.sum() * inv_pairs
+        total = total + l_rl * np.asarray(cfg.beta)
+
+    def grads(g):
+        (g_y,) = bce_grads(g)
+        if irt:
+            g_weighted = g_y[:, None] * y_col * (1.0 - y_col) * fn.irt_scale
+            g_gap = g_weighted * disc
+        else:
+            g_gap = (g_y * y * (1.0 - y))[:, None] * q
+        g_mu, g_var_hat = theta_grads(g_gap)
+        once_mu = once_logvar = None
+        if cfg.gamma > 0:
+            k_mu, k_lin, k_log = kl_grads(np.full(kl_vec.shape, g * cfg.gamma * inv_kl))
+            if cfg.kl_dedup:
+                once_mu, once_logvar = k_mu, (k_lin + k_log) * keep[first] * var * var_inside
+            else:
+                g_mu, g_var_hat = g_mu + k_mu, g_var_hat + k_lin + k_log
+        if with_pairs:
+            sides = hinge_grads(np.full(p.count, g * cfg.beta * inv_pairs))
+            for pos, cell, side in zip((p.pos_a, p.pos_b), (p.cell_a, p.cell_b), sides):
+                full = np.zeros_like(var_hat)
+                np.add.at(full, (pos, cell), side)
+                g_var_hat = g_var_hat + full
+        g_logvar = g_var_hat * keep * var_at * var_inside[s_at]
+        # the composed graph added kl_dedup's rows into the store before the
+        # occurrences, except logvar's when the pair terms had reached it first
+        n_s, n_e = len(students), len(exercises)
+        blocks = [
+            _row_block(n_s, s_at, g_mu, once_mu),
+            _row_block(n_s, s_at, g_logvar, None if with_pairs else once_logvar),
+            _row_block(n_e, e_at, -g_gap * diff * (1.0 - diff)),
+        ]
+        if with_pairs and once_logvar is not None:
+            blocks[1] += once_logvar
+        if irt:
+            g_disc = g_weighted * (theta - diff) * disc * (1.0 - disc)
+            blocks.append(_row_block(n_e, e_at, g_disc))
+        return tuple(blocks)
+
+    breakdown = LossBreakdown(float(l_pred), float(l_kl), float(l_rl), float(total))
+    return tape.fused(total, leaves, grads), breakdown, y.copy()
 
 
 def build_batch_graph(
@@ -343,33 +453,31 @@ def build_batch_graph(
 
     ``prior=None`` selects the phase-one standard-normal KL.  Returns
     (total Node, LossBreakdown, sampled probabilities as an ndarray).
+    The batch's students and exercises are deduplicated once: mu and
+    logvar share the student rows, difficulty and discrimination the
+    exercise rows, and the store keeps them as the touched rows.  irt
+    and mirt record one Node (:func:`_fused_objective`); ncd records the
+    composed tape graph.
     """
-    s = dataset.s_idx[batch_idx]
-    e = dataset.e_idx[batch_idx]
-    r = dataset.scores[batch_idx]
+    s, e, r = dataset.s_idx[batch_idx], dataset.e_idx[batch_idx], dataset.scores[batch_idx]
+    students, first, s_at = np.unique(s, return_index=True, return_inverse=True)
+    exercises, e_at = np.unique(e, return_inverse=True)
+    if fn.variant != "ncd":
+        return _fused_objective(dataset, fn, store, cfg, noise, prior, e, r,
+                                (students, first, s_at), (exercises, e_at))
 
-    mu = store.row_leaf(STUDENT_MEAN, s)
-    log_var = store.row_leaf(STUDENT_LOGVAR, s)
+    mu = store.row_leaf(STUDENT_MEAN, students, s_at)
+    log_var = store.row_leaf(STUDENT_LOGVAR, students, s_at)
     var = tape.exp(log_var)
     var_hat = apply_dropout_mask(var, noise.keep_mask, cfg.dropout.alpha)
     _, theta = draw_ability(mu, var_hat, noise.eps)
-
-    difficulty = tape.sigmoid(store.row_leaf(EXERCISE_DIFF, e))
-    if fn.variant == "mirt":
-        # discrimination is pinned to one for this variant; its rows never train
-        y = predict_mirt(theta, difficulty, dataset.dense_q[e])
-    else:
-        discrimination = tape.sigmoid(store.row_leaf(EXERCISE_DISC, e))
-        if fn.variant == "irt":
-            y = tape.nsum(predict_irt(theta, difficulty, discrimination, fn.irt_scale), axis=-1)
-        else:
-            y = predict_ncd(
-                theta,
-                difficulty,
-                discrimination,
-                dataset.dense_q[e],
-                mlp_layers(store, as_nodes=True),
-            )
+    y = predict_ncd(
+        theta,
+        tape.sigmoid(store.row_leaf(EXERCISE_DIFF, exercises, e_at)),
+        tape.sigmoid(store.row_leaf(EXERCISE_DISC, exercises, e_at)),
+        dataset.dense_q[e],
+        mlp_layers(store, as_nodes=True),
+    )
 
     l_pred = prediction_loss(y, r)
     total = l_pred
@@ -377,20 +485,15 @@ def build_batch_graph(
     l_kl = 0.0
     if cfg.gamma > 0:
         if cfg.kl_dedup:
-            _, first = np.unique(s, return_index=True)
-            mu_k = store.row_leaf(STUDENT_MEAN, s[first])
+            mu_k = store.row_leaf(STUDENT_MEAN, students)
             var_k = apply_dropout_mask(
-                tape.exp(store.row_leaf(STUDENT_LOGVAR, s[first])),
+                tape.exp(store.row_leaf(STUDENT_LOGVAR, students)),
                 noise.keep_mask[first],
                 cfg.dropout.alpha,
             )
         else:
             mu_k, var_k = mu, var_hat
-        if prior is None:
-            kl_vec = kl_standard(mu_k, var_k)
-        else:
-            kl_vec = kl_consensus(mu_k, var_k, prior)
-        l_kl = tape.nmean(kl_vec)
+        l_kl = tape.nmean(kl_consensus(mu_k, var_k, prior or STANDARD_PRIOR))
         total = tape.add(total, tape.mul(l_kl, cfg.gamma))
 
     l_rl = 0.0
@@ -473,6 +576,7 @@ class Trainer:
         )
         n_cells = fn.latent_dim(dataset.n_concepts)
         self.tracker = CorrectnessTracker(dataset.n_students, n_cells)
+        self.cells = fn.cells(dataset)
         self.adam = cfg.adam
         self.prior: PriorConsensus | None = None
         self.history: list[EpochRecord] = []
@@ -507,12 +611,8 @@ class Trainer:
             if self.fn.variant == "ncd":
                 clamp_ncd_weights(self.store)
             if phase == 2:
-                self.tracker.update(
-                    self.dataset.s_idx[batch_idx],
-                    batch_cells(self.dataset, self.fn, batch_idx),
-                    probs,
-                    self.dataset.scores[batch_idx],
-                )
+                self.tracker.update(self.dataset.s_idx[batch_idx], self.dataset.e_idx[batch_idx],
+                                    self.cells, probs, self.dataset.scores[batch_idx])
             sums += (breakdown.prediction, breakdown.kl, breakdown.calibration, breakdown.total)
             steps += 1
         if steps == 0:

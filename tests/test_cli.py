@@ -98,6 +98,7 @@ class TestTrain:
             ("variant = irt\nirt_scale = nan", "irt_scale"),
             ("gamma = nan", "gamma"),
             ("beta = inf", "beta"),
+            ("irt_scale = inf", "irt_scale"),
             ("pretrain_epochs = -7", "pretrain_epochs"),
             ("pair_count = -7", "pair_count"),
         ],
@@ -239,6 +240,52 @@ class TestMalformedCheckpoint:
         ):
             assert main(argv) == 1
             assert "malformed" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize(
+        "key, value", [("gamma", '"abc"'), ("patience", "true"), ("gamma", "1e999")]
+    )
+    def test_run_config_value_a_config_file_cannot_hold(
+        self, workspace, tmp_path, capsys, key, value
+    ):
+        doc = json.loads(workspace["checkpoint"].read_text())
+        doc["run_config"][key] = "@"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc).replace('"@"', value))
+        self.assert_serving_exits_one(bad, load_checkpoint(workspace["checkpoint"]), tmp_path,
+                                      capsys)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("irt_scale", "Infinity"), ("irt_scale", "NaN"), ("irt_scale", "1e999"),
+         ("best_epoch", "NaN")],
+    )
+    def test_non_finite_number(self, tmp_path, capsys, field, value):
+        cohort = planted_cohort(n_students=12, n_exercises=20, n_concepts=3, per_student=15, seed=4)
+        logs, qmatrix = tmp_path / "logs.csv", tmp_path / "qmatrix.csv"
+        write_cohort_csv(cohort, logs, qmatrix)
+        config = tmp_path / "run.cfg"
+        config.write_text(
+            f"logs = {logs}\nqmatrix = {qmatrix}\noutput_dir = {tmp_path / 'run'}\n"
+            "variant = irt\nmin_logs = 1\nmax_epochs = 1\npretrain_epochs = 1\n"
+        )
+        assert main(["train", "--config", str(config)]) == 0
+        path = tmp_path / "run" / "checkpoint.json"
+        doc = json.loads(path.read_text())
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**doc, field: "@"}).replace('"@"', value))
+        self.assert_serving_exits_one(bad, load_checkpoint(path), tmp_path, capsys)
+
+    def assert_serving_exits_one(self, bad, ck, tmp_path, capsys):
+        capsys.readouterr()
+        out = str(tmp_path / "out.csv")
+        for argv in (
+            ["diagnose", "--checkpoint", str(bad), "--student", ck.student_ids[0], "--out", out],
+            ["eval", "--checkpoint", str(bad), "--out", out],
+        ):
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert "malformed" in err and "Traceback" not in err
 
 
 class TestDiagnose:

@@ -148,8 +148,8 @@ class TestBuildDataset:
         pairs = [("e", "c"), ("f", "d"), ("e", "c"), ("e", "d"), ("f", "d")]
         ds = build_dataset(logs, pairs, min_logs=1)
         assert ds.concept_ids == ["c", "d"]
-        np.testing.assert_array_equal(ds.concepts_of[0], [0, 1])
-        np.testing.assert_array_equal(ds.concepts_of[1], [1])
+        np.testing.assert_array_equal(ds.concept_ptr, [0, 2, 3])
+        np.testing.assert_array_equal(ds.concept_idx, [0, 1, 1])
 
     def test_student_index_lookup(self, logs_csv, q_csv):
         ds = build_dataset(load_logs(logs_csv), load_qmatrix(q_csv), min_logs=1)

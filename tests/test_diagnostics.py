@@ -17,7 +17,10 @@ from cogdiag.diagnostics import (
     predict_mirt,
     predict_ncd,
 )
-from cogdiag.numerics import ParameterStore, grad_check
+from cogdiag.data import build_dataset
+from cogdiag.numerics import grad_check
+from cogdiag.synth import planted_cohort
+from cogdiag.training import CorrectnessTracker, TrainConfig, build_batch_graph, draw_batch_noise
 
 
 def ncd_reference(theta, diff, disc, q, layers):
@@ -249,15 +252,22 @@ class TestClamp:
 
 class TestPredictorGradients:
     def test_irt_gradients(self):
-        store = ParameterStore()
-        rng = default_rng(2)
-        store.add("theta", rng.uniform(0.1, 0.9, size=(5, 1)))
-        store.add("diff", rng.uniform(0.1, 0.9, size=(5, 1)))
-        store.add("disc", rng.uniform(0.1, 0.9, size=(5, 1)))
+        # the irt head has no Node form; it trains inside the fused objective
+        cohort = planted_cohort(n_students=8, n_exercises=12, n_concepts=3, per_student=6, seed=2)
+        ds = build_dataset(cohort.logs, cohort.q_pairs, min_logs=1)
+        fn = DiagnosticFunction("irt")
+        cfg = TrainConfig(seed=2, gamma=0.3, beta=0.5)
+        store = init_parameters(fn, ds.n_students, ds.n_exercises, ds.n_concepts, default_rng(2))
+        tracker = CorrectnessTracker(ds.n_students, 1)
+        tracker.seen[:] = 2
+        tracker.hits[:] = default_rng(3).integers(0, 3, size=tracker.seen.shape)
+        batch_idx = np.arange(10)
+        noise = draw_batch_noise(ds, fn, cfg, batch_idx, tracker,
+                                 default_rng(4), default_rng(5), default_rng(6))
+        assert noise.pairs.count > 0
 
         def f(s):
-            y = predict_irt(s.leaf("theta"), s.leaf("diff"), s.leaf("disc"), scale=1.702)
-            return tape.nmean(tape.square(y))
+            return build_batch_graph(ds, fn, s, batch_idx, cfg, noise, None)[0]
 
         assert grad_check(f, store) < 1e-5
 

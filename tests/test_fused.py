@@ -1,19 +1,30 @@
-"""Fused single-node ops against the one-op tape chains they replace.
+"""Fused ops and the fused training step against the one-op tape chains.
 
-The training objective's heads, BCE, draw and KL each record one Node
-whose gradient replays the chain's backward pass.  The chains are kept
-here as oracles: values and gradients must agree to the bit, including
-the order in which a tensor with several consumers sums its gradient.
-The loop-based tracker update and pair sampling are kept the same way.
+ncd's BCE, draw and KL each record one Node whose gradient replays the
+chain's backward pass; irt and mirt record their whole objective as one
+Node.  The chains, and the composed batch graph built from them, are
+kept here as oracles: values and gradients must agree to the bit,
+including the order in which a tensor with several consumers sums its
+gradient.  The loop-based tracker update and pair sampling are kept the
+same way.
 """
+
+import copy
 
 import numpy as np
 import pytest
 from numpy.random import default_rng
 
-from cogdiag import tape, training
-from cogdiag.data import build_dataset
-from cogdiag.diagnostics import DiagnosticFunction, init_parameters, predict_irt, predict_mirt
+from cogdiag import tape
+from cogdiag.data import ResponseLog, build_dataset
+from cogdiag.diagnostics import (
+    DiagnosticFunction,
+    init_parameters,
+    mlp_layers,
+    predict_irt,
+    predict_mirt,
+    predict_ncd,
+)
 from cogdiag.latent import (
     DropoutConfig,
     PriorConsensus,
@@ -23,11 +34,13 @@ from cogdiag.latent import (
 )
 from cogdiag.seeding import substream
 from cogdiag.synth import planted_cohort
+from cogdiag.tape import EXP_CLAMP, LOG_FLOOR
 from cogdiag.training import (
     CorrectnessTracker,
+    LossBreakdown,
     TrainConfig,
-    batch_cells,
     batch_loss,
+    calibration_pair_loss,
     draw_batch_noise,
     prediction_loss,
     sample_pairs,
@@ -70,6 +83,72 @@ def ref_kl_consensus(mean, variance, prior):
         tape.add(tape.square(tape.sub(mean, prior.mean)), variance), tape.log(variance)
     )
     return tape.mul(tape.nsum(tape.sub(inner, 1.0), axis=-1), 0.5)
+
+
+def ref_batch_step(dataset, fn, store, batch_idx, cfg, noise, prior):
+    """The composed batch graph, one Node per op, then backprop into ``store``.
+
+    Row leaves hold one gathered row per occurrence (kl_dedup adds a
+    second leaf over each student's first occurrence).  After the
+    backward pass each leaf scatter-adds its gradient into the store
+    with ``np.add.at``, leaves in the tape's topological order, as the
+    store did when training ran this graph.  Returns (breakdown, probs).
+    """
+    s = dataset.s_idx[batch_idx]
+    e = dataset.e_idx[batch_idx]
+    r = dataset.scores[batch_idx]
+    rows_of = {}
+
+    def row_leaf(name, rows):
+        node = tape.Node(store.params[name][rows])
+        rows_of[id(node)] = (name, rows)
+        return node
+
+    mu = row_leaf("student_mu", s)
+    var = tape.exp(row_leaf("student_logvar", s))
+    var_hat = tape.where_mask(var, noise.keep_mask, cfg.dropout.alpha)
+    _, theta = ref_draw_ability(mu, var_hat, noise.eps)
+    difficulty = tape.sigmoid(row_leaf("exercise_diff", e))
+    if fn.variant == "mirt":
+        y = ref_predict_mirt(theta, difficulty, dataset.dense_q[e])
+    else:
+        discrimination = tape.sigmoid(row_leaf("exercise_disc", e))
+        if fn.variant == "irt":
+            y = tape.nsum(ref_predict_irt(theta, difficulty, discrimination, fn.irt_scale), axis=-1)
+        else:
+            y = predict_ncd(theta, difficulty, discrimination, dataset.dense_q[e],
+                            mlp_layers(store, as_nodes=True))
+    l_pred = ref_prediction_loss(y, r)
+    total = l_pred
+    l_kl = 0.0
+    if cfg.gamma > 0:
+        if cfg.kl_dedup:
+            _, first = np.unique(s, return_index=True)
+            mu_k = row_leaf("student_mu", s[first])
+            var_k = tape.where_mask(tape.exp(row_leaf("student_logvar", s[first])),
+                                    noise.keep_mask[first], cfg.dropout.alpha)
+        else:
+            mu_k, var_k = mu, var_hat
+        if prior is None:
+            kl_vec = ref_kl_standard(mu_k, var_k)
+        else:
+            kl_vec = ref_kl_consensus(mu_k, var_k, prior)
+        l_kl = tape.nmean(kl_vec)
+        total = tape.add(total, tape.mul(l_kl, cfg.gamma))
+    l_rl = 0.0
+    p = noise.pairs
+    if cfg.beta > 0 and p is not None and p.count > 0:
+        var_a = tape.take_cells(var_hat, p.pos_a, p.cell_a)
+        var_b = tape.take_cells(var_hat, p.pos_b, p.cell_b)
+        l_rl = tape.nmean(calibration_pair_loss(var_a, var_b, p.o_a, p.o_b, cfg.calibration_sign))
+        total = tape.add(total, tape.mul(l_rl, cfg.beta))
+    breakdown = LossBreakdown(*(float(tape.value_of(x)) for x in (l_pred, l_kl, l_rl, total)))
+    tape.backprop(total)  # MLP leaves go to the store here
+    for node in tape._topo_order(total):
+        if id(node) in rows_of:
+            name, rows = rows_of[id(node)]
+            np.add.at(store.grads[name], rows, node.grad)
+    return breakdown, tape.value_of(y).copy()
 
 
 def ref_tracker_update(tracker, students, cell_lists, probs, labels):
@@ -193,51 +272,55 @@ class TestPredictionLoss:
 
 
 class TestHeads:
+    """The irt/mirt heads are array-only (``predict_split`` and the fused
+    step's forward pass); their values must equal the chain's to the bit.
+    Their gradients are checked through the whole step in
+    TestBatchGradients."""
+
+    def assert_values(self, head, ref, args):
+        assert_bits(head(*args), tape.value_of(ref(*args)))
+
     def test_mirt_batch(self):
         rng = default_rng(4)
         theta = rng.uniform(size=(8, 5))
         diff = rng.uniform(size=(8, 5))
         q = (rng.uniform(size=(8, 5)) < 0.5).astype(float)
-        for flags in ((True, True, False), (True, False, False), (False, True, False),
-                      (False, False, False)):
-            assert_matches(predict_mirt, ref_predict_mirt, (theta, diff, q), flags)
+        self.assert_values(predict_mirt, ref_predict_mirt, (theta, diff, q))
 
     def test_mirt_broadcast_and_single_row(self):
         rng = default_rng(5)
         theta = rng.uniform(size=5)
         diff = rng.uniform(size=(7, 5))
         q = (rng.uniform(size=(7, 5)) < 0.5).astype(float)
-        assert_matches(predict_mirt, ref_predict_mirt, (theta, diff, q), (True, True, False))
-        assert_matches(predict_mirt, ref_predict_mirt, (theta, diff[0], q[0]), (True, True, False))
+        self.assert_values(predict_mirt, ref_predict_mirt, (theta, diff, q))
+        self.assert_values(predict_mirt, ref_predict_mirt, (theta, diff[0], q[0]))
 
     def test_mirt_parent_used_twice(self):
-        rng = default_rng(6)
-        x = rng.uniform(size=(4, 3))
-        q = np.ones((4, 3))
-        assert_matches(predict_mirt, ref_predict_mirt, (x, x, q), (True, True, False))
+        # one array as ability and difficulty: every masked gap is exactly 0
+        x = default_rng(6).uniform(size=(4, 3))
+        self.assert_values(predict_mirt, ref_predict_mirt, (x, x, np.ones((4, 3))))
+        assert_bits(predict_mirt(x, x, np.ones((4, 3))), np.full(4, 0.5))
 
     def test_irt_column_shapes(self):
         rng = default_rng(7)
         theta, diff, disc = (rng.uniform(size=(9, 1)) for _ in range(3))
-        for flags in ((True, True, True), (True, False, True), (False, True, False)):
-            assert_matches(predict_irt, ref_predict_irt, (theta, diff, disc), flags)
+        self.assert_values(predict_irt, ref_predict_irt, (theta, diff, disc))
 
     def test_irt_scalars_and_broadcast(self):
         rng = default_rng(8)
-        assert_matches(predict_irt, ref_predict_irt,
-                       (np.array(0.7), np.array(0.2), np.array(0.9)), (True, True, True))
+        self.assert_values(predict_irt, ref_predict_irt,
+                           (np.array(0.7), np.array(0.2), np.array(0.9)))
         theta = rng.uniform(size=(6, 1))
         diff = rng.uniform(size=(1, 4))
-        disc = np.array(0.8)
-        assert_matches(predict_irt, ref_predict_irt, (theta, diff, disc), (True, True, True))
-        assert_matches(predict_irt, ref_predict_irt, (theta, diff, disc), (False, False, False))
+        self.assert_values(predict_irt, ref_predict_irt, (theta, diff, np.array(0.8)))
+        self.assert_values(predict_irt, ref_predict_irt, (theta, diff, np.array(0.8), 3.0))
 
     def test_irt_parent_used_two_and_three_times(self):
         rng = default_rng(9)
         x = rng.uniform(size=(5, 2))
         d = rng.uniform(size=(5, 2))
-        assert_matches(predict_irt, ref_predict_irt, (x, d, x), (True, True, True))
-        assert_matches(predict_irt, ref_predict_irt, (x, x, x), (True, True, True))
+        self.assert_values(predict_irt, ref_predict_irt, (x, d, x))
+        self.assert_values(predict_irt, ref_predict_irt, (x, x, x))
 
 
 def draw_z(mean, variance, eps):
@@ -334,99 +417,164 @@ class TestKL:
 
 
 class TestBatchGradients:
-    """The whole step: var_hat sums five contributions, mu two, in chain order."""
+    """The whole step against the composed graph: store gradients to the bit.
 
-    REFS = {
-        "prediction_loss": ref_prediction_loss,
-        "predict_irt": ref_predict_irt,
-        "predict_mirt": ref_predict_mirt,
-        "draw_ability": ref_draw_ability,
-        "kl_standard": ref_kl_standard,
-        "kl_consensus": ref_kl_consensus,
-    }
+    var_hat sums five contributions and mu two, in the chain's order, and
+    each row adds its occurrences in order around kl_dedup's rows.
+    """
 
-    def grads_after_step(self, variant, cfg, prior, monkeypatch=None):
-        cohort = planted_cohort(n_students=12, n_exercises=20, n_concepts=4, per_student=12, seed=3)
-        ds = build_dataset(cohort.logs, cohort.q_pairs, min_logs=1)
-        fn = DiagnosticFunction(variant, mlp_hidden=(6, 4))
+    def step_both_ways(self, ds, fn, store, batch_idx, cfg, noise, prior):
+        got_store = copy.deepcopy(store)
+        got = batch_loss(ds, fn, got_store, batch_idx, cfg, noise, prior)
+        want = ref_batch_step(ds, fn, store, batch_idx, cfg, noise, prior)
+        assert got[0] == want[0]
+        assert_bits(got[1], want[1])
+        for name in store.grads:
+            assert_bits(got_store.grads[name], store.grads[name])
+
+    def fixtures(self, variant, ds, cfg, irt_scale=1.702, seed=2):
+        fn = DiagnosticFunction(variant, mlp_hidden=(6, 4), irt_scale=irt_scale)
         store = init_parameters(fn, ds.n_students, ds.n_exercises, ds.n_concepts, default_rng(1))
         tracker = CorrectnessTracker(ds.n_students, fn.latent_dim(ds.n_concepts))
-        rng = default_rng(2)
+        rng = default_rng(seed)
         tracker.seen = rng.integers(0, 3, size=tracker.seen.shape)
         tracker.hits = np.minimum(rng.integers(0, 3, size=tracker.seen.shape), tracker.seen)
-        # a batch that repeats students, so rows scatter-add more than once
-        batch_idx = np.concatenate([np.arange(22), np.arange(8)])
+        return fn, store, tracker
+
+    def noise(self, ds, fn, cfg, batch_idx, tracker):
         noise = draw_batch_noise(
             ds, fn, cfg, batch_idx, tracker,
             substream(4, "sampling"), substream(4, "dropout"), substream(4, "pairing"),
         )
         assert noise.pairs.count > 0
-        if monkeypatch is not None:
-            for name, ref in self.REFS.items():
-                monkeypatch.setattr(training, name, ref)
-        breakdown, probs = batch_loss(ds, fn, store, batch_idx, cfg, noise, prior)
-        return breakdown, probs, {name: g.copy() for name, g in store.grads.items()}
+        return noise
+
+    def config(self, kl_dedup):
+        return TrainConfig(seed=4, gamma=0.3, beta=0.7, kl_dedup=kl_dedup,
+                           dropout=DropoutConfig(alpha=0.5, keep_probability=0.6))
+
+    def prior(self, with_prior, variant, n_concepts):
+        d = 1 if variant == "irt" else n_concepts
+        return PriorConsensus(mean=default_rng(5).normal(size=d)) if with_prior else None
 
     @pytest.mark.parametrize("variant", ["irt", "mirt", "ncd"])
     @pytest.mark.parametrize("with_prior", [False, True])
     @pytest.mark.parametrize("kl_dedup", [False, True])
-    def test_store_gradients_match_chain(self, variant, with_prior, kl_dedup, monkeypatch):
-        cfg = TrainConfig(seed=4, gamma=0.3, beta=0.7, kl_dedup=kl_dedup,
-                          dropout=DropoutConfig(alpha=0.5, keep_probability=0.6))
-        d = 1 if variant == "irt" else 4
-        prior = PriorConsensus(mean=default_rng(5).normal(size=d)) if with_prior else None
-        got = self.grads_after_step(variant, cfg, prior)
-        with monkeypatch.context() as mp:
-            want = self.grads_after_step(variant, cfg, prior, mp)
-        assert got[0] == want[0]
-        assert_bits(got[1], want[1])
-        for name in want[2]:
-            assert_bits(got[2][name], want[2][name])
+    def test_store_gradients_match_chain(self, variant, with_prior, kl_dedup):
+        cohort = planted_cohort(n_students=12, n_exercises=20, n_concepts=4, per_student=12, seed=3)
+        ds = build_dataset(cohort.logs, cohort.q_pairs, min_logs=1)
+        cfg = self.config(kl_dedup)
+        fn, store, tracker = self.fixtures(variant, ds, cfg)
+        # a batch that repeats students, so rows scatter-add more than once
+        batch_idx = np.concatenate([np.arange(22), np.arange(8)])
+        noise = self.noise(ds, fn, cfg, batch_idx, tracker)
+        self.step_both_ways(ds, fn, store, batch_idx, cfg, noise,
+                            self.prior(with_prior, variant, ds.n_concepts))
+        for name in ("student_mu", "student_logvar", "exercise_diff"):
+            assert store.grads[name].any()
+
+    @pytest.mark.parametrize("variant", ["irt", "mirt", "ncd"])
+    @pytest.mark.parametrize("with_prior", [False, True])
+    @pytest.mark.parametrize("kl_dedup", [False, True])
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_store_gradients_match_chain_at_edges(self, variant, with_prior, kl_dedup):
+        # 30 concepts per exercise let mirt (and irt at scale 60) saturate
+        K = 30
+        wide = [f"w{j}" for j in range(4)]
+        q_pairs = [(w, f"c{k}") for w in wide for k in range(K)] + [("n0", "c3"), ("n1", "c5")]
+        plan = [  # (student, exercise, label)
+            ("low", "w0", 1), ("low", "w1", 0), ("low", "n0", 1),    # "low" three times
+            ("high", "w2", 0), ("high", "w3", 1),
+            ("big", "n0", 1), ("tiny", "n1", 0), ("floor", "n1", 1), ("floor", "w2", 1),
+        ]
+        ds = build_dataset([ResponseLog(*row) for row in plan], q_pairs, min_logs=1)
+        cfg = self.config(kl_dedup)
+        fn, store, tracker = self.fixtures(variant, ds, cfg, irt_scale=60.0)
+        p = store.params
+        sid, eid = ds.student_ids.index, ds.exercise_ids.index
+        p["student_mu"][sid("low")] = -40.0   # theta about 0
+        p["student_mu"][sid("high")] = 40.0   # theta about 1
+        p["exercise_diff"][[eid("w0"), eid("w1")]] = 40.0
+        p["exercise_diff"][[eid("w2"), eid("w3")]] = -40.0
+        p["exercise_disc"][:] = 40.0
+        p["student_logvar"][sid("low")] = -5.0
+        p["student_logvar"][sid("high")] = -5.0
+        p["student_logvar"][sid("big")] = EXP_CLAMP + 1.0     # clamped exp, zero gradient
+        p["student_logvar"][sid("tiny")] = -EXP_CLAMP - 1.0   # clamped, and below LOG_FLOOR
+        p["student_logvar"][sid("floor")] = -28.0             # inside the clamp, below LOG_FLOOR
+        if variant == "ncd":
+            p["mlp_b3"][:] = -60.0  # every probability below LOG_FLOOR, on both labels
+        batch_idx = np.arange(ds.n_interactions)
+        noise = self.noise(ds, fn, cfg, batch_idx, tracker)
+        noise.keep_mask[:] = True  # the floored variances reach the KL's log
+        noise.keep_mask[0, 0] = False
+        probs = ref_batch_step(ds, fn, copy.deepcopy(store), batch_idx, cfg, noise, None)[1]
+        labels = ds.scores[batch_idx]
+        assert (probs[labels == 1] < LOG_FLOOR).any() and (probs[labels == 0] < LOG_FLOOR).any()
+        if variant != "ncd":
+            miss = 1.0 - probs
+            assert (miss[labels == 1] < LOG_FLOOR).any() and (miss[labels == 0] < LOG_FLOOR).any()
+        self.step_both_ways(ds, fn, store, batch_idx, cfg, noise,
+                            self.prior(with_prior, variant, ds.n_concepts))
 
 
 # ------------------------------------------------------ loop references
 
 
+def csr_of(cell_lists):
+    """Instance k's cells as exercise k of a CSR layout: (exercises, (ptr, idx))."""
+    ptr = np.cumsum([0] + [len(c) for c in cell_lists])
+    return np.arange(len(cell_lists)), (ptr, np.concatenate(cell_lists).astype(np.int64))
+
+
+def lists_of(exercises, cells):
+    """Per-instance cell arrays, sliced from a CSR layout."""
+    ptr, idx = cells
+    return [idx[ptr[j] : ptr[j + 1]] for j in exercises]
+
+
 class TestTrackerReference:
-    def check(self, n_students, n_cells, students, cells, probs, labels):
+    def check(self, n_students, n_cells, students, exercises, cells, probs, labels):
         got = CorrectnessTracker(n_students, n_cells)
         want = CorrectnessTracker(n_students, n_cells)
         for _ in range(2):
-            got.update(students, cells, probs, labels)
-            ref_tracker_update(want, students, cells, probs, labels)
+            got.update(students, exercises, cells, probs, labels)
+            ref_tracker_update(want, students, lists_of(exercises, cells), probs, labels)
         np.testing.assert_array_equal(got.seen, want.seen)
         np.testing.assert_array_equal(got.hits, want.hits)
 
     def test_same_student_twice_on_shared_concepts(self):
         students = np.array([2, 0, 2, 1, 2])
-        cells = [np.array([0, 3]), np.array([1]), np.array([3, 1, 2]), np.array([0]),
-                 np.array([3])]
+        exercises, cells = csr_of([np.array([0, 3]), np.array([1]), np.array([3, 1, 2]),
+                                   np.array([0]), np.array([3])])
         probs = np.array([0.9, 0.2, 0.5, 0.7, 0.1])
         labels = np.array([1.0, 1.0, 1.0, 0.0, 0.0])
-        self.check(3, 4, students, cells, probs, labels)
+        self.check(3, 4, students, exercises, cells, probs, labels)
 
     def test_irt_single_slot(self):
         cohort = planted_cohort(n_students=5, n_exercises=6, n_concepts=4, per_student=6, seed=1)
         ds = build_dataset(cohort.logs, cohort.q_pairs, min_logs=1)
         batch_idx = np.array([0, 1, 2, 0, 7, 8, 1])
-        cells = batch_cells(ds, DiagnosticFunction("irt"), batch_idx)
+        cells = DiagnosticFunction("irt").cells(ds)
         probs = default_rng(3).uniform(size=len(batch_idx))
-        self.check(ds.n_students, 1, ds.s_idx[batch_idx], cells, probs, ds.scores[batch_idx])
+        self.check(ds.n_students, 1, ds.s_idx[batch_idx], ds.e_idx[batch_idx], cells, probs,
+                   ds.scores[batch_idx])
 
     def test_dataset_cells(self):
         cohort = planted_cohort(n_students=8, n_exercises=15, n_concepts=5, per_student=10, seed=2)
         ds = build_dataset(cohort.logs, cohort.q_pairs, min_logs=1)
         batch_idx = default_rng(4).permutation(ds.n_interactions)[:40]
-        cells = batch_cells(ds, DiagnosticFunction("mirt"), batch_idx)
+        cells = DiagnosticFunction("mirt").cells(ds)
         probs = default_rng(5).uniform(size=40)
-        self.check(ds.n_students, ds.n_concepts, ds.s_idx[batch_idx], cells, probs,
-                   ds.scores[batch_idx])
+        self.check(ds.n_students, ds.n_concepts, ds.s_idx[batch_idx], ds.e_idx[batch_idx], cells,
+                   probs, ds.scores[batch_idx])
 
 
 class TestSamplePairsReference:
-    def check(self, students, cells, tracker, count, seed):
-        got = sample_pairs(students, cells, tracker, count, default_rng(seed))
-        want = ref_sample_pairs(students, cells, tracker, count, default_rng(seed))
+    def check(self, students, cell_lists, tracker, count, seed):
+        exercises, cells = csr_of(cell_lists)
+        got = sample_pairs(students, exercises, cells, tracker, count, default_rng(seed))
+        want = ref_sample_pairs(students, cell_lists, tracker, count, default_rng(seed))
         fields = (got.pos_a, got.cell_a, got.o_a, got.pos_b, got.cell_b, got.o_b)
         for g, w in zip(fields, want):
             assert g.dtype == w.dtype
@@ -434,8 +582,8 @@ class TestSamplePairsReference:
             assert g.tobytes() == w.tobytes()
         # the same stream is left in the same state
         a, b = default_rng(seed), default_rng(seed)
-        sample_pairs(students, cells, tracker, count, a)
-        ref_sample_pairs(students, cells, tracker, count, b)
+        sample_pairs(students, exercises, cells, tracker, count, a)
+        ref_sample_pairs(students, cell_lists, tracker, count, b)
         assert a.integers(0, 2**62) == b.integers(0, 2**62)
 
     def tracker(self, n_students, n_cells, seed):

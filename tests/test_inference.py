@@ -38,6 +38,11 @@ def toy_dataset(seed=1):
     return build_dataset(cohort.logs, cohort.q_pairs, min_logs=1)
 
 
+def concepts_of(ds, j):
+    """Exercise ``j``'s concepts, read from the dataset's CSR layout."""
+    return ds.concept_idx[ds.concept_ptr[j] : ds.concept_ptr[j + 1]]
+
+
 def trained_checkpoint(ds, variant="mirt", seed=3):
     cfg = TrainConfig(max_epochs=2, pretrain_epochs=2, seed=seed, batch_size=16)
     trainer = Trainer(ds, DiagnosticFunction(variant, mlp_hidden=(6, 4)), cfg)
@@ -148,7 +153,7 @@ class TestCheckpointIO:
         else:
             brute = np.zeros((ds.n_students, ds.n_concepts), dtype=np.int64)
             for pos in trainer.splits.train:
-                for c in ds.concepts_of[ds.e_idx[pos]]:
+                for c in concepts_of(ds, ds.e_idx[pos]):
                     brute[ds.s_idx[pos], c] += 1
         assert counts.dtype == np.int64
         np.testing.assert_array_equal(counts, brute)
@@ -227,7 +232,8 @@ class TestEvaluation:
             s_idx=ds.s_idx,
             e_idx=ds.e_idx,
             scores=scores,
-            concepts_of=ds.concepts_of,
+            concept_ptr=ds.concept_ptr,
+            concept_idx=ds.concept_idx,
         )
         mu = [3.0 if sid in strong else -3.0 for sid in ds.student_ids]
         ck = hand_built_checkpoint(ds, mu)
@@ -290,7 +296,7 @@ class TestDiagnose:
         counts = concept_interaction_counts(ds, trainer.splits.train, trainer.fn)
         brute = np.zeros((ds.n_students, ds.n_concepts), dtype=np.int64)
         for pos in trainer.splits.train:
-            for c in ds.concepts_of[ds.e_idx[pos]]:
+            for c in concepts_of(ds, ds.e_idx[pos]):
                 brute[ds.s_idx[pos], c] += 1
         np.testing.assert_array_equal(counts, brute)
 

@@ -278,10 +278,21 @@ class TestAdamStep:
         assert store.m["emb"][2, 0] == pytest.approx(0.1)
         assert store.params["emb"][1, 0] == 0.0
 
+    def test_touched_rows_join_within_a_step(self):
+        store = ParameterStore()
+        store.add("emb", np.zeros((5, 2)), row_sparse=True)
+        store.accumulate_grad("emb", np.array([2, 4]), np.ones((2, 2)))
+        store.accumulate_grad("emb", np.array([0, 2]), np.ones((2, 2)))
+        np.testing.assert_array_equal(store.touched_rows("emb"), [0, 2, 4])
+        np.testing.assert_array_equal(store.grads["emb"][:, 0], [1.0, 0.0, 2.0, 0.0, 1.0])
+        adam_step(store, AdamConfig(), lazy=True)
+        assert store.touched_rows("emb") is None
+        assert (store.m["emb"][[0, 2, 4]] != 0).all() and not store.m["emb"][[1, 3]].any()
+
     def test_row_leaf_duplicate_rows_accumulate(self):
         store = ParameterStore()
         store.add("emb", np.array([[1.0], [2.0]]), row_sparse=True)
-        leaf = store.row_leaf("emb", np.array([0, 0, 1]))
+        leaf = store.row_leaf("emb", np.array([0, 1]), np.array([0, 0, 1]))
         out = tape.nsum(leaf * np.array([[1.0], [2.0], [5.0]]))
         tape.backprop(out)
         np.testing.assert_array_equal(store.grads["emb"], [[3.0], [5.0]])

@@ -17,7 +17,6 @@ from cogdiag.training import (
     NonFiniteLossError,
     TrainConfig,
     Trainer,
-    batch_cells,
     batch_loss,
     build_batch_graph,
     calibration_pair_loss,
@@ -36,6 +35,13 @@ def tiny_dataset(seed=1, students=30, exercises=40, concepts=4, per_student=20):
         seed=seed,
     )
     return build_dataset(cohort.logs, cohort.q_pairs, min_logs=1)
+
+
+def as_csr(cell_lists):
+    """Instance k's cells as exercise k of a CSR layout: (exercises, (ptr, idx))."""
+    ptr = np.cumsum([0] + [len(c) for c in cell_lists])
+    idx = np.concatenate(cell_lists).astype(np.int64)
+    return np.arange(len(cell_lists)), (ptr, idx)
 
 
 def quick_config(**overrides):
@@ -70,8 +76,8 @@ class TestTracker:
     def test_frequency_accumulates(self):
         t = CorrectnessTracker(2, 3)
         cells = [np.array([0]), np.array([0])]
-        t.update([1, 1], cells, np.array([0.9, 0.2]), np.array([1.0, 1.0]))
-        t.update([1, 1], cells, np.array([0.7, 0.8]), np.array([1.0, 0.0]))
+        t.update([1, 1], *as_csr(cells), np.array([0.9, 0.2]), np.array([1.0, 1.0]))
+        t.update([1, 1], *as_csr(cells), np.array([0.7, 0.8]), np.array([1.0, 0.0]))
         # outcomes: hit, miss, hit, miss -> 2/4
         assert t.frequency(1, 0) == pytest.approx(0.5)
         assert t.seen[1, 0] == 4
@@ -82,20 +88,20 @@ class TestTracker:
 
     def test_tie_predicts_correct(self):
         t = CorrectnessTracker(1, 1)
-        t.update([0], [np.array([0])], np.array([0.5]), np.array([1.0]))
+        t.update([0], *as_csr([np.array([0])]), np.array([0.5]), np.array([1.0]))
         assert t.frequency(0, 0) == 1.0
-        t.update([0], [np.array([0])], np.array([0.5]), np.array([0.0]))
+        t.update([0], *as_csr([np.array([0])]), np.array([0.5]), np.array([0.0]))
         assert t.frequency(0, 0) == 0.5
 
     def test_fans_out_to_all_exercise_concepts(self):
         t = CorrectnessTracker(1, 6)
-        t.update([0], [np.array([2, 5])], np.array([0.9]), np.array([1.0]))
+        t.update([0], *as_csr([np.array([2, 5])]), np.array([0.9]), np.array([1.0]))
         assert t.seen[0, 2] == 1 and t.seen[0, 5] == 1
         assert t.seen[0, 0] == 0
 
     def test_observed_cells(self):
         t = CorrectnessTracker(2, 2)
-        t.update([0], [np.array([1])], np.array([0.9]), np.array([1.0]))
+        t.update([0], *as_csr([np.array([1])]), np.array([0.9]), np.array([1.0]))
         s, c, o = t.observed_cells()
         np.testing.assert_array_equal(s, [0])
         np.testing.assert_array_equal(c, [1])
@@ -172,12 +178,12 @@ class TestSamplePairs:
         t = CorrectnessTracker(5, 3)
         students = np.array([0, 1, 2])
         cells = [np.array([0]), np.array([1]), np.array([2])]
-        pairs = sample_pairs(students, cells, t, 10, default_rng(0))
+        pairs = sample_pairs(students, *as_csr(cells), t, 10, default_rng(0))
         assert pairs.count == 0
 
     def test_single_instance_batch_yields_no_pairs(self):
         t = self.tracker_with_history(3, 3, default_rng(1))
-        pairs = sample_pairs(np.array([0]), [np.array([0])], t, 8, default_rng(0))
+        pairs = sample_pairs(np.array([0]), *as_csr([np.array([0])]), t, 8, default_rng(0))
         assert pairs.count == 0
 
     def test_positions_are_distinct(self):
@@ -186,7 +192,7 @@ class TestSamplePairs:
         t.seen[:] = 2  # all cells known so every attempt survives
         students = np.arange(6)
         cells = [np.array([0, 1, 2, 3])] * 6
-        pairs = sample_pairs(students, cells, t, 50, default_rng(9))
+        pairs = sample_pairs(students, *as_csr(cells), t, 50, default_rng(9))
         assert pairs.count == 50
         assert np.all(pairs.pos_a != pairs.pos_b)
 
@@ -198,7 +204,7 @@ class TestSamplePairs:
         # survive, but positions must differ so both sides hit student 0
         students = np.array([0, 0, 1])
         cells = [np.array([0]), np.array([0]), np.array([1])]
-        pairs = sample_pairs(students, cells, t, 40, default_rng(3))
+        pairs = sample_pairs(students, *as_csr(cells), t, 40, default_rng(3))
         assert pairs.count > 0
         assert np.all(pairs.o_a == pytest.approx(2 / 3))
         assert set(pairs.pos_a) <= {0, 1} and set(pairs.pos_b) <= {0, 1}
@@ -207,8 +213,8 @@ class TestSamplePairs:
         t = self.tracker_with_history(6, 4, default_rng(2))
         students = np.arange(6)
         cells = [np.array([0, 1, 2, 3])] * 6
-        a = sample_pairs(students, cells, t, 20, default_rng(42))
-        b = sample_pairs(students, cells, t, 20, default_rng(42))
+        a = sample_pairs(students, *as_csr(cells), t, 20, default_rng(42))
+        b = sample_pairs(students, *as_csr(cells), t, 20, default_rng(42))
         np.testing.assert_array_equal(a.pos_a, b.pos_a)
         np.testing.assert_array_equal(a.cell_b, b.cell_b)
 
@@ -387,10 +393,13 @@ class TestBatchLoss:
 
         assert grad_check(objective, store) < 1e-4
 
-    def test_batch_cells_irt_uses_single_slot(self):
+    def test_cell_layout_irt_uses_single_slot(self):
         ds = tiny_dataset(seed=0)
-        cells = batch_cells(ds, DiagnosticFunction("irt"), np.array([0, 5]))
-        assert all(np.array_equal(c, [0]) for c in cells)
+        ptr, idx = DiagnosticFunction("irt").cells(ds)
+        np.testing.assert_array_equal(ptr, np.arange(ds.n_exercises + 1))
+        np.testing.assert_array_equal(idx, np.zeros(ds.n_exercises))
+        ptr, idx = DiagnosticFunction("mirt").cells(ds)
+        assert ptr is ds.concept_ptr and idx is ds.concept_idx
 
     def test_dropout_disabled_keeps_raw_variance(self):
         cfg = TrainConfig(dropout=DropoutConfig(enabled=False), seed=0)
@@ -437,7 +446,7 @@ class TestTrainer:
         fn = DiagnosticFunction("mirt")
         trainer = Trainer(ds, fn, quick_config(max_epochs=2, pretrain_epochs=3))
         trainer.train()
-        per_epoch = sum(len(ds.concepts_of[ds.e_idx[pos]]) for pos in trainer.splits.train)
+        per_epoch = np.diff(ds.concept_ptr)[ds.e_idx[trainer.splits.train]].sum()
         assert trainer.tracker.seen.sum() == 2 * per_epoch
 
     def test_consensus_frozen_after_phase_one(self):
