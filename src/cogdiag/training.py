@@ -264,26 +264,25 @@ def sample_pairs(
 
     Each attempt picks two distinct instance positions uniformly, then
     one cell uniformly from each side's exercise, read from the (ptr,
-    idx) CSR ``cells``.  Pairs where either cell has no tracked history
-    yet are dropped, so early batches may contribute nothing.
+    idx) CSR ``cells``.  ``rng`` gives four arrays of ``count`` draws, in
+    this order: the first positions, the offsets (1 to B - 1) of the
+    second positions from them, the picks within the first sides' cells
+    and the picks within the second sides'.  A batch of one instance
+    draws nothing.  Pairs where either cell has no tracked history yet
+    are dropped, so early batches may contribute nothing.
     """
-    B = len(students)
-    ptr, idx = cells
-    exercises = np.asarray(exercises, dtype=np.int64)
-    draws: list[tuple[int, int, int, int]] = []
-    if B >= 2:
-        for _ in range(count):
-            i = int(rng.integers(0, B))
-            j = int((i + rng.integers(1, B)) % B)
-            lo_i, lo_j = ptr[exercises[i]], ptr[exercises[j]]
-            ci = int(idx[lo_i + rng.integers(0, ptr[exercises[i] + 1] - lo_i)])
-            cj = int(idx[lo_j + rng.integers(0, ptr[exercises[j] + 1] - lo_j)])
-            draws.append((i, ci, j, cj))
-    pos_a, cell_a, pos_b, cell_b = np.array(draws, dtype=np.int64).reshape(-1, 4).T
     students = np.asarray(students, dtype=np.int64)
+    exercises = np.asarray(exercises, dtype=np.int64)
+    (ptr, idx), B = cells, len(students)
+    pos_a = pos_b = cell_a = cell_b = np.zeros(0, dtype=np.int64)
+    if B >= 2:
+        pos_a = rng.integers(0, B, size=count)
+        pos_b = (pos_a + rng.integers(1, B, size=count)) % B
+        lo_a, lo_b = ptr[exercises[pos_a]], ptr[exercises[pos_b]]
+        cell_a = idx[lo_a + rng.integers(0, ptr[exercises[pos_a] + 1] - lo_a)]
+        cell_b = idx[lo_b + rng.integers(0, ptr[exercises[pos_b] + 1] - lo_b)]
     s_a, s_b = students[pos_a], students[pos_b]
-    seen_a = tracker.seen[s_a, cell_a]
-    seen_b = tracker.seen[s_b, cell_b]
+    seen_a, seen_b = tracker.seen[s_a, cell_a], tracker.seen[s_b, cell_b]
     keep = (seen_a != 0) & (seen_b != 0)
     return PairSample(
         pos_a=pos_a[keep],
