@@ -1,14 +1,16 @@
 #!/usr/bin/env python3
-"""A tour of the reverse-mode tape the trainer runs on.
+"""A tour of the reverse-mode tape and the training objective built on it.
 
-Everything in this package trains through a ~300-line vectorized tape:
-float64 arrays, a dozen operations, one backward pass.  This demo builds
-graphs by hand, checks gradients against central finite differences,
-and shows the two design details that matter most here — the bit-exact
-masking op used by variance dropout, and the nonnegative weight clamp
-that keeps the MLP variant monotone.
+The tape is a small vectorized autodiff: float64 arrays, a dozen
+operations, one backward pass.  Training records its whole objective as
+one tape Node whose gradient replays the op-by-op chain in closed form,
+and the tape's ops are the reference that replay is checked against.
+This demo builds graphs by hand, checks gradients against central
+finite differences, and shows the two design details that matter most
+here — the bit-exact select used by variance dropout, and the
+nonnegative weight clamp that keeps the MLP variant monotone.
 
-Run:  python3 demos/04_autodiff_tour.py          (~5 s)
+Run:  python3 demos/04_autodiff_tour.py          (~1 s)
 """
 
 import numpy as np
@@ -60,17 +62,21 @@ noise = draw_batch_noise(
     dataset, fn, config, batch, tracker,
     substream(1, "sampling"), substream(1, "dropout"), substream(1, "pairing"),
 )
+root = build_batch_graph(dataset, fn, model, batch, config, noise, None)[0]
+print(f"the objective is one Node over {len(root.parents)} parameter leaves")
 err = grad_check(lambda s: build_batch_graph(dataset, fn, s, batch, config, noise, None)[0], model)
 print(f"full objective (prediction + KL + hinge), every parameter: {err:.2e}")
 
 print()
-print("=== 4. bit-exact masking: why dropout has its own op ===")
+print("=== 4. bit-exact masking: why dropout is a select ===")
+from cogdiag.latent import apply_dropout_mask
+
 variance = np.array([0.01, 0.7, 0.3])
 keep = np.array([True, False, True])
 alpha = 0.03
-masked = tape.value_of(tape.where_mask(tape.Node(variance), keep, alpha))
+masked = apply_dropout_mask(variance, keep, alpha)
 algebraic = keep * (variance - alpha) + alpha
-print(f"where_mask output:      {masked!r}")
+print(f"apply_dropout_mask:     {masked!r}")
 print(f"algebraic equivalent:   {algebraic!r}")
 print(f"kept entries unchanged bit for bit: {masked[0] == variance[0]}")
 print(f"the algebraic form mask*(v-a)+a drifts: {algebraic[0] != variance[0]} "
@@ -82,7 +88,7 @@ print("=== 5. monotonicity by construction in the MLP variant ===")
 from cogdiag.diagnostics import clamp_ncd_weights, mlp_layers, predict_ncd
 
 clamp_ncd_weights(model)
-layers = mlp_layers(model, as_nodes=False)
+layers = mlp_layers(model)
 diff = np.full(3, 0.5)
 disc = np.full(3, 0.8)
 q = np.array([1.0, 1.0, 0.0])

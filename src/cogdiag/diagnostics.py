@@ -13,6 +13,11 @@ correctness probability:
 
 Exercise difficulty and discrimination live as free rows squashed
 through a sigmoid, so both stay in (0, 1) without constraints.
+
+Each predictor is one forward formula on arrays, shared by inference and
+training.  With ``vjp=True`` it also returns its gradient function, which
+replays the backward pass of the one-op tape chain the formula stands
+for, op for op; the training objective chains these.
 """
 
 from __future__ import annotations
@@ -22,14 +27,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import tape
 from .latent import STUDENT_LOGVAR, STUDENT_MEAN
-from .numerics import ParameterStore, xavier_init
-from .tape import value_of
+from .numerics import ParameterStore, stable_sigmoid, xavier_init
+from .tape import _unbroadcast
 
 EXERCISE_DIFF = "exercise_diff"
 EXERCISE_DISC = "exercise_disc"
-MLP_WEIGHTS = ("mlp_w1", "mlp_w2", "mlp_w3")
+MLP_PARAMS = ("mlp_w1", "mlp_b1", "mlp_w2", "mlp_b2", "mlp_w3", "mlp_b3")
+MLP_WEIGHTS = MLP_PARAMS[::2]
 
 VARIANTS = ("irt", "mirt", "ncd")
 
@@ -103,39 +108,91 @@ def init_parameters(
     return store
 
 
-def predict_irt(theta, difficulty, discrimination, scale: float = 1.702):
-    """sigmoid(scale * discrimination * (theta - difficulty)), elementwise, on arrays."""
-    return tape.sigmoid((value_of(theta) - value_of(difficulty)) * value_of(discrimination) * scale)
+def predict_irt(theta, difficulty, discrimination, scale: float = 1.702, vjp: bool = False):
+    """sigmoid(scale * discrimination * (theta - difficulty)), elementwise.
+
+    ``vjp=True`` also returns ``g -> (d gap, d discrimination)``, where
+    gap = theta - difficulty, through the mul -> mul -> sigmoid chain.
+    """
+    gap = theta - difficulty
+    y = stable_sigmoid(gap * discrimination * scale)
+    if not vjp:
+        return y
+
+    def grads(g):
+        g = g * y * (1.0 - y) * scale
+        return (
+            _unbroadcast(g * discrimination, np.shape(gap)),
+            _unbroadcast(g * gap, np.shape(discrimination)),
+        )
+
+    return y, grads
 
 
-def predict_mirt(theta, difficulty, q_mask):
-    """sigmoid of the concept-masked sum of (theta - difficulty), on arrays."""
-    return tape.sigmoid(((value_of(theta) - value_of(difficulty)) * value_of(q_mask)).sum(axis=-1))
+def predict_mirt(theta, difficulty, q_mask, vjp: bool = False):
+    """sigmoid of the concept-masked sum of (theta - difficulty).
+
+    ``vjp=True`` also returns ``g -> (d gap,)``, where gap = theta -
+    difficulty, through the mul -> sum -> sigmoid chain.
+    """
+    y = stable_sigmoid(((theta - difficulty) * q_mask).sum(axis=-1))
+    if not vjp:
+        return y
+
+    def grads(g):
+        g = np.expand_dims(g * y * (1.0 - y), -1)
+        gap_shape = np.broadcast_shapes(np.shape(theta), np.shape(difficulty))
+        return (_unbroadcast(g * q_mask, gap_shape),)
+
+    return y, grads
 
 
-def predict_ncd(theta, difficulty, discrimination, q_mask, layers):
+def predict_ncd(theta, difficulty, discrimination, q_mask, layers, vjp: bool = False):
     """Masked interaction vector through a 3-layer sigmoid MLP.
 
-    ``layers`` is [(w1, b1), (w2, b2), (w3, b3)]; entries may be Nodes.
-    ``discrimination`` broadcasts over the concept axis, so pass it as
-    (B, 1) for batches.  Output drops the trailing unit axis.
+    ``layers`` is [(w1, b1), (w2, b2), (w3, b3)].  ``discrimination``
+    broadcasts over the concept axis, so pass it as (B, 1) for batches.
+    Output drops the trailing unit axis.  Only ``vjp=True`` keeps each
+    layer's input, for the backward pass; it takes (B, K) batches and
+    also returns ``g -> (d gap, d discrimination, d w1, d b1, d w2, d b2,
+    d w3, d b3)``, where gap = theta - difficulty: back through the sum,
+    then sigmoid, bias add and matmul per layer, then the two masking muls.
     """
-    x = tape.mul(tape.mul(tape.sub(theta, difficulty), q_mask), discrimination)
+    x = (theta - difficulty) * q_mask * discrimination
+    inputs = []
     for w, b in layers:
-        x = tape.sigmoid(tape.add(tape.matmul(x, w), b))
-    out_shape = np.shape(tape.value_of(x))
-    if out_shape and out_shape[-1] == 1:
-        x = tape.nsum(x, axis=-1)
-    return x
+        if vjp:
+            inputs.append(x)
+        x = stable_sigmoid(x @ w + b)
+    squeeze = np.shape(x)[-1:] == (1,)
+    y = x.sum(axis=-1) if squeeze else x
+    if not vjp:
+        return y
+
+    def grads(g):
+        if squeeze:
+            g = np.expand_dims(g, -1)
+        out, layer_grads = x, []
+        for (w, b), x_in in zip(reversed(layers), reversed(inputs)):
+            g = g * out * (1.0 - out)
+            layer_grads[:0] = [x_in.T @ g, _unbroadcast(g, np.shape(b))]
+            g = g @ w.T
+            out = x_in
+        gap = theta - difficulty  # recomputed, so value mode holds no extra (B, K) arrays
+        masked = gap * q_mask
+        return (
+            _unbroadcast(_unbroadcast(g * discrimination, masked.shape) * q_mask, gap.shape),
+            _unbroadcast(g * masked, np.shape(discrimination)),
+            *layer_grads,
+        )
+
+    return y, grads
 
 
-def mlp_layers(store: ParameterStore, as_nodes: bool):
-    pick = store.leaf if as_nodes else store.params.__getitem__
-    return [
-        (pick("mlp_w1"), pick("mlp_b1")),
-        (pick("mlp_w2"), pick("mlp_b2")),
-        (pick("mlp_w3"), pick("mlp_b3")),
-    ]
+def mlp_layers(store: ParameterStore):
+    """The store's MLP arrays as [(w1, b1), (w2, b2), (w3, b3)]."""
+    w1, b1, w2, b2, w3, b3 = (store.params[name] for name in MLP_PARAMS)
+    return [(w1, b1), (w2, b2), (w3, b3)]
 
 
 def clamp_ncd_weights(store: ParameterStore) -> None:

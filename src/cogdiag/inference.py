@@ -39,7 +39,7 @@ def predict_split(
     theta_all = stable_sigmoid(store.params[STUDENT_MEAN])
     diff_all = stable_sigmoid(store.params[EXERCISE_DIFF])
     disc_all = stable_sigmoid(store.params[EXERCISE_DISC])
-    layers = mlp_layers(store, as_nodes=False) if fn.variant == "ncd" else None
+    layers = mlp_layers(store) if fn.variant == "ncd" else None
 
     out = np.empty(len(indices))
     for lo in range(0, len(indices), chunk):

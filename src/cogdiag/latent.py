@@ -7,7 +7,9 @@ scale reparameterization, so gradients flow through both mean and
 variance.  The variance doubles as a confidence readout: small means
 the model has settled, large means it is still guessing.
 
-All math helpers below accept tape Nodes or plain ndarrays.
+The helpers below work on plain ndarrays.  Those the training objective
+differentiates take ``vjp=True`` and then also return their gradient
+function, which replays the backward pass of the one-op tape chain.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import tape
-from .tape import LOG_FLOOR, _unbroadcast, value_of
+from .numerics import stable_sigmoid
+from .tape import LOG_FLOOR, _unbroadcast
 
 STUDENT_MEAN = "student_mu"
 STUDENT_LOGVAR = "student_logvar"
@@ -61,40 +63,38 @@ def dropout_mask(shape, cfg: DropoutConfig, rng: np.random.Generator) -> np.ndar
 
 
 def apply_dropout_mask(variance, mask: np.ndarray, alpha: float):
-    """Kept entries pass through bit-exact; dropped ones become exactly alpha."""
-    return tape.where_mask(variance, mask, alpha)
+    """Kept entries pass through bit-exact; dropped ones become exactly alpha.
+
+    A select rather than ``mask * (variance - alpha) + alpha``, which
+    picks up rounding on the kept entries.
+    """
+    return np.where(mask, variance, alpha)
 
 
 def draw_ability(mean, variance, eps: np.ndarray, vjp: bool = False):
     """z = mu + sqrt(variance) * eps, theta = sigmoid(z); returns (z, theta).
 
-    With Node inputs each output is a single graph node.  Its gradient
-    replays the backward pass of the sqrt -> mul -> add (-> sigmoid)
-    chain op for op, so values and gradients match the composed tape ops
-    to the bit in a graph that uses one of the two outputs, as training
-    uses theta.  ``eps`` is data and gets no gradient.  ``vjp=True``
-    returns theta and its gradient function, ``g -> (d mean, d variance)``.
+    ``vjp=True`` returns theta and its gradient function instead,
+    ``g -> (d mean, d variance)``.  It replays the backward pass of the
+    sqrt -> mul -> add -> sigmoid tape chain op for op, so gradients match
+    the composed ops to the bit.  ``eps`` is data and gets no gradient.
     """
-    mv, vv, ev = value_of(mean), value_of(variance), value_of(eps)
-    sd = np.sqrt(vv)
-    spread = sd * ev
-    zv = mv + spread
-    thv = tape.sigmoid(zv)
+    sd = np.sqrt(variance)
+    spread = sd * eps
+    z = mean + spread
+    theta = stable_sigmoid(z)
+    if not vjp:
+        return z, theta
     safe = np.maximum(sd, 1e-150)
 
-    def z_grads(g):
+    def grads(g):
+        g = g * theta * (1.0 - theta)
         return (
-            _unbroadcast(g, mv.shape),
-            _unbroadcast(_unbroadcast(g, spread.shape) * ev, vv.shape) * 0.5 / safe,
+            _unbroadcast(g, np.shape(mean)),
+            _unbroadcast(_unbroadcast(g, spread.shape) * eps, np.shape(variance)) * 0.5 / safe,
         )
 
-    def theta_grads(g):
-        return z_grads(g * thv * (1.0 - thv))
-
-    if vjp:
-        return thv, theta_grads
-    inputs = (mean, variance)
-    return tape.fused(zv, inputs, z_grads), tape.fused(thv, inputs, theta_grads)
+    return theta, grads
 
 
 def kl_standard(mean, variance):
@@ -111,15 +111,15 @@ def kl_consensus(mean, variance, prior: PriorConsensus, vjp: bool = False):
 
     0.5 * sum((mean - prior.mean)^2 + variance - log(variance) - 1) per
     occurrence, with the log argument floored at ``tape.LOG_FLOOR``.
-    With Node inputs this is a single graph node replaying the composed
-    ops' backward pass.  It lists ``variance`` twice, once for the linear
-    term and once for the log, because the one-op chain adds those two
-    contributions to the variance gradient as separate steps, and the
-    variance usually has other consumers whose additions interleave.
-    ``vjp=True`` returns the value and that gradient function.
+    ``vjp=True`` also returns the gradient function, which replays the
+    composed tape ops' backward pass.  It maps ``g`` to (d mean, d
+    variance via the linear term, d variance via the log): the one-op
+    chain adds those two contributions to the variance gradient as
+    separate steps, and the variance usually has other consumers whose
+    additions interleave.
     """
-    mv, vv = value_of(mean), value_of(variance)
-    gap = mv - value_of(prior.mean)
+    mv, vv = np.asarray(mean, dtype=np.float64), np.asarray(variance, dtype=np.float64)
+    gap = mv - prior.mean
     square_plus_var = gap * gap + vv
     floored = np.maximum(vv, LOG_FLOOR)
     inner = square_plus_var - np.log(floored) - 1.0
@@ -137,7 +137,7 @@ def kl_consensus(mean, variance, prior: PriorConsensus, vjp: bool = False):
             _unbroadcast(-g, vv.shape) * inside / floored,
         )
 
-    return (out, grads) if vjp else tape.fused(out, (mean, variance, variance), grads)
+    return (out, grads) if vjp else out
 
 
 def compute_consensus(means: np.ndarray) -> PriorConsensus:

@@ -118,37 +118,28 @@ class ParameterStore:
 
     def leaf(self, name: str) -> Node:
         """Graph leaf holding the whole parameter array."""
-        return Node(self.params[name], param_ref=(self, name, None, None))
+        return Node(self.params[name], param_ref=(self, name, None))
 
-    def row_leaf(self, name: str, rows, inverse=None) -> Node:
-        """Graph leaf over the sorted distinct rows ``rows`` of a matrix.
+    def row_leaf(self, name: str, rows) -> Node:
+        """Graph leaf holding ``params[name][rows]``, for sorted distinct ``rows``.
 
-        Without ``inverse`` it holds ``params[name][rows]``, one gradient
-        row per row.  With it, the batch gather ``params[name][rows][inverse]``,
-        as ``np.unique(idx, return_inverse=True)`` splits a batch's
-        indices; repeated rows scatter-add back in occurrence order.
+        Its gradient has one row per entry of ``rows``; the backward pass
+        adds them into the accumulator with :meth:`accumulate_grad`.
         """
         rows = np.asarray(rows, dtype=np.int64)
-        block = self.params[name][rows]
-        return Node(block if inverse is None else block[inverse], param_ref=(self, name, rows, inverse))
+        return Node(self.params[name][rows], param_ref=(self, name, rows))
 
-    def accumulate_grad(self, name: str, rows, grad: np.ndarray, inverse=None) -> None:
+    def accumulate_grad(self, name: str, rows, grad: np.ndarray) -> None:
         """Add ``grad`` into the accumulator, whole (``rows=None``) or by rows.
 
-        Rows are as in :meth:`row_leaf`; the sums equal
-        ``np.add.at(grads, rows[inverse], grad)``, and ``rows`` join the
-        touched set without a further ``np.unique``.
+        ``rows`` are sorted and distinct, as in :meth:`row_leaf`; they join
+        the touched set without a further ``np.unique``.
         """
         if rows is None:
             self.grads[name] += grad
             self._touched[name] = "dense"
             return
-        if inverse is None:
-            self.grads[name][rows] += grad
-        else:
-            block = self.grads[name][rows]
-            np.add.at(block, inverse, grad)
-            self.grads[name][rows] = block
+        self.grads[name][rows] += grad
         entry = self._touched[name]
         if entry is None:
             self._touched[name] = rows

@@ -1,20 +1,17 @@
 """Reverse-mode automatic differentiation over numpy arrays.
 
-The model code in this package is written against a small set of op
-functions (``add``, ``mul``, ``matmul``, ``sigmoid``, ``nsum``, ...).
-Each op accepts either plain ndarrays or :class:`Node` wrappers.  With
-plain arrays the op just computes the value, so the same formula code
-serves both the training graph and cheap deterministic evaluation.
-With at least one Node argument the op records itself on an implicit
-tape (the ``parents`` links), and :func:`backprop` later walks the
-graph in reverse topological order accumulating vector-Jacobian
-products.
+A small set of op functions (``add``, ``mul``, ``matmul``, ``sigmoid``,
+``nsum``, ...) accept either plain ndarrays or :class:`Node` wrappers.
+With plain arrays an op just computes the value.  With at least one
+Node argument it records itself on an implicit tape (the ``parents``
+links), and :func:`backprop` later walks the graph in reverse
+topological order accumulating vector-Jacobian products.
 
-Ops are vectorized: one Node holds a whole batch worth of values, so
-graphs stay small (tens of nodes per training step) and the heavy
-lifting happens inside numpy.  The training objective's hot formulas
-go further: :func:`fused` records each as a single Node whose gradient
-replays the one-op chain's backward pass, operation for operation.
+Training does not compose these ops: it records its whole objective as
+one Node whose gradient function replays the one-op chain's backward
+pass (see ``training.build_batch_graph``).  The ops stay as the
+reference autodiff behind ``numerics.grad_check`` and the test oracles
+that chain them, op by op, to check that replay bit for bit.
 """
 
 from __future__ import annotations
@@ -32,9 +29,12 @@ class Node:
     """One value in the computation graph.
 
     ``value`` is always a float64 ndarray (0-d for scalars).  ``grad``
-    is filled in by :func:`backprop`.  Leaves handed out by a parameter
-    store carry ``param_ref`` so their gradient can be pushed back into
-    the store's accumulators after the backward pass.
+    is filled in by :func:`backprop`.  ``vjp(g)`` maps the output
+    gradient to one gradient per parent, each already summed to that
+    parent's shape; a whole formula can be one Node this way.  Leaves
+    handed out by a parameter store carry ``param_ref`` so their
+    gradient can be pushed back into the store's accumulators after the
+    backward pass.
     """
 
     __slots__ = ("value", "grad", "parents", "vjp", "param_ref")
@@ -121,29 +121,6 @@ def _node2(a, b, out, da, db) -> Node:
 
 def _node1(a: Node, out, da) -> Node:
     return Node(out, (a,), lambda g: (da(g),))
-
-
-def fused(out, inputs, grads):
-    """One Node for a whole formula, or ``out`` itself when no input is a Node.
-
-    ``grads(g)`` maps the output gradient to one gradient per entry of
-    ``inputs``, each already summed to that input's shape.  An input may
-    be listed more than once: each listing receives its own contribution,
-    added to the input's gradient as a separate step, so a fused formula
-    can keep the addition order of the one-op chain it replaces.  Inputs
-    that are not Nodes are constants and their gradients are dropped.
-    """
-    keep = [k for k, x in enumerate(inputs) if isinstance(x, Node)]
-    if not keep:
-        return out
-    if len(keep) == len(inputs):
-        return Node(out, inputs, grads)
-
-    def vjp(g):
-        full = grads(g)
-        return tuple(full[k] for k in keep)
-
-    return Node(out, [inputs[k] for k in keep], vjp)
 
 
 def add(a, b):
@@ -339,5 +316,5 @@ def backprop(root: Node) -> None:
                 parent.grad = parent.grad + pgrad
     for node in order:
         if node.param_ref is not None and node.grad is not None:
-            store, name, rows, inverse = node.param_ref
-            store.accumulate_grad(name, rows, node.grad, inverse)
+            store, name, rows = node.param_ref
+            store.accumulate_grad(name, rows, node.grad)

@@ -32,6 +32,7 @@ from .data import Dataset, Splits, SplitSpec, batches, cell_runs, split_per_stud
 from .diagnostics import (
     EXERCISE_DIFF,
     EXERCISE_DISC,
+    MLP_PARAMS,
     DiagnosticFunction,
     clamp_ncd_weights,
     init_parameters,
@@ -54,7 +55,7 @@ from .latent import (
 )
 from .numerics import AdamConfig, NonFiniteGradientError, ParameterStore, adam_step, stable_sigmoid
 from .seeding import substream
-from .tape import EXP_CLAMP, LOG_FLOOR, _unbroadcast, value_of
+from .tape import EXP_CLAMP, LOG_FLOOR, _unbroadcast
 
 SIGN_MODES = ("consistent", "literal")
 
@@ -170,17 +171,17 @@ class CorrectnessTracker:
 
 
 def prediction_loss(probs, labels, vjp: bool = False):
-    """Mean binary cross-entropy; accepts a Node or plain array of probs.
+    """Mean binary cross-entropy of an array of probabilities.
 
-    Both logs floor their argument at ``tape.LOG_FLOOR``.  With a Node
-    this is a single graph node whose gradient replays the composed
-    log/mul/sub/add/mean/negate ops, so it matches them to the bit.  As
-    with ``tape.nmean``, a Node's mean multiplies by 1/n while a plain
-    array's divides by n; the two can differ in the last bit.  ``vjp=True``
-    returns the Node's value and gradient function without making it.
+    Both logs floor their argument at ``tape.LOG_FLOOR``.  ``vjp=True``
+    returns the loss with its gradient function, ``g -> (d probs,)``,
+    which replays the backward pass of the composed log/mul/sub/add/mean/
+    negate tape ops, so it matches them to the bit.  As with the tape's
+    mean on a Node, that loss multiplies by 1/n where the plain value
+    divides by n; the two can differ in the last bit.
     """
     labels = np.asarray(labels, dtype=np.float64)
-    yv = value_of(probs)
+    yv = np.asarray(probs, dtype=np.float64)
     miss = 1.0 - yv
     floored_y = np.maximum(yv, LOG_FLOOR)
     floored_miss = np.maximum(miss, LOG_FLOOR)
@@ -188,7 +189,7 @@ def prediction_loss(probs, labels, vjp: bool = False):
     n = per.size
     if n == 0:
         raise ValueError("mean of an empty axis")
-    if not (vjp or isinstance(probs, tape.Node)):
+    if not vjp:
         return (per.sum() / float(n)) * -1.0
     inv_n = 1.0 / np.asarray(float(n))
     inside_y = yv >= LOG_FLOOR
@@ -200,8 +201,7 @@ def prediction_loss(probs, labels, vjp: bool = False):
         via_miss = _unbroadcast(g * (1.0 - labels), miss.shape) * inside_miss / floored_miss
         return (via_y + _unbroadcast(-via_miss, yv.shape),)
 
-    loss = (per.sum() * inv_n) * -1.0
-    return (loss, grads) if vjp else tape.fused(loss, (probs,), grads)
+    return (per.sum() * inv_n) * -1.0, grads
 
 
 def calibration_pair_loss(var_a, var_b, o_a, o_b, sign_mode: str = "consistent", vjp: bool = False):
@@ -212,8 +212,8 @@ def calibration_pair_loss(var_a, var_b, o_a, o_b, sign_mode: str = "consistent",
     the ranking the confidence story wants.  ``literal`` keeps the
     flipped orientation some published implementations of this loss
     ship with; it penalizes the opposite ordering.  Ties in correctness
-    contribute exactly zero either way.  ``vjp=True`` takes arrays and
-    returns the hinge with its gradient function, ``g -> (d var_a, d var_b)``.
+    contribute exactly zero either way.  ``vjp=True`` also returns the
+    gradient function, ``g -> (d var_a, d var_b)``.
     """
     if sign_mode not in SIGN_MODES:
         raise ValueError(f"sign_mode must be one of {SIGN_MODES}")
@@ -223,13 +223,12 @@ def calibration_pair_loss(var_a, var_b, o_a, o_b, sign_mode: str = "consistent",
     if sign_mode == "literal":
         direction = -direction
     margin = np.abs(o_a - o_b)
-    spread = tape.mul(tape.sub(var_a, var_b), direction)
-    hinge = tape.relu(tape.add(spread, margin))
+    hinge = np.maximum((var_a - var_b) * direction + margin, 0.0)
     if not vjp:
         return hinge
-    active = hinge > 0.0  # where relu's argument is positive
+    active = hinge > 0.0  # where the hinge's argument is positive
 
-    def grads(g):  # back through relu, add, mul and sub, as the tape runs them
+    def grads(g):  # back through the hinge, add, mul and sub, as the tape runs them
         g_a = g * active * direction
         return g_a, -g_a
 
@@ -346,43 +345,67 @@ def _row_block(n_rows: int, at: np.ndarray, per_row, first=None):
     return block
 
 
-def _fused_objective(dataset, fn, store, cfg, noise, prior, e, r, student_rows, exercise_rows):
-    """irt/mirt: the whole objective as one Node over distinct-row leaves.
+def build_batch_graph(
+    dataset: Dataset,
+    fn: DiagnosticFunction,
+    store: ParameterStore,
+    batch_idx: np.ndarray,
+    cfg: TrainConfig,
+    noise: BatchNoise,
+    prior: PriorConsensus | None,
+):
+    """The loss of one batch as a single tape Node over parameter leaves.
 
-    The leaves are mu and logvar at the batch's students, difficulty
-    (irt: and discrimination; mirt pins it to one) at its exercises.
-    The forward pass takes the composed graph's float operations, with
-    the fused draw, KL and BCE formulas giving values and VJPs.
-    The VJP replays the graph's backward pass op for op, var_hat summing
-    five contributions in order (draw, KL linear, KL log, pair side a,
-    pair side b), so the store receives the same bits.
+    ``prior=None`` selects the phase-one standard-normal KL.  Returns
+    (total Node, LossBreakdown, sampled probabilities as an ndarray).
+    The batch's students and exercises are deduplicated once.  The
+    leaves are mu and logvar at its students, difficulty (irt and ncd:
+    and discrimination; mirt pins it to one) at its exercises, and for
+    ncd the six MLP arrays whole; the store keeps the rows as the
+    touched rows.  The forward pass takes the float operations of the
+    objective written as one tape op per step: the draw, the head, the
+    KL, the hinge and the BCE each give their value and VJP
+    (``vjp=True``).  The Node's VJP replays that op-by-op graph's
+    backward pass, var_hat summing five contributions in order (draw,
+    KL linear, KL log, pair side a, pair side b), so the store receives
+    the same bits.
     """
-    (students, first, s_at), (exercises, e_at) = student_rows, exercise_rows
-    irt = fn.variant == "irt"
+    s, e, r = dataset.s_idx[batch_idx], dataset.e_idx[batch_idx], dataset.scores[batch_idx]
+    students, first, s_at = np.unique(s, return_index=True, return_inverse=True)
+    exercises, e_at = np.unique(e, return_inverse=True)
+    variant = fn.variant
     leaves = [store.row_leaf(STUDENT_MEAN, students), store.row_leaf(STUDENT_LOGVAR, students),
               store.row_leaf(EXERCISE_DIFF, exercises)]
-    if irt:  # mirt pins discrimination to one; its rows never train
+    if variant != "mirt":  # mirt pins discrimination to one; its rows never train
         leaves.append(store.row_leaf(EXERCISE_DISC, exercises))
+    if variant == "ncd":
+        leaves += [store.leaf(name) for name in MLP_PARAMS]
     mu, logvar = leaves[0].value, leaves[1].value
     keep, alpha = noise.keep_mask, cfg.dropout.alpha
     var = np.exp(np.clip(logvar, -EXP_CLAMP, EXP_CLAMP))
     var_inside = (logvar > -EXP_CLAMP) & (logvar < EXP_CLAMP)
     var_at = var[s_at]
-    var_hat = np.where(keep, var_at, alpha)
+    var_hat = apply_dropout_mask(var_at, keep, alpha)
     mu_at = mu[s_at]
     theta, theta_grads = draw_ability(mu_at, var_hat, noise.eps, vjp=True)
     diff = stable_sigmoid(leaves[2].value)[e_at]
-    if irt:
-        disc = stable_sigmoid(leaves[3].value)[e_at]
-        y_col = predict_irt(theta, diff, disc, fn.irt_scale)
-        y = y_col.sum(axis=-1)
+    if variant == "mirt":
+        y, head_grads = predict_mirt(theta, diff, dataset.dense_q[e], vjp=True)
     else:
-        q = dataset.dense_q[e]
-        y = predict_mirt(theta, diff, q)
+        disc = stable_sigmoid(leaves[3].value)[e_at]
+        if variant == "irt":
+            y_col, head_grads = predict_irt(theta, diff, disc, fn.irt_scale, vjp=True)
+            y = y_col.sum(axis=-1)
+        else:
+            y, head_grads = predict_ncd(theta, diff, disc, dataset.dense_q[e], mlp_layers(store),
+                                        vjp=True)
     l_pred, bce_grads = prediction_loss(y, r, vjp=True)
     total, l_kl, l_rl = l_pred, 0.0, 0.0
     if cfg.gamma > 0:
-        mu_k, var_k = (mu, np.where(keep[first], var, alpha)) if cfg.kl_dedup else (mu_at, var_hat)
+        if cfg.kl_dedup:
+            mu_k, var_k = mu, apply_dropout_mask(var, keep[first], alpha)
+        else:
+            mu_k, var_k = mu_at, var_hat
         kl_vec, kl_grads = kl_consensus(mu_k, var_k, prior or STANDARD_PRIOR, vjp=True)
         inv_kl = 1.0 / np.asarray(float(kl_vec.size))
         l_kl = kl_vec.sum() * inv_kl
@@ -400,11 +423,8 @@ def _fused_objective(dataset, fn, store, cfg, noise, prior, e, r, student_rows, 
 
     def grads(g):
         (g_y,) = bce_grads(g)
-        if irt:
-            g_weighted = g_y[:, None] * y_col * (1.0 - y_col) * fn.irt_scale
-            g_gap = g_weighted * disc
-        else:
-            g_gap = (g_y * y * (1.0 - y))[:, None] * q
+        # irt's head is a (B, 1) column summed to (B,): the sum broadcasts back
+        g_gap, *g_head = head_grads(g_y[:, None] if variant == "irt" else g_y)
         g_mu, g_var_hat = theta_grads(g_gap)
         once_mu = once_logvar = None
         if cfg.gamma > 0:
@@ -430,87 +450,12 @@ def _fused_objective(dataset, fn, store, cfg, noise, prior, e, r, student_rows, 
         ]
         if with_pairs and once_logvar is not None:
             blocks[1] += once_logvar
-        if irt:
-            g_disc = g_weighted * (theta - diff) * disc * (1.0 - disc)
-            blocks.append(_row_block(n_e, e_at, g_disc))
-        return tuple(blocks)
+        if variant != "mirt":
+            blocks.append(_row_block(n_e, e_at, g_head[0] * disc * (1.0 - disc)))
+        return (*blocks, *g_head[1:])
 
     breakdown = LossBreakdown(float(l_pred), float(l_kl), float(l_rl), float(total))
-    return tape.fused(total, leaves, grads), breakdown, y.copy()
-
-
-def build_batch_graph(
-    dataset: Dataset,
-    fn: DiagnosticFunction,
-    store: ParameterStore,
-    batch_idx: np.ndarray,
-    cfg: TrainConfig,
-    noise: BatchNoise,
-    prior: PriorConsensus | None,
-):
-    """Assemble the loss graph for one batch.
-
-    ``prior=None`` selects the phase-one standard-normal KL.  Returns
-    (total Node, LossBreakdown, sampled probabilities as an ndarray).
-    The batch's students and exercises are deduplicated once: mu and
-    logvar share the student rows, difficulty and discrimination the
-    exercise rows, and the store keeps them as the touched rows.  irt
-    and mirt record one Node (:func:`_fused_objective`); ncd records the
-    composed tape graph.
-    """
-    s, e, r = dataset.s_idx[batch_idx], dataset.e_idx[batch_idx], dataset.scores[batch_idx]
-    students, first, s_at = np.unique(s, return_index=True, return_inverse=True)
-    exercises, e_at = np.unique(e, return_inverse=True)
-    if fn.variant != "ncd":
-        return _fused_objective(dataset, fn, store, cfg, noise, prior, e, r,
-                                (students, first, s_at), (exercises, e_at))
-
-    mu = store.row_leaf(STUDENT_MEAN, students, s_at)
-    log_var = store.row_leaf(STUDENT_LOGVAR, students, s_at)
-    var = tape.exp(log_var)
-    var_hat = apply_dropout_mask(var, noise.keep_mask, cfg.dropout.alpha)
-    _, theta = draw_ability(mu, var_hat, noise.eps)
-    y = predict_ncd(
-        theta,
-        tape.sigmoid(store.row_leaf(EXERCISE_DIFF, exercises, e_at)),
-        tape.sigmoid(store.row_leaf(EXERCISE_DISC, exercises, e_at)),
-        dataset.dense_q[e],
-        mlp_layers(store, as_nodes=True),
-    )
-
-    l_pred = prediction_loss(y, r)
-    total = l_pred
-
-    l_kl = 0.0
-    if cfg.gamma > 0:
-        if cfg.kl_dedup:
-            mu_k = store.row_leaf(STUDENT_MEAN, students)
-            var_k = apply_dropout_mask(
-                tape.exp(store.row_leaf(STUDENT_LOGVAR, students)),
-                noise.keep_mask[first],
-                cfg.dropout.alpha,
-            )
-        else:
-            mu_k, var_k = mu, var_hat
-        l_kl = tape.nmean(kl_consensus(mu_k, var_k, prior or STANDARD_PRIOR))
-        total = tape.add(total, tape.mul(l_kl, cfg.gamma))
-
-    l_rl = 0.0
-    if cfg.beta > 0 and noise.pairs is not None and noise.pairs.count > 0:
-        p = noise.pairs
-        var_a = tape.take_cells(var_hat, p.pos_a, p.cell_a)
-        var_b = tape.take_cells(var_hat, p.pos_b, p.cell_b)
-        per_pair = calibration_pair_loss(var_a, var_b, p.o_a, p.o_b, cfg.calibration_sign)
-        l_rl = tape.nmean(per_pair)
-        total = tape.add(total, tape.mul(l_rl, cfg.beta))
-
-    breakdown = LossBreakdown(
-        prediction=float(value_of(l_pred)),
-        kl=float(value_of(l_kl)),
-        calibration=float(value_of(l_rl)),
-        total=float(value_of(total)),
-    )
-    return total, breakdown, value_of(y).copy()
+    return tape.Node(total, leaves, grads), breakdown, y
 
 
 def batch_loss(

@@ -149,8 +149,7 @@ def test_nodes_hook_walks_the_parents(step):
     root, _, _ = training.build_batch_graph(ds, fn, store, batch_idx, cfg, noise, None)
     counter = Counts()
     TRACER._count_nodes(counter, tape.backprop, (root,), {})
-    if fn.variant == "mirt":  # one fused node over the mu, logvar and difficulty leaves
-        assert counter.counts["tape.nodes"] == 4
-    else:
-        assert counter.counts["tape.nodes"] > 4
+    # one objective node over the mu, logvar and difficulty leaves; ncd adds
+    # the discrimination leaf and the six MLP leaves
+    assert counter.counts["tape.nodes"] == (4 if fn.variant == "mirt" else 11)
     assert counter.counts["tape.graphs"] == 1

@@ -8,6 +8,7 @@ from cogdiag import tape
 from cogdiag.diagnostics import (
     EXERCISE_DIFF,
     EXERCISE_DISC,
+    MLP_PARAMS,
     DiagnosticFunction,
     clamp_ncd_weights,
     init_parameters,
@@ -280,13 +281,16 @@ class TestPredictorGradients:
         theta = rng.uniform(size=(4, 3))
 
         def f(s):
-            y = predict_ncd(
-                theta,
-                tape.sigmoid(s.leaf(EXERCISE_DIFF)),
-                tape.sigmoid(s.leaf(EXERCISE_DISC)),
-                q,
-                mlp_layers(s, as_nodes=True),
-            )
-            return tape.nmean(tape.square(y))
+            # the head and its vjp as one Node between tape ops
+            diff = tape.sigmoid(s.leaf(EXERCISE_DIFF))
+            disc = tape.sigmoid(s.leaf(EXERCISE_DISC))
+            mlp = [s.leaf(name) for name in MLP_PARAMS]
+            y, grads = predict_ncd(theta, diff.value, disc.value, q, mlp_layers(s), vjp=True)
+
+            def vjp(g):
+                g_gap, *rest = grads(g)
+                return (-g_gap, *rest)
+
+            return tape.nmean(tape.square(tape.Node(y, (diff, disc, *mlp), vjp)))
 
         assert grad_check(f, store) < 1e-4

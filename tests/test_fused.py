@@ -1,12 +1,13 @@
-"""Fused ops and the fused training step against the one-op tape chains.
+"""Closed-form formulas and the one-Node training step against the tape chains.
 
-ncd's BCE, draw and KL each record one Node whose gradient replays the
-chain's backward pass; irt and mirt record their whole objective as one
-Node.  The chains, and the composed batch graph built from them, are
-kept here as oracles: values and gradients must agree to the bit,
-including the order in which a tensor with several consumers sums its
-gradient.  The loop-based tracker update is kept the same way, and the
-vectorised pair draws are replayed in a loop.
+The BCE, draw, KL, hinge and the three heads each return their gradient
+function with ``vjp=True``, replaying the one-op chain's backward pass;
+the training step records its whole objective as one Node.  The chains,
+and the composed batch graph built from them, are kept here as oracles:
+values and gradients must agree to the bit, including the order in
+which a tensor with several consumers sums its gradient.  The loop-based
+tracker update is kept the same way, and the vectorised pair draws are
+replayed in a loop.
 """
 
 import copy
@@ -18,23 +19,25 @@ from numpy.random import default_rng
 from cogdiag import tape
 from cogdiag.data import ResponseLog, build_dataset
 from cogdiag.diagnostics import (
+    MLP_PARAMS,
     DiagnosticFunction,
     init_parameters,
-    mlp_layers,
     predict_irt,
     predict_mirt,
     predict_ncd,
 )
 from cogdiag.latent import (
+    STANDARD_PRIOR,
     DropoutConfig,
     PriorConsensus,
     draw_ability,
     kl_consensus,
     kl_standard,
 )
+from cogdiag.numerics import stable_sigmoid
 from cogdiag.seeding import substream
 from cogdiag.synth import planted_cohort
-from cogdiag.tape import EXP_CLAMP, LOG_FLOOR
+from cogdiag.tape import EXP_CLAMP, LOG_FLOOR, _unbroadcast
 from cogdiag.training import (
     CorrectnessTracker,
     LossBreakdown,
@@ -66,6 +69,21 @@ def ref_predict_irt(theta, difficulty, discrimination, scale=1.702):
 def ref_predict_mirt(theta, difficulty, q_mask):
     gap = tape.mul(tape.sub(theta, difficulty), q_mask)
     return tape.sigmoid(tape.nsum(gap, axis=-1))
+
+
+def ref_predict_ncd(theta, difficulty, discrimination, q_mask, layers):
+    x = tape.mul(tape.mul(tape.sub(theta, difficulty), q_mask), discrimination)
+    for w, b in layers:
+        x = tape.sigmoid(tape.add(tape.matmul(x, w), b))
+    return tape.nsum(x, axis=-1)
+
+
+def ref_calibration_pair_loss(var_a, var_b, o_a, o_b, sign_mode):
+    direction = np.sign(o_a - o_b)
+    if sign_mode == "literal":
+        direction = -direction
+    spread = tape.mul(tape.sub(var_a, var_b), direction)
+    return tape.relu(tape.add(spread, np.abs(o_a - o_b)))
 
 
 def ref_draw_ability(mean, variance, eps):
@@ -116,8 +134,9 @@ def ref_batch_step(dataset, fn, store, batch_idx, cfg, noise, prior):
         if fn.variant == "irt":
             y = tape.nsum(ref_predict_irt(theta, difficulty, discrimination, fn.irt_scale), axis=-1)
         else:
-            y = predict_ncd(theta, difficulty, discrimination, dataset.dense_q[e],
-                            mlp_layers(store, as_nodes=True))
+            mlp = [store.leaf(name) for name in MLP_PARAMS]
+            y = ref_predict_ncd(theta, difficulty, discrimination, dataset.dense_q[e],
+                                list(zip(mlp[::2], mlp[1::2])))
     l_pred = ref_prediction_loss(y, r)
     total = l_pred
     l_kl = 0.0
@@ -140,7 +159,8 @@ def ref_batch_step(dataset, fn, store, batch_idx, cfg, noise, prior):
     if cfg.beta > 0 and p is not None and p.count > 0:
         var_a = tape.take_cells(var_hat, p.pos_a, p.cell_a)
         var_b = tape.take_cells(var_hat, p.pos_b, p.cell_b)
-        l_rl = tape.nmean(calibration_pair_loss(var_a, var_b, p.o_a, p.o_b, cfg.calibration_sign))
+        l_rl = tape.nmean(ref_calibration_pair_loss(var_a, var_b, p.o_a, p.o_b,
+                                                    cfg.calibration_sign))
         total = tape.add(total, tape.mul(l_rl, cfg.beta))
     breakdown = LossBreakdown(*(float(tape.value_of(x)) for x in (l_pred, l_kl, l_rl, total)))
     tape.backprop(total)  # MLP leaves go to the store here
@@ -170,43 +190,27 @@ def assert_bits(got, want):
     assert got.tobytes() == want.tobytes(), (got, want)
 
 
-def run(fn, args, as_node, weights_seed=0):
-    """Call ``fn`` with the flagged args wrapped in fresh Nodes (one Node per
-    distinct array, so an array passed twice is one parent used twice),
-    backprop a weighted sum of every output, and return values and grads."""
-    nodes = {}
-    call = []
-    for arr, flag in zip(args, as_node):
-        if flag:
-            if id(arr) not in nodes:
-                nodes[id(arr)] = tape.Node(arr)
-            call.append(nodes[id(arr)])
-        else:
-            call.append(arr)
-    outs = fn(*call)
-    outs = outs if isinstance(outs, tuple) else (outs,)
-    rng = default_rng(weights_seed)
-    root = None
-    for out in outs:
-        w = rng.normal(size=np.shape(tape.value_of(out)))
-        term = tape.nsum(tape.mul(out, w))
-        root = term if root is None else tape.add(root, term)
-    if isinstance(root, tape.Node):
-        tape.backprop(root)
-    values = [tape.value_of(out) for out in outs]
-    grads = [node.grad for node in nodes.values()]
-    return values, grads
+def assert_vjp_matches(fused, ref, args, combine=None, weights_seed=0):
+    """``fused(*args)`` returns (value, grads); ``ref`` is the tape chain.
 
-
-def assert_matches(fused, ref, args, as_node):
-    got_vals, got_grads = run(fused, args, as_node)
-    want_vals, want_grads = run(ref, args, as_node)
-    for g, w in zip(got_vals, want_vals):
-        assert_bits(g, w)
-    assert len(got_grads) == len(want_grads)
-    for g, w in zip(got_grads, want_grads):
-        assert g is not None and w is not None
-        assert_bits(g, w)
+    The chain runs on one fresh Node per argument and backprops the sum
+    of its output weighted by random ``w``, so the output's gradient is
+    ``w`` exactly.  The value and ``grads(w)``, mapped through
+    ``combine`` when given, must equal the chain's value and argument
+    gradients to the bit.
+    """
+    value, grads = fused(*args)
+    nodes = [tape.Node(arr) for arr in args]
+    out = ref(*nodes)
+    assert_bits(value, out.value)
+    w = default_rng(weights_seed).normal(size=np.shape(value))
+    tape.backprop(tape.nsum(tape.mul(out, w)))
+    got = grads(w)
+    got = combine(*got) if combine is not None else got
+    assert len(got) == len(nodes)
+    for g, node in zip(got, nodes):
+        assert node.grad is not None
+        assert_bits(g, node.grad)
 
 
 def probs_with_floors(rng, shape):
@@ -230,25 +234,29 @@ class TestPredictionLoss:
         r = (rng.uniform(size=shape) < 0.5).astype(float)
         r.reshape(-1)[:6] = [1.0, 0.0, 0.0, 1.0, 1.0, 0.0]
         for labels in (r, 1.0 - r):
-            assert_matches(prediction_loss, ref_prediction_loss, (y, labels), (True, False))
-            assert_matches(prediction_loss, ref_prediction_loss, (y, labels), (False, False))
+            assert_vjp_matches(lambda p: prediction_loss(p, labels, vjp=True),
+                               lambda p: ref_prediction_loss(p, labels), (y,))
+            assert_bits(prediction_loss(y, labels), ref_prediction_loss(y, labels))
 
     def test_broadcast_labels(self):
         rng = default_rng(2)
         y = probs_with_floors(rng, (6, 1))
         r = np.array([1.0, 0.0, 1.0])
-        assert_matches(prediction_loss, ref_prediction_loss, (y, r), (True, False))
+        assert_vjp_matches(lambda p: prediction_loss(p, r, vjp=True),
+                           lambda p: ref_prediction_loss(p, r), (y,))
 
     def test_empty_raises(self):
         with pytest.raises(ValueError, match="empty"):
-            prediction_loss(tape.Node(np.zeros(0)), np.zeros(0))
+            prediction_loss(np.zeros(0), np.zeros(0), vjp=True)
+        with pytest.raises(ValueError, match="empty"):
+            prediction_loss(np.zeros(0), np.zeros(0))
 
 
 class TestHeads:
-    """The irt/mirt heads are array-only (``predict_split`` and the fused
-    step's forward pass); their values must equal the chain's to the bit.
-    Their gradients are checked through the whole step in
-    TestBatchGradients."""
+    """The heads' values against the chain's on arrays, and ``vjp=True``
+    against the chain's gradients.  The gradient functions return d gap
+    (gap = theta - difficulty); the sub op hands it to theta and, negated,
+    to difficulty."""
 
     def assert_values(self, head, ref, args):
         assert_bits(head(*args), tape.value_of(ref(*args)))
@@ -295,27 +303,83 @@ class TestHeads:
         self.assert_values(predict_irt, ref_predict_irt, (x, d, x))
         self.assert_values(predict_irt, ref_predict_irt, (x, x, x))
 
+    @pytest.mark.parametrize("shapes", [((9, 1), (9, 1), (9, 1)), ((6, 1), (1, 4), ())])
+    def test_irt_vjp_matches_chain(self, shapes):
+        rng = default_rng(10)
+        theta, diff, disc = (rng.uniform(size=shape) for shape in shapes)
 
-def draw_z(mean, variance, eps):
-    return draw_ability(mean, variance, eps)[0]
+        def gap_to_inputs(g_gap, g_disc):
+            return _unbroadcast(g_gap, theta.shape), _unbroadcast(-g_gap, diff.shape), g_disc
+
+        assert_vjp_matches(lambda t, d, c: predict_irt(t, d, c, 3.0, vjp=True),
+                           lambda t, d, c: ref_predict_irt(t, d, c, 3.0),
+                           (theta, diff, disc), gap_to_inputs)
+
+    @pytest.mark.parametrize("theta_shape", [(8, 5), (5,)])
+    def test_mirt_vjp_matches_chain(self, theta_shape):
+        rng = default_rng(11)
+        theta = rng.uniform(size=theta_shape)
+        diff = rng.uniform(size=(8, 5))
+        q = (rng.uniform(size=(8, 5)) < 0.5).astype(float)
+
+        def gap_to_inputs(g_gap):
+            return _unbroadcast(g_gap, theta.shape), _unbroadcast(-g_gap, diff.shape)
+
+        assert_vjp_matches(lambda t, d: predict_mirt(t, d, q, vjp=True),
+                           lambda t, d: ref_predict_mirt(t, d, q), (theta, diff), gap_to_inputs)
 
 
-def draw_theta(mean, variance, eps):
-    return draw_ability(mean, variance, eps)[1]
+class TestPredictNcdVjp:
+    """Every gradient of ``predict_ncd(vjp=True)`` against the chain."""
 
+    def check(self, theta, diff, disc, q, params):
+        def fused(t, d, c, *mlp):
+            return predict_ncd(t, d, c, q, list(zip(mlp[::2], mlp[1::2])), vjp=True)
 
-def ref_draw_z(mean, variance, eps):
-    return ref_draw_ability(mean, variance, eps)[0]
+        def ref(t, d, c, *mlp):
+            return ref_predict_ncd(t, d, c, q, list(zip(mlp[::2], mlp[1::2])))
 
+        def gap_to_inputs(g_gap, g_disc, *g_mlp):
+            return (g_gap, -g_gap, g_disc, *g_mlp)
 
-def ref_draw_theta(mean, variance, eps):
-    return ref_draw_ability(mean, variance, eps)[1]
+        assert_vjp_matches(fused, ref, (theta, diff, disc, *params), gap_to_inputs)
+        assert_bits(fused(theta, diff, disc, *params)[0],
+                    predict_ncd(theta, diff, disc, q, list(zip(params[::2], params[1::2]))))
+
+    def inputs(self, seed, B=7, K=5, hidden=(6, 4)):
+        rng = default_rng(seed)
+        theta, diff = rng.uniform(size=(B, K)), rng.uniform(size=(B, K))
+        disc = rng.uniform(size=(B, 1))
+        q = (rng.uniform(size=(B, K)) < 0.6).astype(float)
+        widths = (K, *hidden, 1)
+        params = []
+        for k in range(3):
+            params += [rng.uniform(0.0, 1.0, size=widths[k : k + 2]), rng.normal(size=widths[k + 1])]
+        return theta, diff, disc, q, params
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_chain(self, seed):
+        theta, diff, disc, q, params = self.inputs(seed)
+        self.check(theta, diff, disc, q, params)
+
+    def test_saturated_units_and_floored_output(self):
+        theta, diff, disc, q, params = self.inputs(3)
+        params[1][:3] = [800.0, -800.0, -800.0]  # layer-1 units at exactly 1, 0 and 0
+        params[3][0] = 900.0                     # a layer-2 unit at exactly 1
+        params[5][:] = -60.0                     # every output below LOG_FLOOR
+        hidden = stable_sigmoid((theta - diff) * q * disc @ params[0] + params[1])
+        assert (hidden[:, 0] == 1.0).all() and (hidden[:, 1:3] == 0.0).all()
+        y = predict_ncd(theta, diff, disc, q, list(zip(params[::2], params[1::2])))
+        assert (y < LOG_FLOOR).all()
+        self.check(theta, diff, disc, q, params)
 
 
 class TestDrawAbility:
-    def assert_matches(self, args, flags):
-        assert_matches(draw_z, ref_draw_z, args, flags)
-        assert_matches(draw_theta, ref_draw_theta, args, flags)
+    def assert_matches(self, mean, var, eps):
+        assert_vjp_matches(lambda m, v: draw_ability(m, v, eps, vjp=True),
+                           lambda m, v: ref_draw_ability(m, v, eps)[1], (mean, var))
+        for got, want in zip(draw_ability(mean, var, eps), ref_draw_ability(mean, var, eps)):
+            assert_bits(got, want)
 
     def test_batch_with_tiny_and_zero_variance(self):
         rng = default_rng(10)
@@ -323,21 +387,33 @@ class TestDrawAbility:
         var = rng.uniform(0.1, 2.0, size=(6, 3))
         var[0, :] = [0.0, 1e-160, 1e-13]
         eps = rng.standard_normal((6, 3))
-        for flags in ((True, True, False), (True, False, False), (False, True, False),
-                      (False, False, False)):
-            self.assert_matches((mean, var, eps), flags)
+        self.assert_matches(mean, var, eps)
 
     def test_broadcast_variance(self):
         rng = default_rng(11)
         mean = rng.normal(size=(6, 3))
         var = rng.uniform(0.1, 2.0, size=3)
         eps = rng.standard_normal((6, 3))
-        self.assert_matches((mean, var, eps), (True, True, False))
+        self.assert_matches(mean, var, eps)
 
-    def test_parent_used_twice(self):
-        x = default_rng(12).uniform(0.1, 2.0, size=(4, 2))
-        eps = default_rng(13).standard_normal((4, 2))
-        self.assert_matches((x, x, eps), (True, True, False))
+
+class TestCalibrationPairLoss:
+    @pytest.mark.parametrize("sign_mode", ["consistent", "literal"])
+    def test_matches_chain(self, sign_mode):
+        rng = default_rng(18)
+        var_a, var_b = rng.uniform(0.05, 2.0, size=(2, 40))
+        o_a, o_b = rng.integers(0, 4, size=(2, 40)) / 3.0  # ties, active and inactive hinges
+        assert_vjp_matches(
+            lambda a, b: calibration_pair_loss(a, b, o_a, o_b, sign_mode, vjp=True),
+            lambda a, b: ref_calibration_pair_loss(a, b, o_a, o_b, sign_mode), (var_a, var_b),
+        )
+        assert_bits(calibration_pair_loss(var_a, var_b, o_a, o_b, sign_mode),
+                    ref_calibration_pair_loss(var_a, var_b, o_a, o_b, sign_mode))
+
+
+def kl_two_inputs(g_mean, g_lin, g_log):
+    """The chain adds the variance's two contributions as separate steps."""
+    return g_mean, g_lin + g_log
 
 
 class TestKL:
@@ -346,47 +422,31 @@ class TestKL:
         var.reshape(-1)[:3] = [1e-13, 0.0, 1e-12]  # below, at zero, exactly at LOG_FLOOR
         return var
 
+    def assert_matches(self, mean, var, prior, ref):
+        assert_vjp_matches(lambda m, v: kl_consensus(m, v, prior, vjp=True), ref, (mean, var),
+                           kl_two_inputs)
+        assert_bits(kl_consensus(mean, var, prior), ref(mean, var))
+
     def test_consensus_matches_chain(self):
         rng = default_rng(14)
         mean = rng.normal(size=(7, 4))
         var = self.variances(rng, (7, 4))
         prior = PriorConsensus(mean=rng.normal(size=4))
-
-        def fused(m, v):
-            return kl_consensus(m, v, prior)
-
-        def ref(m, v):
-            return ref_kl_consensus(m, v, prior)
-
-        for flags in ((True, True), (True, False), (False, True), (False, False)):
-            assert_matches(fused, ref, (mean, var), flags)
+        self.assert_matches(mean, var, prior, lambda m, v: ref_kl_consensus(m, v, prior))
 
     def test_standard_matches_chain(self):
         rng = default_rng(15)
         mean = rng.normal(size=(7, 4))
         mean[0, 0] = -0.0
         var = self.variances(rng, (7, 4))
-        for flags in ((True, True), (True, False), (False, True), (False, False)):
-            assert_matches(kl_standard, ref_kl_standard, (mean, var), flags)
+        self.assert_matches(mean, var, STANDARD_PRIOR, ref_kl_standard)
+        assert_bits(kl_standard(mean, var), ref_kl_standard(mean, var))
 
     def test_broadcast_variance(self):
         rng = default_rng(16)
         mean = rng.normal(size=(5, 3))
         var = self.variances(rng, (1, 3))
-        assert_matches(kl_standard, ref_kl_standard, (mean, var), (True, True))
-
-    def test_parent_used_twice(self):
-        x = default_rng(17).uniform(0.1, 2.0, size=(4, 3))
-        prior = PriorConsensus(mean=np.array([0.3, -0.2, 0.1]))
-
-        def fused(m, v):
-            return kl_consensus(m, v, prior)
-
-        def ref(m, v):
-            return ref_kl_consensus(m, v, prior)
-
-        assert_matches(fused, ref, (x, x), (True, True))
-        assert_matches(kl_standard, ref_kl_standard, (x, x), (True, True))
+        self.assert_matches(mean, var, STANDARD_PRIOR, ref_kl_standard)
 
 
 class TestBatchGradients:

@@ -5,7 +5,10 @@ import pytest
 from numpy.random import default_rng
 
 from cogdiag import tape
+from cogdiag.data import build_dataset
+from cogdiag.diagnostics import DiagnosticFunction, init_parameters
 from cogdiag.latent import (
+    STANDARD_PRIOR,
     STUDENT_LOGVAR,
     STUDENT_MEAN,
     DropoutConfig,
@@ -18,6 +21,8 @@ from cogdiag.latent import (
     kl_standard,
 )
 from cogdiag.numerics import ParameterStore, grad_check
+from cogdiag.synth import planted_cohort
+from cogdiag.training import TrainConfig, batch_loss, draw_batch_noise
 
 
 def mc_kl(mean, variance, prior_mean, n=400_000, seed=0):
@@ -81,10 +86,18 @@ class TestVarianceDropout:
             DropoutConfig(keep_probability=1.2)
 
     def test_gradient_flows_only_through_kept(self):
-        var = tape.Node(np.array([1.0, 2.0, 3.0]))
-        out = tape.nsum(apply_dropout_mask(var, np.array([True, False, True]), 0.5))
-        tape.backprop(out)
-        np.testing.assert_array_equal(var.grad, [1.0, 0.0, 1.0])
+        # one occurrence per student, KL only: every kept cell's log-variance
+        # gets a gradient, and no dropped one does
+        cohort = planted_cohort(n_students=6, n_exercises=10, n_concepts=3, per_student=5, seed=1)
+        ds = build_dataset(cohort.logs, cohort.q_pairs, min_logs=1)
+        fn = DiagnosticFunction("mirt")
+        cfg = TrainConfig(seed=1, gamma=0.5, beta=0.0)
+        store = init_parameters(fn, ds.n_students, ds.n_exercises, ds.n_concepts, default_rng(1))
+        students, batch_idx = np.unique(ds.s_idx, return_index=True)
+        noise = draw_batch_noise(ds, fn, cfg, batch_idx, None, default_rng(2), default_rng(3))
+        assert noise.keep_mask.any() and not noise.keep_mask.all()
+        batch_loss(ds, fn, store, batch_idx, cfg, noise)
+        np.testing.assert_array_equal(store.grads[STUDENT_LOGVAR][students] != 0, noise.keep_mask)
 
 
 class TestSampling:
@@ -173,17 +186,15 @@ class TestKL:
         store = store_with(rng.normal(size=(3, 2)), rng.normal(scale=0.5, size=(3, 2)))
         prior = PriorConsensus(mean=rng.normal(size=2))
 
-        def objective(s):
-            var = tape.exp(s.leaf(STUDENT_LOGVAR))
-            return tape.nmean(kl_consensus(s.leaf(STUDENT_MEAN), var, prior))
+        def objective(s, prior):
+            # the closed-form KL and its vjp as one Node between tape ops
+            mean, var = s.leaf(STUDENT_MEAN), tape.exp(s.leaf(STUDENT_LOGVAR))
+            out, grads = kl_consensus(mean.value, var.value, prior, vjp=True)
+            kl = tape.Node(out, (mean, var, var), grads)
+            return tape.nmean(kl)
 
-        assert grad_check(objective, store) < 1e-4
-
-        def objective_std(s):
-            var = tape.exp(s.leaf(STUDENT_LOGVAR))
-            return tape.nmean(kl_standard(s.leaf(STUDENT_MEAN), var))
-
-        assert grad_check(objective_std, store) < 1e-4
+        assert grad_check(lambda s: objective(s, prior), store) < 1e-4
+        assert grad_check(lambda s: objective(s, STANDARD_PRIOR), store) < 1e-4
 
 
 class TestConsensus:

@@ -289,14 +289,6 @@ class TestAdamStep:
         assert store.touched_rows("emb") is None
         assert (store.m["emb"][[0, 2, 4]] != 0).all() and not store.m["emb"][[1, 3]].any()
 
-    def test_row_leaf_duplicate_rows_accumulate(self):
-        store = ParameterStore()
-        store.add("emb", np.array([[1.0], [2.0]]), row_sparse=True)
-        leaf = store.row_leaf("emb", np.array([0, 1]), np.array([0, 0, 1]))
-        out = tape.nsum(leaf * np.array([[1.0], [2.0], [5.0]]))
-        tape.backprop(out)
-        np.testing.assert_array_equal(store.grads["emb"], [[3.0], [5.0]])
-
     def test_snapshot_roundtrip(self):
         store = scalar_store(1.5)
         snap = store.copy_params()
