@@ -139,8 +139,7 @@ def cmd_train(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     ck_path = out_dir / "checkpoint.json"
     save_checkpoint(ck, ck_path)
-    with atomic_write(out_dir / "config_resolved.txt") as fh:
-        fh.write(format_config(cfg))
+    atomic_write(out_dir / "config_resolved.txt", format_config(cfg))
     log_lines = ["epoch,phase,loss_pred,loss_kl,loss_cal,loss_total,val_acc,val_auc,val_ece"]
     for rec in trainer.history:
         log_lines.append(
@@ -148,8 +147,7 @@ def cmd_train(args) -> int:
             f"{rec.calibration:.6f},{rec.total:.6f},"
             f"{rec.val_acc:.6f},{rec.val_auc:.6f},{rec.val_ece:.6f}"
         )
-    with atomic_write(out_dir / "train_log.csv") as fh:
-        fh.write("\n".join(log_lines) + "\n")
+    atomic_write(out_dir / "train_log.csv", "\n".join(log_lines) + "\n")
     best = ck.val_metrics
     if best:
         print(
@@ -180,8 +178,7 @@ def cmd_eval(args) -> int:
             f"{dataset.exercise_ids[dataset.e_idx[pos]]},"
             f"{int(dataset.scores[pos])},{prob}"
         )
-    with atomic_write(out) as fh:
-        fh.write("\n".join(lines) + "\n")
+    atomic_write(out, "\n".join(lines) + "\n")
 
     print(f"split {args.split} n {report.n}")
     print(f"ACC  {report.acc:.6f}")
@@ -213,8 +210,7 @@ def cmd_diagnose(args) -> int:
         lines.append(
             f"{row.rank},{row.concept_id},{row.mastery:.6f},{row.sigma:.6f},{row.interactions}"
         )
-    with atomic_write(out) as fh:
-        fh.write("\n".join(lines) + "\n")
+    atomic_write(out, "\n".join(lines) + "\n")
     print(f"diagnosis written to {out}")
     return 0
 
@@ -231,8 +227,7 @@ def cmd_export_ability(args) -> int:
     for i, sid in enumerate(ck.student_ids):
         for k, cid in enumerate(labels):
             lines.append(f"{sid},{cid},{mastery[i, k]:.6f},{sigma[i, k]:.6f}")
-    with atomic_write(out) as fh:
-        fh.write("\n".join(lines) + "\n")
+    atomic_write(out, "\n".join(lines) + "\n")
     print(f"{len(ck.student_ids) * len(labels)} rows written to {out}")
     return 0
 
@@ -245,8 +240,7 @@ def cmd_export_reliability(args) -> int:
     report = calibration(rounded, dataset.scores[indices], bins=cfg.bins)
 
     out = _out_path(args.out, args.checkpoint, f"reliability_{args.split}.csv")
-    with atomic_write(out) as fh:
-        fh.write(format_reliability_csv(report))
+    atomic_write(out, format_reliability_csv(report))
     print(f"split {args.split} ECE {report.ece:.6f} MCE {report.mce:.6f}")
     print(f"reliability table written to {out}")
     return 0

@@ -298,7 +298,10 @@ def backprop(root: Node) -> None:
     """Fill ``grad`` on every ancestor of ``root`` and flush leaf grads.
 
     ``root`` must be scalar (0-d).  Leaves carrying a ``param_ref`` have
-    their gradient pushed into the owning parameter store.
+    their gradient pushed into the owning parameter store.  Gradients are
+    taken as the VJPs return them and only ever summed out of place, so
+    nodes may share one array (``add`` hands its incoming gradient to
+    both parents) and no VJP may write into its argument.
     """
     if root.value.shape != ():
         raise ValueError(f"backprop root must be scalar, got shape {root.value.shape}")
@@ -311,7 +314,7 @@ def backprop(root: Node) -> None:
             continue
         for parent, pgrad in zip(node.parents, node.vjp(node.grad)):
             if parent.grad is None:
-                parent.grad = pgrad.copy() if isinstance(pgrad, np.ndarray) else np.asarray(pgrad)
+                parent.grad = np.asarray(pgrad)
             else:
                 parent.grad = parent.grad + pgrad
     for node in order:

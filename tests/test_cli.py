@@ -1,7 +1,6 @@
 """End-to-end command-line flows: train, eval, diagnose, exports."""
 
 import csv
-import json
 import os
 import re
 import shutil
@@ -195,23 +194,26 @@ class TestEval:
         bad.write_text("{]")
         assert main(["eval", "--checkpoint", str(bad)]) == 1
 
-    def test_tampered_run_config_is_runtime_error(self, workspace, tmp_path, capsys):
-        blob = json.loads(workspace["checkpoint"].read_text())
-        del blob["run_config"]["seed"]
+    def test_tampered_run_config_is_runtime_error(
+        self, workspace, tmp_path, capsys, rewrite_checkpoint
+    ):
         bad = tmp_path / "tampered.json"
-        bad.write_text(json.dumps(blob))
+        rewrite_checkpoint(workspace["checkpoint"], bad, edit=lambda h: h["run_config"].pop("seed"))
         assert main(["eval", "--checkpoint", str(bad)]) == 1
 
-    def test_replaced_data_files_are_runtime_error(self, workspace, tmp_path, capsys):
+    def test_replaced_data_files_are_runtime_error(
+        self, workspace, tmp_path, capsys, rewrite_checkpoint
+    ):
         cohort = planted_cohort(
             n_students=30, n_exercises=40, n_concepts=4, per_student=25, seed=12
         )
         logs, qmatrix = tmp_path / "logs.csv", tmp_path / "q.csv"
         write_cohort_csv(cohort, logs, qmatrix)
-        blob = json.loads(workspace["checkpoint"].read_text())
-        blob["run_config"].update(logs=str(logs), qmatrix=str(qmatrix))
         moved = tmp_path / "moved.json"
-        moved.write_text(json.dumps(blob))
+        rewrite_checkpoint(
+            workspace["checkpoint"], moved,
+            edit=lambda h: h["run_config"].update(logs=str(logs), qmatrix=str(qmatrix)),
+        )
         for command in ("eval", "export-reliability"):
             assert main([command, "--checkpoint", str(moved), "--out", str(tmp_path / "o.csv")]) == 1
             assert "disagree" in capsys.readouterr().err
@@ -246,21 +248,19 @@ class TestMalformedCheckpoint:
         "key, value", [("gamma", '"abc"'), ("patience", "true"), ("gamma", "1e999")]
     )
     def test_run_config_value_a_config_file_cannot_hold(
-        self, workspace, tmp_path, capsys, key, value
+        self, workspace, tmp_path, capsys, rewrite_checkpoint, key, value
     ):
-        doc = json.loads(workspace["checkpoint"].read_text())
-        doc["run_config"][key] = "@"
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(doc).replace('"@"', value))
-        self.assert_serving_exits_one(bad, load_checkpoint(workspace["checkpoint"]), tmp_path,
-                                      capsys)
+        rewrite_checkpoint(workspace["checkpoint"], bad,
+                           edit=lambda h: h["run_config"].update({key: "@"}), raw=value)
+        self.assert_serving_exits_one(bad, "s0000", tmp_path, capsys)
 
     @pytest.mark.parametrize(
         "field, value",
         [("irt_scale", "Infinity"), ("irt_scale", "NaN"), ("irt_scale", "1e999"),
          ("best_epoch", "NaN")],
     )
-    def test_non_finite_number(self, tmp_path, capsys, field, value):
+    def test_non_finite_number(self, tmp_path, capsys, rewrite_checkpoint, field, value):
         cohort = planted_cohort(n_students=12, n_exercises=20, n_concepts=3, per_student=15, seed=4)
         logs, qmatrix = tmp_path / "logs.csv", tmp_path / "qmatrix.csv"
         write_cohort_csv(cohort, logs, qmatrix)
@@ -271,21 +271,63 @@ class TestMalformedCheckpoint:
         )
         assert main(["train", "--config", str(config)]) == 0
         path = tmp_path / "run" / "checkpoint.json"
-        doc = json.loads(path.read_text())
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({**doc, field: "@"}).replace('"@"', value))
-        self.assert_serving_exits_one(bad, load_checkpoint(path), tmp_path, capsys)
+        rewrite_checkpoint(path, bad, edit=lambda h: h.update({field: "@"}), raw=value)
+        self.assert_serving_exits_one(bad, load_checkpoint(path).student_ids[0], tmp_path, capsys)
 
-    def assert_serving_exits_one(self, bad, ck, tmp_path, capsys):
+    @pytest.mark.parametrize("content", [b"[1]\n", b"\xff{}"], ids=["list", "not-ascii"])
+    def test_header_not_an_ascii_json_object(self, tmp_path, capsys, content):
+        bad = tmp_path / "x.json"
+        bad.write_bytes(content)
+        self.assert_serving_exits_one(bad, "s1", tmp_path, capsys)
+
+    def test_cut_anywhere_in_the_arrays(self, workspace, tmp_path, capsys, rewrite_checkpoint):
+        raw = workspace["checkpoint"].read_bytes()
+        arrays = raw[raw.index(b"\n") + 1 :]
+        bad = tmp_path / "bad.json"
+        for keep in (0, 1, 7, len(arrays) // 2, len(arrays) - 8, len(arrays) - 1):
+            rewrite_checkpoint(workspace["checkpoint"], bad, data=arrays[:keep])
+            self.assert_serving_exits_one(bad, "s0000", tmp_path, capsys, "bytes")
+
+    def test_one_trailing_byte(self, workspace, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(workspace["checkpoint"].read_bytes() + b"\0")
+        self.assert_serving_exits_one(bad, "s0000", tmp_path, capsys, "bytes")
+
+    @pytest.mark.parametrize(
+        "entry, detail",
+        [(["student_mu", [31, 4]], "bytes"), (["student_mu", [29, 4]], "bytes"),
+         (["student_mu", [-30, -4]], "nonnegative"), (["student_mu", [-1, 4]], "nonnegative"),
+         (["student_mu", [30.0, 4]], "nonnegative"), (["student_mu", ["30", 4]], "nonnegative"),
+         (["student_mu", [True, 120]], "nonnegative"), (["student_mu", 120], "nonnegative"),
+         ([7, [30, 4]], "nonnegative"), (["student_mu", [30, 4], 0], "nonnegative"),
+         ("student_mu", "nonnegative")],
+        ids=["rows-over-bytes", "rows-under-bytes", "negative-dims", "minus-one", "float-dim",
+             "string-dim", "bool-dim", "shape-not-list", "name-not-string", "three-items",
+             "not-a-pair"],
+    )
+    def test_bad_arrays_entry(
+        self, workspace, tmp_path, capsys, rewrite_checkpoint, entry, detail
+    ):
+        def edit(header):
+            at = [name for name, _ in header["arrays"]].index("student_mu")
+            assert header["arrays"][at][1] == [30, 4]
+            header["arrays"][at] = entry
+
+        bad = tmp_path / "bad.json"
+        rewrite_checkpoint(workspace["checkpoint"], bad, edit=edit)
+        self.assert_serving_exits_one(bad, "s0000", tmp_path, capsys, detail)
+
+    def assert_serving_exits_one(self, bad, student, tmp_path, capsys, detail="malformed"):
         capsys.readouterr()
         out = str(tmp_path / "out.csv")
         for argv in (
-            ["diagnose", "--checkpoint", str(bad), "--student", ck.student_ids[0], "--out", out],
+            ["diagnose", "--checkpoint", str(bad), "--student", student, "--out", out],
             ["eval", "--checkpoint", str(bad), "--out", out],
         ):
             assert main(argv) == 1
             err = capsys.readouterr().err
-            assert "malformed" in err and "Traceback" not in err
+            assert "malformed" in err and detail in err and "Traceback" not in err
 
 
 class TestDiagnose:

@@ -1,6 +1,8 @@
 """Checkpoint round-trips, evaluation, and per-student diagnosis."""
 
+import base64
 import json
+import math
 import os
 
 import numpy as np
@@ -11,7 +13,6 @@ from cogdiag.checkpoint import (
     Checkpoint,
     CheckpointError,
     FORMAT_VERSION,
-    _encode_array,
     diagnostic_from_checkpoint,
     load_checkpoint,
     save_checkpoint,
@@ -27,6 +28,7 @@ from cogdiag.inference import (
     evaluate_store,
     predict_split,
 )
+from cogdiag.numerics import AdamConfig, adam_step
 from cogdiag.synth import planted_cohort
 from cogdiag.training import TrainConfig, Trainer
 
@@ -74,6 +76,27 @@ def hand_built_checkpoint(ds, mu_by_student):
     )
 
 
+def one_line_checkpoint(ck, version):
+    """A format 1 or 2 file: one JSON line, arrays as base64 of their float64 bytes."""
+
+    def encode(arr):
+        arr = np.ascontiguousarray(arr, dtype="<f8")
+        return {"shape": list(arr.shape), "data": base64.b64encode(arr.tobytes()).decode("ascii")}
+
+    doc = {
+        "format_version": version, "variant": ck.variant, "irt_scale": ck.irt_scale,
+        "mlp_hidden": list(ck.mlp_hidden),
+        "params": {name: encode(arr) for name, arr in ck.params.items()},
+        "consensus_mean": None if ck.consensus_mean is None else encode(ck.consensus_mean),
+        "student_ids": ck.student_ids, "exercise_ids": ck.exercise_ids,
+        "concept_ids": ck.concept_ids, "run_config": ck.run_config,
+        "best_epoch": ck.best_epoch, "val_metrics": ck.val_metrics,
+    }
+    if version >= 2:
+        doc["train_counts"] = encode(ck.train_counts)
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
 class TestCheckpointIO:
     def test_round_trip_preserves_everything(self, tmp_path):
         ds = toy_dataset()
@@ -98,30 +121,67 @@ class TestCheckpointIO:
         save_checkpoint(load_checkpoint(a), b)
         assert a.read_bytes() == b.read_bytes()
 
-    def test_unknown_format_version_rejected(self, tmp_path):
+    def test_header_line_then_raw_arrays(self, tmp_path):
+        ds = toy_dataset()
+        _, ck = trained_checkpoint(ds, "ncd")
+        path = tmp_path / "ck.json"
+        save_checkpoint(ck, path)
+        raw = path.read_bytes()
+        line = raw[: raw.index(b"\n") + 1]
+        header = json.loads(line)
+        assert header["format_version"] == FORMAT_VERSION == 3
+        names = [*sorted(ck.params), "consensus_mean", "train_counts"]
+        arrays = [*(ck.params[name] for name in sorted(ck.params)), ck.consensus_mean,
+                  ck.train_counts]
+        assert header["arrays"] == [[name, list(arr.shape)] for name, arr in zip(names, arrays)]
+        assert len(raw) == len(line) + 8 * sum(math.prod(shape) for _, shape in header["arrays"])
+        flat = np.concatenate([np.ravel(arr).astype(np.float64) for arr in arrays])
+        assert raw[len(line) :] == flat.astype("<f8").tobytes()
+
+    def test_loaded_arrays_are_writable_and_train(self, tmp_path):
+        ds = toy_dataset()
+        _, ck = trained_checkpoint(ds, "ncd")
+        path = tmp_path / "ck.json"
+        save_checkpoint(ck, path)
+        back = load_checkpoint(path)
+        loaded = [*back.params.values(), back.consensus_mean]
+        assert all(arr.flags.writeable for arr in loaded)
+        before = [arr.copy() for arr in loaded]
+        back.params["student_mu"][-1] += 1.0  # a view of the shared buffer: no neighbour moves
+        for arr, old in zip(loaded, before):
+            if arr is not back.params["student_mu"]:
+                np.testing.assert_array_equal(arr, old)
+        store = store_from_checkpoint(back)
+        for name, value in store.params.items():
+            store.accumulate_grad(name, None, np.ones_like(value))
+        adam_step(store, AdamConfig(), lazy=True)
+        for name, value in store.params.items():
+            assert not np.array_equal(value, back.params[name]), name
+
+    def test_unknown_format_version_rejected(self, tmp_path, rewrite_checkpoint):
         ds = toy_dataset()
         _, ck = trained_checkpoint(ds)
         path = tmp_path / "ck.json"
         save_checkpoint(ck, path)
-        blob = json.loads(path.read_text())
-        blob["format_version"] = FORMAT_VERSION + 1
-        path.write_text(json.dumps(blob))
+        rewrite_checkpoint(path, path, edit=lambda h: h.update(format_version=FORMAT_VERSION + 1))
         with pytest.raises(CheckpointError, match="version"):
             load_checkpoint(path)
 
     def test_version_1_file_rejected_with_retrain_hint(self, tmp_path):
+        self.assert_old_version_rejected(tmp_path, 1)
+
+    def test_version_2_file_rejected_with_retrain_hint(self, tmp_path):
+        self.assert_old_version_rejected(tmp_path, 2)
+
+    def assert_old_version_rejected(self, tmp_path, version):
         ds = toy_dataset()
         _, ck = trained_checkpoint(ds)
         path = tmp_path / "ck.json"
-        save_checkpoint(ck, path)
-        blob = json.loads(path.read_text())
-        blob["format_version"] = 1
-        del blob["train_counts"]
-        path.write_text(json.dumps(blob))
+        path.write_text(one_line_checkpoint(ck, version))
         with pytest.raises(CheckpointError) as err:
             load_checkpoint(path)
         message = str(err.value)
-        assert "format_version 1" in message and "format_version 2" in message
+        assert f"format_version {version}" in message and "format_version 3" in message
         assert "retrain" in message
 
     @pytest.mark.parametrize(
@@ -129,15 +189,13 @@ class TestCheckpointIO:
         [np.zeros((3, 4)), np.full((25, 4), -1.0), np.full((25, 4), 0.5)],
         ids=["wrong-shape", "negative", "fraction"],
     )
-    def test_malformed_train_counts_rejected(self, tmp_path, counts):
+    def test_malformed_train_counts_rejected(self, tmp_path, rewrite_checkpoint, counts):
         ds = toy_dataset()
         _, ck = trained_checkpoint(ds)
         assert ck.train_counts.shape == (25, 4)
         path = tmp_path / "ck.json"
         save_checkpoint(ck, path)
-        blob = json.loads(path.read_text())
-        blob["train_counts"] = _encode_array(counts)
-        path.write_text(json.dumps(blob))
+        rewrite_checkpoint(path, path, arrays={"train_counts": counts})
         with pytest.raises(CheckpointError, match="malformed"):
             load_checkpoint(path)
 
@@ -181,14 +239,12 @@ class TestCheckpointIO:
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
-    def test_missing_field_rejected(self, tmp_path):
+    def test_missing_field_rejected(self, tmp_path, rewrite_checkpoint):
         ds = toy_dataset()
         _, ck = trained_checkpoint(ds)
         path = tmp_path / "ck.json"
         save_checkpoint(ck, path)
-        blob = json.loads(path.read_text())
-        del blob["params"]
-        path.write_text(json.dumps(blob))
+        rewrite_checkpoint(path, path, arrays=dict.fromkeys(ck.params))  # the parameters go
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 

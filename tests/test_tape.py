@@ -156,6 +156,16 @@ class TestOpGradients:
         backprop(out)
         np.testing.assert_allclose(x.grad, [4.0, 8.0])
 
+    def test_parents_sharing_one_gradient_array(self):
+        # the outer add hands one array to both s and x; x then takes a
+        # further + from s's add, which must leave s's and y's copy alone
+        x, y = Node(np.array([1.0, 2.0])), Node(np.array([3.0, 4.0]))
+        s = x + y
+        backprop(tape.nsum(s + x))
+        np.testing.assert_array_equal(x.grad, [2.0, 2.0])
+        np.testing.assert_array_equal(y.grad, [1.0, 1.0])
+        np.testing.assert_array_equal(s.grad, [1.0, 1.0])
+
     def test_backprop_requires_scalar_root(self):
         with pytest.raises(ValueError):
             backprop(Node(np.array([1.0, 2.0])))
