@@ -147,6 +147,9 @@ def load_checkpoint(path) -> Checkpoint:
                     f"format_version {FORMAT_VERSION}; retrain with `cogdiag train` to write one"
                 )
             arrays = _read_arrays(fh, doc["arrays"])
+        run_config = doc["run_config"]
+        if not isinstance(run_config, dict):
+            raise ValueError(f"run_config is not a JSON object (got {type(run_config).__name__})")
         fn = DiagnosticFunction(doc["variant"], doc["irt_scale"], tuple(doc["mlp_hidden"]))
         sizes = (len(doc["student_ids"]), len(doc["exercise_ids"]), len(doc["concept_ids"]))
         layout = {name: shape for name, shape, _ in parameter_layout(fn, *sizes)}
@@ -168,7 +171,7 @@ def load_checkpoint(path) -> Checkpoint:
             student_ids=doc["student_ids"],
             exercise_ids=doc["exercise_ids"],
             concept_ids=doc["concept_ids"],
-            run_config=doc["run_config"],
+            run_config=run_config,
             best_epoch=doc["best_epoch"],
             train_counts=counts,
             val_metrics=doc["val_metrics"],

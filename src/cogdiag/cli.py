@@ -78,9 +78,12 @@ def _load_dataset(cfg: RunConfig) -> Dataset:
 
 
 def _run_config_from_checkpoint(ck: Checkpoint) -> RunConfig:
-    if set(ck.run_config) != {f.name for f in fields(RunConfig)}:
+    known, have = {f.name for f in fields(RunConfig)}, set(ck.run_config)
+    if have != known:
         raise CheckpointError(
-            "checkpoint run_config does not match this build's configuration schema"
+            "checkpoint run_config does not match this build's configuration schema "
+            f"(missing keys: {', '.join(sorted(known - have)) or 'none'}; unexpected keys: "
+            f"{', '.join(sorted(have - known)) or 'none'}); retrain with `cogdiag train`"
         )
     defaults = RunConfig()
     for name, value in ck.run_config.items():

@@ -49,9 +49,6 @@ class RunConfig:
     calibration_sign: str = "consistent"
     dropout_alpha: float = 0.5
     dropout_keep: float = 0.5
-    dropout_enabled: bool = True
-    kl_dedup: bool = False
-    lazy_adam: bool = True
 
 
 def _parse_bool(raw: str) -> bool:
@@ -160,7 +157,6 @@ def dropout_of(cfg: RunConfig) -> DropoutConfig:
     return DropoutConfig(
         alpha=cfg.dropout_alpha,
         keep_probability=cfg.dropout_keep,
-        enabled=cfg.dropout_enabled,
     )
 
 
@@ -180,8 +176,6 @@ def _train_fields(cfg: RunConfig) -> dict:
         preserve_order=cfg.preserve_order,
         pair_count=None if cfg.pair_count == -1 else cfg.pair_count,
         calibration_sign=cfg.calibration_sign,
-        kl_dedup=cfg.kl_dedup,
-        lazy_adam=cfg.lazy_adam,
     )
 
 

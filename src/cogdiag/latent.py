@@ -41,7 +41,6 @@ class DropoutConfig:
 
     alpha: float = 0.5
     keep_probability: float = 0.5
-    enabled: bool = True
 
     def __post_init__(self):
         problems = []
@@ -56,9 +55,7 @@ class DropoutConfig:
 
 
 def dropout_mask(shape, cfg: DropoutConfig, rng: np.random.Generator) -> np.ndarray:
-    """Boolean keep-mask; all ones when dropout is disabled."""
-    if not cfg.enabled:
-        return np.ones(shape, dtype=bool)
+    """Boolean keep-mask; all ones at ``keep_probability = 1``."""
     return rng.random(shape) < cfg.keep_probability
 
 

@@ -80,8 +80,6 @@ class TrainConfig:
     pair_count: int | None = None  # pairs attempted per batch; None means batch_size
     calibration_sign: str = "consistent"
     dropout: DropoutConfig = field(default_factory=DropoutConfig)
-    kl_dedup: bool = False  # average KL over unique students instead of occurrences
-    lazy_adam: bool = True
 
     def __post_init__(self):
         problems = []
@@ -334,13 +332,10 @@ def draw_batch_noise(
     return BatchNoise(eps=eps, keep_mask=keep, pairs=pairs)
 
 
-def _row_block(n_rows: int, at: np.ndarray, per_row, first=None):
+def _row_block(n_rows: int, at: np.ndarray, per_row):
     # per-occurrence gradient rows summed into distinct rows from zeros, in
-    # occurrence order, as np.add.at summed them into the store; ``first``
-    # holds one row per distinct row, added before the occurrences
+    # occurrence order, as np.add.at summed them into the store
     block = np.zeros((n_rows,) + per_row.shape[1:])
-    if first is not None:
-        block += first
     np.add.at(block, at, per_row)
     return block
 
@@ -371,7 +366,7 @@ def build_batch_graph(
     the same bits.
     """
     s, e, r = dataset.s_idx[batch_idx], dataset.e_idx[batch_idx], dataset.scores[batch_idx]
-    students, first, s_at = np.unique(s, return_index=True, return_inverse=True)
+    students, s_at = np.unique(s, return_inverse=True)
     exercises, e_at = np.unique(e, return_inverse=True)
     variant = fn.variant
     leaves = [store.row_leaf(STUDENT_MEAN, students), store.row_leaf(STUDENT_LOGVAR, students),
@@ -381,11 +376,11 @@ def build_batch_graph(
     if variant == "ncd":
         leaves += [store.leaf(name) for name in MLP_PARAMS]
     mu, logvar = leaves[0].value, leaves[1].value
-    keep, alpha = noise.keep_mask, cfg.dropout.alpha
+    keep = noise.keep_mask
     var = np.exp(np.clip(logvar, -EXP_CLAMP, EXP_CLAMP))
     var_inside = (logvar > -EXP_CLAMP) & (logvar < EXP_CLAMP)
     var_at = var[s_at]
-    var_hat = apply_dropout_mask(var_at, keep, alpha)
+    var_hat = apply_dropout_mask(var_at, keep, cfg.dropout.alpha)
     mu_at = mu[s_at]
     theta, theta_grads = draw_ability(mu_at, var_hat, noise.eps, vjp=True)
     diff = stable_sigmoid(leaves[2].value)[e_at]
@@ -402,11 +397,7 @@ def build_batch_graph(
     l_pred, bce_grads = prediction_loss(y, r, vjp=True)
     total, l_kl, l_rl = l_pred, 0.0, 0.0
     if cfg.gamma > 0:
-        if cfg.kl_dedup:
-            mu_k, var_k = mu, apply_dropout_mask(var, keep[first], alpha)
-        else:
-            mu_k, var_k = mu_at, var_hat
-        kl_vec, kl_grads = kl_consensus(mu_k, var_k, prior or STANDARD_PRIOR, vjp=True)
+        kl_vec, kl_grads = kl_consensus(mu_at, var_hat, prior or STANDARD_PRIOR, vjp=True)
         inv_kl = 1.0 / np.asarray(float(kl_vec.size))
         l_kl = kl_vec.sum() * inv_kl
         total = total + l_kl * np.asarray(cfg.gamma)
@@ -426,13 +417,9 @@ def build_batch_graph(
         # irt's head is a (B, 1) column summed to (B,): the sum broadcasts back
         g_gap, *g_head = head_grads(g_y[:, None] if variant == "irt" else g_y)
         g_mu, g_var_hat = theta_grads(g_gap)
-        once_mu = once_logvar = None
         if cfg.gamma > 0:
             k_mu, k_lin, k_log = kl_grads(np.full(kl_vec.shape, g * cfg.gamma * inv_kl))
-            if cfg.kl_dedup:
-                once_mu, once_logvar = k_mu, (k_lin + k_log) * keep[first] * var * var_inside
-            else:
-                g_mu, g_var_hat = g_mu + k_mu, g_var_hat + k_lin + k_log
+            g_mu, g_var_hat = g_mu + k_mu, g_var_hat + k_lin + k_log
         if with_pairs:
             sides = hinge_grads(np.full(p.count, g * cfg.beta * inv_pairs))
             for pos, cell, side in zip((p.pos_a, p.pos_b), (p.cell_a, p.cell_b), sides):
@@ -440,16 +427,12 @@ def build_batch_graph(
                 np.add.at(full, (pos, cell), side)
                 g_var_hat = g_var_hat + full
         g_logvar = g_var_hat * keep * var_at * var_inside[s_at]
-        # the composed graph added kl_dedup's rows into the store before the
-        # occurrences, except logvar's when the pair terms had reached it first
         n_s, n_e = len(students), len(exercises)
         blocks = [
-            _row_block(n_s, s_at, g_mu, once_mu),
-            _row_block(n_s, s_at, g_logvar, None if with_pairs else once_logvar),
+            _row_block(n_s, s_at, g_mu),
+            _row_block(n_s, s_at, g_logvar),
             _row_block(n_e, e_at, -g_gap * diff * (1.0 - diff)),
         ]
-        if with_pairs and once_logvar is not None:
-            blocks[1] += once_logvar
         if variant != "mirt":
             blocks.append(_row_block(n_e, e_at, g_head[0] * disc * (1.0 - disc)))
         return (*blocks, *g_head[1:])
@@ -549,7 +532,7 @@ class Trainer:
                 breakdown, probs = batch_loss(
                     self.dataset, self.fn, self.store, batch_idx, cfg, noise, self.prior
                 )
-                adam_step(self.store, self.adam, lazy=cfg.lazy_adam)
+                adam_step(self.store, self.adam, lazy=True)
             except (NonFiniteLossError, NonFiniteGradientError) as exc:
                 raise type(exc)(f"phase {phase}, epoch {epoch}, step {steps}: {exc}") from exc
             if self.fn.variant == "ncd":

@@ -316,8 +316,8 @@ def test_criterion_08_reduction_checks(tmp_path):
     ds = build_dataset(cohort.logs, cohort.q_pairs, min_logs=1)
     fn = DiagnosticFunction("mirt")
 
-    # (a) gamma = beta = 0, dropout off: batch loss is exactly mean BCE
-    cfg = TrainConfig(gamma=0.0, beta=0.0, dropout=DropoutConfig(enabled=False), seed=1)
+    # (a) gamma = beta = 0, dropout_keep = 1: batch loss is exactly mean BCE
+    cfg = TrainConfig(gamma=0.0, beta=0.0, dropout=DropoutConfig(keep_probability=1.0), seed=1)
     store = init_parameters(fn, ds.n_students, ds.n_exercises, ds.n_concepts, default_rng(1))
     batch_idx = np.arange(16)
     noise = draw_batch_noise(

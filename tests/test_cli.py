@@ -6,6 +6,7 @@ import re
 import shutil
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ import pytest
 import cogdiag
 from cogdiag.checkpoint import load_checkpoint, save_checkpoint
 from cogdiag.cli import main
+from cogdiag.config import RunConfig
 from cogdiag.metrics import acc, auc, calibration, rmse
 from cogdiag.synth import planted_cohort, write_cohort_csv
 
@@ -275,6 +277,29 @@ class TestMalformedCheckpoint:
         rewrite_checkpoint(path, bad, edit=lambda h: h.update({field: "@"}), raw=value)
         self.assert_serving_exits_one(bad, load_checkpoint(path).student_ids[0], tmp_path, capsys)
 
+    @pytest.mark.parametrize(
+        "run_config", [5, [f.name for f in fields(RunConfig)]], ids=["number", "list-of-keys"]
+    )
+    def test_run_config_not_an_object(
+        self, workspace, tmp_path, capsys, rewrite_checkpoint, run_config
+    ):
+        bad = tmp_path / "bad.json"
+        rewrite_checkpoint(workspace["checkpoint"], bad,
+                           edit=lambda h: h.update(run_config=run_config))
+        self.assert_serving_exits_one(bad, "s0000", tmp_path, capsys, "run_config")
+
+    def test_older_schema_names_the_keys_and_the_retrain(
+        self, workspace, tmp_path, capsys, rewrite_checkpoint
+    ):
+        # the keys a checkpoint written before their removal still carries
+        older = {"kl_dedup": False, "lazy_adam": True, "dropout_enabled": True}
+        bad = tmp_path / "older.json"
+        rewrite_checkpoint(workspace["checkpoint"], bad, edit=lambda h: h["run_config"].update(older))
+        for err in self.serving_errors(bad, "s0000", tmp_path, capsys):
+            assert "missing keys: none" in err and "cogdiag train" in err
+            for key in older:
+                assert key in err
+
     @pytest.mark.parametrize("content", [b"[1]\n", b"\xff{}"], ids=["list", "not-ascii"])
     def test_header_not_an_ascii_json_object(self, tmp_path, capsys, content):
         bad = tmp_path / "x.json"
@@ -318,16 +343,23 @@ class TestMalformedCheckpoint:
         rewrite_checkpoint(workspace["checkpoint"], bad, edit=edit)
         self.assert_serving_exits_one(bad, "s0000", tmp_path, capsys, detail)
 
-    def assert_serving_exits_one(self, bad, student, tmp_path, capsys, detail="malformed"):
+    def serving_errors(self, bad, student, tmp_path, capsys):
+        """stderr of ``diagnose`` and ``eval`` on ``bad``; each must exit 1 without a traceback."""
         capsys.readouterr()
         out = str(tmp_path / "out.csv")
+        errors = []
         for argv in (
             ["diagnose", "--checkpoint", str(bad), "--student", student, "--out", out],
             ["eval", "--checkpoint", str(bad), "--out", out],
         ):
             assert main(argv) == 1
-            err = capsys.readouterr().err
-            assert "malformed" in err and detail in err and "Traceback" not in err
+            errors.append(capsys.readouterr().err)
+            assert "Traceback" not in errors[-1]
+        return errors
+
+    def assert_serving_exits_one(self, bad, student, tmp_path, capsys, detail="malformed"):
+        for err in self.serving_errors(bad, student, tmp_path, capsys):
+            assert "malformed" in err and detail in err
 
 
 class TestDiagnose:

@@ -58,8 +58,8 @@ class TestParsing:
         logs, qmatrix = data_files
         for raw, want in (("true", True), ("Yes", True), ("1", True), ("on", True),
                           ("false", False), ("No", False), ("0", False), ("off", False)):
-            cfg = parse_config_text(minimal_text(logs, qmatrix, f"kl_dedup = {raw}\n"))
-            assert cfg.kl_dedup is want
+            cfg = parse_config_text(minimal_text(logs, qmatrix, f"preserve_order = {raw}\n"))
+            assert cfg.preserve_order is want
 
     def test_unknown_key_carries_line_number(self, data_files):
         logs, qmatrix = data_files
@@ -168,12 +168,20 @@ class TestMapping:
         logs, qmatrix = data_files
         cfg = parse_config_text(minimal_text(
             logs, qmatrix,
-            "gamma = 0.01\nbeta = 0.5\ndropout_alpha = 0.25\ndropout_enabled = false\n",
+            "gamma = 0.01\nbeta = 0.5\ndropout_alpha = 0.25\ndropout_keep = 1\n",
         ))
         tc = train_config_of(cfg)
         assert tc.gamma == 0.01 and tc.beta == 0.5
         assert tc.dropout.alpha == 0.25
-        assert tc.dropout.enabled is False
+        assert tc.dropout.keep_probability == 1.0
+
+    def test_defaults_agree_with_the_library_defaults(self):
+        # each default is written in RunConfig and again in the dataclass it feeds
+        tc = train_config_of(RunConfig())
+        assert tc == TrainConfig()
+        assert tc.split == SplitSpec()
+        assert tc.adam == AdamConfig()
+        assert diagnostic_of(RunConfig()) == DiagnosticFunction(RunConfig().variant)
 
     def test_sentinels_become_none(self, data_files):
         logs, qmatrix = data_files

@@ -106,8 +106,7 @@ def ref_kl_consensus(mean, variance, prior):
 def ref_batch_step(dataset, fn, store, batch_idx, cfg, noise, prior):
     """The composed batch graph, one Node per op, then backprop into ``store``.
 
-    Row leaves hold one gathered row per occurrence (kl_dedup adds a
-    second leaf over each student's first occurrence).  After the
+    Row leaves hold one gathered row per occurrence.  After the
     backward pass each leaf scatter-adds its gradient into the store
     with ``np.add.at``, leaves in the tape's topological order, as the
     store did when training ran this graph.  Returns (breakdown, probs).
@@ -141,17 +140,10 @@ def ref_batch_step(dataset, fn, store, batch_idx, cfg, noise, prior):
     total = l_pred
     l_kl = 0.0
     if cfg.gamma > 0:
-        if cfg.kl_dedup:
-            _, first = np.unique(s, return_index=True)
-            mu_k = row_leaf("student_mu", s[first])
-            var_k = tape.where_mask(tape.exp(row_leaf("student_logvar", s[first])),
-                                    noise.keep_mask[first], cfg.dropout.alpha)
-        else:
-            mu_k, var_k = mu, var_hat
         if prior is None:
-            kl_vec = ref_kl_standard(mu_k, var_k)
+            kl_vec = ref_kl_standard(mu, var_hat)
         else:
-            kl_vec = ref_kl_consensus(mu_k, var_k, prior)
+            kl_vec = ref_kl_consensus(mu, var_hat, prior)
         l_kl = tape.nmean(kl_vec)
         total = tape.add(total, tape.mul(l_kl, cfg.gamma))
     l_rl = 0.0
@@ -453,7 +445,8 @@ class TestBatchGradients:
     """The whole step against the composed graph: store gradients to the bit.
 
     var_hat sums five contributions and mu two, in the chain's order, and
-    each row adds its occurrences in order around kl_dedup's rows.
+    each row adds its occurrences in order.  ``keep_all`` runs with
+    ``keep_probability = 1``, the setting that turns variance dropout off.
     """
 
     def step_both_ways(self, ds, fn, store, batch_idx, cfg, noise, prior):
@@ -482,9 +475,10 @@ class TestBatchGradients:
         assert noise.pairs.count > 0
         return noise
 
-    def config(self, kl_dedup):
-        return TrainConfig(seed=4, gamma=0.3, beta=0.7, kl_dedup=kl_dedup,
-                           dropout=DropoutConfig(alpha=0.5, keep_probability=0.6))
+    def config(self, keep_all):
+        keep = 1.0 if keep_all else 0.6
+        return TrainConfig(seed=4, gamma=0.3, beta=0.7,
+                           dropout=DropoutConfig(alpha=0.5, keep_probability=keep))
 
     def prior(self, with_prior, variant, n_concepts):
         d = 1 if variant == "irt" else n_concepts
@@ -492,15 +486,16 @@ class TestBatchGradients:
 
     @pytest.mark.parametrize("variant", ["irt", "mirt", "ncd"])
     @pytest.mark.parametrize("with_prior", [False, True])
-    @pytest.mark.parametrize("kl_dedup", [False, True])
-    def test_store_gradients_match_chain(self, variant, with_prior, kl_dedup):
+    @pytest.mark.parametrize("keep_all", [False, True])
+    def test_store_gradients_match_chain(self, variant, with_prior, keep_all):
         cohort = planted_cohort(n_students=12, n_exercises=20, n_concepts=4, per_student=12, seed=3)
         ds = build_dataset(cohort.logs, cohort.q_pairs, min_logs=1)
-        cfg = self.config(kl_dedup)
+        cfg = self.config(keep_all)
         fn, store, tracker = self.fixtures(variant, ds, cfg)
         # a batch that repeats students, so rows scatter-add more than once
         batch_idx = np.concatenate([np.arange(22), np.arange(8)])
         noise = self.noise(ds, fn, cfg, batch_idx, tracker)
+        assert noise.keep_mask.all() == keep_all
         self.step_both_ways(ds, fn, store, batch_idx, cfg, noise,
                             self.prior(with_prior, variant, ds.n_concepts))
         for name in ("student_mu", "student_logvar", "exercise_diff"):
@@ -508,9 +503,9 @@ class TestBatchGradients:
 
     @pytest.mark.parametrize("variant", ["irt", "mirt", "ncd"])
     @pytest.mark.parametrize("with_prior", [False, True])
-    @pytest.mark.parametrize("kl_dedup", [False, True])
+    @pytest.mark.parametrize("keep_all", [False, True])
     @pytest.mark.filterwarnings("ignore:overflow encountered")
-    def test_store_gradients_match_chain_at_edges(self, variant, with_prior, kl_dedup):
+    def test_store_gradients_match_chain_at_edges(self, variant, with_prior, keep_all):
         # 30 concepts per exercise let mirt (and irt at scale 60) saturate
         K = 30
         wide = [f"w{j}" for j in range(4)]
@@ -521,7 +516,7 @@ class TestBatchGradients:
             ("big", "n0", 1), ("tiny", "n1", 0), ("floor", "n1", 1), ("floor", "w2", 1),
         ]
         ds = build_dataset([ResponseLog(*row) for row in plan], q_pairs, min_logs=1)
-        cfg = self.config(kl_dedup)
+        cfg = self.config(keep_all)
         fn, store, tracker = self.fixtures(variant, ds, cfg, irt_scale=60.0)
         p = store.params
         sid, eid = ds.student_ids.index, ds.exercise_ids.index
@@ -540,7 +535,7 @@ class TestBatchGradients:
         batch_idx = np.arange(ds.n_interactions)
         noise = self.noise(ds, fn, cfg, batch_idx, tracker)
         noise.keep_mask[:] = True  # the floored variances reach the KL's log
-        noise.keep_mask[0, 0] = False
+        noise.keep_mask[0, 0] = keep_all
         probs = ref_batch_step(ds, fn, copy.deepcopy(store), batch_idx, cfg, noise, None)[1]
         labels = ds.scores[batch_idx]
         assert (probs[labels == 1] < LOG_FLOOR).any() and (probs[labels == 0] < LOG_FLOOR).any()

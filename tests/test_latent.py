@@ -47,7 +47,7 @@ def store_with(mu, logvar):
 class TestVarianceDropout:
     def test_disabled_is_identity(self):
         var = np.array([0.3, 2.0])
-        cfg = DropoutConfig(enabled=False)
+        cfg = DropoutConfig(keep_probability=1.0)
         out = apply_dropout_mask(var, dropout_mask(var.shape, cfg, default_rng(0)), cfg.alpha)
         np.testing.assert_array_equal(out, var)
 

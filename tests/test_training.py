@@ -401,7 +401,7 @@ class TestBatchLoss:
         assert ptr is ds.concept_ptr and idx is ds.concept_idx
 
     def test_dropout_disabled_keeps_raw_variance(self):
-        cfg = TrainConfig(dropout=DropoutConfig(enabled=False), seed=0)
+        cfg = TrainConfig(dropout=DropoutConfig(keep_probability=1.0), seed=0)
         ds, fn, cfg, store, batch_idx, noise = self.setup_case("mirt", cfg=cfg)
         assert noise.keep_mask.all()
 
@@ -483,22 +483,6 @@ class TestTrainer:
         trainer = Trainer(ds, DiagnosticFunction("mirt"), cfg)
         trainer.train()
         assert len(trainer.history) < 30
-
-    def test_lazy_and_dense_adam_agree_without_dropout_reuse(self):
-        # same seed, same data: lazy row updates must not change results
-        # when every step touches disjoint moment state identically
-        ds = tiny_dataset(seed=3, students=10, exercises=15, concepts=3, per_student=8)
-        fn = DiagnosticFunction("mirt")
-        cfg_lazy = quick_config(max_epochs=1, pretrain_epochs=1, seed=2, lazy_adam=True)
-        cfg_dense = quick_config(max_epochs=1, pretrain_epochs=1, seed=2, lazy_adam=False)
-        ck_lazy = Trainer(ds, fn, cfg_lazy).train()
-        ck_dense = Trainer(ds, fn, cfg_dense).train()
-        # a student seen in only one batch per epoch has identical moments
-        # either way; overall parameters stay close (stale-moment drift only)
-        for name in ("student_mu", "exercise_diff"):
-            np.testing.assert_allclose(
-                ck_lazy.params[name], ck_dense.params[name], atol=5e-3
-            )
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
