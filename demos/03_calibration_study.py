@@ -54,14 +54,15 @@ print("=== 2. the reliability table behind ECE ===")
 trainer = run(beta=0.1)
 report = evaluate_store(trainer.store, trainer.fn, dataset, trainer.splits.test)
 print(f"test ECE {report.ece:.4f}, MCE {report.mce:.4f}")
-print(f"{'bin':>3}  {'range':>12}  {'count':>5}  {'acc':>6}  {'avg p':>6}  {'gap':>6}")
-for bin_no, lo, hi, count, bin_acc, avg_prob, gap in reliability_rows(report.bin_report):
+print(f"{'bin':>3}  {'range':>12}  {'count':>5}  {'right':>6}  {'avg p':>6}  {'gap':>6}")
+for bin_no, lo, hi, count, frac_correct, avg_prob, gap in reliability_rows(report.bin_report):
     if count == 0:
         print(f"{bin_no:>3}  ({lo:.1f}, {hi:.1f}]  {'-':>5}")
         continue
     print(
         f"{bin_no:>3}  ({lo:.1f}, {hi:.1f}]  {count:>5}  "
-        f"{bin_acc:>6.3f}  {avg_prob:>6.3f}  {gap:>6.3f}"
+        f"{frac_correct:>6.3f}  {avg_prob:>6.3f}  {gap:>6.3f}"
     )
-print("each row: how often the model was right vs how confident it claimed")
-print("to be; ECE is the count-weighted mean of the gap column.")
+print("each row: how often the answers in the bin were correct vs the")
+print("probability of a correct answer the model gave them; ECE is the")
+print("count-weighted mean of the gap column.")

@@ -1,14 +1,15 @@
 #!/usr/bin/env python3
-"""A tour of the reverse-mode tape and the training objective built on it.
+"""A tour of the closed-form gradients behind training.
 
-The tape is a small vectorized autodiff: float64 arrays, a dozen
-operations, one backward pass.  Training records its whole objective as
-one tape Node whose gradient replays the op-by-op chain in closed form,
-and the tape's ops are the reference that replay is checked against.
-This demo builds graphs by hand, checks gradients against central
-finite differences, and shows the two design details that matter most
-here — the bit-exact select used by variance dropout, and the
-nonnegative weight clamp that keeps the MLP variant monotone.
+Training differentiates one objective: binary cross-entropy, a KL toward
+the prior and the calibration hinge.  Each piece returns its value and
+its vector-Jacobian product (``vjp=True``), and a training step records
+the whole objective as one Node over the parameter leaves it reads; one
+call of that Node's VJP writes every gradient into the store.  This demo
+checks that gradient against central finite differences, then shows the
+two design details that matter most here — the bit-exact select used
+by variance dropout, and the nonnegative weight clamp that keeps the
+MLP variant monotone.
 
 Run:  python3 demos/04_autodiff_tour.py          (~1 s)
 """
@@ -16,39 +17,23 @@ Run:  python3 demos/04_autodiff_tour.py          (~1 s)
 import numpy as np
 from numpy.random import default_rng
 
-from cogdiag import ParameterStore, grad_check, planted_cohort, build_dataset
+from cogdiag import build_dataset, grad_check, planted_cohort, predict_irt
 from cogdiag import tape
-
-print("=== 1. a tiny graph, backward by hand vs by tape ===")
-w = tape.Node(np.array([0.4, -1.2]))
-x = np.array([2.0, 0.5])
-y = tape.nsum(tape.sigmoid(tape.mul(w, x)))  # sum(sigmoid(w * x))
-tape.backprop(y)
-manual = x * (1 / (1 + np.exp(-w.value * x))) * (1 - 1 / (1 + np.exp(-w.value * x)))
-print(f"tape grad   {w.grad}")
-print(f"manual grad {manual}")
-assert np.allclose(w.grad, manual, atol=1e-12)
-
-print()
-print("=== 2. finite differences agree on a composite objective ===")
-store = ParameterStore()
-store.add("theta", default_rng(0).normal(size=(3, 2)))
-
-
-def objective(s):
-    leaf = s.leaf("theta")
-    return tape.nmean(tape.square(tape.sigmoid(leaf) - 0.25))
-
-
-err = grad_check(objective, store)
-print(f"max relative error vs central differences: {err:.2e}")
-
-print()
-print("=== 3. the same check on the real training objective ===")
 from cogdiag.diagnostics import DiagnosticFunction, init_parameters
 from cogdiag.seeding import substream
 from cogdiag.training import CorrectnessTracker, TrainConfig, build_batch_graph, draw_batch_noise
 
+print("=== 1. one formula, its gradient by hand and in closed form ===")
+theta, difficulty, discrimination = np.array([0.4, 0.9]), np.array([0.5, 0.2]), np.array([0.7, 1.3])
+y, vjp = predict_irt(theta, difficulty, discrimination, vjp=True)
+g_gap, _ = vjp(np.ones_like(y))  # d sum(y) / d (theta - difficulty)
+manual = y * (1 - y) * 1.702 * discrimination
+print(f"closed-form grad {g_gap}")
+print(f"manual grad      {manual}")
+assert np.allclose(g_gap, manual, atol=1e-12)
+
+print()
+print("=== 2. the training objective: one Node, checked by finite differences ===")
 cohort = planted_cohort(n_students=8, n_exercises=12, n_concepts=3, per_student=8, seed=1)
 dataset = build_dataset(cohort.logs, cohort.q_pairs, min_logs=1)
 fn = DiagnosticFunction("ncd", mlp_hidden=(4, 3))
@@ -64,11 +49,21 @@ noise = draw_batch_noise(
 )
 root = build_batch_graph(dataset, fn, model, batch, config, noise, None)[0]
 print(f"the objective is one Node over {len(root.parents)} parameter leaves")
-err = grad_check(lambda s: build_batch_graph(dataset, fn, s, batch, config, noise, None)[0], model)
+
+
+def objective(store, backward):
+    total, breakdown, _ = build_batch_graph(dataset, fn, store, batch, config, noise, None)
+    if backward:
+        tape.backprop(total)  # one VJP call, each leaf's gradient added into the store
+    return breakdown.total
+
+
+err = grad_check(objective, model)
 print(f"full objective (prediction + KL + hinge), every parameter: {err:.2e}")
+assert err < 1e-4
 
 print()
-print("=== 4. bit-exact masking: why dropout is a select ===")
+print("=== 3. bit-exact masking: why dropout is a select ===")
 from cogdiag.latent import apply_dropout_mask
 
 variance = np.array([0.01, 0.7, 0.3])
@@ -84,7 +79,7 @@ print(f"the algebraic form mask*(v-a)+a drifts: {algebraic[0] != variance[0]} "
 assert masked[0] == variance[0] and algebraic[0] != variance[0]
 
 print()
-print("=== 5. monotonicity by construction in the MLP variant ===")
+print("=== 4. monotonicity by construction in the MLP variant ===")
 from cogdiag.diagnostics import clamp_ncd_weights, mlp_layers, predict_ncd
 
 clamp_ncd_weights(model)

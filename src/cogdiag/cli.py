@@ -111,6 +111,13 @@ def _split_indices(splits: Splits, name: str):
     return {"train": splits.train, "val": splits.val, "test": splits.test}[name]
 
 
+def _published_probs(ck: Checkpoint, dataset: Dataset, indices) -> tuple[list[str], list[float]]:
+    """Predictions at ``indices`` as published: six-decimal strings, and their floats."""
+    probs = predict_split(store_from_checkpoint(ck), diagnostic_from_checkpoint(ck), dataset, indices)
+    published = [f"{p:.6f}" for p in probs]
+    return published, [float(s) for s in published]
+
+
 def _out_path(arg_out, checkpoint_path: str, default_name: str) -> Path:
     if arg_out:
         return Path(arg_out)
@@ -164,13 +171,8 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     ck, cfg, dataset, splits = _eval_context(args.checkpoint)
     indices = _split_indices(splits, args.split)
-    store = store_from_checkpoint(ck)
-    fn = diagnostic_from_checkpoint(ck)
-    probs = predict_split(store, fn, dataset, indices)
-
     # publish first, then score exactly what was published
-    published = [f"{p:.6f}" for p in probs]
-    rounded = [float(s) for s in published]
+    published, rounded = _published_probs(ck, dataset, indices)
     report = evaluate_probs(rounded, dataset.scores[indices], bins=cfg.bins)
 
     out = _out_path(args.out, args.checkpoint, f"predictions_{args.split}.csv")
@@ -238,8 +240,7 @@ def cmd_export_ability(args) -> int:
 def cmd_export_reliability(args) -> int:
     ck, cfg, dataset, splits = _eval_context(args.checkpoint)
     indices = _split_indices(splits, args.split)
-    probs = predict_split(store_from_checkpoint(ck), diagnostic_from_checkpoint(ck), dataset, indices)
-    rounded = [float(f"{p:.6f}") for p in probs]
+    _, rounded = _published_probs(ck, dataset, indices)
     report = calibration(rounded, dataset.scores[indices], bins=cfg.bins)
 
     out = _out_path(args.out, args.checkpoint, f"reliability_{args.split}.csv")

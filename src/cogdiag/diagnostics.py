@@ -16,8 +16,9 @@ through a sigmoid, so both stay in (0, 1) without constraints.
 
 Each predictor is one forward formula on arrays, shared by inference and
 training.  With ``vjp=True`` it also returns its gradient function, which
-replays the backward pass of the one-op tape chain the formula stands
-for, op for op; the training objective chains these.
+replays the backward pass of the one-op reference chain the formula
+stands for (``tests/reftape.py``), op for op; the training objective
+chains these.
 """
 
 from __future__ import annotations
@@ -28,8 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .latent import STUDENT_LOGVAR, STUDENT_MEAN
-from .numerics import ParameterStore, stable_sigmoid, xavier_init
-from .tape import _unbroadcast
+from .numerics import ParameterStore, _unbroadcast, stable_sigmoid, xavier_init
 
 EXERCISE_DIFF = "exercise_diff"
 EXERCISE_DISC = "exercise_disc"

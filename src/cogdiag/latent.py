@@ -9,7 +9,8 @@ the model has settled, large means it is still guessing.
 
 The helpers below work on plain ndarrays.  Those the training objective
 differentiates take ``vjp=True`` and then also return their gradient
-function, which replays the backward pass of the one-op tape chain.
+function, which replays the backward pass of the one-op reference chain
+in ``tests/reftape.py``.
 """
 
 from __future__ import annotations
@@ -18,8 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import stable_sigmoid
-from .tape import LOG_FLOOR, _unbroadcast
+from .numerics import LOG_FLOOR, _unbroadcast, stable_sigmoid
 
 STUDENT_MEAN = "student_mu"
 STUDENT_LOGVAR = "student_logvar"
@@ -73,8 +73,8 @@ def draw_ability(mean, variance, eps: np.ndarray, vjp: bool = False):
 
     ``vjp=True`` returns theta and its gradient function instead,
     ``g -> (d mean, d variance)``.  It replays the backward pass of the
-    sqrt -> mul -> add -> sigmoid tape chain op for op, so gradients match
-    the composed ops to the bit.  ``eps`` is data and gets no gradient.
+    sqrt -> mul -> add -> sigmoid reference chain op for op, so gradients
+    match the composed ops to the bit.  ``eps`` is data and gets no gradient.
     """
     sd = np.sqrt(variance)
     spread = sd * eps
@@ -107,9 +107,9 @@ def kl_consensus(mean, variance, prior: PriorConsensus, vjp: bool = False):
     """KL(N(mean, variance) || N(prior.mean, I)), summed over the trailing axis.
 
     0.5 * sum((mean - prior.mean)^2 + variance - log(variance) - 1) per
-    occurrence, with the log argument floored at ``tape.LOG_FLOOR``.
+    occurrence, with the log argument floored at ``numerics.LOG_FLOOR``.
     ``vjp=True`` also returns the gradient function, which replays the
-    composed tape ops' backward pass.  It maps ``g`` to (d mean, d
+    composed reference ops' backward pass.  It maps ``g`` to (d mean, d
     variance via the linear term, d variance via the log): the one-op
     chain adds those two contributions to the variance gradient as
     separate steps, and the variance usually has other consumers whose

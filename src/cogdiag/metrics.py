@@ -3,7 +3,10 @@
 Conventions used everywhere: a probability of exactly 0.5 predicts
 correct (ties go to the positive class), AUC handles tied scores by
 average rank (each tie counts 1/2), and calibration bins partition
-(0, 1] with y = 0 folded into the first bin.
+(0, 1] with y = 0 folded into the first bin.  A bin's calibration gap
+compares the fraction of correct answers among its members with their
+mean predicted probability of a correct answer (the binary reliability
+diagram of Naeini et al., 2015, and Guo et al., 2017).
 """
 
 from __future__ import annotations
@@ -74,20 +77,20 @@ class BinReport:
     """Per-bin calibration tallies plus the two summary gaps.
 
     Bin n (1-based) covers ((n-1)/M, n/M], with y = 0 counted in bin 1.
-    Empty bins carry nan for acc/avg_prob and are skipped by both ECE
-    (count-weighted mean gap) and MCE (max gap).
+    Empty bins carry nan for frac_correct/avg_prob and are skipped by
+    both ECE (count-weighted mean gap) and MCE (max gap).
     """
 
     bins: int
-    counts: np.ndarray    # (bins,) int64
-    accuracy: np.ndarray  # (bins,) float64, nan where empty
-    avg_prob: np.ndarray  # (bins,) float64, nan where empty
+    counts: np.ndarray        # (bins,) int64
+    frac_correct: np.ndarray  # (bins,) float64, share of labels 1, nan where empty
+    avg_prob: np.ndarray      # (bins,) float64, nan where empty
     ece: float
     mce: float
 
     @property
     def gaps(self) -> np.ndarray:
-        return np.abs(self.accuracy - self.avg_prob)
+        return np.abs(self.frac_correct - self.avg_prob)
 
 
 def bin_index(probs: np.ndarray, bins: int) -> np.ndarray:
@@ -107,22 +110,21 @@ def calibration(probs, labels, bins: int = 10) -> BinReport:
         raise MetricError(f"bins must be at least 1, got {bins}")
     which = bin_index(y, bins)
     counts = np.bincount(which, minlength=bins)
-    hits = hard_calls(y) == r
-    accuracy = np.full(bins, np.nan)
+    frac_correct = np.full(bins, np.nan)
     avg_prob = np.full(bins, np.nan)
     for n in range(bins):
         members = which == n
         if counts[n]:
-            accuracy[n] = hits[members].mean()
+            frac_correct[n] = r[members].mean()
             avg_prob[n] = y[members].mean()
     occupied = counts > 0
-    gaps = np.abs(accuracy[occupied] - avg_prob[occupied])
+    gaps = np.abs(frac_correct[occupied] - avg_prob[occupied])
     ece = float(np.sum(counts[occupied] * gaps) / y.size)
     mce = float(np.max(gaps))
     return BinReport(
         bins=bins,
         counts=counts.astype(np.int64),
-        accuracy=accuracy,
+        frac_correct=frac_correct,
         avg_prob=avg_prob,
         ece=ece,
         mce=mce,
@@ -130,15 +132,15 @@ def calibration(probs, labels, bins: int = 10) -> BinReport:
 
 
 def reliability_rows(report: BinReport) -> list[tuple]:
-    """One row per bin: (bin, lo, hi, count, acc, avg_prob, gap).
+    """One row per bin: (bin, lo, hi, count, frac_correct, avg_prob, gap).
 
     Every bin appears, occupied or not; empty bins carry None in the
-    acc, avg_prob, and gap columns.
+    frac_correct, avg_prob, and gap columns.
     """
     rows = []
     for n in range(report.bins):
         if report.counts[n]:
-            a = float(report.accuracy[n])
+            a = float(report.frac_correct[n])
             p = float(report.avg_prob[n])
             gap = abs(a - p)
         else:
@@ -147,7 +149,7 @@ def reliability_rows(report: BinReport) -> list[tuple]:
     return rows
 
 
-RELIABILITY_HEADER = "bin,lo,hi,count,acc,avg_prob,gap"
+RELIABILITY_HEADER = "bin,lo,hi,count,frac_correct,avg_prob,gap"
 
 
 def format_reliability_csv(report: BinReport) -> str:

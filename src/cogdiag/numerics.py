@@ -2,8 +2,9 @@
 
 Everything here is deliberately small and explicit: a dict of named
 float64 arrays with matching gradient and moment buffers, an Adam step
-with bias correction, and a central-difference gradient checker used
-throughout the test suite.
+with bias correction, a central-difference gradient checker used
+throughout the test suite, and the clamps and broadcasting rule the
+closed-form gradients share.
 """
 
 from __future__ import annotations
@@ -13,7 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tape import Node, backprop, value_of
+# exp saturates outside this band; the gradient is zeroed there so a
+# runaway logit cannot produce inf * 0 during the backward pass
+EXP_CLAMP = 30.0
+# log arguments are floored here, giving BCE a bounded worst case
+LOG_FLOOR = 1e-12
 
 
 class NonFiniteGradientError(RuntimeError):
@@ -22,6 +27,19 @@ class NonFiniteGradientError(RuntimeError):
 
 class GradCheckError(RuntimeError):
     """Raised by grad_check when the objective evaluates non-finite."""
+
+
+def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
+    """Sum ``grad`` down to ``shape``, undoing numpy broadcasting."""
+    if grad.shape == shape:
+        return grad
+    extra = grad.ndim - len(shape)
+    if extra > 0:
+        grad = grad.sum(axis=tuple(range(extra)))
+    axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
+    if axes:
+        grad = grad.sum(axis=axes, keepdims=True)
+    return grad.reshape(shape)
 
 
 def stable_sigmoid(x):
@@ -116,24 +134,11 @@ class ParameterStore:
     def is_row_sparse(self, name: str) -> bool:
         return name in self._row_sparse
 
-    def leaf(self, name: str) -> Node:
-        """Graph leaf holding the whole parameter array."""
-        return Node(self.params[name], param_ref=(self, name, None))
-
-    def row_leaf(self, name: str, rows) -> Node:
-        """Graph leaf holding ``params[name][rows]``, for sorted distinct ``rows``.
-
-        Its gradient has one row per entry of ``rows``; the backward pass
-        adds them into the accumulator with :meth:`accumulate_grad`.
-        """
-        rows = np.asarray(rows, dtype=np.int64)
-        return Node(self.params[name][rows], param_ref=(self, name, rows))
-
     def accumulate_grad(self, name: str, rows, grad: np.ndarray) -> None:
         """Add ``grad`` into the accumulator, whole (``rows=None``) or by rows.
 
-        ``rows`` are sorted and distinct, as in :meth:`row_leaf`; they join
-        the touched set without a further ``np.unique``.
+        ``rows`` are sorted and distinct; they join the touched set
+        without a further ``np.unique``.
         """
         if rows is None:
             self.grads[name] += grad
@@ -249,24 +254,23 @@ def adam_step(store: ParameterStore, cfg: AdamConfig, lazy: bool = False) -> Non
 
 
 def grad_check(f, store: ParameterStore, h: float = 1e-5) -> float:
-    """Max relative error between backprop and central differences.
+    """Max relative error between the analytic gradient and central differences.
 
-    ``f(store)`` must rebuild its graph from the store's current values
-    and return a scalar Node.  Every parameter entry is perturbed by
-    +-h in turn.  Relative error is |a - n| / max(|a|, |n|, 1e-6); the
-    floor keeps zero-gradient entries from reporting pure rounding noise
-    as 100% error.
+    ``f(store, backward)`` must evaluate the objective from the store's
+    current values and return it as a float; with ``backward`` true it
+    must also add the objective's gradient into the store's
+    accumulators, as ``training.batch_loss`` does.  Every parameter entry
+    is perturbed by +-h in turn.  Relative error is |a - n| / max(|a|,
+    |n|, 1e-6); the floor keeps zero-gradient entries from reporting
+    pure rounding noise as 100% error.
     """
     if not (1e-6 <= h <= 1e-3):
         raise ValueError(f"step size h must be in [1e-6, 1e-3], got {h}")
 
     store.zero_grads()
-    out = f(store)
-    if not isinstance(out, Node):
-        raise TypeError("f must return a Node so the analytic gradient exists")
-    if not np.isfinite(out.value):
+    if not np.isfinite(f(store, True)):
+        store.zero_grads()
         raise GradCheckError("objective evaluated non-finite at the base point")
-    backprop(out)
     analytic = {name: store.grads[name].copy() for name in store.params}
     store.zero_grads()
 
@@ -277,9 +281,9 @@ def grad_check(f, store: ParameterStore, h: float = 1e-5) -> float:
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + h
-            f_plus = float(value_of(f(store)))
+            f_plus = float(f(store, False))
             flat[i] = orig - h
-            f_minus = float(value_of(f(store)))
+            f_minus = float(f(store, False))
             flat[i] = orig
             if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
                 raise GradCheckError(f"objective non-finite while perturbing {name!r}[{i}]")

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import tape
+from . import tape  # tape.backprop is looked up per call, so a wrapper patched onto it is seen
 from .checkpoint import Checkpoint
 from .data import Dataset, Splits, SplitSpec, batches, cell_runs, split_per_student
 from .diagnostics import (
@@ -53,9 +53,17 @@ from .latent import (
     dropout_mask,
     kl_consensus,
 )
-from .numerics import AdamConfig, NonFiniteGradientError, ParameterStore, adam_step, stable_sigmoid
+from .numerics import (
+    EXP_CLAMP,
+    LOG_FLOOR,
+    AdamConfig,
+    NonFiniteGradientError,
+    ParameterStore,
+    _unbroadcast,
+    adam_step,
+    stable_sigmoid,
+)
 from .seeding import substream
-from .tape import EXP_CLAMP, LOG_FLOOR, _unbroadcast
 
 SIGN_MODES = ("consistent", "literal")
 
@@ -171,12 +179,13 @@ class CorrectnessTracker:
 def prediction_loss(probs, labels, vjp: bool = False):
     """Mean binary cross-entropy of an array of probabilities.
 
-    Both logs floor their argument at ``tape.LOG_FLOOR``.  ``vjp=True``
-    returns the loss with its gradient function, ``g -> (d probs,)``,
-    which replays the backward pass of the composed log/mul/sub/add/mean/
-    negate tape ops, so it matches them to the bit.  As with the tape's
-    mean on a Node, that loss multiplies by 1/n where the plain value
-    divides by n; the two can differ in the last bit.
+    Both logs floor their argument at ``numerics.LOG_FLOOR``.
+    ``vjp=True`` returns the loss with its gradient function, ``g -> (d
+    probs,)``, which replays the backward pass of the composed log/mul/
+    sub/add/mean/negate chain of ``tests/reftape.py``, so it matches
+    that chain to the bit.  As with the chain's mean, that loss
+    multiplies by 1/n where the plain value divides by n; the two can
+    differ in the last bit.
     """
     labels = np.asarray(labels, dtype=np.float64)
     yv = np.asarray(probs, dtype=np.float64)
@@ -226,7 +235,7 @@ def calibration_pair_loss(var_a, var_b, o_a, o_b, sign_mode: str = "consistent",
         return hinge
     active = hinge > 0.0  # where the hinge's argument is positive
 
-    def grads(g):  # back through the hinge, add, mul and sub, as the tape runs them
+    def grads(g):  # back through the hinge, add, mul and sub, as the reference chain runs them
         g_a = g * active * direction
         return g_a, -g_a
 
@@ -332,6 +341,12 @@ def draw_batch_noise(
     return BatchNoise(eps=eps, keep_mask=keep, pairs=pairs)
 
 
+def _leaf(store: ParameterStore, name: str, rows=None) -> tape.Node:
+    # a parameter leaf: the whole array, or the sorted distinct ``rows``
+    value = store.params[name] if rows is None else store.params[name][rows]
+    return tape.Node(value, param_ref=(store, name, rows))
+
+
 def _row_block(n_rows: int, at: np.ndarray, per_row):
     # per-occurrence gradient rows summed into distinct rows from zeros, in
     # occurrence order, as np.add.at summed them into the store
@@ -349,7 +364,7 @@ def build_batch_graph(
     noise: BatchNoise,
     prior: PriorConsensus | None,
 ):
-    """The loss of one batch as a single tape Node over parameter leaves.
+    """The loss of one batch as a single Node over parameter leaves.
 
     ``prior=None`` selects the phase-one standard-normal KL.  Returns
     (total Node, LossBreakdown, sampled probabilities as an ndarray).
@@ -358,10 +373,10 @@ def build_batch_graph(
     and discrimination; mirt pins it to one) at its exercises, and for
     ncd the six MLP arrays whole; the store keeps the rows as the
     touched rows.  The forward pass takes the float operations of the
-    objective written as one tape op per step: the draw, the head, the
-    KL, the hinge and the BCE each give their value and VJP
-    (``vjp=True``).  The Node's VJP replays that op-by-op graph's
-    backward pass, var_hat summing five contributions in order (draw,
+    objective written as one reference op per step (``tests/reftape.py``):
+    the draw, the head, the KL, the hinge and the BCE each give their
+    value and VJP (``vjp=True``).  The Node's VJP replays that op-by-op
+    graph's backward pass, var_hat summing five contributions in order (draw,
     KL linear, KL log, pair side a, pair side b), so the store receives
     the same bits.
     """
@@ -369,12 +384,12 @@ def build_batch_graph(
     students, s_at = np.unique(s, return_inverse=True)
     exercises, e_at = np.unique(e, return_inverse=True)
     variant = fn.variant
-    leaves = [store.row_leaf(STUDENT_MEAN, students), store.row_leaf(STUDENT_LOGVAR, students),
-              store.row_leaf(EXERCISE_DIFF, exercises)]
+    leaves = [_leaf(store, STUDENT_MEAN, students), _leaf(store, STUDENT_LOGVAR, students),
+              _leaf(store, EXERCISE_DIFF, exercises)]
     if variant != "mirt":  # mirt pins discrimination to one; its rows never train
-        leaves.append(store.row_leaf(EXERCISE_DISC, exercises))
+        leaves.append(_leaf(store, EXERCISE_DISC, exercises))
     if variant == "ncd":
-        leaves += [store.leaf(name) for name in MLP_PARAMS]
+        leaves += [_leaf(store, name) for name in MLP_PARAMS]
     mu, logvar = leaves[0].value, leaves[1].value
     keep = noise.keep_mask
     var = np.exp(np.clip(logvar, -EXP_CLAMP, EXP_CLAMP))
@@ -547,6 +562,7 @@ class Trainer:
         return dict(zip(("prediction", "kl", "calibration", "total"), sums / steps))
 
     def _validate(self) -> dict:
+        # bound per call, not at import, so a wrapper patched onto inference is seen
         from .inference import evaluate_store
 
         report = evaluate_store(self.store, self.fn, self.dataset, self.splits.val)
@@ -593,6 +609,7 @@ class Trainer:
         return self.to_checkpoint(best_epoch, best_val)
 
     def to_checkpoint(self, best_epoch: int, val_metrics: dict) -> Checkpoint:
+        # bound per call, not at import, so a wrapper patched onto inference is seen
         from .inference import concept_interaction_counts
 
         consensus = self.prior.mean if self.prior is not None else None

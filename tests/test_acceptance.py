@@ -114,8 +114,8 @@ def test_criterion_01_kl_matches_monte_carlo():
         variance = np.exp(rng.uniform(-1.0, 0.5, size=d))
         prior = rng.normal(0.0, 0.5, size=d)
 
-        closed_std = float(tape.value_of(kl_standard(mean, variance)))
-        closed_con = float(tape.value_of(kl_consensus(mean, variance, PriorConsensus(prior))))
+        closed_std = float(kl_standard(mean, variance))
+        closed_con = float(kl_consensus(mean, variance, PriorConsensus(prior)))
         est_std = mc_kl(mean, variance, np.zeros(d), 1_000_000, rng)
         est_con = mc_kl(mean, variance, prior, 1_000_000, rng)
 
@@ -157,9 +157,11 @@ def test_criterion_02_gradient_fidelity():
                 substream(seed % 1000, "pairing"),
             )
 
-            def objective(s):
-                total, _, _ = build_batch_graph(ds, fn, s, batch_idx, cfg, noise, None)
-                return total
+            def objective(s, backward):
+                total, breakdown, _ = build_batch_graph(ds, fn, s, batch_idx, cfg, noise, None)
+                if backward:
+                    tape.backprop(total)
+                return breakdown.total
 
             err = grad_check(objective, store, h=1e-5)
             worst = max(worst, err)
@@ -187,14 +189,10 @@ def test_criterion_03_calibration_loss_oracle():
         va, vb = rng.uniform(0.0, 3.0, size=2)
         oa, ob = rng.integers(0, 9, size=2) / 8.0  # quantized so ties happen
         for mode in ("consistent", "literal"):
-            got = float(tape.value_of(
-                calibration_pair_loss(np.array(va), np.array(vb), oa, ob, mode)
-            ))
+            got = float(calibration_pair_loss(np.array(va), np.array(vb), oa, ob, mode))
             want = straight_line_hinge(va, vb, oa, ob, mode)
             assert abs(got - want) < 1e-12, (case, mode)
-            swapped = float(tape.value_of(
-                calibration_pair_loss(np.array(vb), np.array(va), ob, oa, mode)
-            ))
+            swapped = float(calibration_pair_loss(np.array(vb), np.array(va), ob, oa, mode))
             assert swapped == got, (case, mode)
             if oa == ob:
                 assert got == 0.0
@@ -223,7 +221,7 @@ def brute_metrics(probs, labels, bins=10):
         ]
         if not members:
             continue
-        correct = sum(1 for p, r in members if (1 if p >= 0.5 else 0) == r)
+        correct = sum(1 for _, r in members if r == 1)
         gap = abs(
             correct / len(members) - sum(p for p, _ in members) / len(members)
         )

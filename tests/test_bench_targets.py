@@ -5,8 +5,9 @@ binds some of their arguments by name, and its counting hooks read
 attributes of the objects they are handed (the store's touched rows, a
 pair sample's count, a Node's parents).  A rename or deletion there
 shows up only as ``trace.missing_spans`` (or a hook error) in a traced
-run; here it fails tier-1 instead.  The tracer is imported by file path
-and never installed; its hooks are called directly on program objects.
+run; here it fails tier-1 instead.  The tracer is imported by file path.
+Its hooks are called directly on program objects, and one test installs
+it around a tiny train, eval and diagnose to see every span reached.
 """
 
 import functools
@@ -21,12 +22,12 @@ import numpy as np
 import pytest
 from numpy.random import default_rng
 
-from cogdiag import tape, training
+from cogdiag import cli, tape, training
 from cogdiag.data import build_dataset
 from cogdiag.diagnostics import DiagnosticFunction, init_parameters
 from cogdiag.numerics import AdamConfig, adam_step
 from cogdiag.seeding import substream
-from cogdiag.synth import planted_cohort
+from cogdiag.synth import planted_cohort, write_cohort_csv
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -153,3 +154,32 @@ def test_nodes_hook_walks_the_parents(step):
     # the discrimination leaf and the six MLP leaves
     assert counter.counts["tape.nodes"] == (4 if fn.variant == "mirt" else 11)
     assert counter.counts["tape.graphs"] == 1
+
+
+# ----------------------------------------------------------- every span reached
+
+
+def test_traced_commands_reach_every_span(tmp_path, capsys):
+    # a target that still resolves can go unseen: a module that binds a
+    # traced function at import time (``from .tape import backprop``)
+    # keeps calling the original, and its span records nothing
+    cohort = planted_cohort(n_students=12, n_exercises=20, n_concepts=3, per_student=10, seed=6)
+    logs, qmatrix = tmp_path / "logs.csv", tmp_path / "qmatrix.csv"
+    write_cohort_csv(cohort, logs, qmatrix)
+    entries = dict(logs=logs, qmatrix=qmatrix, output_dir=tmp_path / "run", min_logs=1, seed=6,
+                   variant="ncd", mlp_hidden1=6, mlp_hidden2=4, pretrain_epochs=1, max_epochs=1)
+    config = tmp_path / "run.cfg"
+    config.write_text("".join(f"{k} = {v}\n" for k, v in entries.items()))
+    checkpoint = str(tmp_path / "run" / "checkpoint.json")
+    tracer = TRACER.Tracer()
+    undo = tracer.install()
+    try:
+        assert cli.main(["train", "--config", str(config)]) == 0
+        assert cli.main(["eval", "--checkpoint", checkpoint]) == 0
+        assert cli.main(["diagnose", "--checkpoint", checkpoint, "--student", "s0001"]) == 0
+    finally:
+        tracer.uninstall(undo)
+    summary = tracer.summary()
+    assert summary["missing"] == [] and summary["hook_errors"] == []
+    unreached = sorted({t.span for t in TARGETS} - set(summary["calls"]))
+    assert unreached == [], f"spans that recorded no call: {unreached}"

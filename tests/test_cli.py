@@ -414,7 +414,7 @@ class TestExports:
         ])
         assert code == 0
         rows = out.read_text().splitlines()
-        assert rows[0] == "bin,lo,hi,count,acc,avg_prob,gap"
+        assert rows[0] == "bin,lo,hi,count,frac_correct,avg_prob,gap"
         assert len(rows) == 1 + 10
 
 

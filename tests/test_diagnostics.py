@@ -23,6 +23,8 @@ from cogdiag.numerics import grad_check
 from cogdiag.synth import planted_cohort
 from cogdiag.training import CorrectnessTracker, TrainConfig, build_batch_graph, draw_batch_noise
 
+import reftape
+
 
 def ncd_reference(theta, diff, disc, q, layers):
     """Straight-line NCD forward pass, scalar loops only."""
@@ -267,8 +269,11 @@ class TestPredictorGradients:
                                  default_rng(4), default_rng(5), default_rng(6))
         assert noise.pairs.count > 0
 
-        def f(s):
-            return build_batch_graph(ds, fn, s, batch_idx, cfg, noise, None)[0]
+        def f(s, backward):
+            total, breakdown, _ = build_batch_graph(ds, fn, s, batch_idx, cfg, noise, None)
+            if backward:
+                tape.backprop(total)
+            return breakdown.total
 
         assert grad_check(f, store) < 1e-5
 
@@ -280,17 +285,18 @@ class TestPredictorGradients:
         q = (rng.uniform(size=(4, 3)) < 0.7).astype(float)
         theta = rng.uniform(size=(4, 3))
 
+        @reftape.objective
         def f(s):
-            # the head and its vjp as one Node between tape ops
-            diff = tape.sigmoid(s.leaf(EXERCISE_DIFF))
-            disc = tape.sigmoid(s.leaf(EXERCISE_DISC))
-            mlp = [s.leaf(name) for name in MLP_PARAMS]
+            # the head and its vjp as one Node between reference ops
+            diff = reftape.sigmoid(reftape.leaf(s, EXERCISE_DIFF))
+            disc = reftape.sigmoid(reftape.leaf(s, EXERCISE_DISC))
+            mlp = [reftape.leaf(s, name) for name in MLP_PARAMS]
             y, grads = predict_ncd(theta, diff.value, disc.value, q, mlp_layers(s), vjp=True)
 
             def vjp(g):
                 g_gap, *rest = grads(g)
                 return (-g_gap, *rest)
 
-            return tape.nmean(tape.square(tape.Node(y, (diff, disc, *mlp), vjp)))
+            return reftape.nmean(reftape.square(reftape.Node(y, (diff, disc, *mlp), vjp)))
 
         assert grad_check(f, store) < 1e-4

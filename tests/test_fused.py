@@ -1,4 +1,4 @@
-"""Closed-form formulas and the one-Node training step against the tape chains.
+"""Closed-form formulas and the one-Node training step against the reference chains.
 
 The BCE, draw, KL, hinge and the three heads each return their gradient
 function with ``vjp=True``, replaying the one-op chain's backward pass;
@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 from numpy.random import default_rng
 
-from cogdiag import tape
 from cogdiag.data import ResponseLog, build_dataset
 from cogdiag.diagnostics import (
     MLP_PARAMS,
@@ -34,10 +33,9 @@ from cogdiag.latent import (
     kl_consensus,
     kl_standard,
 )
-from cogdiag.numerics import stable_sigmoid
+from cogdiag.numerics import EXP_CLAMP, LOG_FLOOR, _unbroadcast, stable_sigmoid
 from cogdiag.seeding import substream
 from cogdiag.synth import planted_cohort
-from cogdiag.tape import EXP_CLAMP, LOG_FLOOR, _unbroadcast
 from cogdiag.training import (
     CorrectnessTracker,
     LossBreakdown,
@@ -48,6 +46,8 @@ from cogdiag.training import (
     prediction_loss,
     sample_pairs,
 )
+
+import reftape as tape
 
 # ------------------------------------------------------------- oracles
 
@@ -133,7 +133,7 @@ def ref_batch_step(dataset, fn, store, batch_idx, cfg, noise, prior):
         if fn.variant == "irt":
             y = tape.nsum(ref_predict_irt(theta, difficulty, discrimination, fn.irt_scale), axis=-1)
         else:
-            mlp = [store.leaf(name) for name in MLP_PARAMS]
+            mlp = [tape.leaf(store, name) for name in MLP_PARAMS]
             y = ref_predict_ncd(theta, difficulty, discrimination, dataset.dense_q[e],
                                 list(zip(mlp[::2], mlp[1::2])))
     l_pred = ref_prediction_loss(y, r)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from numpy.random import default_rng
 
-from cogdiag import tape
 from cogdiag.data import build_dataset
 from cogdiag.diagnostics import DiagnosticFunction, init_parameters
 from cogdiag.latent import (
@@ -23,6 +22,8 @@ from cogdiag.latent import (
 from cogdiag.numerics import ParameterStore, grad_check
 from cogdiag.synth import planted_cohort
 from cogdiag.training import TrainConfig, batch_loss, draw_batch_noise
+
+import reftape as tape
 
 
 def mc_kl(mean, variance, prior_mean, n=400_000, seed=0):
@@ -186,15 +187,15 @@ class TestKL:
         store = store_with(rng.normal(size=(3, 2)), rng.normal(scale=0.5, size=(3, 2)))
         prior = PriorConsensus(mean=rng.normal(size=2))
 
-        def objective(s, prior):
-            # the closed-form KL and its vjp as one Node between tape ops
-            mean, var = s.leaf(STUDENT_MEAN), tape.exp(s.leaf(STUDENT_LOGVAR))
+        def kl_node(s, prior):
+            # the closed-form KL and its vjp as one Node between reference ops
+            mean, var = tape.leaf(s, STUDENT_MEAN), tape.exp(tape.leaf(s, STUDENT_LOGVAR))
             out, grads = kl_consensus(mean.value, var.value, prior, vjp=True)
             kl = tape.Node(out, (mean, var, var), grads)
             return tape.nmean(kl)
 
-        assert grad_check(lambda s: objective(s, prior), store) < 1e-4
-        assert grad_check(lambda s: objective(s, STANDARD_PRIOR), store) < 1e-4
+        assert grad_check(tape.objective(lambda s: kl_node(s, prior)), store) < 1e-4
+        assert grad_check(tape.objective(lambda s: kl_node(s, STANDARD_PRIOR)), store) < 1e-4
 
 
 class TestConsensus:

@@ -34,22 +34,21 @@ def auc_brute(y, r):
 
 
 def calibration_brute(y, r, bins):
-    """Literal interval membership, scalar loops."""
+    """Literal interval membership, scalar loops; observed = fraction of labels 1."""
     stats = {n: [0, 0.0, 0.0] for n in range(1, bins + 1)}
     for prob, label in zip(y, r):
         n = 1
         while n < bins and not (prob <= n / bins):
             n += 1
-        hit = 1.0 if (1.0 if prob >= 0.5 else 0.0) == label else 0.0
         stats[n][0] += 1
-        stats[n][1] += hit
+        stats[n][1] += label
         stats[n][2] += prob
     ece = 0.0
     mce = 0.0
-    for n, (count, hits, psum) in stats.items():
+    for n, (count, correct, psum) in stats.items():
         if count == 0:
             continue
-        gap = abs(hits / count - psum / count)
+        gap = abs(correct / count - psum / count)
         ece += count / len(y) * gap
         mce = max(mce, gap)
     return ece, mce
@@ -172,7 +171,7 @@ class TestCalibration:
     def test_empty_bins_skipped(self):
         rep = calibration([0.95, 0.92], [1, 1], bins=10)
         assert rep.counts.sum() == 2
-        assert np.isnan(rep.accuracy[0])
+        assert np.isnan(rep.frac_correct[0])
         assert rep.mce == pytest.approx(1.0 - 0.935, abs=1e-12)
 
     def test_brute_force_equivalence(self):
@@ -203,11 +202,26 @@ class TestCalibration:
         rep = calibration(y, r, bins=bins)
         assert rep.ece <= rep.mce + 1e-15
 
+    def test_calibrated_bernoulli_labels_read_near_zero(self):
+        # labels drawn at the predicted probability: calibrated by construction
+        rng = default_rng(0)
+        y = rng.uniform(size=200_000)
+        r = (rng.uniform(size=200_000) < y).astype(float)
+        assert calibration(y, r, bins=10).ece < 0.01
+
+    def test_constant_coin_flip_misses_the_base_rate(self):
+        # always 0.5 while 70% of the answers are correct: a 0.2 gap
+        rng = default_rng(1)
+        r = (rng.uniform(size=100_000) < 0.7).astype(float)
+        assert calibration(np.full(r.size, 0.5), r, bins=10).ece >= 0.19
+        # below 0.5 too: a hard-call hit rate would read 0.3 against 0.3 here
+        assert calibration(np.full(r.size, 0.3), r, bins=10).ece >= 0.39
+
     def test_single_bin_collapses_to_overall_gap(self):
         y = np.array([0.9, 0.2, 0.7])
         r = np.array([1.0, 0.0, 0.0])
         rep = calibration(y, r, bins=1)
-        overall = abs((1 + 1 + 0) / 3 - y.mean())
+        overall = abs(r.mean() - y.mean())  # one correct answer in three
         assert rep.ece == pytest.approx(overall, abs=1e-12)
         assert rep.mce == rep.ece
 
@@ -237,7 +251,7 @@ class TestReliabilityRows:
     def test_csv_format(self):
         text = format_reliability_csv(calibration([0.95], [1], bins=3))
         lines = text.strip().split("\n")
-        assert lines[0] == "bin,lo,hi,count,acc,avg_prob,gap"
+        assert lines[0] == "bin,lo,hi,count,frac_correct,avg_prob,gap"
         assert len(lines) == 4
         assert lines[1].endswith(",0,,,")  # empty bin leaves fields blank
         assert lines[3].startswith("3,0.666667,1.000000,1,1.000000,0.950000")

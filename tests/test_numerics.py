@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from numpy.random import default_rng
 
-from cogdiag import tape
 from cogdiag.numerics import (
     AdamConfig,
     GradCheckError,
@@ -15,6 +14,9 @@ from cogdiag.numerics import (
     stable_sigmoid,
     xavier_init,
 )
+
+import reftape as tape
+from reftape import leaf, objective
 
 
 class TestStableSigmoid:
@@ -308,32 +310,45 @@ class TestAdamStep:
 class TestGradCheck:
     def test_quadratic(self):
         store = scalar_store(3.0)
-        err = grad_check(lambda s: tape.nsum(tape.square(s.leaf("w"))), store)
+        err = grad_check(objective(lambda s: tape.nsum(tape.square(leaf(s, "w")))), store)
         assert err < 1e-9
+
+    def test_closed_form_objective_without_a_graph(self):
+        # the contract batch_loss has: evaluate, and add the gradient when asked
+        store = ParameterStore()
+        store.add("w", default_rng(4).normal(size=(3, 2)))
+
+        def f(s, backward):
+            w = s.params["w"]
+            if backward:
+                s.accumulate_grad("w", None, 2.0 * w)
+            return float(np.sum(w * w))
+
+        assert grad_check(f, store) < 1e-9
 
     def test_constant_objective_reports_zero(self):
         store = scalar_store(2.0)
-        err = grad_check(lambda s: tape.nsum(s.leaf("w") * 0.0) + 5.0, store)
+        err = grad_check(objective(lambda s: tape.nsum(leaf(s, "w") * 0.0) + 5.0), store)
         assert err == 0.0
 
     def test_sigmoid_chain(self):
         store = ParameterStore()
         store.add("w", default_rng(2).normal(size=(4, 2)))
-        err = grad_check(lambda s: tape.nsum(tape.sigmoid(s.leaf("w"))), store)
+        err = grad_check(objective(lambda s: tape.nsum(tape.sigmoid(leaf(s, "w")))), store)
         assert err < 1e-6
 
     def test_rejects_bad_step(self):
         with pytest.raises(ValueError):
-            grad_check(lambda s: tape.nsum(s.leaf("w")), scalar_store(), h=1e-2)
+            grad_check(objective(lambda s: tape.nsum(leaf(s, "w"))), scalar_store(), h=1e-2)
 
     def test_non_finite_objective_names_the_problem(self):
         store = scalar_store(np.inf)
         with pytest.raises(GradCheckError):
-            grad_check(lambda s: tape.nsum(s.leaf("w")), store)
+            grad_check(objective(lambda s: tape.nsum(leaf(s, "w"))), store)
 
     def test_leaves_store_untouched(self):
         store = scalar_store(1.25)
-        grad_check(lambda s: tape.nsum(tape.square(s.leaf("w"))), store)
+        grad_check(objective(lambda s: tape.nsum(tape.square(leaf(s, "w")))), store)
         assert float(store.params["w"][0, 0]) == 1.25
         assert np.all(store.grads["w"] == 0.0)
 
@@ -343,11 +358,10 @@ class TestGradCheck:
         # checker is actually comparing something
         store = scalar_store(1.5)
 
+        @objective
         def crooked(s):
-            leaf = s.leaf("w")
-            square = tape.Node(
-                leaf.value**2, parents=(leaf,), vjp=lambda g: (g * 3.0 * leaf.value,)
-            )
+            w = leaf(s, "w")
+            square = tape.Node(w.value**2, parents=(w,), vjp=lambda g: (g * 3.0 * w.value,))
             return tape.nsum(square)
 
         assert grad_check(crooked, store) > 0.3

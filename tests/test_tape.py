@@ -1,11 +1,18 @@
-"""Gradient and value checks for the autodiff tape."""
+"""Gradient and value checks for the reference autodiff, and the objective Node's flush.
+
+``reftape`` is the op-by-op oracle the closed-form gradients are tested
+against; ``cogdiag.tape`` holds the one Node a training step records
+and the ``backprop`` that sends its gradient into the store.
+"""
 
 import numpy as np
 import pytest
 from numpy.random import default_rng
 
-from cogdiag import tape
-from cogdiag.tape import Node, backprop, value_of
+import reftape as tape
+from cogdiag import tape as objective_tape
+from cogdiag.numerics import ParameterStore
+from reftape import Node, backprop, value_of
 
 
 def fd_grad(f, x, h=1e-6):
@@ -192,3 +199,56 @@ class TestOpGradients:
             z = z + 0.001
         backprop(z)
         assert float(x.grad) == 1.0
+
+
+class TestObjectiveNode:
+    """``cogdiag.tape.backprop``: one VJP call, each leaf's gradient into its store."""
+
+    def store(self):
+        store = ParameterStore()
+        store.add("w", np.arange(8.0).reshape(4, 2), row_sparse=True)
+        store.add("b", np.zeros(2))
+        return store
+
+    def root(self, node_type, w, b):
+        calls = []
+
+        def vjp(g):
+            calls.append(g)
+            return np.array([[1.0, 2.0], [3.0, 4.0]]) * g, np.array([0.5, -0.5]) * g, g
+
+        constant = node_type(7.0)  # a parent without a parameter behind it
+        return node_type(np.array(2.5), (w, b, constant), vjp), calls
+
+    def test_one_vjp_call_flushes_each_leaf(self):
+        store = self.store()
+        rows = np.array([1, 3])
+        w = objective_tape.Node(store.params["w"][rows], param_ref=(store, "w", rows))
+        b = objective_tape.Node(store.params["b"], param_ref=(store, "b", None))
+        root, calls = self.root(objective_tape.Node, w, b)
+        objective_tape.backprop(root)
+        assert len(calls) == 1 and calls[0].shape == () and float(calls[0]) == 1.0
+        np.testing.assert_array_equal(store.grads["w"], [[0, 0], [1, 2], [0, 0], [3, 4]])
+        np.testing.assert_array_equal(store.grads["b"], [0.5, -0.5])
+        assert store.touched_rows("w") is rows
+        assert store.touched_rows("b") == "dense"
+
+    def test_matches_the_reference_flush(self):
+        want = self.store()
+        root, _ = self.root(Node, tape.row_leaf(want, "w", [1, 3]), tape.leaf(want, "b"))
+        backprop(root)
+        got = self.store()
+        rows = np.array([1, 3])
+        root, _ = self.root(
+            objective_tape.Node,
+            objective_tape.Node(got.params["w"][rows], param_ref=(got, "w", rows)),
+            objective_tape.Node(got.params["b"], param_ref=(got, "b", None)),
+        )
+        objective_tape.backprop(root)
+        for name in ("w", "b"):
+            np.testing.assert_array_equal(got.grads[name], want.grads[name])
+            np.testing.assert_array_equal(got.touched_rows(name), want.touched_rows(name))
+
+    def test_requires_scalar_root(self):
+        with pytest.raises(ValueError):
+            objective_tape.backprop(objective_tape.Node(np.array([1.0, 2.0]), (), lambda g: ()))

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 from numpy.random import default_rng
 
-from cogdiag import tape
 from cogdiag.data import SplitSpec, build_dataset, split_per_student
 from cogdiag.diagnostics import DiagnosticFunction, init_parameters
 from cogdiag.latent import DropoutConfig
 from cogdiag.numerics import grad_check
 from cogdiag.seeding import substream
 from cogdiag.synth import planted_cohort
+from cogdiag import tape
 from cogdiag.training import (
     BatchNoise,
     CorrectnessTracker,
@@ -52,23 +52,23 @@ def quick_config(**overrides):
 
 class TestPredictionLoss:
     def test_coin_flip_is_log_two(self):
-        got = float(tape.value_of(prediction_loss(np.array([0.5, 0.5]), np.array([1.0, 0.0]))))
+        got = float(prediction_loss(np.array([0.5, 0.5]), np.array([1.0, 0.0])))
         assert got == pytest.approx(np.log(2.0), abs=1e-15)
 
     def test_confident_and_right_is_near_zero(self):
-        got = float(tape.value_of(prediction_loss(np.array([0.999999]), np.array([1.0]))))
+        got = float(prediction_loss(np.array([0.999999]), np.array([1.0])))
         assert got < 1e-5
 
     def test_frozen_single_case(self):
         # -log(0.1) for a confident miss
-        got = float(tape.value_of(prediction_loss(np.array([0.1]), np.array([1.0]))))
+        got = float(prediction_loss(np.array([0.1]), np.array([1.0])))
         assert got == pytest.approx(2.302585092994046, abs=1e-12)
 
     def test_mean_over_batch(self):
         y = np.array([0.8, 0.3])
         r = np.array([1.0, 0.0])
         want = -np.mean([np.log(0.8), np.log(0.7)])
-        got = float(tape.value_of(prediction_loss(y, r)))
+        got = float(prediction_loss(y, r))
         assert got == pytest.approx(want, abs=1e-14)
 
 
@@ -110,9 +110,7 @@ class TestTracker:
 
 class TestCalibrationPairLoss:
     def loss(self, va, vb, oa, ob, mode="consistent"):
-        return float(tape.value_of(calibration_pair_loss(
-            np.array(va), np.array(vb), oa, ob, mode
-        )))
+        return float(calibration_pair_loss(np.array(va), np.array(vb), oa, ob, mode))
 
     def test_tie_is_exactly_zero(self):
         for mode in ("consistent", "literal"):
@@ -149,7 +147,7 @@ class TestCalibrationPairLoss:
     def test_vectorized_over_pairs(self):
         va = np.array([0.1, 0.9])
         vb = np.array([0.9, 0.1])
-        out = tape.value_of(calibration_pair_loss(va, vb, np.array([0.8, 0.8]), np.array([0.2, 0.2])))
+        out = calibration_pair_loss(va, vb, np.array([0.8, 0.8]), np.array([0.2, 0.2]))
         assert out[0] == 0.0
         assert out[1] == pytest.approx(1.4, abs=1e-12)
 
@@ -386,9 +384,11 @@ class TestBatchLoss:
             substream(9, "sampling"), substream(9, "dropout"), substream(9, "pairing"),
         )
 
-        def objective(s):
-            total, _, _ = build_batch_graph(ds, fn, s, batch_idx, cfg, noise, None)
-            return total
+        def objective(s, backward):
+            total, breakdown, _ = build_batch_graph(ds, fn, s, batch_idx, cfg, noise, None)
+            if backward:
+                tape.backprop(total)
+            return breakdown.total
 
         assert grad_check(objective, store) < 1e-4
 
