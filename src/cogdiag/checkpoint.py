@@ -10,8 +10,9 @@ identity on bytes.  No pickling, so checkpoints are safe to share.
 
 A checkpoint carries everything ``diagnose`` and ``export-ability``
 print, including each student's training-evidence counts, so serving
-those needs no data files.  Files are replaced atomically: a crash
-while saving leaves the previous file, never a truncated one.
+those needs no data files and reads none of the exercise-side bytes.
+Files are replaced atomically: a crash while saving leaves the previous
+file, never a truncated one.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .diagnostics import DiagnosticFunction, parameter_layout
-from .latent import STUDENT_MEAN
+from .latent import STUDENT_LOGVAR, STUDENT_MEAN
 from .numerics import ParameterStore
 
 FORMAT_VERSION = 3
@@ -54,8 +55,12 @@ class Checkpoint:
     format_version: int = FORMAT_VERSION
 
 
-def _read_arrays(fh, entries) -> dict[str, np.ndarray]:
-    """The header's ``arrays``: views into one ``np.fromfile`` of the rest of the file."""
+def _read_arrays(fh, entries, wanted=None) -> tuple[dict[str, tuple], dict[str, np.ndarray]]:
+    """The header's ``arrays``: every shape, and the arrays named in ``wanted`` (None: all).
+
+    The arrays are views into one ``np.fromfile`` of the span from the
+    first wanted array to the last; the bytes around it are not read.
+    """
     if not isinstance(entries, list):
         raise ValueError("arrays is not a list")
     for entry in entries:
@@ -65,17 +70,25 @@ def _read_arrays(fh, entries) -> dict[str, np.ndarray]:
             and all(type(n) is int and n >= 0 for n in entry[1])  # a bool is no dimension
         ):
             raise ValueError(f"arrays entry {entry!r} is not [name, list of nonnegative ints]")
+    shapes = {name: tuple(shape) for name, shape in entries}
+    if len(shapes) != len(entries):
+        raise ValueError("arrays repeats a name")
     sizes = [math.prod(shape) for _, shape in entries]
     expected, found = 8 * sum(sizes), os.fstat(fh.fileno()).st_size - fh.tell()
     if found != expected:
         raise ValueError(f"the header's arrays take {expected} bytes, {found} follow it")
-    flat = np.fromfile(fh, dtype="<f8", count=sum(sizes)).astype(np.float64, copy=False)
+    read = [i for i, (name, _) in enumerate(entries) if wanted is None or name in wanted]
+    if not read:
+        return shapes, {}
+    first, last = read[0], read[-1] + 1
+    fh.seek(8 * sum(sizes[:first]), os.SEEK_CUR)
+    flat = np.fromfile(fh, dtype="<f8", count=sum(sizes[first:last])).astype(np.float64, copy=False)
     arrays, at = {}, 0
-    for (name, shape), size in zip(entries, sizes):
-        arrays[name], at = flat[at : at + size].reshape(shape), at + size
-    if len(arrays) != len(entries):
-        raise ValueError("arrays repeats a name")
-    return arrays
+    for (name, shape), size in zip(entries[first:last], sizes[first:last]):
+        if wanted is None or name in wanted:
+            arrays[name] = flat[at : at + size].reshape(shape)
+        at += size
+    return shapes, arrays
 
 
 def _whole_counts(counts: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
@@ -131,10 +144,19 @@ def save_checkpoint(ck: Checkpoint, path) -> None:
     atomic_write(path, b"".join([header.encode("ascii"), b"\n", *(arr for _, arr in arrays)]))
 
 
-def load_checkpoint(path) -> Checkpoint:
+def load_checkpoint(path, students_only: bool = False) -> Checkpoint:
+    """Read and check a checkpoint.
+
+    With ``students_only`` the exercise and MLP arrays are checked
+    against the header but not read, and ``params`` holds just the
+    student means and log-variances: all that ``diagnose`` and
+    ``export-ability`` print.  Their cost then follows the cohort, not
+    the exercise bank.
+    """
     def reject(token):  # json.loads would accept NaN and Infinity
         raise ValueError(f"{token} is not a number")
 
+    wanted = {STUDENT_MEAN, STUDENT_LOGVAR, "consensus_mean", "train_counts"} if students_only else None
     try:
         with open(path, "rb") as fh:
             doc = json.loads(fh.readline().decode("ascii"), parse_constant=reject)
@@ -146,7 +168,7 @@ def load_checkpoint(path) -> Checkpoint:
                     f"checkpoint {path} has format_version {version!r}, this build reads only "
                     f"format_version {FORMAT_VERSION}; retrain with `cogdiag train` to write one"
                 )
-            arrays = _read_arrays(fh, doc["arrays"])
+            shapes, arrays = _read_arrays(fh, doc["arrays"], wanted)
         run_config = doc["run_config"]
         if not isinstance(run_config, dict):
             raise ValueError(f"run_config is not a JSON object (got {type(run_config).__name__})")
@@ -155,7 +177,8 @@ def load_checkpoint(path) -> Checkpoint:
         layout = {name: shape for name, shape, _ in parameter_layout(fn, *sizes)}
         consensus = arrays.pop("consensus_mean", None)
         counts = _whole_counts(arrays.pop("train_counts"), layout[STUDENT_MEAN])
-        shapes = {name: arr.shape for name, arr in arrays.items()}
+        shapes.pop("consensus_mean", None)
+        shapes.pop("train_counts")
         if shapes != layout:
             raise ValueError(f"parameter shapes {shapes} differ from the layout {layout}")
         if consensus is not None and consensus.shape != layout[STUDENT_MEAN][1:]:

@@ -196,7 +196,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    ck = load_checkpoint(args.checkpoint)
+    ck = load_checkpoint(args.checkpoint, students_only=True)
     _run_config_from_checkpoint(ck)
     report = diagnose(ck, args.student)
 
@@ -221,7 +221,7 @@ def cmd_diagnose(args) -> int:
 
 
 def cmd_export_ability(args) -> int:
-    ck = load_checkpoint(args.checkpoint)
+    ck = load_checkpoint(args.checkpoint, students_only=True)
     _run_config_from_checkpoint(ck)
     mastery = stable_sigmoid(ck.params[STUDENT_MEAN])
     sigma = np.sqrt(np.exp(ck.params[STUDENT_LOGVAR]))

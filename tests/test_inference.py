@@ -138,6 +138,37 @@ class TestCheckpointIO:
         flat = np.concatenate([np.ravel(arr).astype(np.float64) for arr in arrays])
         assert raw[len(line) :] == flat.astype("<f8").tobytes()
 
+    @pytest.mark.parametrize("variant", ["irt", "mirt", "ncd"])
+    def test_students_only_reads_just_the_student_side(self, tmp_path, monkeypatch, variant):
+        ds = toy_dataset()
+        _, ck = trained_checkpoint(ds, variant)
+        path = tmp_path / "ck.json"
+        save_checkpoint(ck, path)
+        counts = []
+        fromfile = np.fromfile
+        monkeypatch.setattr(np, "fromfile", lambda *a, **kw: counts.append(kw["count"]) or fromfile(*a, **kw))
+        back = load_checkpoint(path, students_only=True)
+        student_side = [ck.params["student_mu"], ck.params["student_logvar"], ck.train_counts]
+        if ck.consensus_mean is not None:
+            student_side.append(ck.consensus_mean)
+        assert counts == [sum(arr.size for arr in student_side)]
+        assert sorted(back.params) == ["student_logvar", "student_mu"]
+        for name, arr in back.params.items():
+            np.testing.assert_array_equal(arr, ck.params[name])
+        np.testing.assert_array_equal(back.train_counts, ck.train_counts)
+        if ck.consensus_mean is not None:
+            np.testing.assert_array_equal(back.consensus_mean, ck.consensus_mean)
+        assert back.student_ids == ck.student_ids and back.concept_ids == ck.concept_ids
+
+    def test_students_only_still_checks_the_exercise_shapes(self, tmp_path, rewrite_checkpoint):
+        ds = toy_dataset()
+        _, ck = trained_checkpoint(ds, "ncd")
+        path = tmp_path / "ck.json"
+        save_checkpoint(ck, path)
+        rewrite_checkpoint(path, path, arrays={"exercise_diff": np.zeros((3, 4))})
+        with pytest.raises(CheckpointError, match="malformed"):
+            load_checkpoint(path, students_only=True)
+
     def test_loaded_arrays_are_writable_and_train(self, tmp_path):
         ds = toy_dataset()
         _, ck = trained_checkpoint(ds, "ncd")
