@@ -114,7 +114,7 @@ def _split_indices(splits: Splits, name: str):
 def _published_probs(ck: Checkpoint, dataset: Dataset, indices) -> tuple[list[str], list[float]]:
     """Predictions at ``indices`` as published: six-decimal strings, and their floats."""
     probs = predict_split(store_from_checkpoint(ck), diagnostic_from_checkpoint(ck), dataset, indices)
-    published = [f"{p:.6f}" for p in probs]
+    published = [f"{p:.6f}" for p in probs.tolist()]
     return published, [float(s) for s in published]
 
 
@@ -176,13 +176,15 @@ def cmd_eval(args) -> int:
     report = evaluate_probs(rounded, dataset.scores[indices], bins=cfg.bins)
 
     out = _out_path(args.out, args.checkpoint, f"predictions_{args.split}.csv")
+    sids, eids = dataset.student_ids, dataset.exercise_ids
+    rows = zip(
+        dataset.s_idx[indices].tolist(),
+        dataset.e_idx[indices].tolist(),
+        dataset.scores[indices].astype(np.int64).tolist(),
+        published,
+    )
     lines = ["student_id,exercise_id,label,prob"]
-    for pos, prob in zip(indices, published):
-        lines.append(
-            f"{dataset.student_ids[dataset.s_idx[pos]]},"
-            f"{dataset.exercise_ids[dataset.e_idx[pos]]},"
-            f"{int(dataset.scores[pos])},{prob}"
-        )
+    lines += [f"{sids[s]},{eids[e]},{label},{prob}" for s, e, label, prob in rows]
     atomic_write(out, "\n".join(lines) + "\n")
 
     print(f"split {args.split} n {report.n}")

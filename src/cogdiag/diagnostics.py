@@ -163,7 +163,9 @@ def predict_ncd(theta, difficulty, discrimination, q_mask, layers, vjp: bool = F
     for w, b in layers:
         if vjp:
             inputs.append(x)
-        x = stable_sigmoid(x @ w + b)
+        h = x @ w
+        h += b  # in place: one block temporary fewer per layer
+        x = stable_sigmoid(h)
     squeeze = np.shape(x)[-1:] == (1,)
     y = x.sum(axis=-1) if squeeze else x
     if not vjp:

@@ -27,23 +27,46 @@ from .metrics import BinReport, acc, auc, calibration, rmse
 from .numerics import ParameterStore, stable_sigmoid
 
 
+# bytes of the widest float64 array one block forms: half of a 2 MiB
+# per-core L2, so a layer's input and output blocks stay in cache together
+BLOCK_BYTES = 1 << 20
+
+
 def predict_split(
     store: ParameterStore,
     fn: DiagnosticFunction,
     dataset: Dataset,
     indices: np.ndarray,
-    chunk: int = 8192,
+    chunk: int | None = None,
 ) -> np.ndarray:
-    """Correctness probabilities for the given interaction positions."""
+    """Correctness probabilities for the given interaction positions.
+
+    Rows go through the head ``chunk`` at a time.  By default a block
+    holds as many rows as keep the widest (rows, width) array the head
+    forms within ``BLOCK_BYTES``: the width is the latent size, or for
+    ncd the widest of it and the hidden layers.  That gives 256 rows at
+    ncd's 512-wide layer, while irt and mirt keep large blocks.
+
+    Blocks move time and memory, not bits.  BLAS kernels step through
+    rows 4 to 16 at a time and sum the leftover rows differently, so the
+    default block is a multiple of 64 rows: every row then sits where one
+    whole call would put it.  A tail shorter than a block joins the block
+    before it, since a one-row matmul takes the matrix-vector path.
+    """
     indices = np.asarray(indices, dtype=np.int64)
     theta_all = stable_sigmoid(store.params[STUDENT_MEAN])
     diff_all = stable_sigmoid(store.params[EXERCISE_DIFF])
     disc_all = stable_sigmoid(store.params[EXERCISE_DISC])
-    layers = mlp_layers(store) if fn.variant == "ncd" else None
+    layers = mlp_layers(store) if fn.variant == "ncd" else []
+    if chunk is None:
+        width = max([theta_all.shape[1]] + [w.shape[1] for w, _ in layers])
+        chunk = max(64, BLOCK_BYTES // (8 * width) // 64 * 64)
 
-    out = np.empty(len(indices))
-    for lo in range(0, len(indices), chunk):
-        part = indices[lo : lo + chunk]
+    n = len(indices)
+    out = np.empty(n)
+    lo = 0
+    for hi in [*range(chunk, n - chunk + 1, chunk), n]:
+        part = indices[lo:hi]
         theta = theta_all[dataset.s_idx[part]]
         diff = diff_all[dataset.e_idx[part]]
         if fn.variant == "irt":
@@ -60,7 +83,8 @@ def predict_split(
                 dataset.dense_q[dataset.e_idx[part]],
                 layers,
             )
-        out[lo : lo + len(part)] = probs
+        out[lo:hi] = probs
+        lo = hi
     return out
 
 

@@ -47,8 +47,10 @@ def stable_sigmoid(x):
 
     With ``z = exp(-|x|)``, which never overflows, the result is
     ``1 / (1 + z)`` for ``x >= 0`` and ``z / (1 + z)`` otherwise; safe for
-    arguments far beyond +-1000.  Arrays take both formulas in
-    preallocated buffers, picking by sign without indexing; 0-d input
+    arguments far beyond +-1000.  Arrays pick the numerator without a
+    branch or a mask: ``maximum(z, x >= 0)`` is exact, because ``z`` lies
+    in [0, 1], so the maximum is 1.0 where ``x >= 0`` and ``z`` itself
+    (never below the 0.0 it is compared with) where ``x < 0``.  0-d input
     takes a scalar path through the same ``np.exp``, so both paths agree
     to the bit.  Scalar in, float out; array in, array out.  Non-finite
     input is a contract violation and raises.
@@ -66,7 +68,7 @@ def stable_sigmoid(x):
     np.negative(z, out=z)
     np.exp(z, out=z)
     out = np.add(z, 1.0)
-    np.copyto(z, 1.0, where=arr >= 0)  # numerator: 1 or z, by sign
+    np.maximum(z, arr >= 0, out=z)  # numerator: 1 or z, by sign
     np.divide(z, out, out=out)
     return out
 

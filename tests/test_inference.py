@@ -21,6 +21,7 @@ from cogdiag.checkpoint import (
 from cogdiag.data import build_dataset
 from cogdiag.diagnostics import DiagnosticFunction, init_parameters
 from cogdiag.inference import (
+    BLOCK_BYTES,
     check_dataset_matches,
     concept_interaction_counts,
     diagnose,
@@ -31,6 +32,10 @@ from cogdiag.inference import (
 from cogdiag.numerics import AdamConfig, adam_step
 from cogdiag.synth import planted_cohort
 from cogdiag.training import TrainConfig, Trainer
+
+
+def same_bits(a, b):
+    return np.array_equal(np.asarray(a).view(np.int64), np.asarray(b).view(np.int64))
 
 
 def toy_dataset(seed=1):
@@ -45,9 +50,9 @@ def concepts_of(ds, j):
     return ds.concept_idx[ds.concept_ptr[j] : ds.concept_ptr[j + 1]]
 
 
-def trained_checkpoint(ds, variant="mirt", seed=3):
+def trained_checkpoint(ds, variant="mirt", seed=3, mlp_hidden=(6, 4)):
     cfg = TrainConfig(max_epochs=2, pretrain_epochs=2, seed=seed, batch_size=16)
-    trainer = Trainer(ds, DiagnosticFunction(variant, mlp_hidden=(6, 4)), cfg)
+    trainer = Trainer(ds, DiagnosticFunction(variant, mlp_hidden=mlp_hidden), cfg)
     return trainer, trainer.train()
 
 
@@ -348,6 +353,39 @@ class TestEvaluation:
             predict_split(store, fn, ds, idx, chunk=7),
             predict_split(store, fn, ds, idx, chunk=10_000),
         )
+
+    @pytest.mark.parametrize("variant", ["ncd", "mirt", "irt"])
+    def test_default_block_matches_whole_and_single_rows(self, variant):
+        # ncd at the paper's 512/256 width; the positions repeat so that
+        # every variant spans 2.5 default blocks plus a ragged tail
+        ds = toy_dataset()
+        _, ck = trained_checkpoint(ds, variant, mlp_hidden=(512, 256))
+        store = store_from_checkpoint(ck)
+        fn = diagnostic_from_checkpoint(ck)
+        width = {"ncd": 512, "mirt": ds.n_concepts, "irt": 1}[variant]
+        block = BLOCK_BYTES // (8 * width) // 64 * 64
+        idx = np.resize(np.arange(ds.n_interactions), 5 * block // 2 + 3)
+        blocked = predict_split(store, fn, ds, idx)
+        assert same_bits(blocked, predict_split(store, fn, ds, idx, chunk=len(idx)))
+
+        positions = np.arange(ds.n_interactions)
+        whole = predict_split(store, fn, ds, positions, chunk=len(positions))
+        singles = np.array([predict_split(store, fn, ds, positions[i : i + 1])[0] for i in positions])
+        if variant == "ncd":
+            # a one-row matmul takes BLAS's matrix-vector path, which may
+            # round the last place differently
+            np.testing.assert_array_max_ulp(blocked, singles[idx], maxulp=4)
+        else:
+            assert same_bits(blocked, singles[idx])
+
+        # so a one-row tail must not be served alone: end two blocks on
+        # each row whose one-row call rounds differently
+        for pos in np.flatnonzero(whole.view(np.int64) != singles.view(np.int64)):
+            tailed = np.append(idx[: 2 * block], pos)
+            assert same_bits(
+                predict_split(store, fn, ds, tailed),
+                predict_split(store, fn, ds, tailed, chunk=len(tailed)),
+            )
 
     def test_eval_is_deterministic(self):
         ds = toy_dataset()

@@ -90,6 +90,18 @@ class TestStableSigmoidReference:
             strided = grid[::2, ::3]
             assert same_bits(stable_sigmoid(strided), masked_sigmoid(strided))
 
+    def test_serving_blocks_match_reference_bit_for_bit(self):
+        # the shapes and regimes the ncd head feeds it: a mixed-sign
+        # 512-wide layer block, an all-positive block near +12 like the
+        # second layer's, rows of signed zeros, subnormals and saturating
+        # logits, and a strided view of the mixed block
+        rng = default_rng(13)
+        mixed = rng.standard_normal((600, 512)) * 4.0
+        positive = 12.0 + rng.standard_normal((600, 256))
+        edges = np.tile([0.0, -0.0, 5e-324, -5e-324, 745.0, -745.0], (8, 1))
+        for block in (mixed, positive, edges, mixed[1::3, ::5]):
+            assert same_bits(stable_sigmoid(block), masked_sigmoid(block))
+
     def test_array_input_left_untouched(self):
         xs = np.array([-2.0, 0.0, 3.0])
         stable_sigmoid(xs)
