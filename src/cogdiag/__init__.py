@@ -21,12 +21,12 @@ from .data import (
     DataFormatError,
     DataValidationError,
     Dataset,
+    LogColumns,
     ResponseLog,
     SplitSpec,
     Splits,
     batches,
     build_dataset,
-    filter_students,
     load_logs,
     load_qmatrix,
     split_per_student,

@@ -5,6 +5,10 @@ row (``student_id,exercise_id,score`` with score 0 or 1); the Q-matrix
 carries one (exercise, concept) pair per row.  Ids are opaque strings
 and get mapped to dense indices in first-appearance order, which makes
 every downstream artifact reproducible from the input files alone.
+
+Files are read into columns, not into an object per row: every check
+and every index runs over a whole column at once, and only a failed
+check goes back to find the first offending row.
 """
 
 from __future__ import annotations
@@ -13,6 +17,9 @@ import csv
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import compress
+from operator import attrgetter, itemgetter
+from pathlib import Path
 
 import numpy as np
 
@@ -34,73 +41,110 @@ class ResponseLog:
     score: int
 
 
+@dataclass(eq=False, slots=True)
+class LogColumns:
+    """Response logs as parallel columns; ``logs[i]`` is the i-th :class:`ResponseLog`."""
+
+    student_ids: list[str]
+    exercise_ids: list[str]
+    scores: np.ndarray  # (n,) float64 in {0.0, 1.0}
+
+    @classmethod
+    def of(cls, logs) -> LogColumns:
+        """``logs`` itself if it is columns already, else the columns of a sequence of records."""
+        if isinstance(logs, cls):
+            return logs
+        return cls(
+            list(map(attrgetter("student_id"), logs)),
+            list(map(attrgetter("exercise_id"), logs)),
+            np.array(list(map(attrgetter("score"), logs)), dtype=np.float64),
+        )
+
+    def __len__(self) -> int:
+        return len(self.student_ids)
+
+    def __getitem__(self, i: int) -> ResponseLog:
+        return ResponseLog(self.student_ids[i], self.exercise_ids[i], int(self.scores[i]))
+
+
 LOG_HEADER = ["student_id", "exercise_id", "score"]
 QMATRIX_HEADER = ["exercise_id", "concept_id"]
 
 
-def _read_rows(path, expected_header):
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            return iter(())
-        header = [h.strip() for h in header]
-        if header != expected_header:
-            raise DataFormatError(
-                f"{path}: expected header {','.join(expected_header)!r}, got {','.join(header)!r}"
-            )
-        yield from ((lineno, row) for lineno, row in enumerate(reader, start=2))
+def _bad_utf8_line(path) -> int:
+    """The line of the first byte of ``path`` that is not valid UTF-8."""
+    raw = Path(path).read_bytes()
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return raw.count(b"\n", 0, exc.start) + 1
+    return 1
 
 
-def load_logs(path) -> list[ResponseLog]:
+def _read_columns(path, header: list[str]) -> tuple[list[list[str]], list[tuple[int, str]]]:
+    """Stripped field columns of the rows after ``header``, and their problems.
+
+    Columns cover the rows before the first one whose field count is
+    wrong.  Problems are (row index, message): that row, if any, and the
+    first empty field of each ``*_id`` column.  The reader's rows are
+    appended to one flat list as they stream past, and the running
+    length after each row tells every row's field count without keeping
+    a list per row.
+    """
+    flat: list[str] = []
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            got = [h.strip() for h in next(reader, header)]
+            if got != header:
+                raise DataFormatError(
+                    f"{path}: expected header {','.join(header)!r}, got {','.join(got)!r}"
+                )
+            ends = np.fromiter(map(len, map(flat.__iadd__, reader)), dtype=np.int64)
+    except csv.Error as exc:
+        raise DataFormatError(f"{path} line {reader.line_num}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        line = _bad_utf8_line(path)
+        raise DataFormatError(f"{path} line {line}: not valid UTF-8 ({exc.reason})") from None
+    width = len(header)
+    counts = np.diff(ends, prepend=0)
+    bad = np.flatnonzero(counts != width)
+    problems = []
+    n_ok = len(counts)
+    if len(bad):
+        n_ok = int(bad[0])
+        problems.append((n_ok, f"expected {width} fields, got {counts[n_ok]}"))
+    columns = [list(map(str.strip, flat[k : width * n_ok : width])) for k in range(width)]
+    for name, col in zip(header, columns):
+        if name.endswith("_id") and "" in col:
+            problems.append((col.index(""), "empty id field"))
+    return columns, problems
+
+
+def _raise_first(path, problems: list[tuple[int, str]]) -> None:
+    """Raise the problem of the earliest row; on one row, the first one found."""
+    if problems:
+        index, message = min(problems, key=itemgetter(0))
+        raise DataFormatError(f"{path} line {index + 2}: {message}")
+
+
+def load_logs(path) -> LogColumns:
     """Parse a response-log CSV. Malformed rows raise with their line number."""
-    logs = []
-    for lineno, row in _read_rows(path, LOG_HEADER):
-        if len(row) != 3:
-            raise DataFormatError(f"{path} line {lineno}: expected 3 fields, got {len(row)}")
-        sid, eid, raw_score = row
-        sid = sid.strip()
-        eid = eid.strip()
-        raw_score = raw_score.strip()
-        if not sid or not eid:
-            raise DataFormatError(f"{path} line {lineno}: empty id field")
-        if raw_score == "1":
-            score = 1
-        elif raw_score == "0":
-            score = 0
-        else:
-            raise DataFormatError(f"{path} line {lineno}: score must be 0 or 1, got {raw_score!r}")
-        logs.append(ResponseLog(sid, eid, score))
-    return logs
+    (sids, eids, scores), problems = _read_columns(path, LOG_HEADER)
+    if not set(scores) <= {"0", "1"}:
+        i = next(i for i, s in enumerate(scores) if s not in ("0", "1"))
+        problems.append((i, f"score must be 0 or 1, got {scores[i]!r}"))
+    _raise_first(path, problems)
+    # every score is "0" or "1" here, so its one ASCII byte minus b"0" is its value
+    digits = np.frombuffer("".join(scores).encode("ascii"), dtype=np.uint8)
+    return LogColumns(sids, eids, (digits - ord("0")).astype(np.float64))
 
 
 def load_qmatrix(path) -> list[tuple[str, str]]:
     """Parse Q-matrix pairs, dropping duplicates but keeping first-seen order."""
-    pairs = []
-    seen = set()
-    for lineno, row in _read_rows(path, QMATRIX_HEADER):
-        if len(row) != 2:
-            raise DataFormatError(f"{path} line {lineno}: expected 2 fields, got {len(row)}")
-        eid, cid = (f.strip() for f in row)
-        if not eid or not cid:
-            raise DataFormatError(f"{path} line {lineno}: empty id field")
-        if (eid, cid) not in seen:
-            seen.add((eid, cid))
-            pairs.append((eid, cid))
-    return pairs
-
-
-def filter_students(logs: list[ResponseLog], min_logs: int = 15) -> list[ResponseLog]:
-    """Drop all logs of students with fewer than ``min_logs`` interactions.
-
-    A single pass over the original counts, so the operation is
-    idempotent: filtering the result again changes nothing.
-    """
-    if min_logs < 1:
-        raise ValueError(f"min_logs must be at least 1, got {min_logs}")
-    counts = Counter(log.student_id for log in logs)
-    return [log for log in logs if counts[log.student_id] >= min_logs]
+    (eids, cids), problems = _read_columns(path, QMATRIX_HEADER)
+    _raise_first(path, problems)
+    return list(dict.fromkeys(zip(eids, cids)))
 
 
 @dataclass
@@ -149,30 +193,42 @@ class Dataset:
             raise KeyError(f"unknown student id {student_id!r}") from None
 
 
+def _first_seen_index(ids: list[str]) -> tuple[dict[str, int], np.ndarray]:
+    """Number ids by first appearance: (id -> number, each entry's number as int64)."""
+    first = dict.fromkeys(ids)
+    index = dict(zip(first, range(len(first))))
+    return index, np.fromiter(map(index.__getitem__, ids), dtype=np.int64, count=len(ids))
+
+
 def build_dataset(
-    logs: list[ResponseLog], q_pairs: list[tuple[str, str]], min_logs: int = 15
+    logs: LogColumns | list[ResponseLog], q_pairs: list[tuple[str, str]], min_logs: int = 15
 ) -> Dataset:
     """Filter sparse students, then index everything densely.
 
-    Exercises present only in the Q-matrix are dropped; exercises present
-    in the retained logs but absent from the Q-matrix are an error.
-    Concepts are numbered by first appearance among retained exercises,
-    scanning the Q-matrix in file order.  A repeated (exercise, concept)
-    pair counts once, as :func:`load_qmatrix` already ensures for files.
+    Students with fewer than ``min_logs`` logs are dropped in one pass
+    over the original counts, so the filter is idempotent.  Exercises
+    present only in the Q-matrix are dropped; exercises present in the
+    retained logs but absent from the Q-matrix are an error.  Concepts
+    are numbered by first appearance among retained exercises, scanning
+    the Q-matrix in file order.  A repeated (exercise, concept) pair
+    counts once, as :func:`load_qmatrix` already ensures for files.
     """
-    kept = filter_students(logs, min_logs)
-    if not kept:
+    if min_logs < 1:
+        raise ValueError(f"min_logs must be at least 1, got {min_logs}")
+    logs = LogColumns.of(logs)
+    sids, eids, scores = logs.student_ids, logs.exercise_ids, logs.scores
+    counts = Counter(sids)
+    if min(counts.values(), default=0) < min_logs:
+        keep = list(map(min_logs.__le__, map(counts.__getitem__, sids)))
+        sids, eids = list(compress(sids, keep)), list(compress(eids, keep))
+        scores = scores[np.array(keep, dtype=bool)]
+    if not sids:
         raise DataValidationError(
             f"no students survive the min_logs={min_logs} filter ({len(logs)} logs in)"
         )
 
-    students: dict[str, int] = {}
-    exercises: dict[str, int] = {}
-    for log in kept:
-        if log.student_id not in students:
-            students[log.student_id] = len(students)
-        if log.exercise_id not in exercises:
-            exercises[log.exercise_id] = len(exercises)
+    students, s_idx = _first_seen_index(sids)
+    exercises, e_idx = _first_seen_index(eids)
 
     concepts: dict[str, int] = {}
     concept_lists: dict[int, list[int]] = {j: [] for j in range(len(exercises))}
@@ -195,9 +251,9 @@ def build_dataset(
         student_ids=list(students),
         exercise_ids=list(exercises),
         concept_ids=list(concepts),
-        s_idx=np.array([students[log.student_id] for log in kept], dtype=np.int64),
-        e_idx=np.array([exercises[log.exercise_id] for log in kept], dtype=np.int64),
-        scores=np.array([log.score for log in kept], dtype=np.float64),
+        s_idx=s_idx,
+        e_idx=e_idx,
+        scores=np.array(scores, dtype=np.float64),
         concept_ptr=np.cumsum([0] + [len(c) for c in concept_lists.values()], dtype=np.int64),
         concept_idx=np.array([k for c in concept_lists.values() for k in c], dtype=np.int64),
     )

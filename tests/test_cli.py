@@ -221,6 +221,46 @@ class TestEval:
             assert "disagree" in capsys.readouterr().err
 
 
+class TestUnreadableDataFiles:
+    @pytest.mark.parametrize("which", ["logs", "qmatrix"])
+    @pytest.mark.parametrize(
+        "damage, reason",
+        [
+            (b"\xff", "not valid UTF-8"),
+            (b"y" * 200_000, "field larger than field limit"),
+        ],
+        ids=["undecodable-byte", "oversized-field"],
+    )
+    def test_train_and_eval_exit_one_naming_file_and_line(
+        self, workspace, tmp_path, capsys, rewrite_checkpoint, which, damage, reason
+    ):
+        cohort = planted_cohort(
+            n_students=30, n_exercises=40, n_concepts=4, per_student=25, seed=11
+        )
+        paths = {"logs": tmp_path / "logs.csv", "qmatrix": tmp_path / "q.csv"}
+        write_cohort_csv(cohort, paths["logs"], paths["qmatrix"])
+        lines = paths[which].read_bytes().splitlines(keepends=True)
+        lines[2] = damage + lines[2]
+        paths[which].write_bytes(b"".join(lines))
+        config = tmp_path / "run.cfg"
+        config.write_text(
+            workspace["config"].read_text()
+            .replace(str(workspace["root"] / "logs.csv"), str(paths["logs"]))
+            .replace(str(workspace["root"] / "q.csv"), str(paths["qmatrix"]))
+            .replace(str(workspace["out_dir"]), str(tmp_path / "run"))
+        )
+        moved = tmp_path / "moved.json"
+        rewrite_checkpoint(
+            workspace["checkpoint"], moved,
+            edit=lambda h: h["run_config"].update(logs=str(paths["logs"]), qmatrix=str(paths["qmatrix"])),
+        )
+        for argv in (["train", "--config", str(config)], ["eval", "--checkpoint", str(moved)]):
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {paths[which]} line 3: {reason}")
+        assert not (tmp_path / "run").exists()
+
+
 class TestMalformedCheckpoint:
     @pytest.mark.parametrize(
         "damage",

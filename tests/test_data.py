@@ -1,17 +1,25 @@
 """Log parsing, filtering, indexing, splitting, batching."""
 
+import csv
+import tempfile
+from collections import Counter
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.random import default_rng
 
 from cogdiag.data import (
+    LOG_HEADER,
+    QMATRIX_HEADER,
     DataFormatError,
     DataValidationError,
     ResponseLog,
     SplitSpec,
     batches,
     build_dataset,
-    filter_students,
     load_logs,
     load_qmatrix,
     split_per_student,
@@ -22,6 +30,19 @@ from cogdiag.seeding import substream
 def write(path, text):
     path.write_text(text)
     return path
+
+
+DATASET_ARRAYS = ("s_idx", "e_idx", "scores", "concept_ptr", "concept_idx")
+
+
+def assert_same_dataset(got, want):
+    assert (got.student_ids, got.exercise_ids, got.concept_ids) == (
+        want.student_ids, want.exercise_ids, want.concept_ids
+    )
+    for name in DATASET_ARRAYS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        np.testing.assert_array_equal(a, b, err_msg=name)
 
 
 @pytest.fixture
@@ -57,7 +78,7 @@ class TestLoading:
         assert logs[4].score == 0
 
     def test_empty_file_is_empty_list(self, tmp_path):
-        assert load_logs(write(tmp_path / "empty.csv", "student_id,exercise_id,score\n")) == []
+        assert len(load_logs(write(tmp_path / "empty.csv", "student_id,exercise_id,score\n"))) == 0
 
     def test_header_checked(self, tmp_path):
         bad = write(tmp_path / "bad.csv", "a,b,c\ns1,e1,1\n")
@@ -81,32 +102,99 @@ class TestLoading:
         )
         assert load_qmatrix(q) == [("e1", "c2"), ("e1", "c1")]
 
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("s1,e1,1\ns1,e2,0\ns1,e1,2\ns2,e1,1\ns2,e2\n", "line 4: score must be 0 or 1, got '2'"),
+            ("s1,e1,1\ns1,e2,0\ns1,e1\ns2,e1,1\ns2,e2,2\n", "line 4: expected 3 fields, got 2"),
+            ("s1,e1,1\n ,e2,0\ns1,e1,1\ns2,e1,x\n", "line 3: empty id field"),
+            ("s1,e1,1\ns1,e2,x\ns1, ,1\n", "line 3: score must be 0 or 1, got 'x'"),
+            ("s1,e1,1\ns1,,x\n", "line 3: empty id field"),
+            ("s1,e1,1\n\ns2,e1,0\n", "line 3: expected 3 fields, got 0"),
+            ("s1,e1,1\ns1,e1,1,0\ns1,,1\n", "line 3: expected 3 fields, got 4"),
+        ],
+        ids=["score-before-short-row", "short-row-before-score", "empty-id-before-score",
+             "score-before-empty-id", "empty-id-and-score-on-one-row", "blank-line",
+             "long-row-before-empty-id"],
+    )
+    def test_first_bad_row_in_file_order_wins(self, tmp_path, body, message):
+        bad = write(tmp_path / "bad.csv", "student_id,exercise_id,score\n" + body)
+        with pytest.raises(DataFormatError) as excinfo:
+            load_logs(bad)
+        assert str(excinfo.value) == f"{bad} {message}"
+
+    def test_qmatrix_first_bad_row_wins(self, tmp_path):
+        bad = write(tmp_path / "q.csv", "exercise_id,concept_id\ne1,c1\ne2,c1,c2\n,c3\n")
+        with pytest.raises(DataFormatError) as excinfo:
+            load_qmatrix(bad)
+        assert str(excinfo.value) == f"{bad} line 3: expected 2 fields, got 3"
+
+    def test_header_only_qmatrix_is_empty(self, tmp_path):
+        assert load_qmatrix(write(tmp_path / "q.csv", "exercise_id,concept_id\n")) == []
+
+    @pytest.mark.parametrize("load, header", [(load_logs, "student_id,exercise_id,score\n"),
+                                              (load_qmatrix, "exercise_id,concept_id\n")],
+                             ids=["logs", "qmatrix"])
+    def test_oversized_field_names_file_and_line(self, tmp_path, load, header):
+        width = header.count(",") + 1
+        row = ",".join(["x"] * width) + "\n"
+        long_row = ",".join(["y" * 200_000] + ["x"] * (width - 1)) + "\n"
+        bad = write(tmp_path / "big.csv", header + row + long_row + row)
+        with pytest.raises(DataFormatError) as excinfo:
+            load(bad)
+        assert str(excinfo.value) == f"{bad} line 3: field larger than field limit (131072)"
+
+    @pytest.mark.parametrize("load, header", [(load_logs, b"student_id,exercise_id,score\n"),
+                                              (load_qmatrix, b"exercise_id,concept_id\n")],
+                             ids=["logs", "qmatrix"])
+    def test_undecodable_byte_names_file_and_line(self, tmp_path, load, header):
+        bad = tmp_path / "bytes.csv"
+        bad.write_bytes(header + b"s1,e1,1\n" * 3 + b"s\xff,e1,1\n")
+        with pytest.raises(DataFormatError) as excinfo:
+            load(bad)
+        assert str(excinfo.value) == f"{bad} line 5: not valid UTF-8 (invalid start byte)"
+
+
+def records_of(ds):
+    """The records a dataset indexes, in file order."""
+    return [
+        ResponseLog(ds.student_ids[s], ds.exercise_ids[e], int(y))
+        for s, e, y in zip(ds.s_idx, ds.e_idx, ds.scores)
+    ]
+
 
 class TestFilterStudents:
+    """``build_dataset``'s ``min_logs`` filter, applied before any indexing."""
+
     def logs(self, counts):
         out = []
         for sid, n in counts.items():
             out.extend(ResponseLog(sid, f"e{k}", 1) for k in range(n))
         return out
 
+    def q_pairs(self, logs):
+        return [(log.exercise_id, "c") for log in logs]
+
     def test_threshold(self):
         logs = self.logs({"a": 15, "b": 14})
-        kept = filter_students(logs, min_logs=15)
+        kept = records_of(build_dataset(logs, self.q_pairs(logs), min_logs=15))
         assert {log.student_id for log in kept} == {"a"}
         assert len(kept) == 15
 
     def test_idempotent(self):
         logs = self.logs({"a": 20, "b": 3, "c": 16})
-        once = filter_students(logs, min_logs=15)
-        assert filter_students(once, min_logs=15) == once
+        once = build_dataset(logs, self.q_pairs(logs), min_logs=15)
+        twice = build_dataset(records_of(once), self.q_pairs(logs), min_logs=15)
+        assert_same_dataset(twice, once)
 
     def test_min_logs_one_keeps_everything(self):
         logs = self.logs({"a": 1, "b": 2})
-        assert filter_students(logs, min_logs=1) == logs
+        assert records_of(build_dataset(logs, self.q_pairs(logs), min_logs=1)) == logs
 
     def test_rejects_nonpositive_threshold(self):
-        with pytest.raises(ValueError):
-            filter_students([], min_logs=0)
+        logs = self.logs({"a": 1})
+        with pytest.raises(ValueError, match="min_logs must be at least 1, got 0"):
+            build_dataset(logs, self.q_pairs(logs), min_logs=0)
 
 
 class TestBuildDataset:
@@ -156,6 +244,102 @@ class TestBuildDataset:
         assert ds.student_index("s2") == 1
         with pytest.raises(KeyError):
             ds.student_index("nobody")
+
+
+def first_seen_oracle(records, pairs, min_logs):
+    """Brute-force indexing: count, filter, then number ids by scanning lists."""
+    counts = {}
+    for r in records:
+        counts[r.student_id] = counts.get(r.student_id, 0) + 1
+    kept = [r for r in records if counts[r.student_id] >= min_logs]
+    students, exercises, concepts, seen = [], [], [], []
+    for r in kept:
+        if r.student_id not in students:
+            students.append(r.student_id)
+        if r.exercise_id not in exercises:
+            exercises.append(r.exercise_id)
+    per_exercise = [[] for _ in exercises]
+    for eid, cid in pairs:
+        if (eid, cid) in seen or eid not in exercises:
+            continue
+        seen.append((eid, cid))
+        if cid not in concepts:
+            concepts.append(cid)
+        per_exercise[exercises.index(eid)].append(concepts.index(cid))
+    return {
+        "student_ids": students,
+        "exercise_ids": exercises,
+        "concept_ids": concepts,
+        "s_idx": [students.index(r.student_id) for r in kept],
+        "e_idx": [exercises.index(r.exercise_id) for r in kept],
+        "scores": [float(r.score) for r in kept],
+        "concept_ptr": np.cumsum([0] + [len(c) for c in per_exercise]),
+        "concept_idx": [k for c in per_exercise for k in c],
+    }
+
+
+# ids a CSV writer must quote: commas, quotes, embedded line breaks, inner spaces
+core_ids = st.text(alphabet='ab,"\n\r x', min_size=1, max_size=4).filter(lambda t: t == t.strip())
+padding = st.sampled_from(["", " ", "  "])
+
+
+@st.composite
+def csv_cohorts(draw):
+    students = draw(st.lists(core_ids, min_size=1, max_size=5, unique=True))
+    exercises = draw(st.lists(core_ids, min_size=1, max_size=5, unique=True))
+    concepts = draw(st.lists(core_ids, min_size=1, max_size=3, unique=True))
+    records = [
+        ResponseLog(draw(st.sampled_from(students)), draw(st.sampled_from(exercises)),
+                    draw(st.integers(0, 1)))
+        for _ in range(draw(st.integers(1, 30)))
+    ]
+    # every exercise gets a concept, then extra and repeated pairs in random order
+    pairs = [(e, draw(st.sampled_from(concepts))) for e in exercises]
+    pairs += draw(st.lists(st.tuples(st.sampled_from(exercises), st.sampled_from(concepts)),
+                           max_size=8))
+    pairs = draw(st.permutations(pairs))
+    pad = lambda text: draw(padding) + text + draw(padding)  # noqa: E731
+    log_rows = [[pad(r.student_id), pad(r.exercise_id), pad(str(r.score))] for r in records]
+    q_rows = [[pad(e), pad(c)] for e, c in pairs]
+    return records, pairs, log_rows, q_rows
+
+
+def write_rows(path, header, rows):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path
+
+
+class TestColumnarIngestRoundTrip:
+    @settings(max_examples=80, deadline=None)
+    @given(csv_cohorts())
+    def test_files_load_and_index_like_the_records(self, cohort):
+        records, pairs, log_rows, q_rows = cohort
+        with tempfile.TemporaryDirectory() as tmp:
+            logs = load_logs(write_rows(Path(tmp) / "logs.csv", LOG_HEADER, log_rows))
+            q_pairs = load_qmatrix(write_rows(Path(tmp) / "q.csv", QMATRIX_HEADER, q_rows))
+        assert len(logs) == len(records)
+        assert [logs[i] for i in range(len(logs))] == records
+        assert q_pairs == list(dict.fromkeys(pairs))
+
+        counts = sorted(Counter(r.student_id for r in records).values())
+        # 1 keeps everyone; the largest count drops everyone below it; one past it drops all
+        for min_logs in sorted({1, 2, counts[len(counts) // 2], counts[-1], counts[-1] + 1}):
+            want = first_seen_oracle(records, pairs, min_logs)
+            if not want["student_ids"]:
+                for source in (logs, records):
+                    with pytest.raises(DataValidationError, match="min_logs"):
+                        build_dataset(source, q_pairs, min_logs=min_logs)
+                continue
+            from_file = build_dataset(logs, q_pairs, min_logs=min_logs)
+            assert_same_dataset(from_file, build_dataset(records, q_pairs, min_logs=min_logs))
+            assert (from_file.student_ids, from_file.exercise_ids, from_file.concept_ids) == (
+                want["student_ids"], want["exercise_ids"], want["concept_ids"]
+            )
+            for name in DATASET_ARRAYS:
+                np.testing.assert_array_equal(getattr(from_file, name), want[name], err_msg=name)
 
 
 def toy_dataset(per_student, n_exercises=50):
