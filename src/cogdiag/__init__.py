@@ -16,7 +16,7 @@ from .checkpoint import (
     save_checkpoint,
     store_from_checkpoint,
 )
-from .config import ConfigError, RunConfig, parse_config_file, train_config_of
+from .config import ConfigError, RunConfig, parse_config_file
 from .data import (
     DataFormatError,
     DataValidationError,
@@ -43,20 +43,12 @@ from .inference import (
     DiagnosisReport,
     EvalReport,
     diagnose,
-    evaluate,
     evaluate_store,
     predict_split,
 )
-from .latent import (
-    DropoutConfig,
-    PriorConsensus,
-    compute_consensus,
-    kl_consensus,
-    kl_standard,
-)
+from .latent import PriorConsensus, compute_consensus, kl_consensus
 from .metrics import BinReport, MetricError, acc, auc, calibration, reliability_rows, rmse
 from .numerics import (
-    AdamConfig,
     ParameterStore,
     adam_step,
     grad_check,

@@ -33,15 +33,7 @@ from .checkpoint import (
     save_checkpoint,
     store_from_checkpoint,
 )
-from .config import (
-    ConfigError,
-    RunConfig,
-    diagnostic_of,
-    format_config,
-    parse_config_file,
-    train_config_of,
-    validate_run_config,
-)
+from .config import ConfigError, RunConfig, format_config, parse_config_file
 from .data import (
     DataFormatError,
     DataValidationError,
@@ -91,11 +83,10 @@ def _run_config_from_checkpoint(ck: Checkpoint) -> RunConfig:
         wrong_type = type(value) is not type(getattr(defaults, name))
         if wrong_type or (isinstance(value, float) and not math.isfinite(value)):
             raise CheckpointError(f"checkpoint run_config is malformed: {name} = {value!r}")
-    cfg = RunConfig(**ck.run_config)
-    errors = validate_run_config(cfg)
-    if errors:
-        raise CheckpointError("checkpoint configuration no longer valid: " + "; ".join(errors))
-    return cfg
+    try:
+        return RunConfig(**ck.run_config)
+    except ValueError as exc:
+        raise CheckpointError(f"checkpoint configuration no longer valid: {exc}") from None
 
 
 def _eval_context(checkpoint_path: str):
@@ -103,7 +94,7 @@ def _eval_context(checkpoint_path: str):
     cfg = _run_config_from_checkpoint(ck)
     dataset = _load_dataset(cfg)
     check_dataset_matches(ck, dataset)
-    splits = split_per_student(dataset, train_config_of(cfg).split)
+    splits = split_per_student(dataset, cfg.split)
     return ck, cfg, dataset, splits
 
 
@@ -127,7 +118,7 @@ def _out_path(arg_out, checkpoint_path: str, default_name: str) -> Path:
 def cmd_train(args) -> int:
     cfg = parse_config_file(args.config)
     dataset = _load_dataset(cfg)
-    fn = diagnostic_of(cfg)
+    fn = cfg.diagnostic
 
     def progress(rec):
         print(
@@ -136,7 +127,7 @@ def cmd_train(args) -> int:
             f"val acc {rec.val_acc:.4f} auc {rec.val_auc:.4f} ece {rec.val_ece:.4f}"
         )
 
-    trainer = Trainer(dataset, fn, train_config_of(cfg), on_epoch=progress)
+    trainer = Trainer(dataset, fn, cfg, on_epoch=progress)
     print(
         f"training variant={cfg.variant} students={dataset.n_students} "
         f"exercises={dataset.n_exercises} concepts={dataset.n_concepts} "

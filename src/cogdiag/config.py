@@ -13,7 +13,6 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .diagnostics import DiagnosticFunction
-from .latent import DropoutConfig
 from .training import TrainConfig
 
 
@@ -22,8 +21,13 @@ class ConfigError(ValueError):
 
 
 @dataclass
-class RunConfig:
-    """Everything a training run needs, as read from one config file."""
+class RunConfig(TrainConfig):
+    """Everything a training run needs, as read from one config file.
+
+    The training values are TrainConfig's; the keys added here name the
+    data, the output and the diagnostic function.  Building one checks
+    every value but the data file paths.
+    """
 
     logs: str = ""
     qmatrix: str = ""
@@ -31,24 +35,29 @@ class RunConfig:
     output_dir: str = "run"
     min_logs: int = 15
     bins: int = 10
-    irt_scale: float = 1.702
-    mlp_hidden1: int = 512
-    mlp_hidden2: int = 256
-    gamma: float = 1e-4
-    beta: float = 0.1
-    learning_rate: float = 0.002
-    batch_size: int = 32
-    max_epochs: int = 100
-    pretrain_epochs: int = -1  # -1 means "same as max_epochs"
-    patience: int = 10
-    seed: int = 0
-    train_fraction: float = 0.7
-    val_fraction: float = 0.1
-    preserve_order: bool = False
-    pair_count: int = -1  # -1 means "same as batch_size"
-    calibration_sign: str = "consistent"
-    dropout_alpha: float = 0.5
-    dropout_keep: float = 0.5
+    irt_scale: float = DiagnosticFunction.irt_scale
+    mlp_hidden1: int = DiagnosticFunction.mlp_hidden[0]
+    mlp_hidden2: int = DiagnosticFunction.mlp_hidden[1]
+
+    def _problems(self) -> list[str]:
+        problems = []
+        if not (self.min_logs >= 1):
+            problems.append(f"min_logs must be at least 1, got {self.min_logs}")
+        if not (self.bins >= 1):
+            problems.append(f"bins must be at least 1, got {self.bins}")
+        try:
+            self.diagnostic
+        except ValueError as exc:
+            problems.append(str(exc))
+        return problems + super()._problems()
+
+    @property
+    def diagnostic(self) -> DiagnosticFunction:
+        return DiagnosticFunction(
+            variant=self.variant,
+            irt_scale=self.irt_scale,
+            mlp_hidden=(self.mlp_hidden1, self.mlp_hidden2),
+        )
 
 
 def _parse_bool(raw: str) -> bool:
@@ -103,38 +112,21 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
             )
 
     if not errors:
-        cfg = RunConfig(**values)
         # only a config file names data files to open; a checkpoint's copy
         # is checked by the commands that open them
         for key, what in (("logs", "response log CSV path"), ("qmatrix", "Q-matrix CSV path")):
-            path = getattr(cfg, key)
+            path = values.get(key, "")
             if not path:
                 errors.append(f"'{key}' ({what}) is required")
             elif not Path(path).exists():
                 errors.append(f"{key} file {path!r} does not exist")
-        errors.extend(validate_run_config(cfg))
+        try:
+            cfg = RunConfig(**values)
+        except ValueError as exc:
+            errors.append(str(exc))
     if errors:
         raise ConfigError(f"{source}: " + "; ".join(errors))
     return cfg
-
-
-def validate_run_config(cfg: RunConfig) -> list[str]:
-    """Every problem with ``cfg`` except its data file paths, as messages.
-
-    Fields that feed a dataclass are checked by building it; TrainConfig is
-    built apart from its DropoutConfig, so a bad dropout hides none of its errors.
-    """
-    errors = []
-    if not (cfg.min_logs >= 1):
-        errors.append(f"min_logs must be at least 1, got {cfg.min_logs}")
-    if not (cfg.bins >= 1):
-        errors.append(f"bins must be at least 1, got {cfg.bins}")
-    for build in (diagnostic_of, dropout_of, lambda c: TrainConfig(**_train_fields(c))):
-        try:
-            build(cfg)
-        except ValueError as exc:
-            errors.append(str(exc))
-    return errors
 
 
 def parse_config_file(path) -> RunConfig:
@@ -143,44 +135,6 @@ def parse_config_file(path) -> RunConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return parse_config_text(text, source=str(path))
-
-
-def diagnostic_of(cfg: RunConfig) -> DiagnosticFunction:
-    return DiagnosticFunction(
-        variant=cfg.variant,
-        irt_scale=cfg.irt_scale,
-        mlp_hidden=(cfg.mlp_hidden1, cfg.mlp_hidden2),
-    )
-
-
-def dropout_of(cfg: RunConfig) -> DropoutConfig:
-    return DropoutConfig(
-        alpha=cfg.dropout_alpha,
-        keep_probability=cfg.dropout_keep,
-    )
-
-
-def _train_fields(cfg: RunConfig) -> dict:
-    """TrainConfig's own fields; its ``dropout`` comes from :func:`dropout_of`."""
-    return dict(
-        gamma=cfg.gamma,
-        beta=cfg.beta,
-        learning_rate=cfg.learning_rate,
-        batch_size=cfg.batch_size,
-        max_epochs=cfg.max_epochs,
-        pretrain_epochs=None if cfg.pretrain_epochs == -1 else cfg.pretrain_epochs,
-        patience=cfg.patience,
-        seed=cfg.seed,
-        train_fraction=cfg.train_fraction,
-        val_fraction=cfg.val_fraction,
-        preserve_order=cfg.preserve_order,
-        pair_count=None if cfg.pair_count == -1 else cfg.pair_count,
-        calibration_sign=cfg.calibration_sign,
-    )
-
-
-def train_config_of(cfg: RunConfig) -> TrainConfig:
-    return TrainConfig(dropout=dropout_of(cfg), **_train_fields(cfg))
 
 
 def format_config(cfg: RunConfig) -> str:

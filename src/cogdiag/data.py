@@ -121,11 +121,24 @@ def _read_columns(path, header: list[str]) -> tuple[list[list[str]], list[tuple[
     return columns, problems
 
 
+def _row_line(path, index: int) -> int:
+    """The line of ``path`` on which data row ``index`` starts.
+
+    Re-reads the file up to that row: a quoted field may span lines, so
+    only the reader's own line count places a row.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        for _ in range(index + 1):  # the header, then the rows before ``index``
+            next(reader)
+        return reader.line_num + 1
+
+
 def _raise_first(path, problems: list[tuple[int, str]]) -> None:
     """Raise the problem of the earliest row; on one row, the first one found."""
     if problems:
         index, message = min(problems, key=itemgetter(0))
-        raise DataFormatError(f"{path} line {index + 2}: {message}")
+        raise DataFormatError(f"{path} line {_row_line(path, index)}: {message}")
 
 
 def load_logs(path) -> LogColumns:
@@ -205,6 +218,7 @@ def build_dataset(
 ) -> Dataset:
     """Filter sparse students, then index everything densely.
 
+    Every score must be 0 or 1, in whatever form the logs arrive.
     Students with fewer than ``min_logs`` logs are dropped in one pass
     over the original counts, so the filter is idempotent.  Exercises
     present only in the Q-matrix are dropped; exercises present in the
@@ -217,6 +231,10 @@ def build_dataset(
         raise ValueError(f"min_logs must be at least 1, got {min_logs}")
     logs = LogColumns.of(logs)
     sids, eids, scores = logs.student_ids, logs.exercise_ids, logs.scores
+    bad = np.flatnonzero((scores != 0.0) & (scores != 1.0))
+    if len(bad):
+        i = int(bad[0])
+        raise DataValidationError(f"log {i}: score must be 0 or 1, got {scores[i]:g}")
     counts = Counter(sids)
     if min(counts.values(), default=0) < min_logs:
         keep = list(map(min_logs.__le__, map(counts.__getitem__, sids)))

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checkpoint import Checkpoint, CheckpointError, diagnostic_from_checkpoint, store_from_checkpoint
+from .checkpoint import Checkpoint, CheckpointError
 from .data import Dataset, cell_runs
 from .diagnostics import (
     EXERCISE_DIFF,
@@ -125,12 +125,6 @@ def evaluate_store(
 ) -> EvalReport:
     probs = predict_split(store, fn, dataset, indices)
     return evaluate_probs(probs, dataset.scores[np.asarray(indices, dtype=np.int64)], bins=bins)
-
-
-def evaluate(ck: Checkpoint, dataset: Dataset, indices: np.ndarray, bins: int = 10) -> EvalReport:
-    """Evaluate a saved checkpoint on interaction positions of ``dataset``."""
-    check_dataset_matches(ck, dataset)
-    return evaluate_store(store_from_checkpoint(ck), diagnostic_from_checkpoint(ck), dataset, indices, bins)
 
 
 def check_dataset_matches(ck: Checkpoint, dataset: Dataset) -> None:

@@ -35,28 +35,9 @@ class PriorConsensus:
 STANDARD_PRIOR = PriorConsensus(mean=np.zeros(()))  # phase one's N(0, I)
 
 
-@dataclass
-class DropoutConfig:
-    """Bernoulli variance dropout: keep an entry or pin it to ``alpha``."""
-
-    alpha: float = 0.5
-    keep_probability: float = 0.5
-
-    def __post_init__(self):
-        problems = []
-        if not (self.alpha > 0):
-            problems.append(f"dropout alpha must be positive, got {self.alpha}")
-        if not (0 < self.keep_probability <= 1):
-            problems.append(
-                f"dropout keep_probability must be in (0, 1], got {self.keep_probability}"
-            )
-        if problems:
-            raise ValueError("; ".join(problems))
-
-
-def dropout_mask(shape, cfg: DropoutConfig, rng: np.random.Generator) -> np.ndarray:
-    """Boolean keep-mask; all ones at ``keep_probability = 1``."""
-    return rng.random(shape) < cfg.keep_probability
+def dropout_mask(shape, keep_probability: float, rng: np.random.Generator) -> np.ndarray:
+    """Bernoulli variance dropout's boolean keep-mask; all ones at ``keep_probability = 1``."""
+    return rng.random(shape) < keep_probability
 
 
 def apply_dropout_mask(variance, mask: np.ndarray, alpha: float):
@@ -92,15 +73,6 @@ def draw_ability(mean, variance, eps: np.ndarray, vjp: bool = False):
         )
 
     return theta, grads
-
-
-def kl_standard(mean, variance):
-    """KL(N(mean, variance) || N(0, I)), summed over the trailing axis.
-
-    The consensus KL with a zero prior mean; ``x - 0.0`` is ``x`` to the
-    bit, so this equals the direct formula exactly.
-    """
-    return kl_consensus(mean, variance, STANDARD_PRIOR)
 
 
 def kl_consensus(mean, variance, prior: PriorConsensus, vjp: bool = False):

@@ -10,7 +10,6 @@ closed-form gradients share.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,6 +18,10 @@ import numpy as np
 EXP_CLAMP = 30.0
 # log arguments are floored here, giving BCE a bounded worst case
 LOG_FLOOR = 1e-12
+# Adam's moment decay rates and denominator guard, the textbook defaults
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
 
 
 class NonFiniteGradientError(RuntimeError):
@@ -79,24 +82,6 @@ def xavier_init(fan_in: int, fan_out: int, rng: np.random.Generator) -> np.ndarr
         raise ValueError(f"xavier_init needs positive fan sizes, got ({fan_in}, {fan_out})")
     bound = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-bound, bound, size=(fan_in, fan_out))
-
-
-@dataclass
-class AdamConfig:
-    learning_rate: float = 0.002
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-
-    def __post_init__(self):
-        if not (self.learning_rate > 0):
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
-        if not (0 <= self.beta1 < 1):
-            raise ValueError(f"beta1 must be in [0, 1), got {self.beta1}")
-        if not (0 <= self.beta2 < 1):
-            raise ValueError(f"beta2 must be in [0, 1), got {self.beta2}")
-        if not (self.epsilon > 0):
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
 
 
 class ParameterStore:
@@ -184,8 +169,8 @@ class ParameterStore:
             self.params[name][:] = arr
 
 
-def adam_step(store: ParameterStore, cfg: AdamConfig, lazy: bool = False) -> None:
-    """One Adam update over every parameter in the store.
+def adam_step(store: ParameterStore, learning_rate: float, lazy: bool = False) -> None:
+    """One Adam update over every parameter in the store, with the ``ADAM_*`` constants.
 
     Validates all gradients first so a non-finite gradient aborts the
     step before anything mutates.  With ``lazy=True``, row_sparse
@@ -207,8 +192,8 @@ def adam_step(store: ParameterStore, cfg: AdamConfig, lazy: bool = False) -> Non
         plans.append((name, rows, grad))
 
     t = store.step_count + 1
-    bc1 = 1.0 - cfg.beta1**t
-    bc2 = 1.0 - cfg.beta2**t
+    bc1 = 1.0 - ADAM_BETA1**t
+    bc2 = 1.0 - ADAM_BETA2**t
     sparse = [(name, rows, g) for name, rows, g in plans if rows is not None]
     for name, rows, g in plans:
         store._touched[name] = None
@@ -220,18 +205,18 @@ def adam_step(store: ParameterStore, cfg: AdamConfig, lazy: bool = False) -> Non
         m = store.m[name]
         v = store.v[name]
         buf = store.scratch(name)
-        np.multiply(g, 1.0 - cfg.beta2, out=buf)
+        np.multiply(g, 1.0 - ADAM_BETA2, out=buf)
         buf *= g
-        v *= cfg.beta2
+        v *= ADAM_BETA2
         v += buf
-        g *= 1.0 - cfg.beta1
-        m *= cfg.beta1
+        g *= 1.0 - ADAM_BETA1
+        m *= ADAM_BETA1
         m += g
         np.divide(m, bc1, out=buf)
-        buf *= cfg.learning_rate
+        buf *= learning_rate
         np.divide(v, bc2, out=g)
         np.sqrt(g, out=g)
-        g += cfg.epsilon
+        g += ADAM_EPSILON
         buf /= g
         store.params[name] -= buf
         g[:] = 0.0
@@ -241,9 +226,9 @@ def adam_step(store: ParameterStore, cfg: AdamConfig, lazy: bool = False) -> Non
         g = np.concatenate([g.ravel() for _, _, g in sparse])
         m = np.concatenate([store.m[name].take(rows, axis=0).ravel() for name, rows, _ in sparse])
         v = np.concatenate([store.v[name].take(rows, axis=0).ravel() for name, rows, _ in sparse])
-        m = cfg.beta1 * m + (1.0 - cfg.beta1) * g
-        v = cfg.beta2 * v + (1.0 - cfg.beta2) * g * g
-        step = cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + cfg.epsilon)
+        m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
+        v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
+        step = learning_rate * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPSILON)
         end = 0
         for name, rows, g in sparse:
             at = slice(end, end + g.size)

@@ -22,7 +22,7 @@ phase two.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -45,7 +45,6 @@ from .latent import (
     STANDARD_PRIOR,
     STUDENT_LOGVAR,
     STUDENT_MEAN,
-    DropoutConfig,
     PriorConsensus,
     apply_dropout_mask,
     compute_consensus,
@@ -56,7 +55,6 @@ from .latent import (
 from .numerics import (
     EXP_CLAMP,
     LOG_FLOOR,
-    AdamConfig,
     NonFiniteGradientError,
     ParameterStore,
     _unbroadcast,
@@ -74,55 +72,68 @@ class NonFiniteLossError(RuntimeError):
 
 @dataclass
 class TrainConfig:
+    """Every value that shapes training; building one checks them all.
+
+    ``pretrain_epochs`` and ``pair_count`` take -1 for "same as
+    ``max_epochs``" and "same as ``batch_size``".  Variance dropout keeps
+    an entry with probability ``dropout_keep`` or pins it to
+    ``dropout_alpha``.
+    """
+
     gamma: float = 1e-4
     beta: float = 0.1
     learning_rate: float = 0.002
     batch_size: int = 32
     max_epochs: int = 100
-    pretrain_epochs: int | None = None  # phase-one cap; None means max_epochs
+    pretrain_epochs: int = -1  # phase-one cap
     patience: int = 10
-    seed: int = 0
-    train_fraction: float = 0.7
-    val_fraction: float = 0.1
-    preserve_order: bool = False
-    pair_count: int | None = None  # pairs attempted per batch; None means batch_size
+    seed: int = SplitSpec.seed
+    train_fraction: float = SplitSpec.train_fraction
+    val_fraction: float = SplitSpec.val_fraction
+    preserve_order: bool = SplitSpec.preserve_order
+    pair_count: int = -1  # pairs attempted per batch
     calibration_sign: str = "consistent"
-    dropout: DropoutConfig = field(default_factory=DropoutConfig)
+    dropout_alpha: float = 0.5
+    dropout_keep: float = 0.5
 
     def __post_init__(self):
+        problems = self._problems()
+        if problems:
+            raise ValueError("; ".join(problems))
+
+    def _problems(self) -> list[str]:
         problems = []
         if not (self.gamma >= 0):
             problems.append(f"gamma must be nonnegative, got {self.gamma}")
         if not (self.beta >= 0):
             problems.append(f"beta must be nonnegative, got {self.beta}")
+        if not (self.learning_rate > 0):
+            problems.append(f"learning_rate must be positive, got {self.learning_rate}")
         if not (self.batch_size >= 1):
             problems.append(f"batch_size must be positive, got {self.batch_size}")
         if not (self.max_epochs >= 0):
             problems.append(f"max_epochs must be nonnegative, got {self.max_epochs}")
-        if self.pretrain_epochs is not None and not (self.pretrain_epochs >= 0):
+        if self.pretrain_epochs != -1 and not (self.pretrain_epochs >= 0):
             problems.append(f"pretrain_epochs must be nonnegative, got {self.pretrain_epochs}")
         if not (self.patience >= 1):
             problems.append(f"patience must be at least 1, got {self.patience}")
         if not (self.seed >= 0):
             problems.append(f"seed must be nonnegative, got {self.seed}")
-        if self.pair_count is not None and not (self.pair_count >= 0):
+        try:
+            self.split
+        except ValueError as exc:
+            problems.append(str(exc))
+        if self.pair_count != -1 and not (self.pair_count >= 0):
             problems.append(f"pair_count must be nonnegative, got {self.pair_count}")
         if self.calibration_sign not in SIGN_MODES:
             problems.append(
                 f"calibration_sign must be one of {SIGN_MODES}, got {self.calibration_sign!r}"
             )
-        # the optimizer and the split check their own fields
-        for part in ("adam", "split"):
-            try:
-                getattr(self, part)
-            except ValueError as exc:
-                problems.append(str(exc))
-        if problems:
-            raise ValueError("; ".join(problems))
-
-    @property
-    def adam(self) -> AdamConfig:
-        return AdamConfig(learning_rate=self.learning_rate)
+        if not (self.dropout_alpha > 0):
+            problems.append(f"dropout alpha must be positive, got {self.dropout_alpha}")
+        if not (0 < self.dropout_keep <= 1):
+            problems.append(f"dropout keep_probability must be in (0, 1], got {self.dropout_keep}")
+        return problems
 
     @property
     def split(self) -> SplitSpec:
@@ -330,10 +341,10 @@ def draw_batch_noise(
     B = len(batch_idx)
     d = fn.latent_dim(dataset.n_concepts)
     eps = rng_sampling.standard_normal((B, d))
-    keep = dropout_mask((B, d), cfg.dropout, rng_dropout)
+    keep = dropout_mask((B, d), cfg.dropout_keep, rng_dropout)
     pairs = None
     if rng_pairing is not None and tracker is not None and cfg.beta > 0:
-        count = cfg.pair_count if cfg.pair_count is not None else cfg.batch_size
+        count = cfg.batch_size if cfg.pair_count == -1 else cfg.pair_count
         pairs = sample_pairs(
             dataset.s_idx[batch_idx], dataset.e_idx[batch_idx], fn.cells(dataset), tracker, count,
             rng_pairing,
@@ -395,7 +406,7 @@ def build_batch_graph(
     var = np.exp(np.clip(logvar, -EXP_CLAMP, EXP_CLAMP))
     var_inside = (logvar > -EXP_CLAMP) & (logvar < EXP_CLAMP)
     var_at = var[s_at]
-    var_hat = apply_dropout_mask(var_at, keep, cfg.dropout.alpha)
+    var_hat = apply_dropout_mask(var_at, keep, cfg.dropout_alpha)
     mu_at = mu[s_at]
     theta, theta_grads = draw_ability(mu_at, var_hat, noise.eps, vjp=True)
     diff = stable_sigmoid(leaves[2].value)[e_at]
@@ -519,7 +530,6 @@ class Trainer:
         n_cells = fn.latent_dim(dataset.n_concepts)
         self.tracker = CorrectnessTracker(dataset.n_students, n_cells)
         self.cells = fn.cells(dataset)
-        self.adam = cfg.adam
         self.prior: PriorConsensus | None = None
         self.history: list[EpochRecord] = []
 
@@ -547,7 +557,7 @@ class Trainer:
                 breakdown, probs = batch_loss(
                     self.dataset, self.fn, self.store, batch_idx, cfg, noise, self.prior
                 )
-                adam_step(self.store, self.adam, lazy=True)
+                adam_step(self.store, cfg.learning_rate, lazy=True)
             except (NonFiniteLossError, NonFiniteGradientError) as exc:
                 raise type(exc)(f"phase {phase}, epoch {epoch}, step {steps}: {exc}") from exc
             if self.fn.variant == "ncd":
@@ -598,7 +608,7 @@ class Trainer:
 
     def train(self) -> Checkpoint:
         cfg = self.cfg
-        pretrain_cap = cfg.pretrain_epochs if cfg.pretrain_epochs is not None else cfg.max_epochs
+        pretrain_cap = cfg.max_epochs if cfg.pretrain_epochs == -1 else cfg.pretrain_epochs
         phase1 = replace(cfg, beta=0.0)
         self._run_phase(1, pretrain_cap, phase1)
 

@@ -29,7 +29,7 @@ from cogdiag.data import (
 )
 from cogdiag.diagnostics import DiagnosticFunction, init_parameters
 from cogdiag.inference import concept_interaction_counts, evaluate_probs, evaluate_store
-from cogdiag.latent import DropoutConfig, PriorConsensus, kl_consensus, kl_standard
+from cogdiag.latent import STANDARD_PRIOR, PriorConsensus, kl_consensus
 from cogdiag.metrics import acc, auc, calibration, rmse
 from cogdiag.numerics import grad_check
 from cogdiag.seeding import substream
@@ -114,7 +114,7 @@ def test_criterion_01_kl_matches_monte_carlo():
         variance = np.exp(rng.uniform(-1.0, 0.5, size=d))
         prior = rng.normal(0.0, 0.5, size=d)
 
-        closed_std = float(kl_standard(mean, variance))
+        closed_std = float(kl_consensus(mean, variance, STANDARD_PRIOR))
         closed_con = float(kl_consensus(mean, variance, PriorConsensus(prior)))
         est_std = mc_kl(mean, variance, np.zeros(d), 1_000_000, rng)
         est_con = mc_kl(mean, variance, prior, 1_000_000, rng)
@@ -315,7 +315,7 @@ def test_criterion_08_reduction_checks(tmp_path):
     fn = DiagnosticFunction("mirt")
 
     # (a) gamma = beta = 0, dropout_keep = 1: batch loss is exactly mean BCE
-    cfg = TrainConfig(gamma=0.0, beta=0.0, dropout=DropoutConfig(keep_probability=1.0), seed=1)
+    cfg = TrainConfig(gamma=0.0, beta=0.0, dropout_keep=1.0, seed=1)
     store = init_parameters(fn, ds.n_students, ds.n_exercises, ds.n_concepts, default_rng(1))
     batch_idx = np.arange(16)
     noise = draw_batch_noise(

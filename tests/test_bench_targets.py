@@ -25,7 +25,7 @@ from numpy.random import default_rng
 from cogdiag import cli, tape, training
 from cogdiag.data import build_dataset
 from cogdiag.diagnostics import DiagnosticFunction, init_parameters
-from cogdiag.numerics import AdamConfig, adam_step
+from cogdiag.numerics import adam_step
 from cogdiag.seeding import substream
 from cogdiag.synth import planted_cohort, write_cohort_csv
 
@@ -123,7 +123,7 @@ def test_adam_rows_hook_reads_the_store(step):
     ds, fn, cfg, store, batch_idx, noise, _ = step
     training.batch_loss(ds, fn, store, batch_idx, cfg, noise)
     counter = Counts()
-    TRACER._count_adam_rows(counter, adam_step, (store, AdamConfig()), {"lazy": True})
+    TRACER._count_adam_rows(counter, adam_step, (store, cfg.learning_rate), {"lazy": True})
     students = len(np.unique(ds.s_idx[batch_idx]))
     exercises = len(np.unique(ds.e_idx[batch_idx]))
     assert counter.counts["adam.rows_updated.student_mu"] == students

@@ -1,23 +1,15 @@
 """Flat config file parsing, validation, and round-tripping."""
 
 import dataclasses
+import json
+from types import SimpleNamespace
 
 import pytest
 
-from cogdiag.config import (
-    ConfigError,
-    RunConfig,
-    diagnostic_of,
-    format_config,
-    parse_config_file,
-    parse_config_text,
-    train_config_of,
-    validate_run_config,
-)
+from cogdiag import cli
+from cogdiag.config import ConfigError, RunConfig, format_config, parse_config_file, parse_config_text
 from cogdiag.data import SplitSpec
 from cogdiag.diagnostics import DiagnosticFunction
-from cogdiag.latent import DropoutConfig
-from cogdiag.numerics import AdamConfig
 from cogdiag.training import TrainConfig
 
 
@@ -101,12 +93,14 @@ class TestParsing:
 
 # a bad value per key, and the dataclass whose check owns that key
 OWNED_CHECKS = [
+    ("min_logs", "0", lambda: RunConfig(min_logs=0)),
+    ("bins", "0", lambda: RunConfig(bins=0)),
     ("variant", "dkt", lambda: DiagnosticFunction("dkt")),
     ("irt_scale", "0", lambda: DiagnosticFunction("ncd", irt_scale=0.0)),
     ("mlp_hidden1", "0", lambda: DiagnosticFunction("ncd", mlp_hidden=(0, 256))),
     ("gamma", "-1", lambda: TrainConfig(gamma=-1.0)),
     ("beta", "-0.5", lambda: TrainConfig(beta=-0.5)),
-    ("learning_rate", "0", lambda: AdamConfig(learning_rate=0.0)),
+    ("learning_rate", "0", lambda: TrainConfig(learning_rate=0.0)),
     ("batch_size", "0", lambda: TrainConfig(batch_size=0)),
     ("max_epochs", "-1", lambda: TrainConfig(max_epochs=-1)),
     ("pretrain_epochs", "-7", lambda: TrainConfig(pretrain_epochs=-7)),
@@ -116,8 +110,8 @@ OWNED_CHECKS = [
     ("calibration_sign", "sideways", lambda: TrainConfig(calibration_sign="sideways")),
     ("train_fraction", "1.5", lambda: SplitSpec(train_fraction=1.5)),
     ("val_fraction", "0", lambda: SplitSpec(val_fraction=0.0)),
-    ("dropout_alpha", "0", lambda: DropoutConfig(alpha=0.0)),
-    ("dropout_keep", "1.5", lambda: DropoutConfig(keep_probability=1.5)),
+    ("dropout_alpha", "0", lambda: TrainConfig(dropout_alpha=0.0)),
+    ("dropout_keep", "1.5", lambda: TrainConfig(dropout_keep=1.5)),
 ]
 
 
@@ -133,25 +127,23 @@ class TestValidation:
 
     def test_bad_variant(self, data_files):
         logs, qmatrix = data_files
-        cfg = RunConfig(logs=str(logs), qmatrix=str(qmatrix), variant="dkt")
-        assert any("variant" in e for e in validate_run_config(cfg))
+        with pytest.raises(ValueError, match="variant"):
+            RunConfig(logs=str(logs), qmatrix=str(qmatrix), variant="dkt")
 
     def test_fraction_budget(self, data_files):
         logs, qmatrix = data_files
-        cfg = RunConfig(
-            logs=str(logs), qmatrix=str(qmatrix), train_fraction=0.8, val_fraction=0.3
-        )
-        assert any("test share" in e for e in validate_run_config(cfg))
+        with pytest.raises(ValueError, match="test share"):
+            RunConfig(logs=str(logs), qmatrix=str(qmatrix), train_fraction=0.8, val_fraction=0.3)
 
     def test_range_checks(self, data_files):
         logs, qmatrix = data_files
-        cfg = RunConfig(
-            logs=str(logs), qmatrix=str(qmatrix),
-            gamma=-1.0, learning_rate=0.0, patience=0, dropout_keep=1.5,
-        )
-        joined = "; ".join(validate_run_config(cfg))
-        for name in ("gamma", "learning_rate", "patience", "keep_probability"):
-            assert name in joined
+        with pytest.raises(ValueError) as err:
+            RunConfig(
+                logs=str(logs), qmatrix=str(qmatrix),
+                gamma=-1.0, learning_rate=0.0, patience=0, dropout_keep=1.5, bins=0, variant="dkt",
+            )
+        for name in ("gamma", "learning_rate", "patience", "keep_probability", "bins", "variant"):
+            assert name in str(err.value)
 
     @pytest.mark.parametrize("key, raw, owner", OWNED_CHECKS, ids=[c[0] for c in OWNED_CHECKS])
     def test_message_is_the_owning_dataclass_message(self, data_files, key, raw, owner):
@@ -165,33 +157,29 @@ class TestValidation:
 
 class TestMapping:
     def test_train_config_fields(self, data_files):
+        # a RunConfig is the TrainConfig the trainer reads: no mapping in between
         logs, qmatrix = data_files
         cfg = parse_config_text(minimal_text(
             logs, qmatrix,
             "gamma = 0.01\nbeta = 0.5\ndropout_alpha = 0.25\ndropout_keep = 1\n",
         ))
-        tc = train_config_of(cfg)
-        assert tc.gamma == 0.01 and tc.beta == 0.5
-        assert tc.dropout.alpha == 0.25
-        assert tc.dropout.keep_probability == 1.0
+        assert isinstance(cfg, TrainConfig)
+        assert cfg.gamma == 0.01 and cfg.beta == 0.5
+        assert cfg.dropout_alpha == 0.25
+        assert cfg.dropout_keep == 1.0
 
     def test_defaults_agree_with_the_library_defaults(self):
-        # each default is written in RunConfig and again in the dataclass it feeds
-        tc = train_config_of(RunConfig())
-        assert tc == TrainConfig()
-        assert tc.split == SplitSpec()
-        assert tc.adam == AdamConfig()
-        assert diagnostic_of(RunConfig()) == DiagnosticFunction(RunConfig().variant)
+        run, train = dataclasses.asdict(RunConfig()), dataclasses.asdict(TrainConfig())
+        assert {k: run[k] for k in train} == train
+        assert RunConfig().split == SplitSpec()
+        assert RunConfig().diagnostic == DiagnosticFunction(RunConfig().variant)
 
-    def test_sentinels_become_none(self, data_files):
+    def test_sentinels_keep_the_file_spelling(self, data_files):
         logs, qmatrix = data_files
         cfg = parse_config_text(minimal_text(logs, qmatrix))
-        tc = train_config_of(cfg)
-        assert tc.pretrain_epochs is None
-        assert tc.pair_count is None
+        assert cfg.pretrain_epochs == -1 and cfg.pair_count == -1
         cfg2 = parse_config_text(minimal_text(logs, qmatrix, "pretrain_epochs = 3\npair_count = 9\n"))
-        tc2 = train_config_of(cfg2)
-        assert tc2.pretrain_epochs == 3 and tc2.pair_count == 9
+        assert cfg2.pretrain_epochs == 3 and cfg2.pair_count == 9
 
     def test_format_parse_round_trip(self, data_files):
         logs, qmatrix = data_files
@@ -202,19 +190,60 @@ class TestMapping:
         assert dataclasses.asdict(again) == dataclasses.asdict(cfg)
 
 
+# the file schema: every key with its default, as format_config writes it
+SCHEMA = [
+    "batch_size = 32",
+    "beta = 0.1",
+    "bins = 10",
+    "calibration_sign = consistent",
+    "dropout_alpha = 0.5",
+    "dropout_keep = 0.5",
+    "gamma = 0.0001",
+    "irt_scale = 1.702",
+    "learning_rate = 0.002",
+    "logs = ",
+    "max_epochs = 100",
+    "min_logs = 15",
+    "mlp_hidden1 = 512",
+    "mlp_hidden2 = 256",
+    "output_dir = run",
+    "pair_count = -1",
+    "patience = 10",
+    "preserve_order = false",
+    "pretrain_epochs = -1",
+    "qmatrix = ",
+    "seed = 0",
+    "train_fraction = 0.7",
+    "val_fraction = 0.1",
+    "variant = ncd",
+]
+
+
+def json_value(raw):
+    try:
+        return json.loads(raw)
+    except json.JSONDecodeError:
+        return raw  # a bare string
+
+
+def test_config_file_schema_is_pinned():
+    assert sorted(format_config(RunConfig()).splitlines()) == SCHEMA
+    # a checkpoint header's run_config holding exactly these keys and defaults serves
+    run_config = {key: json_value(raw) for key, _, raw in (line.partition(" = ") for line in SCHEMA)}
+    ck = SimpleNamespace(run_config=run_config)
+    assert cli._run_config_from_checkpoint(ck) == RunConfig()
+
+
 # keys that configure the run itself rather than a library dataclass
 RUN_ONLY_KEYS = {"logs", "qmatrix", "output_dir", "min_logs", "bins"}
 
 
 def built_fields(cfg):
-    """Every (dataclass, field, tuple position) value the builders derive from ``cfg``."""
-    tc = train_config_of(cfg)
-    flat = {}
-    for obj in (tc, tc.dropout, tc.split, diagnostic_of(cfg)):
+    """Every (dataclass, field, tuple position) value the config hands to the library."""
+    flat = {("TrainConfig", f.name, None): getattr(cfg, f.name) for f in dataclasses.fields(TrainConfig)}
+    for obj in (cfg.split, cfg.diagnostic):
         for f in dataclasses.fields(obj):
             value = getattr(obj, f.name)
-            if dataclasses.is_dataclass(value):
-                continue  # TrainConfig.dropout is visited as the DropoutConfig
             items = enumerate(value) if isinstance(value, tuple) else [(None, value)]
             for pos, item in items:
                 flat[(type(obj).__name__, f.name, pos)] = item

@@ -16,6 +16,7 @@ from cogdiag.data import (
     QMATRIX_HEADER,
     DataFormatError,
     DataValidationError,
+    LogColumns,
     ResponseLog,
     SplitSpec,
     batches,
@@ -112,10 +113,11 @@ class TestLoading:
             ("s1,e1,1\ns1,,x\n", "line 3: empty id field"),
             ("s1,e1,1\n\ns2,e1,0\n", "line 3: expected 3 fields, got 0"),
             ("s1,e1,1\ns1,e1,1,0\ns1,,1\n", "line 3: expected 3 fields, got 4"),
+            ('"s\n1",e1,1\ns2,e1,7\n', "line 4: score must be 0 or 1, got '7'"),
         ],
         ids=["score-before-short-row", "short-row-before-score", "empty-id-before-score",
              "score-before-empty-id", "empty-id-and-score-on-one-row", "blank-line",
-             "long-row-before-empty-id"],
+             "long-row-before-empty-id", "row-after-a-multiline-field"],
     )
     def test_first_bad_row_in_file_order_wins(self, tmp_path, body, message):
         bad = write(tmp_path / "bad.csv", "student_id,exercise_id,score\n" + body)
@@ -128,6 +130,12 @@ class TestLoading:
         with pytest.raises(DataFormatError) as excinfo:
             load_qmatrix(bad)
         assert str(excinfo.value) == f"{bad} line 3: expected 2 fields, got 3"
+
+    def test_qmatrix_row_after_a_multiline_field_names_its_line(self, tmp_path):
+        bad = write(tmp_path / "q.csv", 'exercise_id,concept_id\n"e\n1",c1\ne2,\n')
+        with pytest.raises(DataFormatError) as excinfo:
+            load_qmatrix(bad)
+        assert str(excinfo.value) == f"{bad} line 4: empty id field"
 
     def test_header_only_qmatrix_is_empty(self, tmp_path):
         assert load_qmatrix(write(tmp_path / "q.csv", "exercise_id,concept_id\n")) == []
@@ -230,6 +238,16 @@ class TestBuildDataset:
     def test_everything_filtered_rejected(self, logs_csv, q_csv):
         with pytest.raises(DataValidationError, match="min_logs"):
             build_dataset(load_logs(logs_csv), load_qmatrix(q_csv), min_logs=100)
+
+    @pytest.mark.parametrize("bad, shown", [(2, "2"), (0.5, "0.5"), (-1.0, "-1"), (float("nan"), "nan")])
+    def test_scores_must_be_zero_or_one_in_any_form(self, bad, shown):
+        pairs = [("e", "c"), ("f", "c")]
+        good = [ResponseLog("s", "e", 0), ResponseLog("s", "f", True), ResponseLog("s", "e", 1.0)]
+        np.testing.assert_array_equal(build_dataset(good, pairs, min_logs=1).scores, [0, 1, 1])
+        logs = good + [ResponseLog("s", "f", bad), ResponseLog("s", "e", 3)]
+        for form in (logs, LogColumns.of(logs)):
+            with pytest.raises(DataValidationError, match=rf"^log 3: score must be 0 or 1, got {shown}$"):
+                build_dataset(form, pairs, min_logs=1)
 
     def test_repeated_qmatrix_pairs_count_once(self):
         logs = [ResponseLog("s1", "e", 1), ResponseLog("s1", "f", 0)]

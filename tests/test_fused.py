@@ -27,11 +27,9 @@ from cogdiag.diagnostics import (
 )
 from cogdiag.latent import (
     STANDARD_PRIOR,
-    DropoutConfig,
     PriorConsensus,
     draw_ability,
     kl_consensus,
-    kl_standard,
 )
 from cogdiag.numerics import EXP_CLAMP, LOG_FLOOR, _unbroadcast, stable_sigmoid
 from cogdiag.seeding import substream
@@ -91,7 +89,7 @@ def ref_draw_ability(mean, variance, eps):
     return z, tape.sigmoid(z)
 
 
-def ref_kl_standard(mean, variance):
+def ref_kl_zero_prior(mean, variance):
     inner = tape.sub(tape.add(tape.square(mean), variance), tape.log(variance))
     return tape.mul(tape.nsum(tape.sub(inner, 1.0), axis=-1), 0.5)
 
@@ -123,7 +121,7 @@ def ref_batch_step(dataset, fn, store, batch_idx, cfg, noise, prior):
 
     mu = row_leaf("student_mu", s)
     var = tape.exp(row_leaf("student_logvar", s))
-    var_hat = tape.where_mask(var, noise.keep_mask, cfg.dropout.alpha)
+    var_hat = tape.where_mask(var, noise.keep_mask, cfg.dropout_alpha)
     _, theta = ref_draw_ability(mu, var_hat, noise.eps)
     difficulty = tape.sigmoid(row_leaf("exercise_diff", e))
     if fn.variant == "mirt":
@@ -141,7 +139,7 @@ def ref_batch_step(dataset, fn, store, batch_idx, cfg, noise, prior):
     l_kl = 0.0
     if cfg.gamma > 0:
         if prior is None:
-            kl_vec = ref_kl_standard(mu, var_hat)
+            kl_vec = ref_kl_zero_prior(mu, var_hat)
         else:
             kl_vec = ref_kl_consensus(mu, var_hat, prior)
         l_kl = tape.nmean(kl_vec)
@@ -431,14 +429,14 @@ class TestKL:
         mean = rng.normal(size=(7, 4))
         mean[0, 0] = -0.0
         var = self.variances(rng, (7, 4))
-        self.assert_matches(mean, var, STANDARD_PRIOR, ref_kl_standard)
-        assert_bits(kl_standard(mean, var), ref_kl_standard(mean, var))
+        self.assert_matches(mean, var, STANDARD_PRIOR, ref_kl_zero_prior)
+        assert_bits(kl_consensus(mean, var, STANDARD_PRIOR), ref_kl_zero_prior(mean, var))
 
     def test_broadcast_variance(self):
         rng = default_rng(16)
         mean = rng.normal(size=(5, 3))
         var = self.variances(rng, (1, 3))
-        self.assert_matches(mean, var, STANDARD_PRIOR, ref_kl_standard)
+        self.assert_matches(mean, var, STANDARD_PRIOR, ref_kl_zero_prior)
 
 
 class TestBatchGradients:
@@ -446,7 +444,7 @@ class TestBatchGradients:
 
     var_hat sums five contributions and mu two, in the chain's order, and
     each row adds its occurrences in order.  ``keep_all`` runs with
-    ``keep_probability = 1``, the setting that turns variance dropout off.
+    ``dropout_keep = 1``, the setting that turns variance dropout off.
     """
 
     def step_both_ways(self, ds, fn, store, batch_idx, cfg, noise, prior):
@@ -477,8 +475,7 @@ class TestBatchGradients:
 
     def config(self, keep_all):
         keep = 1.0 if keep_all else 0.6
-        return TrainConfig(seed=4, gamma=0.3, beta=0.7,
-                           dropout=DropoutConfig(alpha=0.5, keep_probability=keep))
+        return TrainConfig(seed=4, gamma=0.3, beta=0.7, dropout_alpha=0.5, dropout_keep=keep)
 
     def prior(self, with_prior, variant, n_concepts):
         d = 1 if variant == "irt" else n_concepts

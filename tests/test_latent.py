@@ -10,14 +10,12 @@ from cogdiag.latent import (
     STANDARD_PRIOR,
     STUDENT_LOGVAR,
     STUDENT_MEAN,
-    DropoutConfig,
     PriorConsensus,
     apply_dropout_mask,
     compute_consensus,
     draw_ability,
     dropout_mask,
     kl_consensus,
-    kl_standard,
 )
 from cogdiag.numerics import ParameterStore, grad_check
 from cogdiag.synth import planted_cohort
@@ -48,8 +46,7 @@ def store_with(mu, logvar):
 class TestVarianceDropout:
     def test_disabled_is_identity(self):
         var = np.array([0.3, 2.0])
-        cfg = DropoutConfig(keep_probability=1.0)
-        out = apply_dropout_mask(var, dropout_mask(var.shape, cfg, default_rng(0)), cfg.alpha)
+        out = apply_dropout_mask(var, dropout_mask(var.shape, 1.0, default_rng(0)), 0.5)
         np.testing.assert_array_equal(out, var)
 
     def test_all_dropped_pins_to_alpha(self):
@@ -61,30 +58,28 @@ class TestVarianceDropout:
         # membership must be bit-exact, not merely close
         rng = default_rng(42)
         var = rng.uniform(0.01, 3.0, size=1000)
-        cfg = DropoutConfig(alpha=0.5, keep_probability=0.5)
-        out = apply_dropout_mask(var, dropout_mask(var.shape, cfg, rng), cfg.alpha)
+        out = apply_dropout_mask(var, dropout_mask(var.shape, 0.5, rng), 0.5)
         assert np.all((out == var) | (out == 0.5))
         assert np.any(out == 0.5) and np.any(out == var)
 
     def test_keep_rate_statistics(self):
         rng = default_rng(7)
         var = np.full(100_000, 2.0)
-        cfg = DropoutConfig(alpha=0.5, keep_probability=0.5)
-        out = apply_dropout_mask(var, dropout_mask(var.shape, cfg, rng), cfg.alpha)
+        out = apply_dropout_mask(var, dropout_mask(var.shape, 0.5, rng), 0.5)
         # expected mean 0.5 * 2.0 + 0.5 * 0.5 = 1.25
         assert abs(out.mean() - 1.25) < 0.02
 
     def test_mask_respects_probability(self):
-        mask = dropout_mask((50_000,), DropoutConfig(keep_probability=0.8), default_rng(3))
+        mask = dropout_mask((50_000,), 0.8, default_rng(3))
         assert abs(mask.mean() - 0.8) < 0.01
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            DropoutConfig(alpha=0.0)
-        with pytest.raises(ValueError):
-            DropoutConfig(keep_probability=0.0)
-        with pytest.raises(ValueError):
-            DropoutConfig(keep_probability=1.2)
+        with pytest.raises(ValueError, match="dropout alpha"):
+            TrainConfig(dropout_alpha=0.0)
+        with pytest.raises(ValueError, match="dropout keep_probability"):
+            TrainConfig(dropout_keep=0.0)
+        with pytest.raises(ValueError, match="dropout keep_probability"):
+            TrainConfig(dropout_keep=1.2)
 
     def test_gradient_flows_only_through_kept(self):
         # one occurrence per student, KL only: every kept cell's log-variance
@@ -125,38 +120,38 @@ class TestSampling:
 
 class TestKL:
     def test_standard_zero_at_prior(self):
-        assert float(kl_standard(np.zeros(4), np.ones(4))) == 0.0
+        assert float(kl_consensus(np.zeros(4), np.ones(4), STANDARD_PRIOR)) == 0.0
 
     def test_standard_frozen_values(self):
         # d=1: 0.5 * (1 + 1 - 0 - 1) = 0.5
-        assert float(kl_standard(np.array([1.0]), np.array([1.0]))) == pytest.approx(0.5)
+        got = kl_consensus(np.array([1.0]), np.array([1.0]), STANDARD_PRIOR)
+        assert float(got) == pytest.approx(0.5)
         # d=1, mu=0, var=e: (e - 2) / 2
-        assert float(kl_standard(np.array([0.0]), np.array([np.e]))) == pytest.approx(
-            0.3591409142295226, abs=1e-12
-        )
+        got = kl_consensus(np.array([0.0]), np.array([np.e]), STANDARD_PRIOR)
+        assert float(got) == pytest.approx(0.3591409142295226, abs=1e-12)
 
     def test_standard_sums_over_dims(self):
         mu = np.array([1.0, 1.0])
         var = np.ones(2)
-        assert float(kl_standard(mu, var)) == pytest.approx(1.0)
+        assert float(kl_consensus(mu, var, STANDARD_PRIOR)) == pytest.approx(1.0)
 
     def test_batch_shape(self):
         mu = np.zeros((5, 3))
         var = np.ones((5, 3))
-        out = kl_standard(mu, var)
+        out = kl_consensus(mu, var, STANDARD_PRIOR)
         assert out.shape == (5,)
         np.testing.assert_array_equal(out, np.zeros(5))
 
     def test_nonnegative_on_grid(self):
         mus, vars = np.meshgrid(np.linspace(-3, 3, 25), np.linspace(0.05, 5, 25))
         vals = 0.5 * (mus**2 + vars - np.log(vars) - 1)
-        got = kl_standard(mus.reshape(-1, 1), vars.reshape(-1, 1))
+        got = kl_consensus(mus.reshape(-1, 1), vars.reshape(-1, 1), STANDARD_PRIOR)
         np.testing.assert_allclose(got, vals.reshape(-1), rtol=1e-12)
         assert np.all(got >= 0.0)
 
     def test_standard_against_monte_carlo(self):
         for mu, var in [(0.7, 0.4), (-1.2, 2.5), (0.0, 1.0)]:
-            closed = float(kl_standard(np.array([mu]), np.array([var])))
+            closed = float(kl_consensus(np.array([mu]), np.array([var]), STANDARD_PRIOR))
             assert abs(closed - mc_kl(mu, var, 0.0)) < 2e-2
 
     def test_consensus_zero_at_prior(self):
@@ -173,7 +168,8 @@ class TestKL:
         mu = rng.normal(size=(8, 3))
         var = rng.uniform(0.1, 3.0, size=(8, 3))
         prior = PriorConsensus(mean=np.zeros(3))
-        np.testing.assert_array_equal(kl_consensus(mu, var, prior), kl_standard(mu, var))
+        standard = kl_consensus(mu, var, STANDARD_PRIOR)
+        np.testing.assert_array_equal(kl_consensus(mu, var, prior), standard)
 
     def test_consensus_against_monte_carlo(self):
         prior = PriorConsensus(mean=np.array([0.8, -0.3]))

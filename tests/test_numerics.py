@@ -5,7 +5,9 @@ import pytest
 from numpy.random import default_rng
 
 from cogdiag.numerics import (
-    AdamConfig,
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPSILON,
     GradCheckError,
     NonFiniteGradientError,
     ParameterStore,
@@ -161,23 +163,6 @@ class TestXavierInit:
             xavier_init(0, 5, default_rng(0))
 
 
-class TestAdamConfig:
-    def test_defaults(self):
-        cfg = AdamConfig()
-        assert cfg.learning_rate == 0.002
-        assert cfg.beta1 == 0.9 and cfg.beta2 == 0.999 and cfg.epsilon == 1e-8
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            AdamConfig(learning_rate=0.0)
-        with pytest.raises(ValueError):
-            AdamConfig(beta1=1.0)
-        with pytest.raises(ValueError):
-            AdamConfig(beta2=-0.1)
-        with pytest.raises(ValueError):
-            AdamConfig(epsilon=0.0)
-
-
 def scalar_store(value=1.0):
     store = ParameterStore()
     store.add("w", np.array([[value]]))
@@ -185,10 +170,13 @@ def scalar_store(value=1.0):
 
 
 class TestAdamStep:
+    def test_textbook_constants(self):
+        assert ADAM_BETA1 == 0.9 and ADAM_BETA2 == 0.999 and ADAM_EPSILON == 1e-8
+
     def test_zero_gradients_identity(self):
         store = scalar_store(3.25)
         before = store.params["w"].copy()
-        adam_step(store, AdamConfig())
+        adam_step(store, 0.002)
         np.testing.assert_array_equal(store.params["w"], before)
         assert store.step_count == 1
 
@@ -197,26 +185,24 @@ class TestAdamStep:
         # first update is lr/(1 + eps) regardless of the betas
         store = scalar_store(0.0)
         store.grads["w"][:] = 1.0
-        cfg = AdamConfig(learning_rate=0.002)
-        adam_step(store, cfg)
+        adam_step(store, 0.002)
         delta = float(store.params["w"][0, 0])
-        assert abs(delta + cfg.learning_rate) <= cfg.learning_rate * 1e-7
+        assert abs(delta + 0.002) <= 0.002 * 1e-7
 
     def test_second_moment_after_two_constant_steps(self):
         # v_t = (1 - beta2^t) g^2 for constant gradient
         store = scalar_store(0.0)
-        cfg = AdamConfig()
         for _ in range(2):
             store.grads["w"][:] = 3.0
-            adam_step(store, cfg)
-        expected = (1 - cfg.beta2**2) * 9.0
+            adam_step(store, 0.002)
+        expected = (1 - ADAM_BETA2**2) * 9.0
         assert abs(float(store.v["w"][0, 0]) - expected) < 1e-15
         assert store.step_count == 2
 
     def test_gradients_cleared_after_step(self):
         store = scalar_store()
         store.grads["w"][:] = 5.0
-        adam_step(store, AdamConfig())
+        adam_step(store, 0.002)
         assert float(store.grads["w"][0, 0]) == 0.0
 
     def test_non_finite_gradient_aborts_whole_step(self):
@@ -227,7 +213,7 @@ class TestAdamStep:
         store.grads["b"][:] = np.nan
         before_a = store.params["a"].copy()
         with pytest.raises(NonFiniteGradientError, match="'b'"):
-            adam_step(store, AdamConfig())
+            adam_step(store, 0.002)
         # 'a' must not have moved: the step aborts atomically
         np.testing.assert_array_equal(store.params["a"], before_a)
         assert store.step_count == 0
@@ -241,21 +227,21 @@ class TestAdamStep:
         ref = {name: store.params[name].copy() for name in store.params}
         m = {name: np.zeros_like(p) for name, p in ref.items()}
         v = {name: np.zeros_like(p) for name, p in ref.items()}
-        cfg = AdamConfig(learning_rate=0.01)
+        lr = 0.01
         for t in range(1, 4):
             grads = {name: rng.normal(size=p.shape) * 10.0 ** rng.integers(-6, 3)
                      for name, p in ref.items()}
             for name, g in grads.items():
                 store.grads[name][:] = g
-            adam_step(store, cfg)
-            bc1 = 1.0 - cfg.beta1**t
-            bc2 = 1.0 - cfg.beta2**t
+            adam_step(store, lr)
+            bc1 = 1.0 - ADAM_BETA1**t
+            bc2 = 1.0 - ADAM_BETA2**t
             for name, g in grads.items():
-                m[name] *= cfg.beta1
-                m[name] += (1.0 - cfg.beta1) * g
-                v[name] *= cfg.beta2
-                v[name] += (1.0 - cfg.beta2) * g * g
-                ref[name] -= cfg.learning_rate * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + cfg.epsilon)
+                m[name] *= ADAM_BETA1
+                m[name] += (1.0 - ADAM_BETA1) * g
+                v[name] *= ADAM_BETA2
+                v[name] += (1.0 - ADAM_BETA2) * g * g
+                ref[name] -= lr * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + ADAM_EPSILON)
                 assert store.params[name].tobytes() == ref[name].tobytes()
                 assert store.m[name].tobytes() == m[name].tobytes()
                 assert store.v[name].tobytes() == v[name].tobytes()
@@ -270,12 +256,12 @@ class TestAdamStep:
         dense = ParameterStore()
         dense.add("emb", init)
         dense.grads["emb"][:] = grad
-        adam_step(dense, AdamConfig())
+        adam_step(dense, 0.002)
 
         lazy = ParameterStore()
         lazy.add("emb", init, row_sparse=True)
         lazy.accumulate_grad("emb", np.array([1, 4]), grad[[1, 4]])
-        adam_step(lazy, AdamConfig(), lazy=True)
+        adam_step(lazy, 0.002, lazy=True)
 
         # rows with zero gradient and zero moments stay put under dense
         # Adam too, so the two modes agree exactly on the first step
@@ -285,9 +271,9 @@ class TestAdamStep:
         store = ParameterStore()
         store.add("emb", np.zeros((4, 2)), row_sparse=True)
         store.accumulate_grad("emb", np.array([2]), np.ones((1, 2)))
-        adam_step(store, AdamConfig(), lazy=True)
+        adam_step(store, 0.002, lazy=True)
         store.accumulate_grad("emb", np.array([0]), np.ones((1, 2)))
-        adam_step(store, AdamConfig(), lazy=True)
+        adam_step(store, 0.002, lazy=True)
         # row 2 was only touched on step one; lazy mode leaves it alone after
         assert store.m["emb"][2, 0] == pytest.approx(0.1)
         assert store.params["emb"][1, 0] == 0.0
@@ -299,7 +285,7 @@ class TestAdamStep:
         store.accumulate_grad("emb", np.array([0, 2]), np.ones((2, 2)))
         np.testing.assert_array_equal(store.touched_rows("emb"), [0, 2, 4])
         np.testing.assert_array_equal(store.grads["emb"][:, 0], [1.0, 0.0, 2.0, 0.0, 1.0])
-        adam_step(store, AdamConfig(), lazy=True)
+        adam_step(store, 0.002, lazy=True)
         assert store.touched_rows("emb") is None
         assert (store.m["emb"][[0, 2, 4]] != 0).all() and not store.m["emb"][[1, 3]].any()
 
@@ -313,7 +299,7 @@ class TestAdamStep:
     def test_reset_moments(self):
         store = scalar_store()
         store.grads["w"][:] = 1.0
-        adam_step(store, AdamConfig())
+        adam_step(store, 0.002)
         store.reset_moments()
         assert store.step_count == 0
         assert np.all(store.m["w"] == 0.0) and np.all(store.v["w"] == 0.0)

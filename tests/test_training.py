@@ -6,7 +6,6 @@ from numpy.random import default_rng
 
 from cogdiag.data import SplitSpec, build_dataset, split_per_student
 from cogdiag.diagnostics import DiagnosticFunction, init_parameters
-from cogdiag.latent import DropoutConfig
 from cogdiag.numerics import grad_check
 from cogdiag.seeding import substream
 from cogdiag.synth import planted_cohort
@@ -231,7 +230,7 @@ def oracle_total(dataset, fn, store, batch_idx, cfg, noise, prior_mean):
         r = dataset.scores[pos]
         mu = params["student_mu"][s]
         var = np.exp(params["student_logvar"][s])
-        vhat = np.where(noise.keep_mask[row], var, cfg.dropout.alpha)
+        vhat = np.where(noise.keep_mask[row], var, cfg.dropout_alpha)
         theta = sig(mu + np.sqrt(vhat) * noise.eps[row])
         diff = sig(params["exercise_diff"][e])
         disc = sig(params["exercise_disc"][e, 0])
@@ -258,7 +257,7 @@ def oracle_total(dataset, fn, store, batch_idx, cfg, noise, prior_mean):
             def vhat_at(pos_row, cell):
                 s = dataset.s_idx[batch_idx[pos_row]]
                 var = np.exp(params["student_logvar"][s, cell])
-                return var if noise.keep_mask[pos_row, cell] else cfg.dropout.alpha
+                return var if noise.keep_mask[pos_row, cell] else cfg.dropout_alpha
 
             g = np.sign(p.o_a[k] - p.o_b[k])
             if cfg.calibration_sign == "literal":
@@ -356,11 +355,11 @@ class TestBatchLoss:
         real_step = training.adam_step
         calls = []
 
-        def adam_step(store, cfg, lazy=False):
+        def adam_step(store, learning_rate, lazy=False):
             calls.append(None)
             if len(calls) == 3:
                 store.grads["exercise_diff"][:] = np.nan
-            real_step(store, cfg, lazy=lazy)
+            real_step(store, learning_rate, lazy=lazy)
 
         monkeypatch.setattr(training, "adam_step", adam_step)
         trainer = Trainer(tiny_dataset(seed=3), DiagnosticFunction("mirt"), quick_config())
@@ -401,7 +400,7 @@ class TestBatchLoss:
         assert ptr is ds.concept_ptr and idx is ds.concept_idx
 
     def test_dropout_disabled_keeps_raw_variance(self):
-        cfg = TrainConfig(dropout=DropoutConfig(keep_probability=1.0), seed=0)
+        cfg = TrainConfig(dropout_keep=1.0, seed=0)
         ds, fn, cfg, store, batch_idx, noise = self.setup_case("mirt", cfg=cfg)
         assert noise.keep_mask.all()
 
@@ -423,6 +422,22 @@ class TestTrainer:
         assert phases == [1, 1, 2, 2]
         epochs = [rec.epoch for rec in trainer.history]
         assert epochs == [0, 1, 2, 3]
+
+    def test_minus_one_means_max_epochs_and_batch_size(self, monkeypatch):
+        from cogdiag import training
+
+        real_sample, counts = training.sample_pairs, []
+
+        def sample_pairs(students, exercises, cells, tracker, count, rng):
+            counts.append(count)
+            return real_sample(students, exercises, cells, tracker, count, rng)
+
+        monkeypatch.setattr(training, "sample_pairs", sample_pairs)
+        cfg = quick_config(max_epochs=3, pretrain_epochs=-1, pair_count=-1, batch_size=12)
+        trainer = Trainer(tiny_dataset(seed=4), DiagnosticFunction("mirt"), cfg)
+        trainer.train()
+        assert [rec.phase for rec in trainer.history] == [1, 1, 1, 2, 2, 2]
+        assert counts and set(counts) == {12}
 
     def test_zero_epochs_returns_initialization(self):
         ds = tiny_dataset(seed=8)
