@@ -11,10 +11,8 @@ multidimensional IRT, or a small monotone MLP).
 from .checkpoint import (
     Checkpoint,
     CheckpointError,
-    diagnostic_from_checkpoint,
     load_checkpoint,
     save_checkpoint,
-    store_from_checkpoint,
 )
 from .config import ConfigError, RunConfig, parse_config_file
 from .data import (

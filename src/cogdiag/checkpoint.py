@@ -27,7 +27,6 @@ import numpy as np
 
 from .diagnostics import DiagnosticFunction, parameter_layout
 from .latent import STUDENT_LOGVAR, STUDENT_MEAN
-from .numerics import ParameterStore
 
 FORMAT_VERSION = 3
 
@@ -38,9 +37,9 @@ class CheckpointError(RuntimeError):
 
 @dataclass
 class Checkpoint:
-    variant: str
-    irt_scale: float
-    mlp_hidden: tuple[int, ...]
+    """A trained model as saved: serving reads its ``params`` like a store's."""
+
+    fn: DiagnosticFunction
     params: dict[str, np.ndarray]
     consensus_mean: np.ndarray | None
     student_ids: list[str]
@@ -52,7 +51,6 @@ class Checkpoint:
     # for irt, one per concept otherwise
     train_counts: np.ndarray
     val_metrics: dict[str, float] = field(default_factory=dict)
-    format_version: int = FORMAT_VERSION
 
 
 def _read_arrays(fh, entries, wanted=None) -> tuple[dict[str, tuple], dict[str, np.ndarray]]:
@@ -127,10 +125,10 @@ def save_checkpoint(ck: Checkpoint, path) -> None:
     arrays.append(("train_counts", ck.train_counts))
     arrays = [(name, np.ascontiguousarray(arr, dtype="<f8")) for name, arr in arrays]
     doc = {
-        "format_version": ck.format_version,
-        "variant": ck.variant,
-        "irt_scale": ck.irt_scale,
-        "mlp_hidden": list(ck.mlp_hidden),
+        "format_version": FORMAT_VERSION,
+        "variant": ck.fn.variant,
+        "irt_scale": ck.fn.irt_scale,
+        "mlp_hidden": list(ck.fn.mlp_hidden),
         "arrays": [[name, list(arr.shape)] for name, arr in arrays],
         "student_ids": ck.student_ids,
         "exercise_ids": ck.exercise_ids,
@@ -186,9 +184,7 @@ def load_checkpoint(path, students_only: bool = False) -> Checkpoint:
                 f"consensus_mean has shape {consensus.shape}, expected {layout[STUDENT_MEAN][1:]}"
             )
         return Checkpoint(
-            variant=doc["variant"],
-            irt_scale=doc["irt_scale"],
-            mlp_hidden=tuple(doc["mlp_hidden"]),
+            fn=fn,
             params=arrays,
             consensus_mean=consensus,
             student_ids=doc["student_ids"],
@@ -198,24 +194,9 @@ def load_checkpoint(path, students_only: bool = False) -> Checkpoint:
             best_epoch=doc["best_epoch"],
             train_counts=counts,
             val_metrics=doc["val_metrics"],
-            format_version=version,
         )
     except OSError as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
     except (KeyError, TypeError, ValueError) as exc:  # UnicodeDecodeError is a ValueError
         raise CheckpointError(f"checkpoint {path} is malformed: {exc}") from exc
 
-
-def diagnostic_from_checkpoint(ck: Checkpoint) -> DiagnosticFunction:
-    return DiagnosticFunction(
-        variant=ck.variant, irt_scale=ck.irt_scale, mlp_hidden=tuple(ck.mlp_hidden)
-    )
-
-
-def store_from_checkpoint(ck: Checkpoint) -> ParameterStore:
-    """Rebuild a parameter store (fresh optimizer state) from saved arrays."""
-    store = ParameterStore()
-    sizes = (len(ck.student_ids), len(ck.exercise_ids), len(ck.concept_ids))
-    for name, _, row_sparse in parameter_layout(diagnostic_from_checkpoint(ck), *sizes):
-        store.add(name, ck.params[name], row_sparse=row_sparse)
-    return store

@@ -28,10 +28,8 @@ from .checkpoint import (
     Checkpoint,
     CheckpointError,
     atomic_write,
-    diagnostic_from_checkpoint,
     load_checkpoint,
     save_checkpoint,
-    store_from_checkpoint,
 )
 from .config import ConfigError, RunConfig, format_config, parse_config_file
 from .data import (
@@ -84,9 +82,14 @@ def _run_config_from_checkpoint(ck: Checkpoint) -> RunConfig:
         if wrong_type or (isinstance(value, float) and not math.isfinite(value)):
             raise CheckpointError(f"checkpoint run_config is malformed: {name} = {value!r}")
     try:
-        return RunConfig(**ck.run_config)
+        cfg = RunConfig(**ck.run_config)
     except ValueError as exc:
         raise CheckpointError(f"checkpoint configuration no longer valid: {exc}") from None
+    if cfg.diagnostic != ck.fn:
+        raise CheckpointError(
+            f"checkpoint head {ck.fn} disagrees with its run_config's {cfg.diagnostic}"
+        )
+    return cfg
 
 
 def _eval_context(checkpoint_path: str):
@@ -104,7 +107,7 @@ def _split_indices(splits: Splits, name: str):
 
 def _published_probs(ck: Checkpoint, dataset: Dataset, indices) -> tuple[list[str], list[float]]:
     """Predictions at ``indices`` as published: six-decimal strings, and their floats."""
-    probs = predict_split(store_from_checkpoint(ck), diagnostic_from_checkpoint(ck), dataset, indices)
+    probs = predict_split(ck, ck.fn, dataset, indices)
     published = [f"{p:.6f}" for p in probs.tolist()]
     return published, [float(s) for s in published]
 
@@ -218,7 +221,7 @@ def cmd_export_ability(args) -> int:
     _run_config_from_checkpoint(ck)
     mastery = stable_sigmoid(ck.params[STUDENT_MEAN])
     sigma = np.sqrt(np.exp(ck.params[STUDENT_LOGVAR]))
-    labels = ["overall"] if ck.variant == "irt" else ck.concept_ids
+    labels = ck.fn.cell_labels(ck.concept_ids)
 
     out = _out_path(args.out, args.checkpoint, "ability.csv")
     lines = ["student_id,concept_id,mastery,sigma"]

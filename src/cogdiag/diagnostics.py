@@ -14,9 +14,10 @@ correctness probability:
 Exercise difficulty and discrimination live as free rows squashed
 through a sigmoid, so both stay in (0, 1) without constraints.
 
-Each predictor is one forward formula on arrays, shared by inference and
-training.  With ``vjp=True`` it also returns its gradient function, which
-replays the backward pass of the one-op reference chain the formula
+Each predictor is one forward formula on arrays, which inference and
+training reach through ``DiagnosticFunction.predict``, the one place that
+picks the head.  With ``vjp=True`` it also returns its gradient function,
+which replays the backward pass of the one-op reference chain the formula
 stands for (``tests/reftape.py``), op for op; the training objective
 chains these.
 """
@@ -65,6 +66,35 @@ class DiagnosticFunction:
         if self.variant == "irt":
             return np.arange(dataset.n_exercises + 1), np.zeros(dataset.n_exercises, dtype=np.int64)
         return dataset.concept_ptr, dataset.concept_idx
+
+    def cell_labels(self, concept_ids: list[str]) -> list[str]:
+        """One label per latent cell: the concept ids, or IRT's single "overall"."""
+        return ["overall"] if self.variant == "irt" else concept_ids
+
+    def q_rows(self, dataset, exercises: np.ndarray) -> np.ndarray | None:
+        """The concept-mask rows :meth:`predict` reads for ``exercises``; IRT reads none."""
+        return None if self.variant == "irt" else dataset.dense_q[exercises]
+
+    def predict(self, theta, difficulty, discrimination, q_mask, model, vjp: bool = False):
+        """(B,) correctness probabilities of a batch under this head.
+
+        ``theta`` and ``difficulty`` are (B, latent), ``discrimination``
+        is (B, 1) (mirt ignores it) and ``q_mask`` is :meth:`q_rows`.
+        ``model`` is anything with ``params``, a store or a checkpoint;
+        only ncd reads it, for the MLP.  ``vjp=True`` also returns the
+        gradient function: (B,) in; d gap out, then d discrimination and
+        the MLP's grads where they train.
+        """
+        if self.variant == "mirt":
+            return predict_mirt(theta, difficulty, q_mask, vjp=vjp)
+        if self.variant == "ncd":
+            return predict_ncd(theta, difficulty, discrimination, q_mask, mlp_layers(model), vjp=vjp)
+        # irt forms a (B, 1) column: its single latent cell
+        out = predict_irt(theta, difficulty, discrimination, self.irt_scale, vjp=vjp)
+        if not vjp:
+            return out[:, 0]
+        y, grads = out
+        return y[:, 0], lambda g: grads(g[:, None])
 
 
 def parameter_layout(
@@ -191,9 +221,9 @@ def predict_ncd(theta, difficulty, discrimination, q_mask, layers, vjp: bool = F
     return y, grads
 
 
-def mlp_layers(store: ParameterStore):
-    """The store's MLP arrays as [(w1, b1), (w2, b2), (w3, b3)]."""
-    w1, b1, w2, b2, w3, b3 = (store.params[name] for name in MLP_PARAMS)
+def mlp_layers(model):
+    """The MLP arrays in ``model.params`` as [(w1, b1), (w2, b2), (w3, b3)]."""
+    w1, b1, w2, b2, w3, b3 = (model.params[name] for name in MLP_PARAMS)
     return [(w1, b1), (w2, b2), (w3, b3)]
 
 

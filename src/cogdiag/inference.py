@@ -13,15 +13,7 @@ import numpy as np
 
 from .checkpoint import Checkpoint, CheckpointError
 from .data import Dataset, cell_runs
-from .diagnostics import (
-    EXERCISE_DIFF,
-    EXERCISE_DISC,
-    DiagnosticFunction,
-    mlp_layers,
-    predict_irt,
-    predict_mirt,
-    predict_ncd,
-)
+from .diagnostics import EXERCISE_DIFF, EXERCISE_DISC, DiagnosticFunction
 from .latent import STUDENT_LOGVAR, STUDENT_MEAN
 from .metrics import BinReport, acc, auc, calibration, rmse
 from .numerics import ParameterStore, stable_sigmoid
@@ -33,13 +25,16 @@ BLOCK_BYTES = 1 << 20
 
 
 def predict_split(
-    store: ParameterStore,
+    model: ParameterStore | Checkpoint,
     fn: DiagnosticFunction,
     dataset: Dataset,
     indices: np.ndarray,
     chunk: int | None = None,
 ) -> np.ndarray:
     """Correctness probabilities for the given interaction positions.
+
+    ``model`` is read for its ``params`` alone, so a training store and
+    a loaded checkpoint serve alike.
 
     Rows go through the head ``chunk`` at a time.  By default a block
     holds as many rows as keep the widest (rows, width) array the head
@@ -54,12 +49,11 @@ def predict_split(
     before it, since a one-row matmul takes the matrix-vector path.
     """
     indices = np.asarray(indices, dtype=np.int64)
-    theta_all = stable_sigmoid(store.params[STUDENT_MEAN])
-    diff_all = stable_sigmoid(store.params[EXERCISE_DIFF])
-    disc_all = stable_sigmoid(store.params[EXERCISE_DISC])
-    layers = mlp_layers(store) if fn.variant == "ncd" else []
+    theta_all = stable_sigmoid(model.params[STUDENT_MEAN])
+    diff_all = stable_sigmoid(model.params[EXERCISE_DIFF])
+    disc_all = stable_sigmoid(model.params[EXERCISE_DISC])
     if chunk is None:
-        width = max([theta_all.shape[1]] + [w.shape[1] for w, _ in layers])
+        width = max([theta_all.shape[1], *(fn.mlp_hidden if fn.variant == "ncd" else ())])
         chunk = max(64, BLOCK_BYTES // (8 * width) // 64 * 64)
 
     n = len(indices)
@@ -67,23 +61,8 @@ def predict_split(
     lo = 0
     for hi in [*range(chunk, n - chunk + 1, chunk), n]:
         part = indices[lo:hi]
-        theta = theta_all[dataset.s_idx[part]]
-        diff = diff_all[dataset.e_idx[part]]
-        if fn.variant == "irt":
-            probs = predict_irt(
-                theta, diff, disc_all[dataset.e_idx[part]], fn.irt_scale
-            ).reshape(-1)
-        elif fn.variant == "mirt":
-            probs = predict_mirt(theta, diff, dataset.dense_q[dataset.e_idx[part]])
-        else:
-            probs = predict_ncd(
-                theta,
-                diff,
-                disc_all[dataset.e_idx[part]],
-                dataset.dense_q[dataset.e_idx[part]],
-                layers,
-            )
-        out[lo:hi] = probs
+        theta, e = theta_all[dataset.s_idx[part]], dataset.e_idx[part]
+        out[lo:hi] = fn.predict(theta, diff_all[e], disc_all[e], fn.q_rows(dataset, e), model)
         lo = hi
     return out
 
@@ -117,13 +96,13 @@ def evaluate_probs(probs: np.ndarray, labels: np.ndarray, bins: int = 10) -> Eva
 
 
 def evaluate_store(
-    store: ParameterStore,
+    model: ParameterStore | Checkpoint,
     fn: DiagnosticFunction,
     dataset: Dataset,
     indices: np.ndarray,
     bins: int = 10,
 ) -> EvalReport:
-    probs = predict_split(store, fn, dataset, indices)
+    probs = predict_split(model, fn, dataset, indices)
     return evaluate_probs(probs, dataset.scores[np.asarray(indices, dtype=np.int64)], bins=bins)
 
 
@@ -186,7 +165,7 @@ def diagnose(ck: Checkpoint, student_id: str) -> DiagnosisReport:
     mu = ck.params[STUDENT_MEAN][s]
     sigma = np.sqrt(np.exp(ck.params[STUDENT_LOGVAR][s]))
     counts = ck.train_counts[s]
-    labels = ["overall"] if ck.variant == "irt" else ck.concept_ids
+    labels = ck.fn.cell_labels(ck.concept_ids)
     order = np.argsort(sigma, kind="stable")
     rank = np.empty(len(sigma), dtype=np.int64)
     rank[order] = np.arange(1, len(sigma) + 1)

@@ -36,10 +36,6 @@ from .diagnostics import (
     DiagnosticFunction,
     clamp_ncd_weights,
     init_parameters,
-    mlp_layers,
-    predict_irt,
-    predict_mirt,
-    predict_ncd,
 )
 from .latent import (
     STANDARD_PRIOR,
@@ -394,13 +390,12 @@ def build_batch_graph(
     s, e, r = dataset.s_idx[batch_idx], dataset.e_idx[batch_idx], dataset.scores[batch_idx]
     students, s_at = np.unique(s, return_inverse=True)
     exercises, e_at = np.unique(e, return_inverse=True)
-    variant = fn.variant
+    trains_disc = fn.variant != "mirt"  # mirt pins discrimination to one; its rows never train
     leaves = [_leaf(store, STUDENT_MEAN, students), _leaf(store, STUDENT_LOGVAR, students),
               _leaf(store, EXERCISE_DIFF, exercises)]
-    if variant != "mirt":  # mirt pins discrimination to one; its rows never train
+    if trains_disc:
         leaves.append(_leaf(store, EXERCISE_DISC, exercises))
-    if variant == "ncd":
-        leaves += [_leaf(store, name) for name in MLP_PARAMS]
+    leaves += [_leaf(store, name) for name in MLP_PARAMS if name in store.params]  # ncd's MLP
     mu, logvar = leaves[0].value, leaves[1].value
     keep = noise.keep_mask
     var = np.exp(np.clip(logvar, -EXP_CLAMP, EXP_CLAMP))
@@ -410,16 +405,8 @@ def build_batch_graph(
     mu_at = mu[s_at]
     theta, theta_grads = draw_ability(mu_at, var_hat, noise.eps, vjp=True)
     diff = stable_sigmoid(leaves[2].value)[e_at]
-    if variant == "mirt":
-        y, head_grads = predict_mirt(theta, diff, dataset.dense_q[e], vjp=True)
-    else:
-        disc = stable_sigmoid(leaves[3].value)[e_at]
-        if variant == "irt":
-            y_col, head_grads = predict_irt(theta, diff, disc, fn.irt_scale, vjp=True)
-            y = y_col.sum(axis=-1)
-        else:
-            y, head_grads = predict_ncd(theta, diff, disc, dataset.dense_q[e], mlp_layers(store),
-                                        vjp=True)
+    disc = stable_sigmoid(leaves[3].value)[e_at] if trains_disc else None
+    y, head_grads = fn.predict(theta, diff, disc, fn.q_rows(dataset, e), store, vjp=True)
     l_pred, bce_grads = prediction_loss(y, r, vjp=True)
     total, l_kl, l_rl = l_pred, 0.0, 0.0
     if cfg.gamma > 0:
@@ -440,8 +427,7 @@ def build_batch_graph(
 
     def grads(g):
         (g_y,) = bce_grads(g)
-        # irt's head is a (B, 1) column summed to (B,): the sum broadcasts back
-        g_gap, *g_head = head_grads(g_y[:, None] if variant == "irt" else g_y)
+        g_gap, *g_head = head_grads(g_y)
         g_mu, g_var_hat = theta_grads(g_gap)
         if cfg.gamma > 0:
             k_mu, k_lin, k_log = kl_grads(np.full(kl_vec.shape, g * cfg.gamma * inv_kl))
@@ -459,7 +445,7 @@ def build_batch_graph(
             _row_block(n_s, s_at, g_logvar),
             _row_block(n_e, e_at, -g_gap * diff * (1.0 - diff)),
         ]
-        if variant != "mirt":
+        if trains_disc:
             blocks.append(_row_block(n_e, e_at, g_head[0] * disc * (1.0 - disc)))
         return (*blocks, *g_head[1:])
 
@@ -624,9 +610,7 @@ class Trainer:
 
         consensus = self.prior.mean if self.prior is not None else None
         return Checkpoint(
-            variant=self.fn.variant,
-            irt_scale=self.fn.irt_scale,
-            mlp_hidden=tuple(self.fn.mlp_hidden),
+            fn=self.fn,
             params=self.store.copy_params(),
             consensus_mean=None if consensus is None else consensus.copy(),
             student_ids=list(self.dataset.student_ids),

@@ -7,7 +7,6 @@ is skipped with instructions when the files are absent.
 """
 
 import csv
-import json
 import os
 import time
 from pathlib import Path

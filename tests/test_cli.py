@@ -340,6 +340,26 @@ class TestMalformedCheckpoint:
             for key in older:
                 assert key in err
 
+    @pytest.mark.parametrize(
+        "edit, named",
+        [
+            ({"variant": "mirt", "irt_scale": 9.0},
+             ["variant='ncd'", "irt_scale=1.702", "variant='mirt'", "irt_scale=9.0"]),
+            ({"mlp_hidden2": 7}, ["mlp_hidden=(16, 8)", "mlp_hidden=(16, 7)"]),
+        ],
+        ids=["variant-and-scale", "mlp-width"],
+    )
+    def test_run_config_head_disagreeing_with_the_header(
+        self, workspace, tmp_path, capsys, rewrite_checkpoint, edit, named
+    ):
+        # the header names the head, and so does the run_config it was trained from
+        bad = tmp_path / "bad.json"
+        rewrite_checkpoint(workspace["checkpoint"], bad, edit=lambda h: h["run_config"].update(edit))
+        for err in self.serving_errors(bad, "s0000", tmp_path, capsys):
+            assert "disagrees" in err
+            for value in named:
+                assert value in err
+
     @pytest.mark.parametrize("content", [b"[1]\n", b"\xff{}"], ids=["list", "not-ascii"])
     def test_header_not_an_ascii_json_object(self, tmp_path, capsys, content):
         bad = tmp_path / "x.json"

@@ -228,9 +228,10 @@ def json_value(raw):
 
 def test_config_file_schema_is_pinned():
     assert sorted(format_config(RunConfig()).splitlines()) == SCHEMA
-    # a checkpoint header's run_config holding exactly these keys and defaults serves
+    # a checkpoint header's run_config holding exactly these keys and defaults
+    # serves, beside the default head its header names
     run_config = {key: json_value(raw) for key, _, raw in (line.partition(" = ") for line in SCHEMA)}
-    ck = SimpleNamespace(run_config=run_config)
+    ck = SimpleNamespace(run_config=run_config, fn=DiagnosticFunction("ncd"))
     assert cli._run_config_from_checkpoint(ck) == RunConfig()
 
 

@@ -1,4 +1,4 @@
-"""The demos and scripts still run against the current API."""
+"""The demos and scripts still run against the current API, and every module uses its imports."""
 
 import ast
 import importlib
@@ -43,3 +43,24 @@ def test_example_compiles_and_its_cogdiag_imports_resolve(path):
                 found = hasattr(module, alias.name) or importlib.util.find_spec(
                     f"{node.module}.{alias.name}") is not None
                 assert found, f"{path.name}: {node.module}.{alias.name}"
+
+
+MODULES = sorted(
+    path
+    for path in [*ROOT.glob("src/**/*.py"), *ROOT.glob("tests/*.py"), *EXAMPLES]
+    if path.name != "__init__.py"  # a package's imports are its re-exports
+)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[str(p.relative_to(ROOT)) for p in MODULES])
+def test_every_imported_name_is_used(path):
+    # an import binds a name; the module must read that name somewhere
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert not imported - read, f"{path.name} imports {sorted(imported - read)} and never uses them"

@@ -7,19 +7,16 @@ import os
 
 import numpy as np
 import pytest
-from numpy.random import default_rng
 
 from cogdiag.checkpoint import (
     Checkpoint,
     CheckpointError,
     FORMAT_VERSION,
-    diagnostic_from_checkpoint,
     load_checkpoint,
     save_checkpoint,
-    store_from_checkpoint,
 )
 from cogdiag.data import build_dataset
-from cogdiag.diagnostics import DiagnosticFunction, init_parameters
+from cogdiag.diagnostics import DiagnosticFunction
 from cogdiag.inference import (
     BLOCK_BYTES,
     check_dataset_matches,
@@ -57,7 +54,6 @@ def trained_checkpoint(ds, variant="mirt", seed=3, mlp_hidden=(6, 4)):
 
 def hand_built_checkpoint(ds, mu_by_student):
     """IRT checkpoint with hand-set abilities and neutral exercises."""
-    fn = DiagnosticFunction("irt")
     params = {
         "student_mu": np.array(mu_by_student, dtype=np.float64).reshape(-1, 1),
         "student_logvar": np.zeros((ds.n_students, 1)),
@@ -65,9 +61,7 @@ def hand_built_checkpoint(ds, mu_by_student):
         "exercise_disc": np.full((ds.n_exercises, 1), 3.0),  # sigmoid -> ~0.95
     }
     return Checkpoint(
-        variant="irt",
-        irt_scale=fn.irt_scale,
-        mlp_hidden=fn.mlp_hidden,
+        fn=DiagnosticFunction("irt"),
         params=params,
         consensus_mean=None,
         student_ids=list(ds.student_ids),
@@ -88,8 +82,8 @@ def one_line_checkpoint(ck, version):
         return {"shape": list(arr.shape), "data": base64.b64encode(arr.tobytes()).decode("ascii")}
 
     doc = {
-        "format_version": version, "variant": ck.variant, "irt_scale": ck.irt_scale,
-        "mlp_hidden": list(ck.mlp_hidden),
+        "format_version": version, "variant": ck.fn.variant, "irt_scale": ck.fn.irt_scale,
+        "mlp_hidden": list(ck.fn.mlp_hidden),
         "params": {name: encode(arr) for name, arr in ck.params.items()},
         "consensus_mean": None if ck.consensus_mean is None else encode(ck.consensus_mean),
         "student_ids": ck.student_ids, "exercise_ids": ck.exercise_ids,
@@ -108,9 +102,8 @@ class TestCheckpointIO:
         path = tmp_path / "ck.json"
         save_checkpoint(ck, path)
         back = load_checkpoint(path)
-        assert back.variant == ck.variant
+        assert back.fn == ck.fn
         assert back.student_ids == ck.student_ids
-        assert back.mlp_hidden == ck.mlp_hidden
         assert back.best_epoch == ck.best_epoch
         for name, arr in ck.params.items():
             np.testing.assert_array_equal(back.params[name], arr)
@@ -175,7 +168,7 @@ class TestCheckpointIO:
 
     def test_loaded_arrays_are_writable_and_train(self, tmp_path):
         ds = toy_dataset()
-        _, ck = trained_checkpoint(ds, "ncd")
+        trainer, ck = trained_checkpoint(ds, "ncd")
         path = tmp_path / "ck.json"
         save_checkpoint(ck, path)
         back = load_checkpoint(path)
@@ -186,7 +179,8 @@ class TestCheckpointIO:
         for arr, old in zip(loaded, before):
             if arr is not back.params["student_mu"]:
                 np.testing.assert_array_equal(arr, old)
-        store = store_from_checkpoint(back)
+        store = trainer.store
+        store.load_params(back.params)
         for name, value in store.params.items():
             store.accumulate_grad(name, None, np.ones_like(value))
         adam_step(store, 0.002, lazy=True)
@@ -283,29 +277,15 @@ class TestCheckpointIO:
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
-    def test_store_marks_embeddings_row_sparse(self):
-        ds = toy_dataset()
-        _, ck = trained_checkpoint(ds, "ncd")
-        store = store_from_checkpoint(ck)
-        assert store.is_row_sparse("student_mu")
-        assert not store.is_row_sparse("mlp_w1")
-
     def test_store_rejects_unknown_params(self, tmp_path):
         ds = toy_dataset()
         _, ck = trained_checkpoint(ds)
         ck.params["mystery"] = np.zeros(3)
         path = tmp_path / "ck.json"
         save_checkpoint(ck, path)
-        # the layout check at load keeps the parameter out of any store
+        # the layout check at load keeps the parameter out of anything served
         with pytest.raises(CheckpointError, match="mystery"):
-            store_from_checkpoint(load_checkpoint(path))
-
-    def test_diagnostic_from_checkpoint(self):
-        ds = toy_dataset()
-        _, ck = trained_checkpoint(ds, "ncd")
-        fn = diagnostic_from_checkpoint(ck)
-        assert fn.variant == "ncd"
-        assert fn.mlp_hidden == (6, 4)
+            load_checkpoint(path)
 
 
 class TestEvaluation:
@@ -328,30 +308,27 @@ class TestEvaluation:
         )
         mu = [3.0 if sid in strong else -3.0 for sid in ds.student_ids]
         ck = hand_built_checkpoint(ds, mu)
-        store, fn = store_from_checkpoint(ck), diagnostic_from_checkpoint(ck)
-        report = evaluate_store(store, fn, ds, np.arange(ds.n_interactions))
+        report = evaluate_store(ck, ck.fn, ds, np.arange(ds.n_interactions))
         assert report.acc == 1.0
         assert report.auc == 1.0
 
     def test_probs_align_with_indices(self):
         ds = toy_dataset()
         _, ck = trained_checkpoint(ds)
-        store = store_from_checkpoint(ck)
-        fn = diagnostic_from_checkpoint(ck)
+        fn = ck.fn
         idx = np.array([5, 0, 17])
-        probs = predict_split(store, fn, ds, idx)
-        singles = [predict_split(store, fn, ds, np.array([i]))[0] for i in idx]
+        probs = predict_split(ck, fn, ds, idx)
+        singles = [predict_split(ck, fn, ds, np.array([i]))[0] for i in idx]
         np.testing.assert_array_equal(probs, singles)
 
     def test_chunked_prediction_matches_whole(self):
         ds = toy_dataset()
         _, ck = trained_checkpoint(ds, "ncd")
-        store = store_from_checkpoint(ck)
-        fn = diagnostic_from_checkpoint(ck)
+        fn = ck.fn
         idx = np.arange(ds.n_interactions)
         np.testing.assert_array_equal(
-            predict_split(store, fn, ds, idx, chunk=7),
-            predict_split(store, fn, ds, idx, chunk=10_000),
+            predict_split(ck, fn, ds, idx, chunk=7),
+            predict_split(ck, fn, ds, idx, chunk=10_000),
         )
 
     @pytest.mark.parametrize("variant", ["ncd", "mirt", "irt"])
@@ -360,17 +337,16 @@ class TestEvaluation:
         # every variant spans 2.5 default blocks plus a ragged tail
         ds = toy_dataset()
         _, ck = trained_checkpoint(ds, variant, mlp_hidden=(512, 256))
-        store = store_from_checkpoint(ck)
-        fn = diagnostic_from_checkpoint(ck)
+        fn = ck.fn
         width = {"ncd": 512, "mirt": ds.n_concepts, "irt": 1}[variant]
         block = BLOCK_BYTES // (8 * width) // 64 * 64
         idx = np.resize(np.arange(ds.n_interactions), 5 * block // 2 + 3)
-        blocked = predict_split(store, fn, ds, idx)
-        assert same_bits(blocked, predict_split(store, fn, ds, idx, chunk=len(idx)))
+        blocked = predict_split(ck, fn, ds, idx)
+        assert same_bits(blocked, predict_split(ck, fn, ds, idx, chunk=len(idx)))
 
         positions = np.arange(ds.n_interactions)
-        whole = predict_split(store, fn, ds, positions, chunk=len(positions))
-        singles = np.array([predict_split(store, fn, ds, positions[i : i + 1])[0] for i in positions])
+        whole = predict_split(ck, fn, ds, positions, chunk=len(positions))
+        singles = np.array([predict_split(ck, fn, ds, positions[i : i + 1])[0] for i in positions])
         if variant == "ncd":
             # a one-row matmul takes BLAS's matrix-vector path, which may
             # round the last place differently
@@ -383,16 +359,28 @@ class TestEvaluation:
         for pos in np.flatnonzero(whole.view(np.int64) != singles.view(np.int64)):
             tailed = np.append(idx[: 2 * block], pos)
             assert same_bits(
-                predict_split(store, fn, ds, tailed),
-                predict_split(store, fn, ds, tailed, chunk=len(tailed)),
+                predict_split(ck, fn, ds, tailed),
+                predict_split(ck, fn, ds, tailed, chunk=len(tailed)),
             )
+
+    @pytest.mark.parametrize("variant", ["irt", "mirt", "ncd"])
+    def test_loaded_checkpoint_serves_the_trained_store_bits(self, tmp_path, variant):
+        # the loaded params are views into one read buffer, not the store's
+        # own arrays; the head must read the same bits from either
+        ds = toy_dataset()
+        trainer, ck = trained_checkpoint(ds, variant, mlp_hidden=(512, 256))
+        path = tmp_path / "ck.json"
+        save_checkpoint(ck, path)
+        idx = trainer.splits.test
+        served = predict_split(load_checkpoint(path), trainer.fn, ds, idx)
+        assert same_bits(served, predict_split(trainer.store, trainer.fn, ds, idx))
 
     def test_eval_is_deterministic(self):
         ds = toy_dataset()
         _, ck = trained_checkpoint(ds)
         idx = np.arange(0, ds.n_interactions, 3)
-        a = evaluate_store(store_from_checkpoint(ck), diagnostic_from_checkpoint(ck), ds, idx)
-        b = evaluate_store(store_from_checkpoint(ck), diagnostic_from_checkpoint(ck), ds, idx)
+        a = evaluate_store(ck, ck.fn, ds, idx)
+        b = evaluate_store(ck, ck.fn, ds, idx)
         assert a.acc == b.acc and a.auc == b.auc and a.ece == b.ece
 
     def test_dataset_mismatch_detected(self):

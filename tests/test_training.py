@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 from numpy.random import default_rng
 
-from cogdiag.data import SplitSpec, build_dataset, split_per_student
+from cogdiag.data import build_dataset
 from cogdiag.diagnostics import DiagnosticFunction, init_parameters
 from cogdiag.numerics import grad_check
 from cogdiag.seeding import substream
 from cogdiag.synth import planted_cohort
 from cogdiag import tape
 from cogdiag.training import (
-    BatchNoise,
     CorrectnessTracker,
     NonFiniteLossError,
     TrainConfig,
