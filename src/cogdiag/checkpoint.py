@@ -28,7 +28,7 @@ import numpy as np
 from .diagnostics import DiagnosticFunction, parameter_layout
 from .latent import STUDENT_LOGVAR, STUDENT_MEAN
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 
 class CheckpointError(RuntimeError):
@@ -127,7 +127,6 @@ def save_checkpoint(ck: Checkpoint, path) -> None:
     doc = {
         "format_version": FORMAT_VERSION,
         "variant": ck.fn.variant,
-        "irt_scale": ck.fn.irt_scale,
         "mlp_hidden": list(ck.fn.mlp_hidden),
         "arrays": [[name, list(arr.shape)] for name, arr in arrays],
         "student_ids": ck.student_ids,
@@ -170,7 +169,7 @@ def load_checkpoint(path, students_only: bool = False) -> Checkpoint:
         run_config = doc["run_config"]
         if not isinstance(run_config, dict):
             raise ValueError(f"run_config is not a JSON object (got {type(run_config).__name__})")
-        fn = DiagnosticFunction(doc["variant"], doc["irt_scale"], tuple(doc["mlp_hidden"]))
+        fn = DiagnosticFunction(doc["variant"], tuple(doc["mlp_hidden"]))
         sizes = (len(doc["student_ids"]), len(doc["exercise_ids"]), len(doc["concept_ids"]))
         layout = {name: shape for name, shape, _ in parameter_layout(fn, *sizes)}
         consensus = arrays.pop("consensus_mean", None)

@@ -112,6 +112,16 @@ def _published_probs(ck: Checkpoint, dataset: Dataset, indices) -> tuple[list[st
     return published, [float(s) for s in published]
 
 
+def _csv_ids(ids: list[str]) -> list[str]:
+    """``ids`` as CSV fields: any that holds a comma, quote or line break quoted RFC 4180-style."""
+    joined = "\x00".join(ids)  # one scan of all ids, so plain ones pass as they are
+    if not any(c in joined for c in ',"\r\n'):
+        return ids
+    return [
+        '"' + i.replace('"', '""') + '"' if any(c in i for c in ',"\r\n') else i for i in ids
+    ]
+
+
 def _out_path(arg_out, checkpoint_path: str, default_name: str) -> Path:
     if arg_out:
         return Path(arg_out)
@@ -170,7 +180,7 @@ def cmd_eval(args) -> int:
     report = evaluate_probs(rounded, dataset.scores[indices], bins=cfg.bins)
 
     out = _out_path(args.out, args.checkpoint, f"predictions_{args.split}.csv")
-    sids, eids = dataset.student_ids, dataset.exercise_ids
+    sids, eids = _csv_ids(dataset.student_ids), _csv_ids(dataset.exercise_ids)
     rows = zip(
         dataset.s_idx[indices].tolist(),
         dataset.e_idx[indices].tolist(),
@@ -207,10 +217,8 @@ def cmd_diagnose(args) -> int:
 
     out = _out_path(args.out, args.checkpoint, f"diagnosis_{args.student}.csv")
     lines = ["rank,concept_id,mastery,sigma,interactions"]
-    for row in report.rows:
-        lines.append(
-            f"{row.rank},{row.concept_id},{row.mastery:.6f},{row.sigma:.6f},{row.interactions}"
-        )
+    for row, cid in zip(report.rows, _csv_ids([row.concept_id for row in report.rows])):
+        lines.append(f"{row.rank},{cid},{row.mastery:.6f},{row.sigma:.6f},{row.interactions}")
     atomic_write(out, "\n".join(lines) + "\n")
     print(f"diagnosis written to {out}")
     return 0
@@ -221,11 +229,11 @@ def cmd_export_ability(args) -> int:
     _run_config_from_checkpoint(ck)
     mastery = stable_sigmoid(ck.params[STUDENT_MEAN])
     sigma = np.sqrt(np.exp(ck.params[STUDENT_LOGVAR]))
-    labels = ck.fn.cell_labels(ck.concept_ids)
+    labels = _csv_ids(ck.fn.cell_labels(ck.concept_ids))
 
     out = _out_path(args.out, args.checkpoint, "ability.csv")
     lines = ["student_id,concept_id,mastery,sigma"]
-    for i, sid in enumerate(ck.student_ids):
+    for i, sid in enumerate(_csv_ids(ck.student_ids)):
         for k, cid in enumerate(labels):
             lines.append(f"{sid},{cid},{mastery[i, k]:.6f},{sigma[i, k]:.6f}")
     atomic_write(out, "\n".join(lines) + "\n")

@@ -35,7 +35,6 @@ class RunConfig(TrainConfig):
     output_dir: str = "run"
     min_logs: int = 15
     bins: int = 10
-    irt_scale: float = DiagnosticFunction.irt_scale
     mlp_hidden1: int = DiagnosticFunction.mlp_hidden[0]
     mlp_hidden2: int = DiagnosticFunction.mlp_hidden[1]
 
@@ -54,19 +53,8 @@ class RunConfig(TrainConfig):
     @property
     def diagnostic(self) -> DiagnosticFunction:
         return DiagnosticFunction(
-            variant=self.variant,
-            irt_scale=self.irt_scale,
-            mlp_hidden=(self.mlp_hidden1, self.mlp_hidden2),
+            variant=self.variant, mlp_hidden=(self.mlp_hidden1, self.mlp_hidden2)
         )
-
-
-def _parse_bool(raw: str) -> bool:
-    low = raw.lower()
-    if low in ("true", "yes", "1", "on"):
-        return True
-    if low in ("false", "no", "0", "off"):
-        return False
-    raise ValueError(f"expected a boolean, got {raw!r}")
 
 
 def _parse_float(raw: str) -> float:
@@ -76,7 +64,7 @@ def _parse_float(raw: str) -> float:
     return value
 
 
-_PARSERS = {int: int, float: _parse_float, str: str, bool: _parse_bool}
+_PARSERS = {int: int, float: _parse_float, str: str}
 
 
 def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
@@ -131,7 +119,7 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
 
 def parse_config_file(path) -> RunConfig:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return parse_config_text(text, source=str(path))
@@ -141,8 +129,5 @@ def format_config(cfg: RunConfig) -> str:
     """Render a RunConfig back to the flat file format (resolved values)."""
     lines = []
     for f in fields(RunConfig):
-        value = getattr(cfg, f.name)
-        if isinstance(value, bool):
-            value = "true" if value else "false"
-        lines.append(f"{f.name} = {value}")
+        lines.append(f"{f.name} = {getattr(cfg, f.name)}")
     return "\n".join(lines) + "\n"

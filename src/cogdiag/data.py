@@ -93,7 +93,7 @@ def _read_columns(path, header: list[str]) -> tuple[list[list[str]], list[tuple[
     """
     flat: list[str] = []
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             got = [h.strip() for h in next(reader, header)]
             if got != header:
@@ -127,7 +127,7 @@ def _row_line(path, index: int) -> int:
     Re-reads the file up to that row: a quoted field may span lines, so
     only the reader's own line count places a row.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         for _ in range(index + 1):  # the header, then the rows before ``index``
             next(reader)
@@ -295,7 +295,6 @@ class SplitSpec:
     train_fraction: float = 0.7
     val_fraction: float = 0.1
     seed: int = 0
-    preserve_order: bool = False  # keep each student's interactions in file order
 
     def __post_init__(self):
         problems = []
@@ -335,8 +334,7 @@ def split_per_student(dataset: Dataset, spec: SplitSpec) -> Splits:
     train, val, test = [], [], []
     for s in np.flatnonzero(sizes).tolist():
         positions = grouped[ends[s] - sizes[s] : ends[s]]
-        if not spec.preserve_order:
-            positions = rng.permutation(positions)
+        positions = rng.permutation(positions)
         n = len(positions)
         n_train = int(np.floor(n * spec.train_fraction))
         n_val = max(1, int(np.floor(n * spec.val_fraction)))

@@ -24,7 +24,6 @@ chains these.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,20 +37,18 @@ MLP_PARAMS = ("mlp_w1", "mlp_b1", "mlp_w2", "mlp_b2", "mlp_w3", "mlp_b3")
 MLP_WEIGHTS = MLP_PARAMS[::2]
 
 VARIANTS = ("irt", "mirt", "ncd")
+IRT_SCALE = 1.702
 
 
 @dataclass
 class DiagnosticFunction:
     variant: str
-    irt_scale: float = 1.702
     mlp_hidden: tuple[int, int] = (512, 256)
 
     def __post_init__(self):
         problems = []
         if self.variant not in VARIANTS:
             problems.append(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        if not (0 < self.irt_scale < math.inf):
-            problems.append(f"irt_scale must be positive and finite, got {self.irt_scale}")
         if len(self.mlp_hidden) != 2 or not all(h >= 1 for h in self.mlp_hidden):
             problems.append(f"mlp_hidden needs two positive sizes, got {self.mlp_hidden}")
         if problems:
@@ -90,7 +87,7 @@ class DiagnosticFunction:
         if self.variant == "ncd":
             return predict_ncd(theta, difficulty, discrimination, q_mask, mlp_layers(model), vjp=vjp)
         # irt forms a (B, 1) column: its single latent cell
-        out = predict_irt(theta, difficulty, discrimination, self.irt_scale, vjp=vjp)
+        out = predict_irt(theta, difficulty, discrimination, vjp=vjp)
         if not vjp:
             return out[:, 0]
         y, grads = out
@@ -138,19 +135,19 @@ def init_parameters(
     return store
 
 
-def predict_irt(theta, difficulty, discrimination, scale: float = 1.702, vjp: bool = False):
-    """sigmoid(scale * discrimination * (theta - difficulty)), elementwise.
+def predict_irt(theta, difficulty, discrimination, vjp: bool = False):
+    """sigmoid(IRT_SCALE * discrimination * (theta - difficulty)), elementwise.
 
     ``vjp=True`` also returns ``g -> (d gap, d discrimination)``, where
     gap = theta - difficulty, through the mul -> mul -> sigmoid chain.
     """
     gap = theta - difficulty
-    y = stable_sigmoid(gap * discrimination * scale)
+    y = stable_sigmoid(gap * discrimination * IRT_SCALE)
     if not vjp:
         return y
 
     def grads(g):
-        g = g * y * (1.0 - y) * scale
+        g = g * y * (1.0 - y) * IRT_SCALE
         return (
             _unbroadcast(g * discrimination, np.shape(gap)),
             _unbroadcast(g * gap, np.shape(discrimination)),

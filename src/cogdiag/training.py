@@ -70,10 +70,10 @@ class NonFiniteLossError(RuntimeError):
 class TrainConfig:
     """Every value that shapes training; building one checks them all.
 
-    ``pretrain_epochs`` and ``pair_count`` take -1 for "same as
-    ``max_epochs``" and "same as ``batch_size``".  Variance dropout keeps
-    an entry with probability ``dropout_keep`` or pins it to
-    ``dropout_alpha``.
+    ``pretrain_epochs`` takes -1 for "same as ``max_epochs``".  Each
+    phase-two batch attempts ``batch_size`` calibration pairs.  Variance
+    dropout keeps an entry with probability ``dropout_keep`` or pins it
+    to ``dropout_alpha``.
     """
 
     gamma: float = 1e-4
@@ -86,8 +86,6 @@ class TrainConfig:
     seed: int = SplitSpec.seed
     train_fraction: float = SplitSpec.train_fraction
     val_fraction: float = SplitSpec.val_fraction
-    preserve_order: bool = SplitSpec.preserve_order
-    pair_count: int = -1  # pairs attempted per batch
     calibration_sign: str = "consistent"
     dropout_alpha: float = 0.5
     dropout_keep: float = 0.5
@@ -119,8 +117,6 @@ class TrainConfig:
             self.split
         except ValueError as exc:
             problems.append(str(exc))
-        if self.pair_count != -1 and not (self.pair_count >= 0):
-            problems.append(f"pair_count must be nonnegative, got {self.pair_count}")
         if self.calibration_sign not in SIGN_MODES:
             problems.append(
                 f"calibration_sign must be one of {SIGN_MODES}, got {self.calibration_sign!r}"
@@ -137,7 +133,6 @@ class TrainConfig:
             train_fraction=self.train_fraction,
             val_fraction=self.val_fraction,
             seed=self.seed,
-            preserve_order=self.preserve_order,
         )
 
 
@@ -340,10 +335,9 @@ def draw_batch_noise(
     keep = dropout_mask((B, d), cfg.dropout_keep, rng_dropout)
     pairs = None
     if rng_pairing is not None and tracker is not None and cfg.beta > 0:
-        count = cfg.batch_size if cfg.pair_count == -1 else cfg.pair_count
         pairs = sample_pairs(
-            dataset.s_idx[batch_idx], dataset.e_idx[batch_idx], fn.cells(dataset), tracker, count,
-            rng_pairing,
+            dataset.s_idx[batch_idx], dataset.e_idx[batch_idx], fn.cells(dataset), tracker,
+            cfg.batch_size, rng_pairing,
         )
     return BatchNoise(eps=eps, keep_mask=keep, pairs=pairs)
 

@@ -16,6 +16,7 @@ import cogdiag
 from cogdiag.checkpoint import load_checkpoint, save_checkpoint
 from cogdiag.cli import main
 from cogdiag.config import RunConfig
+from cogdiag.data import ResponseLog
 from cogdiag.metrics import acc, auc, calibration, rmse
 from cogdiag.synth import planted_cohort, write_cohort_csv
 
@@ -96,12 +97,11 @@ class TestTrain:
         "line, key",
         [
             ("learning_rate = nan", "learning_rate"),
-            ("variant = irt\nirt_scale = nan", "irt_scale"),
+            ("variant = irt\ndropout_alpha = nan", "dropout_alpha"),
             ("gamma = nan", "gamma"),
             ("beta = inf", "beta"),
-            ("irt_scale = inf", "irt_scale"),
+            ("val_fraction = inf", "val_fraction"),
             ("pretrain_epochs = -7", "pretrain_epochs"),
-            ("pair_count = -7", "pair_count"),
         ],
     )
     def test_non_finite_and_below_sentinel_values_are_usage_errors(
@@ -116,7 +116,8 @@ class TestTrain:
             f"min_logs = 1\nmax_epochs = 1\n{line}\n"
         )
         assert main(["train", "--config", str(config)]) == 2
-        assert key in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert key in err and "unknown key" not in err
         assert not (tmp_path / "run").exists()
 
     def test_progress_lines_printed(self, workspace, capsys, tmp_path):
@@ -299,23 +300,19 @@ class TestMalformedCheckpoint:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("irt_scale", "Infinity"), ("irt_scale", "NaN"), ("irt_scale", "1e999"),
+        [("mlp_hidden", "Infinity"), ("mlp_hidden", "NaN"), ("mlp_hidden", "1e999"),
          ("best_epoch", "NaN")],
     )
-    def test_non_finite_number(self, tmp_path, capsys, rewrite_checkpoint, field, value):
-        cohort = planted_cohort(n_students=12, n_exercises=20, n_concepts=3, per_student=15, seed=4)
-        logs, qmatrix = tmp_path / "logs.csv", tmp_path / "qmatrix.csv"
-        write_cohort_csv(cohort, logs, qmatrix)
-        config = tmp_path / "run.cfg"
-        config.write_text(
-            f"logs = {logs}\nqmatrix = {qmatrix}\noutput_dir = {tmp_path / 'run'}\n"
-            "variant = irt\nmin_logs = 1\nmax_epochs = 1\npretrain_epochs = 1\n"
-        )
-        assert main(["train", "--config", str(config)]) == 0
-        path = tmp_path / "run" / "checkpoint.json"
+    def test_non_finite_number(self, workspace, tmp_path, capsys, rewrite_checkpoint, field, value):
+        def edit(header):  # mlp_hidden: its first entry, the header's number that shapes the head
+            if field == "mlp_hidden":
+                header[field][0] = "@"
+            else:
+                header[field] = "@"
+
         bad = tmp_path / "bad.json"
-        rewrite_checkpoint(path, bad, edit=lambda h: h.update({field: "@"}), raw=value)
-        self.assert_serving_exits_one(bad, load_checkpoint(path).student_ids[0], tmp_path, capsys)
+        rewrite_checkpoint(workspace["checkpoint"], bad, edit=edit, raw=value)
+        self.assert_serving_exits_one(bad, "s0000", tmp_path, capsys)
 
     @pytest.mark.parametrize(
         "run_config", [5, [f.name for f in fields(RunConfig)]], ids=["number", "list-of-keys"]
@@ -343,11 +340,10 @@ class TestMalformedCheckpoint:
     @pytest.mark.parametrize(
         "edit, named",
         [
-            ({"variant": "mirt", "irt_scale": 9.0},
-             ["variant='ncd'", "irt_scale=1.702", "variant='mirt'", "irt_scale=9.0"]),
+            ({"variant": "mirt"}, ["variant='ncd'", "variant='mirt'"]),
             ({"mlp_hidden2": 7}, ["mlp_hidden=(16, 8)", "mlp_hidden=(16, 7)"]),
         ],
-        ids=["variant-and-scale", "mlp-width"],
+        ids=["variant", "mlp-width"],
     )
     def test_run_config_head_disagreeing_with_the_header(
         self, workspace, tmp_path, capsys, rewrite_checkpoint, edit, named
@@ -476,6 +472,47 @@ class TestExports:
         rows = out.read_text().splitlines()
         assert rows[0] == "bin,lo,hi,count,frac_correct,avg_prob,gap"
         assert len(rows) == 1 + 10
+
+
+class TestIdsThatNeedQuoting:
+    def test_every_written_row_parses_back_to_its_ids(self, tmp_path, capsys):
+        # a comma, a quote or a line break in student, exercise and concept ids, beside plain ones
+        cohort = planted_cohort(n_students=12, n_exercises=20, n_concepts=3, per_student=15, seed=4)
+        rename = {"s0000": 'Smith, J "3"', "s0001": "two\nlines", "c00": "fractions, decimals",
+                  "c01": 'say "cheese"'}
+        rename.update({f"e{j:04d}": f"e{j}, part {j}" for j in range(0, 20, 2)})
+        cohort.logs = [ResponseLog(rename.get(l.student_id, l.student_id),
+                                   rename.get(l.exercise_id, l.exercise_id), l.score)
+                       for l in cohort.logs]
+        cohort.q_pairs = [(rename.get(e, e), rename.get(c, c)) for e, c in cohort.q_pairs]
+        logs, qmatrix = tmp_path / "logs.csv", tmp_path / "q.csv"
+        write_cohort_csv(cohort, logs, qmatrix)
+        config = tmp_path / "run.cfg"
+        config.write_text(
+            f"logs = {logs}\nqmatrix = {qmatrix}\noutput_dir = {tmp_path / 'run'}\n"
+            "variant = mirt\nmin_logs = 1\nmax_epochs = 1\npretrain_epochs = 1\n"
+        )
+        assert main(["train", "--config", str(config)]) == 0
+        ck = str(tmp_path / "run" / "checkpoint.json")
+        students = {l.student_id for l in cohort.logs}
+        exercises = {l.exercise_id for l in cohort.logs}
+        concepts = {c for _, c in cohort.q_pairs}
+
+        def rows(argv, out):
+            assert main([*argv, "--checkpoint", ck, "--out", str(out)]) == 0
+            with open(out, newline="", encoding="utf-8") as fh:
+                header, *body = csv.reader(fh)
+            assert all(len(row) == len(header) for row in body)
+            return body
+
+        predictions = rows(["eval"], tmp_path / "p.csv")
+        assert {r[0] for r in predictions} == students
+        assert {r[1] for r in predictions} <= exercises
+        assert {r[1] for r in predictions} & set(rename.values())
+        diagnosis = rows(["diagnose", "--student", 'Smith, J "3"'], tmp_path / "d.csv")
+        assert {r[1] for r in diagnosis} == concepts
+        ability = rows(["export-ability"], tmp_path / "a.csv")
+        assert {(r[0], r[1]) for r in ability} == {(s, c) for s in students for c in concepts}
 
 
 class TestServingWithoutData:

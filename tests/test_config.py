@@ -46,12 +46,13 @@ class TestParsing:
         cfg = parse_config_text(text)
         assert cfg.seed == 7
 
-    def test_bool_spellings(self, data_files):
+    def test_byte_order_mark_is_skipped(self, data_files, tmp_path):
         logs, qmatrix = data_files
-        for raw, want in (("true", True), ("Yes", True), ("1", True), ("on", True),
-                          ("false", False), ("No", False), ("0", False), ("off", False)):
-            cfg = parse_config_text(minimal_text(logs, qmatrix, f"preserve_order = {raw}\n"))
-            assert cfg.preserve_order is want
+        text = minimal_text(logs, qmatrix, "seed = 7\n")
+        plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        assert parse_config_file(marked) == parse_config_file(plain)
 
     def test_unknown_key_carries_line_number(self, data_files):
         logs, qmatrix = data_files
@@ -96,7 +97,6 @@ OWNED_CHECKS = [
     ("min_logs", "0", lambda: RunConfig(min_logs=0)),
     ("bins", "0", lambda: RunConfig(bins=0)),
     ("variant", "dkt", lambda: DiagnosticFunction("dkt")),
-    ("irt_scale", "0", lambda: DiagnosticFunction("ncd", irt_scale=0.0)),
     ("mlp_hidden1", "0", lambda: DiagnosticFunction("ncd", mlp_hidden=(0, 256))),
     ("gamma", "-1", lambda: TrainConfig(gamma=-1.0)),
     ("beta", "-0.5", lambda: TrainConfig(beta=-0.5)),
@@ -106,7 +106,6 @@ OWNED_CHECKS = [
     ("pretrain_epochs", "-7", lambda: TrainConfig(pretrain_epochs=-7)),
     ("patience", "0", lambda: TrainConfig(patience=0)),
     ("seed", "-1", lambda: TrainConfig(seed=-1)),
-    ("pair_count", "-2", lambda: TrainConfig(pair_count=-2)),
     ("calibration_sign", "sideways", lambda: TrainConfig(calibration_sign="sideways")),
     ("train_fraction", "1.5", lambda: SplitSpec(train_fraction=1.5)),
     ("val_fraction", "0", lambda: SplitSpec(val_fraction=0.0)),
@@ -177,14 +176,14 @@ class TestMapping:
     def test_sentinels_keep_the_file_spelling(self, data_files):
         logs, qmatrix = data_files
         cfg = parse_config_text(minimal_text(logs, qmatrix))
-        assert cfg.pretrain_epochs == -1 and cfg.pair_count == -1
-        cfg2 = parse_config_text(minimal_text(logs, qmatrix, "pretrain_epochs = 3\npair_count = 9\n"))
-        assert cfg2.pretrain_epochs == 3 and cfg2.pair_count == 9
+        assert cfg.pretrain_epochs == -1
+        cfg2 = parse_config_text(minimal_text(logs, qmatrix, "pretrain_epochs = 3\n"))
+        assert cfg2.pretrain_epochs == 3
 
     def test_format_parse_round_trip(self, data_files):
         logs, qmatrix = data_files
         cfg = parse_config_text(minimal_text(
-            logs, qmatrix, "seed = 11\nvariant = irt\npreserve_order = true\n"
+            logs, qmatrix, "seed = 11\nvariant = irt\ncalibration_sign = literal\n"
         ))
         again = parse_config_text(format_config(cfg))
         assert dataclasses.asdict(again) == dataclasses.asdict(cfg)
@@ -199,7 +198,6 @@ SCHEMA = [
     "dropout_alpha = 0.5",
     "dropout_keep = 0.5",
     "gamma = 0.0001",
-    "irt_scale = 1.702",
     "learning_rate = 0.002",
     "logs = ",
     "max_epochs = 100",
@@ -207,9 +205,7 @@ SCHEMA = [
     "mlp_hidden1 = 512",
     "mlp_hidden2 = 256",
     "output_dir = run",
-    "pair_count = -1",
     "patience = 10",
-    "preserve_order = false",
     "pretrain_epochs = -1",
     "qmatrix = ",
     "seed = 0",

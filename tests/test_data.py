@@ -33,6 +33,7 @@ def write(path, text):
     return path
 
 
+UTF8_BOM = b"\xef\xbb\xbf"
 DATASET_ARRAYS = ("s_idx", "e_idx", "scores", "concept_ptr", "concept_idx")
 
 
@@ -136,6 +137,33 @@ class TestLoading:
         with pytest.raises(DataFormatError) as excinfo:
             load_qmatrix(bad)
         assert str(excinfo.value) == f"{bad} line 4: empty id field"
+
+    def test_byte_order_mark_is_skipped(self, logs_csv, q_csv, tmp_path):
+        # Excel's "CSV UTF-8" export starts the file with one
+        marked = {}
+        for path in (logs_csv, q_csv):
+            marked[path] = tmp_path / f"bom-{path.name}"
+            marked[path].write_bytes(UTF8_BOM + path.read_bytes())
+        assert_same_dataset(
+            build_dataset(load_logs(marked[logs_csv]), load_qmatrix(marked[q_csv]), min_logs=1),
+            build_dataset(load_logs(logs_csv), load_qmatrix(q_csv), min_logs=1),
+        )
+
+    @pytest.mark.parametrize(
+        "load, text, message",
+        [
+            (load_logs, 'student_id,exercise_id,score\n"s\n1",e1,1\ns2,e1,7\n',
+             "line 4: score must be 0 or 1, got '7'"),
+            (load_qmatrix, 'exercise_id,concept_id\n"e\n1",c1\ne2,\n', "line 4: empty id field"),
+        ],
+        ids=["logs", "qmatrix"],
+    )
+    def test_bad_row_after_a_byte_order_mark_names_its_line(self, tmp_path, load, text, message):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(UTF8_BOM + text.encode("utf-8"))
+        with pytest.raises(DataFormatError) as excinfo:
+            load(bad)
+        assert str(excinfo.value) == f"{bad} {message}"
 
     def test_header_only_qmatrix_is_empty(self, tmp_path):
         assert load_qmatrix(write(tmp_path / "q.csv", "exercise_id,concept_id\n")) == []
@@ -411,13 +439,6 @@ class TestSplit:
         np.testing.assert_array_equal(sp1.train, sp2.train)
         np.testing.assert_array_equal(sp1.test, sp2.test)
 
-    def test_preserve_order_keeps_file_order(self):
-        ds = toy_dataset({"a": 10})
-        sp = split_per_student(ds, SplitSpec(seed=0, preserve_order=True))
-        np.testing.assert_array_equal(sp.train, np.arange(7))
-        np.testing.assert_array_equal(sp.val, [7])
-        np.testing.assert_array_equal(sp.test, [8, 9])
-
     def test_custom_fractions(self):
         ds = toy_dataset({"a": 4})
         sp = split_per_student(ds, SplitSpec(train_fraction=0.5, val_fraction=0.25, seed=0))
@@ -438,9 +459,7 @@ def dict_grouped_split(dataset, spec):
         by_student.setdefault(int(s), []).append(pos)
     train, val, test = [], [], []
     for s in sorted(by_student):
-        positions = np.array(by_student[s], dtype=np.int64)
-        if not spec.preserve_order:
-            positions = rng.permutation(positions)
+        positions = rng.permutation(np.array(by_student[s], dtype=np.int64))
         n = len(positions)
         n_train = int(np.floor(n * spec.train_fraction))
         n_val = max(1, int(np.floor(n * spec.val_fraction)))
@@ -464,11 +483,10 @@ def interleaved_dataset(seed=0):
 
 
 class TestSplitReference:
-    @pytest.mark.parametrize("preserve_order", [False, True])
     @pytest.mark.parametrize("seed", [0, 1, 9])
-    def test_matches_dict_grouping_bit_for_bit(self, preserve_order, seed):
+    def test_matches_dict_grouping_bit_for_bit(self, seed):
         ds = interleaved_dataset(seed)
-        spec = SplitSpec(seed=seed, preserve_order=preserve_order)
+        spec = SplitSpec(seed=seed)
         got = split_per_student(ds, spec)
         for part, want in zip((got.train, got.val, got.test), dict_grouped_split(ds, spec)):
             assert part.dtype == np.int64

@@ -8,6 +8,7 @@ from cogdiag import tape
 from cogdiag.diagnostics import (
     EXERCISE_DIFF,
     EXERCISE_DISC,
+    IRT_SCALE,
     MLP_PARAMS,
     DiagnosticFunction,
     clamp_ncd_weights,
@@ -49,14 +50,12 @@ class TestDiagnosticFunction:
 
     def test_defaults(self):
         fn = DiagnosticFunction("ncd")
-        assert fn.irt_scale == 1.702
+        assert IRT_SCALE == 1.702
         assert fn.mlp_hidden == (512, 256)
 
     def test_validation(self):
         with pytest.raises(ValueError):
             DiagnosticFunction("tree")
-        with pytest.raises(ValueError):
-            DiagnosticFunction("irt", irt_scale=0.0)
         with pytest.raises(ValueError):
             DiagnosticFunction("ncd", mlp_hidden=(0, 5))
 
@@ -106,7 +105,7 @@ class TestPredictIRT:
 
     def test_frozen_unit_gap(self):
         # scale 1.702, full discrimination, gap one: sigmoid(1.702)
-        got = float(predict_irt(1.0, 0.0, 1.0, scale=1.702))
+        got = float(predict_irt(1.0, 0.0, 1.0))
         assert got == pytest.approx(0.8457957659328213, abs=1e-12)
 
     def test_vanishing_discrimination_flattens(self):

@@ -18,6 +18,7 @@ from numpy.random import default_rng
 
 from cogdiag.data import ResponseLog, build_dataset
 from cogdiag.diagnostics import (
+    IRT_SCALE,
     MLP_PARAMS,
     DiagnosticFunction,
     init_parameters,
@@ -59,9 +60,9 @@ def ref_prediction_loss(probs, labels):
     return tape.mul(tape.nmean(per), -1.0)
 
 
-def ref_predict_irt(theta, difficulty, discrimination, scale=1.702):
+def ref_predict_irt(theta, difficulty, discrimination):
     gap = tape.sub(theta, difficulty)
-    return tape.sigmoid(tape.mul(tape.mul(gap, discrimination), scale))
+    return tape.sigmoid(tape.mul(tape.mul(gap, discrimination), IRT_SCALE))
 
 
 def ref_predict_mirt(theta, difficulty, q_mask):
@@ -129,7 +130,7 @@ def ref_batch_step(dataset, fn, store, batch_idx, cfg, noise, prior):
     else:
         discrimination = tape.sigmoid(row_leaf("exercise_disc", e))
         if fn.variant == "irt":
-            y = tape.nsum(ref_predict_irt(theta, difficulty, discrimination, fn.irt_scale), axis=-1)
+            y = tape.nsum(ref_predict_irt(theta, difficulty, discrimination), axis=-1)
         else:
             mlp = [tape.leaf(store, name) for name in MLP_PARAMS]
             y = ref_predict_ncd(theta, difficulty, discrimination, dataset.dense_q[e],
@@ -284,7 +285,6 @@ class TestHeads:
         theta = rng.uniform(size=(6, 1))
         diff = rng.uniform(size=(1, 4))
         self.assert_values(predict_irt, ref_predict_irt, (theta, diff, np.array(0.8)))
-        self.assert_values(predict_irt, ref_predict_irt, (theta, diff, np.array(0.8), 3.0))
 
     def test_irt_parent_used_two_and_three_times(self):
         rng = default_rng(9)
@@ -301,8 +301,7 @@ class TestHeads:
         def gap_to_inputs(g_gap, g_disc):
             return _unbroadcast(g_gap, theta.shape), _unbroadcast(-g_gap, diff.shape), g_disc
 
-        assert_vjp_matches(lambda t, d, c: predict_irt(t, d, c, 3.0, vjp=True),
-                           lambda t, d, c: ref_predict_irt(t, d, c, 3.0),
+        assert_vjp_matches(lambda t, d, c: predict_irt(t, d, c, vjp=True), ref_predict_irt,
                            (theta, diff, disc), gap_to_inputs)
 
     @pytest.mark.parametrize("theta_shape", [(8, 5), (5,)])
@@ -456,8 +455,8 @@ class TestBatchGradients:
         for name in store.grads:
             assert_bits(got_store.grads[name], store.grads[name])
 
-    def fixtures(self, variant, ds, cfg, irt_scale=1.702, seed=2):
-        fn = DiagnosticFunction(variant, mlp_hidden=(6, 4), irt_scale=irt_scale)
+    def fixtures(self, variant, ds, cfg, seed=2):
+        fn = DiagnosticFunction(variant, mlp_hidden=(6, 4))
         store = init_parameters(fn, ds.n_students, ds.n_exercises, ds.n_concepts, default_rng(1))
         tracker = CorrectnessTracker(ds.n_students, fn.latent_dim(ds.n_concepts))
         rng = default_rng(seed)
@@ -503,7 +502,7 @@ class TestBatchGradients:
     @pytest.mark.parametrize("keep_all", [False, True])
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_store_gradients_match_chain_at_edges(self, variant, with_prior, keep_all):
-        # 30 concepts per exercise let mirt (and irt at scale 60) saturate
+        # 30 concepts per exercise let mirt saturate
         K = 30
         wide = [f"w{j}" for j in range(4)]
         q_pairs = [(w, f"c{k}") for w in wide for k in range(K)] + [("n0", "c3"), ("n1", "c5")]
@@ -514,7 +513,7 @@ class TestBatchGradients:
         ]
         ds = build_dataset([ResponseLog(*row) for row in plan], q_pairs, min_logs=1)
         cfg = self.config(keep_all)
-        fn, store, tracker = self.fixtures(variant, ds, cfg, irt_scale=60.0)
+        fn, store, tracker = self.fixtures(variant, ds, cfg)
         p = store.params
         sid, eid = ds.student_ids.index, ds.exercise_ids.index
         p["student_mu"][sid("low")] = -40.0   # theta about 0
@@ -535,8 +534,10 @@ class TestBatchGradients:
         noise.keep_mask[0, 0] = keep_all
         probs = ref_batch_step(ds, fn, copy.deepcopy(store), batch_idx, cfg, noise, None)[1]
         labels = ds.scores[batch_idx]
-        assert (probs[labels == 1] < LOG_FLOOR).any() and (probs[labels == 0] < LOG_FLOOR).any()
-        if variant != "ncd":
+        # irt stays inside (sigmoid(-IRT_SCALE), sigmoid(IRT_SCALE)): no BCE floor to reach
+        if variant != "irt":
+            assert (probs[labels == 1] < LOG_FLOOR).any() and (probs[labels == 0] < LOG_FLOOR).any()
+        if variant == "mirt":
             miss = 1.0 - probs
             assert (miss[labels == 1] < LOG_FLOOR).any() and (miss[labels == 0] < LOG_FLOOR).any()
         self.step_both_ways(ds, fn, store, batch_idx, cfg, noise,

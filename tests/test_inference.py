@@ -75,14 +75,17 @@ def hand_built_checkpoint(ds, mu_by_student):
 
 
 def one_line_checkpoint(ck, version):
-    """A format 1 or 2 file: one JSON line, arrays as base64 of their float64 bytes."""
+    """A format 1 or 2 file: one JSON line, arrays as base64 of their float64 bytes.
+
+    Those formats recorded the irt head's scale, which format 4 dropped.
+    """
 
     def encode(arr):
         arr = np.ascontiguousarray(arr, dtype="<f8")
         return {"shape": list(arr.shape), "data": base64.b64encode(arr.tobytes()).decode("ascii")}
 
     doc = {
-        "format_version": version, "variant": ck.fn.variant, "irt_scale": ck.fn.irt_scale,
+        "format_version": version, "variant": ck.fn.variant, "irt_scale": 1.702,
         "mlp_hidden": list(ck.fn.mlp_hidden),
         "params": {name: encode(arr) for name, arr in ck.params.items()},
         "consensus_mean": None if ck.consensus_mean is None else encode(ck.consensus_mean),
@@ -126,7 +129,7 @@ class TestCheckpointIO:
         raw = path.read_bytes()
         line = raw[: raw.index(b"\n") + 1]
         header = json.loads(line)
-        assert header["format_version"] == FORMAT_VERSION == 3
+        assert header["format_version"] == FORMAT_VERSION == 4
         names = [*sorted(ck.params), "consensus_mean", "train_counts"]
         arrays = [*(ck.params[name] for name in sorted(ck.params)), ck.consensus_mean,
                   ck.train_counts]
@@ -202,16 +205,26 @@ class TestCheckpointIO:
     def test_version_2_file_rejected_with_retrain_hint(self, tmp_path):
         self.assert_old_version_rejected(tmp_path, 2)
 
+    def test_version_3_file_rejected_with_retrain_hint(self, tmp_path, rewrite_checkpoint):
+        # a v3 header recorded the irt head's scale; this build would serve it at IRT_SCALE
+        _, ck = trained_checkpoint(toy_dataset(), "irt")
+        path = tmp_path / "ck.json"
+        save_checkpoint(ck, path)
+        rewrite_checkpoint(path, path, edit=lambda h: h.update(format_version=3, irt_scale=3.0))
+        self.assert_retrain_hint(path, 3)
+
     def assert_old_version_rejected(self, tmp_path, version):
-        ds = toy_dataset()
-        _, ck = trained_checkpoint(ds)
+        _, ck = trained_checkpoint(toy_dataset())
         path = tmp_path / "ck.json"
         path.write_text(one_line_checkpoint(ck, version))
+        self.assert_retrain_hint(path, version)
+
+    def assert_retrain_hint(self, path, version):
         with pytest.raises(CheckpointError) as err:
             load_checkpoint(path)
         message = str(err.value)
-        assert f"format_version {version}" in message and "format_version 3" in message
-        assert "retrain" in message
+        assert f"format_version {version}" in message
+        assert f"format_version {FORMAT_VERSION}" in message and "retrain" in message
 
     @pytest.mark.parametrize(
         "counts",

@@ -5,7 +5,7 @@ import pytest
 from numpy.random import default_rng
 
 from cogdiag.data import build_dataset
-from cogdiag.diagnostics import DiagnosticFunction, init_parameters
+from cogdiag.diagnostics import IRT_SCALE, DiagnosticFunction, init_parameters
 from cogdiag.numerics import grad_check
 from cogdiag.seeding import substream
 from cogdiag.synth import planted_cohort
@@ -234,7 +234,7 @@ def oracle_total(dataset, fn, store, batch_idx, cfg, noise, prior_mean):
         diff = sig(params["exercise_diff"][e])
         disc = sig(params["exercise_disc"][e, 0])
         if fn.variant == "irt":
-            y = sig(fn.irt_scale * disc * (theta[0] - diff[0]))
+            y = sig(IRT_SCALE * disc * (theta[0] - diff[0]))
         elif fn.variant == "mirt":
             q = dataset.dense_q[e]
             y = sig(np.sum(q * (theta - diff)))
@@ -432,10 +432,11 @@ class TestTrainer:
             return real_sample(students, exercises, cells, tracker, count, rng)
 
         monkeypatch.setattr(training, "sample_pairs", sample_pairs)
-        cfg = quick_config(max_epochs=3, pretrain_epochs=-1, pair_count=-1, batch_size=12)
+        cfg = quick_config(max_epochs=3, pretrain_epochs=-1, batch_size=12)
         trainer = Trainer(tiny_dataset(seed=4), DiagnosticFunction("mirt"), cfg)
         trainer.train()
         assert [rec.phase for rec in trainer.history] == [1, 1, 1, 2, 2, 2]
+        # every phase-two batch attempts batch_size pairs
         assert counts and set(counts) == {12}
 
     def test_zero_epochs_returns_initialization(self):
