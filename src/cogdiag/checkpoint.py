@@ -2,23 +2,26 @@
 
 Line 1 is deterministic JSON (keys sorted, separators fixed, nan/inf
 rejected) holding everything but the array payloads, plus the ordered
-``arrays`` list of ``[name, shape]``; ``head -1`` prints it.  The
-little-endian float64 bytes of those arrays follow, in that order, and
-loading reads them with one ``np.fromfile``.  Saving the same
-checkpoint twice gives byte-identical files, and load -> save is the
-identity on bytes.  No pickling, so checkpoints are safe to share.
+``arrays`` list of ``[name, shape]``; ``head -1`` prints it.  Spaces pad
+the line so that the little-endian float64 bytes of those arrays, which
+follow in that order, start on an 8-byte boundary.  Loading maps the
+file and hands out the arrays as views of the map, so pages a command
+never touches are never read.  Saving the same checkpoint twice gives
+byte-identical files, and load -> save is the identity on bytes.  No
+pickling, so checkpoints are safe to share.
 
 A checkpoint carries everything ``diagnose`` and ``export-ability``
 print, including each student's training-evidence counts, so serving
-those needs no data files and reads none of the exercise-side bytes.
-Files are replaced atomically: a crash while saving leaves the previous
-file, never a truncated one.
+those needs no data files.  Files are replaced atomically: a crash
+while saving leaves the previous file, never a truncated one, and
+arrays loaded from the old file keep their values.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import mmap
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -26,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .diagnostics import DiagnosticFunction, parameter_layout
-from .latent import STUDENT_LOGVAR, STUDENT_MEAN
+from .latent import STUDENT_MEAN
 
 FORMAT_VERSION = 4
 
@@ -53,11 +56,13 @@ class Checkpoint:
     val_metrics: dict[str, float] = field(default_factory=dict)
 
 
-def _read_arrays(fh, entries, wanted=None) -> tuple[dict[str, tuple], dict[str, np.ndarray]]:
-    """The header's ``arrays``: every shape, and the arrays named in ``wanted`` (None: all).
+def _read_arrays(fh, entries) -> dict[str, np.ndarray]:
+    """The header's ``arrays``, read from ``fh`` positioned just after line 1.
 
-    The arrays are views into one ``np.fromfile`` of the span from the
-    first wanted array to the last; the bytes around it are not read.
+    Each array is a view of one private (copy-on-write) map of the file:
+    the OS reads only the pages a caller touches, writes to the arrays
+    never reach the file, and the map, with the file descriptor it
+    holds, lives until the last of the arrays is freed.
     """
     if not isinstance(entries, list):
         raise ValueError("arrays is not a list")
@@ -68,25 +73,18 @@ def _read_arrays(fh, entries, wanted=None) -> tuple[dict[str, tuple], dict[str, 
             and all(type(n) is int and n >= 0 for n in entry[1])  # a bool is no dimension
         ):
             raise ValueError(f"arrays entry {entry!r} is not [name, list of nonnegative ints]")
-    shapes = {name: tuple(shape) for name, shape in entries}
-    if len(shapes) != len(entries):
+    if len({name for name, _ in entries}) != len(entries):
         raise ValueError("arrays repeats a name")
     sizes = [math.prod(shape) for _, shape in entries]
-    expected, found = 8 * sum(sizes), os.fstat(fh.fileno()).st_size - fh.tell()
+    start = fh.tell()
+    expected, found = 8 * sum(sizes), os.fstat(fh.fileno()).st_size - start
     if found != expected:
         raise ValueError(f"the header's arrays take {expected} bytes, {found} follow it")
-    read = [i for i, (name, _) in enumerate(entries) if wanted is None or name in wanted]
-    if not read:
-        return shapes, {}
-    first, last = read[0], read[-1] + 1
-    fh.seek(8 * sum(sizes[:first]), os.SEEK_CUR)
-    flat = np.fromfile(fh, dtype="<f8", count=sum(sizes[first:last])).astype(np.float64, copy=False)
-    arrays, at = {}, 0
-    for (name, shape), size in zip(entries[first:last], sizes[first:last]):
-        if wanted is None or name in wanted:
-            arrays[name] = flat[at : at + size].reshape(shape)
-        at += size
-    return shapes, arrays
+    mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_COPY)
+    flat = np.frombuffer(mapped, dtype="<f8", offset=start, count=sum(sizes))
+    flat = flat.astype(np.float64, copy=False)  # a copy only on a big-endian host
+    parts = np.split(flat, np.cumsum(sizes[:-1], dtype=np.int64))
+    return {name: part.reshape(shape) for (name, shape), part in zip(entries, parts)}
 
 
 def _whole_counts(counts: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
@@ -137,26 +135,22 @@ def save_checkpoint(ck: Checkpoint, path) -> None:
         "val_metrics": ck.val_metrics,
     }
     header = json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    header += " " * (-(len(header) + 1) % 8)  # the arrays start 8-byte aligned
     # arrays join as their raw buffers, with no tobytes() copy each
     atomic_write(path, b"".join([header.encode("ascii"), b"\n", *(arr for _, arr in arrays)]))
 
 
-def load_checkpoint(path, students_only: bool = False) -> Checkpoint:
-    """Read and check a checkpoint.
+def load_checkpoint(path) -> Checkpoint:
+    """Read and check a checkpoint; its arrays are views of a private map of the file."""
+    def finite(text):  # json.loads would accept NaN and Infinity, and read 1e999 as inf
+        if not math.isfinite(value := float(text)):
+            raise ValueError(f"{text} is not a finite number")
+        return value
 
-    With ``students_only`` the exercise and MLP arrays are checked
-    against the header but not read, and ``params`` holds just the
-    student means and log-variances: all that ``diagnose`` and
-    ``export-ability`` print.  Their cost then follows the cohort, not
-    the exercise bank.
-    """
-    def reject(token):  # json.loads would accept NaN and Infinity
-        raise ValueError(f"{token} is not a number")
-
-    wanted = {STUDENT_MEAN, STUDENT_LOGVAR, "consensus_mean", "train_counts"} if students_only else None
     try:
         with open(path, "rb") as fh:
-            doc = json.loads(fh.readline().decode("ascii"), parse_constant=reject)
+            line = fh.readline().decode("ascii")
+            doc = json.loads(line, parse_constant=finite, parse_float=finite)
             if not isinstance(doc, dict):
                 raise ValueError(f"the header is a {type(doc).__name__}, not a JSON object")
             version = doc.get("format_version")
@@ -165,17 +159,23 @@ def load_checkpoint(path, students_only: bool = False) -> Checkpoint:
                     f"checkpoint {path} has format_version {version!r}, this build reads only "
                     f"format_version {FORMAT_VERSION}; retrain with `cogdiag train` to write one"
                 )
-            shapes, arrays = _read_arrays(fh, doc["arrays"], wanted)
+            arrays = _read_arrays(fh, doc["arrays"])
         run_config = doc["run_config"]
         if not isinstance(run_config, dict):
             raise ValueError(f"run_config is not a JSON object (got {type(run_config).__name__})")
         fn = DiagnosticFunction(doc["variant"], tuple(doc["mlp_hidden"]))
+        for key in ("student_ids", "exercise_ids", "concept_ids"):
+            try:
+                if not isinstance(doc[key], list):
+                    raise TypeError
+                "".join(doc[key])  # one pass in C: fails at the first id that is not a string
+            except TypeError:
+                raise ValueError(f"{key} is not a list of strings") from None
         sizes = (len(doc["student_ids"]), len(doc["exercise_ids"]), len(doc["concept_ids"]))
         layout = {name: shape for name, shape, _ in parameter_layout(fn, *sizes)}
         consensus = arrays.pop("consensus_mean", None)
         counts = _whole_counts(arrays.pop("train_counts"), layout[STUDENT_MEAN])
-        shapes.pop("consensus_mean", None)
-        shapes.pop("train_counts")
+        shapes = {name: arr.shape for name, arr in arrays.items()}
         if shapes != layout:
             raise ValueError(f"parameter shapes {shapes} differ from the layout {layout}")
         if consensus is not None and consensus.shape != layout[STUDENT_MEAN][1:]:

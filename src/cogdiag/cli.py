@@ -17,7 +17,6 @@ rounded values; recomputing from the CSV gives the same numbers.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -77,9 +76,8 @@ def _run_config_from_checkpoint(ck: Checkpoint) -> RunConfig:
         )
     defaults = RunConfig()
     for name, value in ck.run_config.items():
-        # what a config file could hold: a bool is not an int, 1e999 is no float
-        wrong_type = type(value) is not type(getattr(defaults, name))
-        if wrong_type or (isinstance(value, float) and not math.isfinite(value)):
+        # what a config file could hold: a bool is not an int (and loading rejected 1e999)
+        if type(value) is not type(getattr(defaults, name)):
             raise CheckpointError(f"checkpoint run_config is malformed: {name} = {value!r}")
     try:
         cfg = RunConfig(**ck.run_config)
@@ -202,7 +200,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    ck = load_checkpoint(args.checkpoint, students_only=True)
+    ck = load_checkpoint(args.checkpoint)
     _run_config_from_checkpoint(ck)
     report = diagnose(ck, args.student)
 
@@ -225,7 +223,7 @@ def cmd_diagnose(args) -> int:
 
 
 def cmd_export_ability(args) -> int:
-    ck = load_checkpoint(args.checkpoint, students_only=True)
+    ck = load_checkpoint(args.checkpoint)
     _run_config_from_checkpoint(ck)
     mastery = stable_sigmoid(ck.params[STUDENT_MEAN])
     sigma = np.sqrt(np.exp(ck.params[STUDENT_LOGVAR]))

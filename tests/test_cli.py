@@ -301,18 +301,50 @@ class TestMalformedCheckpoint:
     @pytest.mark.parametrize(
         "field, value",
         [("mlp_hidden", "Infinity"), ("mlp_hidden", "NaN"), ("mlp_hidden", "1e999"),
-         ("best_epoch", "NaN")],
+         ("best_epoch", "NaN"), ("best_epoch", "1e999"), ("val_metrics", "1e999")],
     )
     def test_non_finite_number(self, workspace, tmp_path, capsys, rewrite_checkpoint, field, value):
         def edit(header):  # mlp_hidden: its first entry, the header's number that shapes the head
             if field == "mlp_hidden":
                 header[field][0] = "@"
+            elif field == "val_metrics":
+                header[field]["auc"] = "@"
             else:
                 header[field] = "@"
 
         bad = tmp_path / "bad.json"
         rewrite_checkpoint(workspace["checkpoint"], bad, edit=edit, raw=value)
         self.assert_serving_exits_one(bad, "s0000", tmp_path, capsys)
+
+    def test_non_finite_mlp_width_on_an_irt_head(self, workspace, tmp_path, capsys, rewrite_checkpoint):
+        # the irt layout never reads mlp_hidden, so only the header's own check can catch it
+        config = tmp_path / "irt.cfg"
+        config.write_text(
+            workspace["config"].read_text().replace("variant = ncd", "variant = irt")
+            .replace(f"output_dir = {workspace['out_dir']}", f"output_dir = {tmp_path / 'irt'}")
+        )
+        assert main(["train", "--config", str(config)]) == 0
+        bad = tmp_path / "bad.json"
+        rewrite_checkpoint(tmp_path / "irt" / "checkpoint.json", bad,
+                           edit=lambda h: h["mlp_hidden"].__setitem__(0, "@"), raw="1e999")
+        self.assert_serving_exits_one(bad, "s0000", tmp_path, capsys, "1e999")
+
+    @pytest.mark.parametrize(
+        "key, ids", [("student_ids", "ints"), ("concept_ids", "ints"), ("student_ids", "string")]
+    )
+    def test_id_list_not_a_list_of_strings(
+        self, workspace, tmp_path, capsys, rewrite_checkpoint, key, ids
+    ):
+        def edit(header):  # as many ids as before, so every array shape still fits
+            n = len(header[key])
+            header[key] = list(range(n)) if ids == "ints" else "".join(chr(65 + i) for i in range(n))
+
+        bad = tmp_path / "bad.json"
+        rewrite_checkpoint(workspace["checkpoint"], bad, edit=edit)
+        student = "A" if ids == "string" else "s0000"  # one character is one id of the string
+        self.assert_serving_exits_one(bad, student, tmp_path, capsys, key)
+        assert main(["export-ability", "--checkpoint", str(bad), "--out", str(tmp_path / "a.csv")]) == 1
+        assert f"{key} is not a list of strings" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "run_config", [5, [f.name for f in fields(RunConfig)]], ids=["number", "list-of-keys"]
@@ -542,6 +574,22 @@ class TestServingWithoutData:
         capsys.readouterr()
         assert main(["eval", "--checkpoint", checkpoint]) == 1
         assert str(logs) in capsys.readouterr().err
+
+
+class TestDescriptors:
+    def test_loads_and_serving_close_every_descriptor(self, workspace, tmp_path):
+        # each loaded checkpoint holds its map's descriptor until its arrays are freed
+        fds = Path("/proc/self/fd")
+        if not fds.is_dir():
+            pytest.skip("no /proc/self/fd to count open descriptors")
+        checkpoint = str(workspace["checkpoint"])
+        before = len(os.listdir(fds))
+        for _ in range(50):
+            load_checkpoint(checkpoint)
+        assert main(["diagnose", "--checkpoint", checkpoint, "--student", "s0000",
+                     "--out", str(tmp_path / "d.csv")]) == 0
+        assert main(["eval", "--checkpoint", checkpoint, "--out", str(tmp_path / "p.csv")]) == 0
+        assert len(os.listdir(fds)) == before
 
 
 class TestParser:

@@ -3,6 +3,7 @@
 import base64
 import json
 import math
+import mmap
 import os
 
 import numpy as np
@@ -15,6 +16,7 @@ from cogdiag.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
+from cogdiag.cli import main
 from cogdiag.data import build_dataset
 from cogdiag.diagnostics import DiagnosticFunction
 from cogdiag.inference import (
@@ -137,37 +139,81 @@ class TestCheckpointIO:
         assert len(raw) == len(line) + 8 * sum(math.prod(shape) for _, shape in header["arrays"])
         flat = np.concatenate([np.ravel(arr).astype(np.float64) for arr in arrays])
         assert raw[len(line) :] == flat.astype("<f8").tobytes()
+        for variant in ("irt", "mirt", "ncd"):  # spaces pad line 1: the arrays start aligned
+            save_checkpoint(trained_checkpoint(ds, variant)[1], path)
+            line = path.read_bytes().partition(b"\n")[0] + b"\n"
+            assert len(line) % 8 == 0 and json.loads(line)["format_version"] == FORMAT_VERSION
+
+    def test_unpadded_file_loads_and_saves_padded(self, tmp_path):
+        # a v4 file written before line 1 was padded: its arrays start unaligned
+        _, ck = trained_checkpoint(toy_dataset(), "ncd")
+        path, legacy, again = tmp_path / "ck.json", tmp_path / "legacy.json", tmp_path / "again.json"
+        save_checkpoint(ck, path)
+        line, _, rest = path.read_bytes().partition(b"\n")
+        assert line.endswith(b" ")
+        legacy.write_bytes(line.rstrip(b" ") + b"\n" + rest)
+        back = load_checkpoint(legacy)
+        for name, arr in ck.params.items():
+            assert same_bits(back.params[name], arr), name
+        assert same_bits(back.consensus_mean, ck.consensus_mean)
+        np.testing.assert_array_equal(back.train_counts, ck.train_counts)
+        save_checkpoint(back, again)
+        assert again.read_bytes() == path.read_bytes()
 
     @pytest.mark.parametrize("variant", ["irt", "mirt", "ncd"])
-    def test_students_only_reads_just_the_student_side(self, tmp_path, monkeypatch, variant):
+    def test_loading_reads_no_array_bytes(self, tmp_path, monkeypatch, variant):
         ds = toy_dataset()
         _, ck = trained_checkpoint(ds, variant)
         path = tmp_path / "ck.json"
         save_checkpoint(ck, path)
-        counts = []
-        fromfile = np.fromfile
-        monkeypatch.setattr(np, "fromfile", lambda *a, **kw: counts.append(kw["count"]) or fromfile(*a, **kw))
-        back = load_checkpoint(path, students_only=True)
-        student_side = [ck.params["student_mu"], ck.params["student_logvar"], ck.train_counts]
-        if ck.consensus_mean is not None:
-            student_side.append(ck.consensus_mean)
-        assert counts == [sum(arr.size for arr in student_side)]
-        assert sorted(back.params) == ["student_logvar", "student_mu"]
-        for name, arr in back.params.items():
-            np.testing.assert_array_equal(arr, ck.params[name])
-        np.testing.assert_array_equal(back.train_counts, ck.train_counts)
-        if ck.consensus_mean is not None:
-            np.testing.assert_array_equal(back.consensus_mean, ck.consensus_mean)
-        assert back.student_ids == ck.student_ids and back.concept_ids == ck.concept_ids
 
-    def test_students_only_still_checks_the_exercise_shapes(self, tmp_path, rewrite_checkpoint):
+        def fromfile(*args, **kwargs):
+            raise AssertionError("load_checkpoint read the arrays with np.fromfile")
+
+        monkeypatch.setattr(np, "fromfile", fromfile)
+        back = load_checkpoint(path)
+        assert sorted(back.params) == sorted(ck.params)
+        np.testing.assert_array_equal(back.train_counts, ck.train_counts)
+        pairs = [(back.params[name], arr) for name, arr in ck.params.items()]
+        if ck.consensus_mean is not None:
+            pairs.append((back.consensus_mean, ck.consensus_mean))
+        roots = []
+        for arr, saved in pairs:  # equal, and aligned views of one map of the file
+            np.testing.assert_array_equal(arr, saved)
+            assert arr.flags.aligned
+            while isinstance(arr, np.ndarray):
+                arr = arr.base
+            roots.append(arr.obj)  # numpy holds a memoryview of the map
+        assert isinstance(roots[0], mmap.mmap) and all(root is roots[0] for root in roots)
+
+    def test_exercise_shapes_checked_for_every_command(self, tmp_path, rewrite_checkpoint, capsys):
         ds = toy_dataset()
         _, ck = trained_checkpoint(ds, "ncd")
         path = tmp_path / "ck.json"
         save_checkpoint(ck, path)
         rewrite_checkpoint(path, path, arrays={"exercise_diff": np.zeros((3, 4))})
         with pytest.raises(CheckpointError, match="malformed"):
-            load_checkpoint(path, students_only=True)
+            load_checkpoint(path)
+        argv = ["diagnose", "--checkpoint", str(path), "--student", ck.student_ids[0],
+                "--out", str(tmp_path / "d.csv")]
+        assert main(argv) == 1
+        assert "malformed" in capsys.readouterr().err
+
+    def test_loaded_arrays_are_private_to_the_process(self, tmp_path):
+        ds = toy_dataset()
+        _, ck = trained_checkpoint(ds, "mirt")
+        _, other = trained_checkpoint(ds, "mirt", seed=4)
+        path = tmp_path / "ck.json"
+        save_checkpoint(ck, path)
+        raw = path.read_bytes()
+        back = load_checkpoint(path)
+        back.params["student_mu"] += 1.0  # copy-on-write: the file keeps its bytes
+        assert path.read_bytes() == raw
+        save_checkpoint(other, path)  # renamed over the file the arrays map
+        assert not np.array_equal(other.params["exercise_diff"], ck.params["exercise_diff"])
+        for name, arr in ck.params.items():
+            expected = arr + 1.0 if name == "student_mu" else arr
+            np.testing.assert_array_equal(back.params[name], expected)
 
     def test_loaded_arrays_are_writable_and_train(self, tmp_path):
         ds = toy_dataset()
