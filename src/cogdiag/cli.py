@@ -300,6 +300,6 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
     except RUNTIME_ERRORS as exc:
-        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else str(exc)
         print(f"error: {message}", file=sys.stderr)
         return RUNTIME_EXIT

@@ -18,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -48,17 +48,6 @@ class LogColumns:
     student_ids: list[str]
     exercise_ids: list[str]
     scores: np.ndarray  # (n,) float64 in {0.0, 1.0}
-
-    @classmethod
-    def of(cls, logs) -> LogColumns:
-        """``logs`` itself if it is columns already, else the columns of a sequence of records."""
-        if isinstance(logs, cls):
-            return logs
-        return cls(
-            list(map(attrgetter("student_id"), logs)),
-            list(map(attrgetter("exercise_id"), logs)),
-            np.array(list(map(attrgetter("score"), logs)), dtype=np.float64),
-        )
 
     def __len__(self) -> int:
         return len(self.student_ids)
@@ -213,12 +202,11 @@ def _first_seen_index(ids: list[str]) -> tuple[dict[str, int], np.ndarray]:
     return index, np.fromiter(map(index.__getitem__, ids), dtype=np.int64, count=len(ids))
 
 
-def build_dataset(
-    logs: LogColumns | list[ResponseLog], q_pairs: list[tuple[str, str]], min_logs: int = 15
-) -> Dataset:
+def build_dataset(logs: LogColumns, q_pairs: list[tuple[str, str]], min_logs: int = 15) -> Dataset:
     """Filter sparse students, then index everything densely.
 
-    Every score must be 0 or 1, in whatever form the logs arrive.
+    ``logs`` are columns, as :func:`load_logs` and ``synth.planted_cohort``
+    return them, and every score must be 0 or 1.
     Students with fewer than ``min_logs`` logs are dropped in one pass
     over the original counts, so the filter is idempotent.  Exercises
     present only in the Q-matrix are dropped; exercises present in the
@@ -229,7 +217,6 @@ def build_dataset(
     """
     if min_logs < 1:
         raise ValueError(f"min_logs must be at least 1, got {min_logs}")
-    logs = LogColumns.of(logs)
     sids, eids, scores = logs.student_ids, logs.exercise_ids, logs.scores
     bad = np.flatnonzero((scores != 0.0) & (scores != 1.0))
     if len(bad):

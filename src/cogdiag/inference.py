@@ -162,7 +162,7 @@ def diagnose(ck: Checkpoint, student_id: str) -> DiagnosisReport:
         s = ck.student_ids.index(student_id)
     except ValueError:
         raise KeyError(f"unknown student id {student_id!r}") from None
-    mu = ck.params[STUDENT_MEAN][s]
+    mastery = stable_sigmoid(ck.params[STUDENT_MEAN][s])
     sigma = np.sqrt(np.exp(ck.params[STUDENT_LOGVAR][s]))
     counts = ck.train_counts[s]
     labels = ck.fn.cell_labels(ck.concept_ids)
@@ -172,7 +172,7 @@ def diagnose(ck: Checkpoint, student_id: str) -> DiagnosisReport:
     rows = [
         ConceptDiagnosis(
             concept_id=labels[k],
-            mastery=float(stable_sigmoid(mu[k])),
+            mastery=float(mastery[k]),
             sigma=float(sigma[k]),
             interactions=int(counts[k]),
             rank=int(rank[k]),

@@ -9,8 +9,6 @@ closed-form gradients share.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 # exp saturates outside this band; the gradient is zeroed there so a
@@ -50,21 +48,17 @@ def stable_sigmoid(x):
 
     With ``z = exp(-|x|)``, which never overflows, the result is
     ``1 / (1 + z)`` for ``x >= 0`` and ``z / (1 + z)`` otherwise; safe for
-    arguments far beyond +-1000.  Arrays pick the numerator without a
+    arguments far beyond +-1000.  The numerator is picked without a
     branch or a mask: ``maximum(z, x >= 0)`` is exact, because ``z`` lies
     in [0, 1], so the maximum is 1.0 where ``x >= 0`` and ``z`` itself
     (never below the 0.0 it is compared with) where ``x < 0``.  0-d input
-    takes a scalar path through the same ``np.exp``, so both paths agree
-    to the bit.  Scalar in, float out; array in, array out.  Non-finite
-    input is a contract violation and raises.
+    runs the same path as a one-element array, so scalar and array
+    results agree to the bit.  Scalar in, float out; array in, array
+    out.  Non-finite input is a contract violation and raises.
     """
     arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim == 0:
-        v = float(arr)
-        if not math.isfinite(v):
-            raise ValueError("stable_sigmoid requires finite input")
-        z = float(np.exp(-abs(v)))
-        return 1.0 / (1.0 + z) if v >= 0 else z / (1.0 + z)
+    scalar = arr.ndim == 0
+    arr = np.atleast_1d(arr)
     if not np.isfinite(arr).all():
         raise ValueError("stable_sigmoid requires finite input")
     z = np.abs(arr)
@@ -73,7 +67,7 @@ def stable_sigmoid(x):
     out = np.add(z, 1.0)
     np.maximum(z, arr >= 0, out=z)  # numerator: 1 or z, by sign
     np.divide(z, out, out=out)
-    return out
+    return float(out[0]) if scalar else out
 
 
 def xavier_init(fan_in: int, fan_out: int, rng: np.random.Generator) -> np.ndarray:
@@ -169,6 +163,29 @@ class ParameterStore:
             self.params[name][:] = arr
 
 
+def _adam_update(p, g, m, v, buf, learning_rate: float, bc1: float, bc2: float) -> None:
+    """Advance the moments ``m``, ``v`` and step ``p``, all in place; ``g`` and ``buf`` are spent.
+
+    The same operations in the same order as
+    m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g;
+    p -= lr*(m/bc1) / (sqrt(v/bc2) + eps)
+    """
+    np.multiply(g, 1.0 - ADAM_BETA2, out=buf)
+    buf *= g
+    v *= ADAM_BETA2
+    v += buf
+    g *= 1.0 - ADAM_BETA1
+    m *= ADAM_BETA1
+    m += g
+    np.divide(m, bc1, out=buf)
+    buf *= learning_rate
+    np.divide(v, bc2, out=g)
+    np.sqrt(g, out=g)
+    g += ADAM_EPSILON
+    buf /= g
+    p -= buf
+
+
 def adam_step(store: ParameterStore, learning_rate: float, lazy: bool = False) -> None:
     """One Adam update over every parameter in the store, with the ``ADAM_*`` constants.
 
@@ -197,45 +214,26 @@ def adam_step(store: ParameterStore, learning_rate: float, lazy: bool = False) -
     sparse = [(name, rows, g) for name, rows, g in plans if rows is not None]
     for name, rows, g in plans:
         store._touched[name] = None
-        if rows is not None:
-            continue
-        # in place, with the same operations in the same order as
-        # m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g;
-        # p -= lr*(m/bc1) / (sqrt(v/bc2) + eps)
-        m = store.m[name]
-        v = store.v[name]
-        buf = store.scratch(name)
-        np.multiply(g, 1.0 - ADAM_BETA2, out=buf)
-        buf *= g
-        v *= ADAM_BETA2
-        v += buf
-        g *= 1.0 - ADAM_BETA1
-        m *= ADAM_BETA1
-        m += g
-        np.divide(m, bc1, out=buf)
-        buf *= learning_rate
-        np.divide(v, bc2, out=g)
-        np.sqrt(g, out=g)
-        g += ADAM_EPSILON
-        buf /= g
-        store.params[name] -= buf
-        g[:] = 0.0
+        if rows is None:
+            m, v = store.m[name], store.v[name]
+            _adam_update(store.params[name], g, m, v, store.scratch(name), learning_rate, bc1, bc2)
+            g[:] = 0.0
     if sparse:
         # the touched rows of every lazy parameter, end to end: one
-        # elementwise update over all of them, the same operations per entry
+        # elementwise update over copies of all of them, then written back
+        def gather(arrays):
+            return np.concatenate([arrays[n].take(r, axis=0).ravel() for n, r, _ in sparse])
+
         g = np.concatenate([g.ravel() for _, _, g in sparse])
-        m = np.concatenate([store.m[name].take(rows, axis=0).ravel() for name, rows, _ in sparse])
-        v = np.concatenate([store.v[name].take(rows, axis=0).ravel() for name, rows, _ in sparse])
-        m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
-        v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
-        step = learning_rate * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPSILON)
+        p, m, v = gather(store.params), gather(store.m), gather(store.v)
+        _adam_update(p, g, m, v, np.empty_like(g), learning_rate, bc1, bc2)
         end = 0
         for name, rows, g in sparse:
             at = slice(end, end + g.size)
             end += g.size
+            store.params[name][rows] = p[at].reshape(g.shape)
             store.m[name][rows] = m[at].reshape(g.shape)
             store.v[name][rows] = v[at].reshape(g.shape)
-            store.params[name][rows] -= step[at].reshape(g.shape)
             store.grads[name][rows] = 0.0
     store.step_count = t
 

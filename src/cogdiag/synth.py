@@ -14,14 +14,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ResponseLog
+from .data import LogColumns, cell_runs
 from .numerics import stable_sigmoid
 from .seeding import substream
+
+ABILITY_RANGE = (-2.0, 2.0)  # of every planted ability and difficulty
+MAX_CONCEPTS_PER_EXERCISE = 3
 
 
 @dataclass
 class SyntheticCohort:
-    logs: list[ResponseLog]
+    logs: LogColumns
     q_pairs: list[tuple[str, str]]
     abilities: np.ndarray     # (students, concepts) ground truth
     difficulties: np.ndarray  # (exercises, concepts)
@@ -33,43 +36,53 @@ def planted_cohort(
     n_concepts: int = 10,
     per_student: int = 80,
     seed: int = 0,
-    ability_range: tuple[float, float] = (-2.0, 2.0),
-    max_concepts_per_exercise: int = 3,
     concept_skew: float = 3.0,
 ) -> SyntheticCohort:
     """Generate a cohort from a planted compensatory model.
 
-    Abilities and difficulties are uniform on ``ability_range``.  Each
-    exercise covers one to ``max_concepts_per_exercise`` concepts drawn
+    Abilities and difficulties are uniform on ``ABILITY_RANGE``.  Each
+    exercise covers one to ``MAX_CONCEPTS_PER_EXERCISE`` concepts drawn
     with popularity weights spread linearly up to ``concept_skew``, so
     some concepts end up data-rich and others sparse; that spread is
-    what the confidence machinery is supposed to pick up on.
+    what the confidence machinery is supposed to pick up on.  Each
+    student in turn draws ``per_student`` distinct exercises, then one
+    uniform number per log: below the planted probability is correct.
+    The logs are the :class:`LogColumns` that ``load_logs`` returns.
     """
     if per_student > n_exercises:
         raise ValueError("per_student cannot exceed n_exercises (sampling is without replacement)")
     rng = substream(seed, "synthetic")
-    abilities = rng.uniform(*ability_range, size=(n_students, n_concepts))
-    difficulties = rng.uniform(*ability_range, size=(n_exercises, n_concepts))
+    abilities = rng.uniform(*ABILITY_RANGE, size=(n_students, n_concepts))
+    difficulties = rng.uniform(*ABILITY_RANGE, size=(n_exercises, n_concepts))
 
     weights = np.linspace(1.0, concept_skew, n_concepts)
     weights = weights / weights.sum()
     concepts_of = []
     for _ in range(n_exercises):
-        k = int(rng.integers(1, max_concepts_per_exercise + 1))
+        k = int(rng.integers(1, MAX_CONCEPTS_PER_EXERCISE + 1))
         concepts_of.append(np.sort(rng.choice(n_concepts, size=k, replace=False, p=weights)))
+    ptr = np.cumsum([0] + [len(cs) for cs in concepts_of], dtype=np.int64)
+    idx = np.concatenate(concepts_of)
+
+    picks = np.empty((n_students, per_student), dtype=np.int64)
+    draws = np.empty((n_students, per_student))
+    for i in range(n_students):
+        picks[i] = rng.choice(n_exercises, size=per_student, replace=False)
+        draws[i] = rng.random(per_student)
+    js = picks.ravel()
+    cs, sizes = cell_runs(ptr, idx, js)
+    s_of = np.repeat(np.arange(n_students), per_student)
+    gaps = abilities[np.repeat(s_of, sizes), cs] - difficulties[np.repeat(js, sizes), cs]
+    p = stable_sigmoid(np.add.reduceat(gaps, np.cumsum(sizes) - sizes))  # a log's gaps, in order
 
     student_ids = [f"s{i:04d}" for i in range(n_students)]
     exercise_ids = [f"e{j:04d}" for j in range(n_exercises)]
     concept_ids = [f"c{l:02d}" for l in range(n_concepts)]
-
-    logs = []
-    for i in range(n_students):
-        for j in rng.choice(n_exercises, size=per_student, replace=False):
-            cs = concepts_of[j]
-            p = stable_sigmoid(np.sum(abilities[i, cs] - difficulties[j, cs]))
-            score = int(rng.random() < p)
-            logs.append(ResponseLog(student_ids[i], exercise_ids[j], score))
-
+    logs = LogColumns(
+        [sid for sid in student_ids for _ in range(per_student)],
+        list(map(exercise_ids.__getitem__, js.tolist())),
+        (draws.ravel() < p).astype(np.float64),
+    )
     q_pairs = [
         (exercise_ids[j], concept_ids[l]) for j in range(n_exercises) for l in concepts_of[j]
     ]
@@ -79,11 +92,11 @@ def planted_cohort(
 
 
 def write_cohort_csv(cohort: SyntheticCohort, logs_path, qmatrix_path) -> None:
+    logs = cohort.logs
     with open(logs_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["student_id", "exercise_id", "score"])
-        for log in cohort.logs:
-            writer.writerow([log.student_id, log.exercise_id, log.score])
+        writer.writerows(zip(logs.student_ids, logs.exercise_ids, map(int, logs.scores.tolist())))
     with open(qmatrix_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["exercise_id", "concept_id"])

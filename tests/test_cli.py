@@ -1,6 +1,7 @@
 """End-to-end command-line flows: train, eval, diagnose, exports."""
 
 import csv
+import gc
 import os
 import re
 import shutil
@@ -16,7 +17,6 @@ import cogdiag
 from cogdiag.checkpoint import load_checkpoint, save_checkpoint
 from cogdiag.cli import main
 from cogdiag.config import RunConfig
-from cogdiag.data import ResponseLog
 from cogdiag.metrics import acc, auc, calibration, rmse
 from cogdiag.synth import planted_cohort, write_cohort_csv
 
@@ -513,9 +513,8 @@ class TestIdsThatNeedQuoting:
         rename = {"s0000": 'Smith, J "3"', "s0001": "two\nlines", "c00": "fractions, decimals",
                   "c01": 'say "cheese"'}
         rename.update({f"e{j:04d}": f"e{j}, part {j}" for j in range(0, 20, 2)})
-        cohort.logs = [ResponseLog(rename.get(l.student_id, l.student_id),
-                                   rename.get(l.exercise_id, l.exercise_id), l.score)
-                       for l in cohort.logs]
+        cohort.logs.student_ids = [rename.get(s, s) for s in cohort.logs.student_ids]
+        cohort.logs.exercise_ids = [rename.get(e, e) for e in cohort.logs.exercise_ids]
         cohort.q_pairs = [(rename.get(e, e), rename.get(c, c)) for e, c in cohort.q_pairs]
         logs, qmatrix = tmp_path / "logs.csv", tmp_path / "q.csv"
         write_cohort_csv(cohort, logs, qmatrix)
@@ -526,8 +525,8 @@ class TestIdsThatNeedQuoting:
         )
         assert main(["train", "--config", str(config)]) == 0
         ck = str(tmp_path / "run" / "checkpoint.json")
-        students = {l.student_id for l in cohort.logs}
-        exercises = {l.exercise_id for l in cohort.logs}
+        students = set(cohort.logs.student_ids)
+        exercises = set(cohort.logs.exercise_ids)
         concepts = {c for _, c in cohort.q_pairs}
 
         def rows(argv, out):
@@ -576,20 +575,50 @@ class TestServingWithoutData:
         assert str(logs) in capsys.readouterr().err
 
 
+def open_descriptors() -> int:
+    fds = Path("/proc/self/fd")
+    if not fds.is_dir():
+        pytest.skip("no /proc/self/fd to count open descriptors")
+    return len(os.listdir(fds))
+
+
 class TestDescriptors:
+    # each loaded checkpoint holds its map's descriptor until its arrays are
+    # freed; the count before is taken after a collection, so no earlier
+    # test's garbage can close a descriptor in between, and the count after
+    # is not, so only reference counting may free what a command loaded
+
     def test_loads_and_serving_close_every_descriptor(self, workspace, tmp_path):
-        # each loaded checkpoint holds its map's descriptor until its arrays are freed
-        fds = Path("/proc/self/fd")
-        if not fds.is_dir():
-            pytest.skip("no /proc/self/fd to count open descriptors")
         checkpoint = str(workspace["checkpoint"])
-        before = len(os.listdir(fds))
+        gc.collect()
+        before = open_descriptors()
         for _ in range(50):
             load_checkpoint(checkpoint)
         assert main(["diagnose", "--checkpoint", checkpoint, "--student", "s0000",
                      "--out", str(tmp_path / "d.csv")]) == 0
         assert main(["eval", "--checkpoint", checkpoint, "--out", str(tmp_path / "p.csv")]) == 0
-        assert len(os.listdir(fds)) == before
+        assert open_descriptors() == before
+
+    def test_a_failed_command_closes_its_checkpoint(self, tmp_path, capsys):
+        cohort = planted_cohort(n_students=12, n_exercises=20, n_concepts=3, per_student=15, seed=4)
+        logs, qmatrix = tmp_path / "logs.csv", tmp_path / "qmatrix.csv"
+        write_cohort_csv(cohort, logs, qmatrix)
+        config = tmp_path / "run.cfg"
+        config.write_text(
+            f"logs = {logs}\nqmatrix = {qmatrix}\noutput_dir = {tmp_path / 'run'}\n"
+            "variant = irt\nmin_logs = 1\nmax_epochs = 1\npretrain_epochs = 0\n"
+        )
+        assert main(["train", "--config", str(config)]) == 0
+        logs.unlink()
+        gc.collect()
+        before = open_descriptors()
+        gc.disable()
+        try:
+            assert main(["eval", "--checkpoint", str(tmp_path / "run" / "checkpoint.json")]) == 1
+            assert open_descriptors() == before
+        finally:
+            gc.enable()
+        assert str(logs) in capsys.readouterr().err
 
 
 class TestParser:

@@ -191,41 +191,38 @@ class TestLoading:
         assert str(excinfo.value) == f"{bad} line 5: not valid UTF-8 (invalid start byte)"
 
 
-def records_of(ds):
-    """The records a dataset indexes, in file order."""
-    return [
-        ResponseLog(ds.student_ids[s], ds.exercise_ids[e], int(y))
-        for s, e, y in zip(ds.s_idx, ds.e_idx, ds.scores)
-    ]
+def columns_of(ds):
+    """The logs a dataset indexes, in file order."""
+    return LogColumns([ds.student_ids[s] for s in ds.s_idx],
+                      [ds.exercise_ids[e] for e in ds.e_idx], ds.scores)
 
 
 class TestFilterStudents:
     """``build_dataset``'s ``min_logs`` filter, applied before any indexing."""
 
     def logs(self, counts):
-        out = []
-        for sid, n in counts.items():
-            out.extend(ResponseLog(sid, f"e{k}", 1) for k in range(n))
-        return out
+        sids = [sid for sid, n in counts.items() for _ in range(n)]
+        eids = [f"e{k}" for n in counts.values() for k in range(n)]
+        return LogColumns(sids, eids, np.ones(len(sids)))
 
     def q_pairs(self, logs):
-        return [(log.exercise_id, "c") for log in logs]
+        return [(eid, "c") for eid in logs.exercise_ids]
 
     def test_threshold(self):
         logs = self.logs({"a": 15, "b": 14})
-        kept = records_of(build_dataset(logs, self.q_pairs(logs), min_logs=15))
-        assert {log.student_id for log in kept} == {"a"}
+        kept = columns_of(build_dataset(logs, self.q_pairs(logs), min_logs=15))
+        assert set(kept.student_ids) == {"a"}
         assert len(kept) == 15
 
     def test_idempotent(self):
         logs = self.logs({"a": 20, "b": 3, "c": 16})
         once = build_dataset(logs, self.q_pairs(logs), min_logs=15)
-        twice = build_dataset(records_of(once), self.q_pairs(logs), min_logs=15)
+        twice = build_dataset(columns_of(once), self.q_pairs(logs), min_logs=15)
         assert_same_dataset(twice, once)
 
     def test_min_logs_one_keeps_everything(self):
         logs = self.logs({"a": 1, "b": 2})
-        assert records_of(build_dataset(logs, self.q_pairs(logs), min_logs=1)) == logs
+        assert list(columns_of(build_dataset(logs, self.q_pairs(logs), min_logs=1))) == list(logs)
 
     def test_rejects_nonpositive_threshold(self):
         logs = self.logs({"a": 1})
@@ -249,9 +246,7 @@ class TestBuildDataset:
         np.testing.assert_array_equal(ds.dense_q, expected)
 
     def test_filter_applied_before_indexing(self, q_csv):
-        logs = [ResponseLog("rare", "e1", 1)] + [
-            ResponseLog("busy", "e1", 1) for _ in range(5)
-        ]
+        logs = LogColumns(["rare"] + ["busy"] * 5, ["e1"] * 6, np.ones(6))
         ds = build_dataset(logs, load_qmatrix(q_csv), min_logs=2)
         assert ds.student_ids == ["busy"]
         assert ds.exercise_ids == ["e1"]
@@ -270,15 +265,14 @@ class TestBuildDataset:
     @pytest.mark.parametrize("bad, shown", [(2, "2"), (0.5, "0.5"), (-1.0, "-1"), (float("nan"), "nan")])
     def test_scores_must_be_zero_or_one_in_any_form(self, bad, shown):
         pairs = [("e", "c"), ("f", "c")]
-        good = [ResponseLog("s", "e", 0), ResponseLog("s", "f", True), ResponseLog("s", "e", 1.0)]
+        good = LogColumns(["s"] * 3, ["e", "f", "e"], np.array([0.0, 1.0, 1.0]))
         np.testing.assert_array_equal(build_dataset(good, pairs, min_logs=1).scores, [0, 1, 1])
-        logs = good + [ResponseLog("s", "f", bad), ResponseLog("s", "e", 3)]
-        for form in (logs, LogColumns.of(logs)):
-            with pytest.raises(DataValidationError, match=rf"^log 3: score must be 0 or 1, got {shown}$"):
-                build_dataset(form, pairs, min_logs=1)
+        logs = LogColumns(["s"] * 5, ["e", "f", "e", "f", "e"], np.array([0.0, 1.0, 1.0, bad, 3.0]))
+        with pytest.raises(DataValidationError, match=rf"^log 3: score must be 0 or 1, got {shown}$"):
+            build_dataset(logs, pairs, min_logs=1)
 
     def test_repeated_qmatrix_pairs_count_once(self):
-        logs = [ResponseLog("s1", "e", 1), ResponseLog("s1", "f", 0)]
+        logs = LogColumns(["s1", "s1"], ["e", "f"], np.array([1.0, 0.0]))
         pairs = [("e", "c"), ("f", "d"), ("e", "c"), ("e", "d"), ("f", "d")]
         ds = build_dataset(logs, pairs, min_logs=1)
         assert ds.concept_ids == ["c", "d"]
@@ -334,11 +328,12 @@ def csv_cohorts(draw):
     students = draw(st.lists(core_ids, min_size=1, max_size=5, unique=True))
     exercises = draw(st.lists(core_ids, min_size=1, max_size=5, unique=True))
     concepts = draw(st.lists(core_ids, min_size=1, max_size=3, unique=True))
-    records = [
-        ResponseLog(draw(st.sampled_from(students)), draw(st.sampled_from(exercises)),
-                    draw(st.integers(0, 1)))
-        for _ in range(draw(st.integers(1, 30)))
-    ]
+    n = draw(st.integers(1, 30))
+    records = LogColumns(
+        draw(st.lists(st.sampled_from(students), min_size=n, max_size=n)),
+        draw(st.lists(st.sampled_from(exercises), min_size=n, max_size=n)),
+        np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=np.float64),
+    )
     # every exercise gets a concept, then extra and repeated pairs in random order
     pairs = [(e, draw(st.sampled_from(concepts))) for e in exercises]
     pairs += draw(st.lists(st.tuples(st.sampled_from(exercises), st.sampled_from(concepts)),
@@ -367,7 +362,7 @@ class TestColumnarIngestRoundTrip:
             logs = load_logs(write_rows(Path(tmp) / "logs.csv", LOG_HEADER, log_rows))
             q_pairs = load_qmatrix(write_rows(Path(tmp) / "q.csv", QMATRIX_HEADER, q_rows))
         assert len(logs) == len(records)
-        assert [logs[i] for i in range(len(logs))] == records
+        assert list(logs) == list(records)
         assert q_pairs == list(dict.fromkeys(pairs))
 
         counts = sorted(Counter(r.student_id for r in records).values())
@@ -390,12 +385,9 @@ class TestColumnarIngestRoundTrip:
 
 def toy_dataset(per_student, n_exercises=50):
     """Dataset with the given per-student interaction counts."""
-    logs = []
-    k = 0
-    for sid, n in per_student.items():
-        for _ in range(n):
-            logs.append(ResponseLog(sid, f"e{k % n_exercises}", k % 2))
-            k += 1
+    sids = [sid for sid, n in per_student.items() for _ in range(n)]
+    k = np.arange(len(sids))
+    logs = LogColumns(sids, [f"e{j}" for j in k % n_exercises], (k % 2).astype(np.float64))
     q = [(f"e{j}", f"c{j % 5}") for j in range(n_exercises)]
     return build_dataset(logs, q, min_logs=1)
 
@@ -477,7 +469,8 @@ def interleaved_dataset(seed=0):
     rng = default_rng(seed)
     owners = np.repeat(np.arange(6), [40, 300, 3, 120, 75, 260])
     owners = owners[rng.permutation(len(owners))]
-    logs = [ResponseLog(f"s{o}", f"e{k % 37}", k % 2) for k, o in enumerate(owners)]
+    k = np.arange(len(owners))
+    logs = LogColumns([f"s{o}" for o in owners], [f"e{j}" for j in k % 37], (k % 2).astype(np.float64))
     q = [(f"e{j}", f"c{j % 4}") for j in range(37)]
     return build_dataset(logs, q, min_logs=1)
 

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from numpy.random import default_rng
 
-from cogdiag.data import ResponseLog, build_dataset
+from cogdiag.data import LogColumns, build_dataset
 from cogdiag.diagnostics import (
     IRT_SCALE,
     MLP_PARAMS,
@@ -511,7 +511,9 @@ class TestBatchGradients:
             ("high", "w2", 0), ("high", "w3", 1),
             ("big", "n0", 1), ("tiny", "n1", 0), ("floor", "n1", 1), ("floor", "w2", 1),
         ]
-        ds = build_dataset([ResponseLog(*row) for row in plan], q_pairs, min_logs=1)
+        sids, eids, labels = zip(*plan)
+        ds = build_dataset(LogColumns(list(sids), list(eids), np.array(labels, dtype=np.float64)),
+                           q_pairs, min_logs=1)
         cfg = self.config(keep_all)
         fn, store, tracker = self.fixtures(variant, ds, cfg)
         p = store.params

@@ -17,7 +17,7 @@ from cogdiag.checkpoint import (
     save_checkpoint,
 )
 from cogdiag.cli import main
-from cogdiag.data import build_dataset
+from cogdiag.data import LogColumns, build_dataset
 from cogdiag.diagnostics import DiagnosticFunction
 from cogdiag.inference import (
     BLOCK_BYTES,
@@ -477,10 +477,13 @@ class TestDiagnose:
             n_students=25, n_exercises=30, n_concepts=4, per_student=18, seed=2
         )
         # s0007's logs are spread through everyone else's; the rest stay grouped
-        spread = [log for log in cohort.logs if log.student_id == "s0007"]
-        logs = [log for log in cohort.logs if log.student_id != "s0007"]
-        for k, log in enumerate(spread):
-            logs.insert(k * 23, log)
+        sids = cohort.logs.student_ids
+        spread = [i for i, sid in enumerate(sids) if sid == "s0007"]
+        order = [i for i, sid in enumerate(sids) if sid != "s0007"]
+        for k, i in enumerate(spread):
+            order.insert(k * 23, i)
+        logs = LogColumns([sids[i] for i in order],
+                          [cohort.logs.exercise_ids[i] for i in order], cohort.logs.scores[order])
         ds = build_dataset(logs, cohort.q_pairs, min_logs=1)
         trainer, ck = trained_checkpoint(ds, "ncd")
         concepts_of_exercise = {}

@@ -489,11 +489,8 @@ class TestTrainer:
         rng = default_rng(0)
         cohort = planted_cohort(n_students=20, n_exercises=30, n_concepts=3, per_student=15, seed=2)
         # coin-flip labels: validation AUC is noise, patience 1 should fire fast
-        logs = [
-            type(log)(log.student_id, log.exercise_id, int(rng.random() < 0.5))
-            for log in cohort.logs
-        ]
-        ds = build_dataset(logs, cohort.q_pairs, min_logs=1)
+        cohort.logs.scores = (rng.random(len(cohort.logs)) < 0.5).astype(np.float64)
+        ds = build_dataset(cohort.logs, cohort.q_pairs, min_logs=1)
         cfg = quick_config(max_epochs=30, pretrain_epochs=0, patience=1, seed=1)
         trainer = Trainer(ds, DiagnosticFunction("mirt"), cfg)
         trainer.train()
