@@ -213,7 +213,8 @@ def cmd_diagnose(args) -> int:
             f"{row.sigma:>8.4f} {row.interactions:>5}"
         )
 
-    out = _out_path(args.out, args.checkpoint, f"diagnosis_{args.student}.csv")
+    name = args.student.replace("%", "%25").replace("/", "%2F")  # one file beside the checkpoint
+    out = _out_path(args.out, args.checkpoint, f"diagnosis_{name}.csv")
     lines = ["rank,concept_id,mastery,sigma,interactions"]
     for row, cid in zip(report.rows, _csv_ids([row.concept_id for row in report.rows])):
         lines.append(f"{row.rank},{cid},{row.mastery:.6f},{row.sigma:.6f},{row.interactions}")

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .latent import STUDENT_LOGVAR, STUDENT_MEAN
-from .numerics import ParameterStore, _unbroadcast, stable_sigmoid, xavier_init
+from .numerics import ParameterStore, stable_sigmoid, xavier_init
 
 EXERCISE_DIFF = "exercise_diff"
 EXERCISE_DISC = "exercise_disc"
@@ -140,6 +140,8 @@ def predict_irt(theta, difficulty, discrimination, vjp: bool = False):
 
     ``vjp=True`` also returns ``g -> (d gap, d discrimination)``, where
     gap = theta - difficulty, through the mul -> mul -> sigmoid chain.
+    It takes theta, difficulty, discrimination and ``g`` of one shape,
+    (B, 1) in training.
     """
     gap = theta - difficulty
     y = stable_sigmoid(gap * discrimination * IRT_SCALE)
@@ -148,10 +150,7 @@ def predict_irt(theta, difficulty, discrimination, vjp: bool = False):
 
     def grads(g):
         g = g * y * (1.0 - y) * IRT_SCALE
-        return (
-            _unbroadcast(g * discrimination, np.shape(gap)),
-            _unbroadcast(g * gap, np.shape(discrimination)),
-        )
+        return g * discrimination, g * gap
 
     return y, grads
 
@@ -160,16 +159,15 @@ def predict_mirt(theta, difficulty, q_mask, vjp: bool = False):
     """sigmoid of the concept-masked sum of (theta - difficulty).
 
     ``vjp=True`` also returns ``g -> (d gap,)``, where gap = theta -
-    difficulty, through the mul -> sum -> sigmoid chain.
+    difficulty, through the mul -> sum -> sigmoid chain.  It takes theta,
+    difficulty and ``q_mask`` at (B, K) and ``g`` at (B,).
     """
     y = stable_sigmoid(((theta - difficulty) * q_mask).sum(axis=-1))
     if not vjp:
         return y
 
     def grads(g):
-        g = np.expand_dims(g * y * (1.0 - y), -1)
-        gap_shape = np.broadcast_shapes(np.shape(theta), np.shape(difficulty))
-        return (_unbroadcast(g * q_mask, gap_shape),)
+        return (np.expand_dims(g * y * (1.0 - y), -1) * q_mask,)
 
     return y, grads
 
@@ -177,13 +175,14 @@ def predict_mirt(theta, difficulty, q_mask, vjp: bool = False):
 def predict_ncd(theta, difficulty, discrimination, q_mask, layers, vjp: bool = False):
     """Masked interaction vector through a 3-layer sigmoid MLP.
 
-    ``layers`` is [(w1, b1), (w2, b2), (w3, b3)].  ``discrimination``
-    broadcasts over the concept axis, so pass it as (B, 1) for batches.
-    Output drops the trailing unit axis.  Only ``vjp=True`` keeps each
-    layer's input, for the backward pass; it takes (B, K) batches and
-    also returns ``g -> (d gap, d discrimination, d w1, d b1, d w2, d b2,
-    d w3, d b3)``, where gap = theta - difficulty: back through the sum,
-    then sigmoid, bias add and matmul per layer, then the two masking muls.
+    ``layers`` is [(w1, b1), (w2, b2), (w3, b3)], the last one unit
+    wide; the output sums that unit axis away.  Only ``vjp=True`` keeps
+    each layer's input, for the backward pass.  It takes theta,
+    difficulty and ``q_mask`` at (B, K), ``discrimination`` at (B, 1) and
+    ``g`` at (B,), and also returns ``g -> (d gap, d discrimination, d w1,
+    d b1, d w2, d b2, d w3, d b3)``, where gap = theta - difficulty: back
+    through the sum, then sigmoid, bias add and matmul per layer, then
+    the two masking muls.
     """
     x = (theta - difficulty) * q_mask * discrimination
     inputs = []
@@ -193,27 +192,21 @@ def predict_ncd(theta, difficulty, discrimination, q_mask, layers, vjp: bool = F
         h = x @ w
         h += b  # in place: one block temporary fewer per layer
         x = stable_sigmoid(h)
-    squeeze = np.shape(x)[-1:] == (1,)
-    y = x.sum(axis=-1) if squeeze else x
+    y = x.sum(axis=-1)
     if not vjp:
         return y
 
     def grads(g):
-        if squeeze:
-            g = np.expand_dims(g, -1)
+        g = np.expand_dims(g, -1)
         out, layer_grads = x, []
         for (w, b), x_in in zip(reversed(layers), reversed(inputs)):
             g = g * out * (1.0 - out)
-            layer_grads[:0] = [x_in.T @ g, _unbroadcast(g, np.shape(b))]
+            layer_grads[:0] = [x_in.T @ g, g.sum(axis=0)]
             g = g @ w.T
             out = x_in
         gap = theta - difficulty  # recomputed, so value mode holds no extra (B, K) arrays
         masked = gap * q_mask
-        return (
-            _unbroadcast(_unbroadcast(g * discrimination, masked.shape) * q_mask, gap.shape),
-            _unbroadcast(g * masked, np.shape(discrimination)),
-            *layer_grads,
-        )
+        return g * discrimination * q_mask, (g * masked).sum(axis=1, keepdims=True), *layer_grads
 
     return y, grads
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import LOG_FLOOR, _unbroadcast, stable_sigmoid
+from .numerics import LOG_FLOOR, stable_sigmoid
 
 STUDENT_MEAN = "student_mu"
 STUDENT_LOGVAR = "student_logvar"
@@ -53,13 +53,14 @@ def draw_ability(mean, variance, eps: np.ndarray, vjp: bool = False):
     """z = mu + sqrt(variance) * eps, theta = sigmoid(z); returns (z, theta).
 
     ``vjp=True`` returns theta and its gradient function instead,
-    ``g -> (d mean, d variance)``.  It replays the backward pass of the
-    sqrt -> mul -> add -> sigmoid reference chain op for op, so gradients
-    match the composed ops to the bit.  ``eps`` is data and gets no gradient.
+    ``g -> (d mean, d variance)``.  It takes mean, variance and eps of
+    one shape, (B, d) in training, and ``g`` of that shape.  It replays
+    the backward pass of the sqrt -> mul -> add -> sigmoid reference
+    chain op for op, so gradients match the composed ops to the bit.
+    ``eps`` is data and gets no gradient.
     """
     sd = np.sqrt(variance)
-    spread = sd * eps
-    z = mean + spread
+    z = mean + sd * eps
     theta = stable_sigmoid(z)
     if not vjp:
         return z, theta
@@ -67,10 +68,7 @@ def draw_ability(mean, variance, eps: np.ndarray, vjp: bool = False):
 
     def grads(g):
         g = g * theta * (1.0 - theta)
-        return (
-            _unbroadcast(g, np.shape(mean)),
-            _unbroadcast(_unbroadcast(g, spread.shape) * eps, np.shape(variance)) * 0.5 / safe,
-        )
+        return g, g * eps * 0.5 / safe
 
     return theta, grads
 
@@ -81,7 +79,8 @@ def kl_consensus(mean, variance, prior: PriorConsensus, vjp: bool = False):
     0.5 * sum((mean - prior.mean)^2 + variance - log(variance) - 1) per
     occurrence, with the log argument floored at ``numerics.LOG_FLOOR``.
     ``vjp=True`` also returns the gradient function, which replays the
-    composed reference ops' backward pass.  It maps ``g`` to (d mean, d
+    composed reference ops' backward pass.  It takes mean and variance of
+    one shape, (B, d) in training, and maps ``g``, (B,), to (d mean, d
     variance via the linear term, d variance via the log): the one-op
     chain adds those two contributions to the variance gradient as
     separate steps, and the variance usually has other consumers whose
@@ -89,22 +88,14 @@ def kl_consensus(mean, variance, prior: PriorConsensus, vjp: bool = False):
     """
     mv, vv = np.asarray(mean, dtype=np.float64), np.asarray(variance, dtype=np.float64)
     gap = mv - prior.mean
-    square_plus_var = gap * gap + vv
     floored = np.maximum(vv, LOG_FLOOR)
-    inner = square_plus_var - np.log(floored) - 1.0
+    inner = gap * gap + vv - np.log(floored) - 1.0
     out = inner.sum(axis=-1) * 0.5
     inside = vv >= LOG_FLOOR
 
     def grads(g):
-        g = np.expand_dims(np.asarray(g * 0.5), -1)
-        g = np.broadcast_to(g, inner.shape).copy()
-        g_sum = _unbroadcast(g, square_plus_var.shape)
-        g_square = _unbroadcast(g_sum, gap.shape)
-        return (
-            _unbroadcast(g_square * 2.0 * gap, mv.shape),
-            _unbroadcast(g_sum, vv.shape),
-            _unbroadcast(-g, vv.shape) * inside / floored,
-        )
+        g = np.broadcast_to(np.expand_dims(g * 0.5, -1), inner.shape)
+        return g * 2.0 * gap, g, -g * inside / floored
 
     return (out, grads) if vjp else out
 

@@ -88,10 +88,6 @@ class BinReport:
     ece: float
     mce: float
 
-    @property
-    def gaps(self) -> np.ndarray:
-        return np.abs(self.frac_correct - self.avg_prob)
-
 
 def bin_index(probs: np.ndarray, bins: int) -> np.ndarray:
     """0-based bin per probability under the (lo, hi] rule.

@@ -3,8 +3,8 @@
 Everything here is deliberately small and explicit: a dict of named
 float64 arrays with matching gradient and moment buffers, an Adam step
 with bias correction, a central-difference gradient checker used
-throughout the test suite, and the clamps and broadcasting rule the
-closed-form gradients share.
+throughout the test suite, and the clamps the closed-form gradients
+share.
 """
 
 from __future__ import annotations
@@ -28,19 +28,6 @@ class NonFiniteGradientError(RuntimeError):
 
 class GradCheckError(RuntimeError):
     """Raised by grad_check when the objective evaluates non-finite."""
-
-
-def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum ``grad`` down to ``shape``, undoing numpy broadcasting."""
-    if grad.shape == shape:
-        return grad
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad.reshape(shape)
 
 
 def stable_sigmoid(x):

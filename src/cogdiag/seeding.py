@@ -12,17 +12,6 @@ from zlib import crc32
 
 import numpy as np
 
-# the labels in use; kept in one place so collisions are easy to spot
-STREAM_LABELS = (
-    "split",      # per-student interaction shuffling
-    "init",       # parameter initialization
-    "batching",   # epoch shuffling / batch order
-    "sampling",   # reparameterization noise
-    "dropout",    # variance dropout masks
-    "pairing",    # calibration pair selection
-    "synthetic",  # synthetic data generation
-)
-
 
 def substream(seed: int, label: str) -> np.random.Generator:
     """Generator for ``label`` under ``seed``; same inputs, same stream."""

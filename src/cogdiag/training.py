@@ -53,7 +53,6 @@ from .numerics import (
     LOG_FLOOR,
     NonFiniteGradientError,
     ParameterStore,
-    _unbroadcast,
     adam_step,
     stable_sigmoid,
 )
@@ -183,7 +182,8 @@ def prediction_loss(probs, labels, vjp: bool = False):
 
     Both logs floor their argument at ``numerics.LOG_FLOOR``.
     ``vjp=True`` returns the loss with its gradient function, ``g -> (d
-    probs,)``, which replays the backward pass of the composed log/mul/
+    probs,)`` for probs and labels of one shape, (B,) in training, and a
+    0-d ``g``.  It replays the backward pass of the composed log/mul/
     sub/add/mean/negate chain of ``tests/reftape.py``, so it matches
     that chain to the bit.  As with the chain's mean, that loss
     multiplies by 1/n where the plain value divides by n; the two can
@@ -205,10 +205,10 @@ def prediction_loss(probs, labels, vjp: bool = False):
     inside_miss = miss >= LOG_FLOOR
 
     def grads(g):
-        g = np.broadcast_to(np.asarray(g * -1.0 * inv_n), per.shape)
-        via_y = _unbroadcast(g * labels, yv.shape) * inside_y / floored_y
-        via_miss = _unbroadcast(g * (1.0 - labels), miss.shape) * inside_miss / floored_miss
-        return (via_y + _unbroadcast(-via_miss, yv.shape),)
+        g = g * -1.0 * inv_n
+        via_y = g * labels * inside_y / floored_y
+        via_miss = g * (1.0 - labels) * inside_miss / floored_miss
+        return (via_y + -via_miss,)
 
     return (per.sum() * inv_n) * -1.0, grads
 

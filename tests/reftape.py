@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from cogdiag.numerics import EXP_CLAMP, LOG_FLOOR, _unbroadcast, stable_sigmoid
+from cogdiag.numerics import EXP_CLAMP, LOG_FLOOR, stable_sigmoid
 
 
 class Node:
@@ -83,6 +83,19 @@ def value_of(x) -> np.ndarray:
     if isinstance(x, Node):
         return x.value
     return np.asarray(x, dtype=np.float64)
+
+
+def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
+    """Sum ``grad`` down to ``shape``, undoing numpy broadcasting."""
+    if grad.shape == shape:
+        return grad
+    extra = grad.ndim - len(shape)
+    if extra > 0:
+        grad = grad.sum(axis=tuple(range(extra)))
+    axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
+    if axes:
+        grad = grad.sum(axis=axes, keepdims=True)
+    return grad.reshape(shape)
 
 
 def _node2(a, b, out, da, db) -> Node:

@@ -482,6 +482,28 @@ class TestDiagnose:
         assert code == 1
         assert "ghost" in capsys.readouterr().err
 
+    def test_default_path_escapes_slash_and_percent(self, tmp_path, capsys):
+        # ids are opaque: "/" names no directory, and "a%2Fb" does not collide with "a/b"
+        cohort = planted_cohort(n_students=12, n_exercises=20, n_concepts=3, per_student=15, seed=4)
+        rename = {"s0000": "a/b", "s0001": "a%2Fb", "s0002": "../up"}
+        cohort.logs.student_ids = [rename.get(s, s) for s in cohort.logs.student_ids]
+        logs, qmatrix = tmp_path / "logs.csv", tmp_path / "q.csv"
+        write_cohort_csv(cohort, logs, qmatrix)
+        config = tmp_path / "run.cfg"
+        config.write_text(
+            f"logs = {logs}\nqmatrix = {qmatrix}\noutput_dir = {tmp_path / 'run'}\n"
+            "variant = mirt\nmin_logs = 1\nmax_epochs = 1\npretrain_epochs = 1\n"
+        )
+        assert main(["train", "--config", str(config)]) == 0
+        run = tmp_path / "run"
+        names = {"a/b": "a%2Fb", "a%2Fb": "a%252Fb", "../up": "..%2Fup", "s0003": "s0003"}
+        for sid in names:
+            assert main(["diagnose", "--checkpoint", str(run / "checkpoint.json"),
+                         "--student", sid]) == 0
+        written = sorted(p.name for p in run.iterdir() if p.name.startswith("diagnosis_"))
+        assert written == sorted(f"diagnosis_{name}.csv" for name in names.values())
+        assert not list(tmp_path.glob("diagnosis_*"))
+
 
 class TestExports:
     def test_ability_row_per_student_concept(self, workspace, capsys, tmp_path):

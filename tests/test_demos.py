@@ -1,9 +1,11 @@
-"""The demos and scripts still run against the current API, and every module uses its imports."""
+"""The demos and scripts still run against the current API, every module uses its imports,
+and every name src/ defines is read somewhere."""
 
 import ast
 import importlib
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -64,3 +66,50 @@ def test_every_imported_name_is_used(path):
             imported.update(alias.asname or alias.name for alias in node.names)
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert not imported - read, f"{path.name} imports {sorted(imported - read)} and never uses them"
+
+
+def _defined_names(tree):
+    """(name, where) of each top-level def, class and constant, and each method of those classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield item.name, f"{node.name}.{item.name}"
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in getattr(node, "targets", [getattr(node, "target", None)]):
+                if isinstance(target, ast.Name):
+                    yield target.id, target.id
+
+
+def _read_names(tree):
+    """Names a module reads: Name and Attribute loads, imports, and identifier-like strings."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield from (alias.name.split(".")[-1] for alias in node.names)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            # perfbench names its patch targets by string, "module:Class" and "name"
+            if re.fullmatch(r"[A-Za-z_][\w.:]*", node.value):
+                yield from re.split(r"[.:]", node.value)
+
+
+def test_every_defined_name_is_read():
+    # code nothing reads is deleted.  A read anywhere counts, so a name that
+    # a local variable or parameter reuses elsewhere (say, a property called
+    # like a local) cannot be seen by this check; dunders are called implicitly
+    readers = [*ROOT.glob("src/**/*.py"), *ROOT.glob("tests/*.py"), *EXAMPLES,
+               *ROOT.glob("perfbench/*.py")]
+    read = set()
+    for path in readers:
+        read.update(_read_names(ast.parse(path.read_text(encoding="utf-8"), str(path))))
+    unread = []
+    for path in sorted(ROOT.glob("src/cogdiag/*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        unread += [f"{path.name}: {where}" for name, where in _defined_names(tree)
+                   if name not in read and not (name.startswith("__") and name.endswith("__"))]
+    assert not unread, f"defined and never read: {unread}"
