@@ -9,15 +9,23 @@ every downstream artifact reproducible from the input files alone.
 Files are read into columns, not into an object per row: every check
 and every index runs over a whole column at once, and only a failed
 check goes back to find the first offending row.
+
+A file is read once.  A plain file, with no quote, no NUL, one line
+ending throughout (LF or CRLF), the right comma count on every line and
+no empty id, is split on its commas in one ``str.split``; every CSV that
+``synth.write_cohort_csv`` and ``scripts/prepare_assist2009.py`` write is
+plain unless an id needs quoting.  Any other file, and every malformed
+one, goes through ``csv.reader`` over the same text, so the reader
+alone words every error and numbers every line.
 """
 
 from __future__ import annotations
 
 import csv
-from collections import Counter
+import io
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import compress
+from itertools import compress, count, repeat
 from operator import itemgetter
 from pathlib import Path
 
@@ -75,21 +83,99 @@ def _read_columns(path, header: list[str]) -> tuple[list[list[str]], list[tuple[
 
     Columns cover the rows before the first one whose field count is
     wrong.  Problems are (row index, message): that row, if any, and the
-    first empty field of each ``*_id`` column.  The reader's rows are
-    appended to one flat list as they stream past, and the running
-    length after each row tells every row's field count without keeping
-    a list per row.
+    first empty field of each ``*_id`` column.  The file is read once; a
+    plain file is split whole (:func:`_split_plain`), any other goes
+    through ``csv.reader`` over the same text.
+    """
+    raw = Path(path).read_bytes()
+    try:
+        text = raw.decode("utf-8-sig")
+    except UnicodeDecodeError:
+        # stream the file as before: the reader meets the bad byte where it lies,
+        # after any csv error on an earlier line
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            return _reader_columns(path, fh, header)
+    columns = _split_plain(raw, text, header)
+    if columns is None:
+        return _reader_columns(path, io.StringIO(text, newline=""), header)
+    return columns, []
+
+
+# What ``str.strip`` removes from ASCII text, line breaks aside
+_ASCII_PADDING = " \t\x0b\x0c\x1c\x1d\x1e\x1f"
+
+
+def _split_plain(raw: bytes, text: str, header: list[str]) -> list[list[str]] | None:
+    """The columns of ``text`` split on its commas, or None where ``csv.reader`` could differ.
+
+    ``text`` is ``raw`` decoded.  The split serves a file without quotes
+    or NULs, with one line ending throughout (``\\n`` or ``\\r\\n``), the
+    expected header, ``len(header) - 1`` commas on every line (so no blank
+    line), no line longer than ``csv.field_size_limit()`` and no empty
+    id: there every line is one row and every comma a field break, so
+    ``csv.reader`` would read the same fields.  Any other file is left
+    to the reader, which stays the one source of error messages.
+    """
+    width = len(header)
+    if not text or '"' in text or "\0" in text:
+        return None
+    eol = "\r\n" if "\r" in text else "\n"
+    if [h.strip() for h in text.partition(eol)[0].split(",")] != header:
+        return None
+    if not _one_row_per_line(raw, width, eol):
+        return None
+    flat = text.replace(eol, ",").split(",")
+    stop = len(flat) - len(flat) % width  # a final line ending leaves one "" past the rows
+    columns = [flat[k:stop:width] for k in range(width, 2 * width)]
+    if not text.isascii() or any(c in text for c in _ASCII_PADDING):
+        columns = [list(map(str.strip, col)) for col in columns]
+    if any(name.endswith("_id") and not all(col) for name, col in zip(header, columns)):
+        return None  # an empty id, which the reader's path reports
+    return columns
+
+
+def _one_row_per_line(raw: bytes, width: int, eol: str) -> bool:
+    """Whether each line of ``raw`` holds ``width - 1`` commas and ends in ``eol``.
+
+    The last line may end the file instead, and no line may be longer
+    than ``csv.field_size_limit()``.
+    """
+    b = np.frombuffer(raw, dtype=np.uint8)
+    ends = np.flatnonzero(b == ord("\n"))
+    if eol == "\r\n" and not (
+        np.count_nonzero(b == ord("\r")) == len(ends) and (b[ends - 1] == ord("\r")).all()
+    ):
+        return False  # a lone \r, or a line ending in \n alone
+    if b[-1] != ord("\n"):
+        ends = np.append(ends, len(b))  # the last line has no line ending
+    starts = np.concatenate(([-1], ends[:-1]))  # the line ending before each line
+    commas = np.flatnonzero(b == ord(","))
+    if len(commas) != (width - 1) * len(ends):
+        return False
+    # with the count right, a line whose block of commas lies inside it holds exactly its own
+    commas = commas.reshape(len(ends), width - 1)
+    if (commas[:, 0] < starts).any() or (commas[:, -1] > ends).any():
+        return False
+    # in bytes, never fewer than the characters csv.reader counts
+    return bool((ends - starts - 1).max() <= csv.field_size_limit())
+
+
+def _reader_columns(path, lines, header: list[str]) -> tuple[list[list[str]], list[tuple[int, str]]]:
+    """:func:`_read_columns` through ``csv.reader`` over ``lines``.
+
+    The reader's rows are appended to one flat list as they stream past,
+    and the running length after each row tells every row's field count
+    without keeping a list per row.
     """
     flat: list[str] = []
     try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh)
-            got = [h.strip() for h in next(reader, header)]
-            if got != header:
-                raise DataFormatError(
-                    f"{path}: expected header {','.join(header)!r}, got {','.join(got)!r}"
-                )
-            ends = np.fromiter(map(len, map(flat.__iadd__, reader)), dtype=np.int64)
+        reader = csv.reader(lines)
+        got = [h.strip() for h in next(reader, header)]
+        if got != header:
+            raise DataFormatError(
+                f"{path}: expected header {','.join(header)!r}, got {','.join(got)!r}"
+            )
+        ends = np.fromiter(map(len, map(flat.__iadd__, reader)), dtype=np.int64)
     except csv.Error as exc:
         raise DataFormatError(f"{path} line {reader.line_num}: {exc}") from None
     except UnicodeDecodeError as exc:
@@ -196,10 +282,15 @@ class Dataset:
 
 
 def _first_seen_index(ids: list[str]) -> tuple[dict[str, int], np.ndarray]:
-    """Number ids by first appearance: (id -> number, each entry's number as int64)."""
-    first = dict.fromkeys(ids)
-    index = dict(zip(first, range(len(first))))
-    return index, np.fromiter(map(index.__getitem__, ids), dtype=np.int64, count=len(ids))
+    """Number ids by first appearance: (id -> number, each entry's number as int64).
+
+    One pass over the dict: each entry reads the position at which its id
+    first appeared, and ranking those first positions numbers the ids.
+    """
+    first_at: dict[str, int] = {}
+    at = np.fromiter(map(first_at.setdefault, ids, count()), dtype=np.int64, count=len(ids))
+    number = np.cumsum(at == np.arange(len(ids)), dtype=np.int64) - 1  # by position
+    return dict(zip(first_at, range(len(first_at)))), number[at]
 
 
 def build_dataset(logs: LogColumns, q_pairs: list[tuple[str, str]], min_logs: int = 15) -> Dataset:
@@ -222,32 +313,32 @@ def build_dataset(logs: LogColumns, q_pairs: list[tuple[str, str]], min_logs: in
     if len(bad):
         i = int(bad[0])
         raise DataValidationError(f"log {i}: score must be 0 or 1, got {scores[i]:g}")
-    counts = Counter(sids)
-    if min(counts.values(), default=0) < min_logs:
-        keep = list(map(min_logs.__le__, map(counts.__getitem__, sids)))
-        sids, eids = list(compress(sids, keep)), list(compress(eids, keep))
-        scores = scores[np.array(keep, dtype=bool)]
-    if not sids:
+    students, s_idx = _first_seen_index(sids)
+    kept = np.bincount(s_idx) >= min_logs  # per student
+    if not kept.all():
+        keep = kept[s_idx]
+        # kept students keep their first-seen order, so dropping the others renumbers them
+        s_idx = (np.cumsum(kept, dtype=np.int64) - 1)[s_idx[keep]]
+        students = list(compress(students, kept.tolist()))
+        eids = list(compress(eids, keep.tolist()))
+        scores = scores[keep]
+    if not students:
         raise DataValidationError(
             f"no students survive the min_logs={min_logs} filter ({len(logs)} logs in)"
         )
-
-    students, s_idx = _first_seen_index(sids)
     exercises, e_idx = _first_seen_index(eids)
 
-    concepts: dict[str, int] = {}
-    concept_lists: dict[int, list[int]] = {j: [] for j in range(len(exercises))}
-    for eid, cid in dict.fromkeys(q_pairs):
-        j = exercises.get(eid)
-        if j is None:
-            continue
-        if cid not in concepts:
-            concepts[cid] = len(concepts)
-        concept_lists[j].append(concepts[cid])
-
-    missing = [eid for eid, j in exercises.items() if not concept_lists[j]]
-    if missing:
-        shown = ", ".join(repr(e) for e in missing[:5])
+    pairs = dict.fromkeys(q_pairs)
+    q_e = np.fromiter(map(exercises.get, map(itemgetter(0), pairs), repeat(-1)),
+                      dtype=np.int64, count=len(pairs))
+    retained = q_e >= 0
+    concepts, q_c = _first_seen_index(list(compress(map(itemgetter(1), pairs), retained.tolist())))
+    q_e = q_e[retained]
+    sizes = np.bincount(q_e, minlength=len(exercises))
+    missing = np.flatnonzero(sizes == 0)
+    if len(missing):
+        exercise_ids = list(exercises)
+        shown = ", ".join(repr(exercise_ids[j]) for j in missing[:5])
         raise DataValidationError(
             f"{len(missing)} exercise(s) have no Q-matrix concepts (e.g. {shown})"
         )
@@ -259,8 +350,9 @@ def build_dataset(logs: LogColumns, q_pairs: list[tuple[str, str]], min_logs: in
         s_idx=s_idx,
         e_idx=e_idx,
         scores=np.array(scores, dtype=np.float64),
-        concept_ptr=np.cumsum([0] + [len(c) for c in concept_lists.values()], dtype=np.int64),
-        concept_idx=np.array([k for c in concept_lists.values() for k in c], dtype=np.int64),
+        concept_ptr=np.concatenate(([0], np.cumsum(sizes))),
+        # a stable sort keeps each exercise's concepts in Q-matrix order
+        concept_idx=q_c[np.argsort(q_e, kind="stable")],
     )
 
 

@@ -41,12 +41,13 @@ def planted_cohort(
     """Generate a cohort from a planted compensatory model.
 
     Abilities and difficulties are uniform on ``ABILITY_RANGE``.  Each
-    exercise covers one to ``MAX_CONCEPTS_PER_EXERCISE`` concepts drawn
-    with popularity weights spread linearly up to ``concept_skew``, so
-    some concepts end up data-rich and others sparse; that spread is
-    what the confidence machinery is supposed to pick up on.  Each
-    student in turn draws ``per_student`` distinct exercises, then one
-    uniform number per log: below the planted probability is correct.
+    exercise covers one to ``MAX_CONCEPTS_PER_EXERCISE`` concepts (at most
+    ``n_concepts``) drawn with popularity weights spread linearly up to
+    ``concept_skew``, so some concepts end up data-rich and others
+    sparse; that spread is what the confidence machinery is supposed to
+    pick up on.  Each student in turn draws ``per_student`` distinct
+    exercises, then one uniform number per log: below the planted
+    probability is correct.
     The logs are the :class:`LogColumns` that ``load_logs`` returns.
     """
     if per_student > n_exercises:
@@ -58,8 +59,9 @@ def planted_cohort(
     weights = np.linspace(1.0, concept_skew, n_concepts)
     weights = weights / weights.sum()
     concepts_of = []
+    k_max = min(MAX_CONCEPTS_PER_EXERCISE, n_concepts)
     for _ in range(n_exercises):
-        k = int(rng.integers(1, MAX_CONCEPTS_PER_EXERCISE + 1))
+        k = int(rng.integers(1, k_max + 1))
         concepts_of.append(np.sort(rng.choice(n_concepts, size=k, replace=False, p=weights)))
     ptr = np.cumsum([0] + [len(cs) for cs in concepts_of], dtype=np.int64)
     idx = np.concatenate(concepts_of)

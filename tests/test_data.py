@@ -1,6 +1,8 @@
 """Log parsing, filtering, indexing, splitting, batching."""
 
 import csv
+import importlib.util
+import io
 import tempfile
 from collections import Counter
 from pathlib import Path
@@ -26,6 +28,7 @@ from cogdiag.data import (
     split_per_student,
 )
 from cogdiag.seeding import substream
+from cogdiag.synth import planted_cohort, write_cohort_csv
 
 
 def write(path, text):
@@ -191,6 +194,135 @@ class TestLoading:
         assert str(excinfo.value) == f"{bad} line 5: not valid UTF-8 (invalid start byte)"
 
 
+LOG_LINE = "student_id,exercise_id,score"
+
+
+class TestFilesTheSplitDeclines:
+    """Files a comma split could misread load, or fail, exactly as ``csv.reader`` has them."""
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (LOG_LINE + "\r\ns1,e1,1\rs2,e1,2\r\n", "line 3: score must be 0 or 1, got '2'"),
+            (LOG_LINE + "\ns1,e1,1\rs2,e1,2\n", "line 3: score must be 0 or 1, got '2'"),
+            (LOG_LINE + "\r\ns1,e1,1\ns2,e1,2\r\n", "line 3: score must be 0 or 1, got '2'"),
+            (LOG_LINE + "\r\ns1,e1,1\r\n\r\ns2,e1,0\r\n", "line 3: expected 3 fields, got 0"),
+            (LOG_LINE + "\n\n", "line 2: expected 3 fields, got 0"),
+            (LOG_LINE + "\r\ns1,e1,1\r\n\r\n", "line 3: expected 3 fields, got 0"),
+            (LOG_LINE + "\ns1,e1,1\ns1,e2\n", "line 3: expected 3 fields, got 2"),
+            (LOG_LINE + "\ns1,e1,1\ns1,e2,0,1\n", "line 3: expected 3 fields, got 4"),
+            (LOG_LINE + "\ns1,e1,1\ns1,e2\ns1,e2,0,1\n", "line 3: expected 3 fields, got 2"),
+            (LOG_LINE + "\ns1,e1,1\ns1,e2", "line 3: expected 3 fields, got 2"),
+            (LOG_LINE + "\r\ns1,e1,1\r\n,e2,0\r\n", "line 3: empty id field"),
+            (LOG_LINE + "\r\ns1,e1,1\r\ns1, ,0\r\n", "line 3: empty id field"),
+            (LOG_LINE + "\r\ns1,e1,1\r\ns1,e2,x\r\n", "line 3: score must be 0 or 1, got 'x'"),
+            ("student,exercise_id,score\r\ns1,e1,1\r\n",
+             ": expected header 'student_id,exercise_id,score', got 'student,exercise_id,score'"),
+            ("student_id,exercise_id\r\ns1,e1\r\n",
+             ": expected header 'student_id,exercise_id,score', got 'student_id,exercise_id'"),
+        ],
+        ids=["lone-cr", "lone-cr-in-an-lf-file", "mixed-endings", "blank-line", "blank-line-after-header",
+             "trailing-blank-line", "two-fields", "four-fields", "two-then-four-fields",
+             "short-last-line", "empty-id", "blank-id", "bad-score", "bad-header", "short-header"],
+    )
+    def test_exact_message(self, tmp_path, text, message):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(text.encode("utf-8"))
+        with pytest.raises(DataFormatError) as excinfo:
+            load_logs(bad)
+        assert str(excinfo.value) == f"{bad}{'' if message[0] == ':' else ' '}{message}"
+
+    @pytest.mark.parametrize("load, header", [(load_logs, LOG_HEADER), (load_qmatrix, QMATRIX_HEADER)],
+                             ids=["logs", "qmatrix"])
+    def test_oversized_line_of_short_fields_loads(self, tmp_path, load, header):
+        # longer than csv.field_size_limit() but no field is: the reader takes it
+        fields = ["x" * 100_000, "1"] if load is load_qmatrix else ["x" * 100_000, "y" * 100_000, "1"]
+        path = tmp_path / "long.csv"
+        path.write_text(",".join(header) + "\n" + ",".join(fields) + "\n")
+        assert len(load(path)) == 1
+
+    @pytest.mark.parametrize(
+        "body", ["s1,e1,1\rs2,e1,0\r", "s\x001,e1,1\ns2,e\x00,0\n", "s1,e1,1\r\ns2,e1,0\n"],
+        ids=["lone-cr", "nul", "mixed-endings"],
+    )
+    def test_loads_as_the_reader_reads_it(self, tmp_path, body):
+        path = tmp_path / "logs.csv"
+        path.write_bytes((LOG_LINE + "\n" + body).encode("utf-8"))
+        try:
+            want = reader_columns(path, LOG_HEADER)
+        except csv.Error as exc:  # a csv module that rejects NUL: so must the loader
+            with pytest.raises(DataFormatError, match=str(exc)):
+                load_logs(path)
+            return
+        logs = load_logs(path)
+        assert [logs.student_ids, logs.exercise_ids, list(map(str, map(int, logs.scores)))] == want
+
+
+def load_script(name):
+    """Import ``scripts/<name>.py`` as a module."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestPlainFilesSkipTheReader:
+    """The CSVs cogdiag's own tools write take the comma split, never ``csv.reader``."""
+
+    @pytest.fixture
+    def cohort_files(self, tmp_path):
+        cohort = planted_cohort(n_students=12, n_exercises=30, n_concepts=4, per_student=10, seed=2)
+        write_cohort_csv(cohort, tmp_path / "logs.csv", tmp_path / "qmatrix.csv")
+        return cohort, tmp_path / "logs.csv", tmp_path / "qmatrix.csv"
+
+    @pytest.fixture
+    def no_reader(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("csv.reader was called")
+
+        return lambda: monkeypatch.setattr(csv, "reader", refuse)
+
+    @pytest.mark.parametrize("eol", ["\r\n", "\n"], ids=["crlf", "lf"])
+    def test_cohort_csvs(self, cohort_files, no_reader, eol):
+        cohort, logs_path, q_path = cohort_files
+        assert logs_path.read_bytes().count(b"\r\n") == len(cohort.logs) + 1  # as written
+        for path in (logs_path, q_path):
+            path.write_bytes(path.read_bytes().replace(b"\r\n", eol.encode()))
+        no_reader()
+        logs = load_logs(logs_path)
+        assert (logs.student_ids, logs.exercise_ids) == (cohort.logs.student_ids, cohort.logs.exercise_ids)
+        np.testing.assert_array_equal(logs.scores, cohort.logs.scores)
+        assert load_qmatrix(q_path) == cohort.q_pairs
+
+    def test_prepared_assist_files(self, tmp_path, no_reader, capsys):
+        raw = tmp_path / "skill_builder_data.csv"
+        rows = [(order, 70000 + order % 4, 3000 + order % 7, 10 + order % 3, order % 2)
+                for order in range(1, 60)]
+        raw.write_text("order_id,user_id,problem_id,skill_id,correct\n"
+                       + "".join(",".join(map(str, row)) + "\n" for row in rows), encoding="latin-1")
+        assert load_script("prepare_assist2009").main([str(raw), "--out", str(tmp_path / "out")]) == 0
+        capsys.readouterr()
+        with open(tmp_path / "out" / "logs.csv", newline="") as fh:
+            want_logs = list(csv.reader(fh))[1:]
+        with open(tmp_path / "out" / "qmatrix.csv", newline="") as fh:
+            want_q = [tuple(row) for row in list(csv.reader(fh))[1:]]
+        no_reader()
+        logs = load_logs(tmp_path / "out" / "logs.csv")
+        assert [[s, e, str(int(v))] for s, e, v in zip(logs.student_ids, logs.exercise_ids, logs.scores)] == want_logs
+        assert load_qmatrix(tmp_path / "out" / "qmatrix.csv") == want_q
+
+    def test_a_quoted_id_loads_through_the_reader(self, cohort_files, monkeypatch):
+        cohort, logs_path, _ = cohort_files
+        logs_path.write_bytes(logs_path.read_bytes() + b'"s,1",e0001,1\r\n')
+        calls, reader = [], csv.reader
+        monkeypatch.setattr(csv, "reader", lambda lines: calls.append(lines) or reader(lines))
+        logs = load_logs(logs_path)
+        assert len(calls) == 1
+        assert logs.student_ids == cohort.logs.student_ids + ["s,1"]
+        assert logs.scores[-1] == 1.0
+
+
 def columns_of(ds):
     """The logs a dataset indexes, in file order."""
     return LogColumns([ds.student_ids[s] for s in ds.s_idx],
@@ -318,13 +450,19 @@ def first_seen_oracle(records, pairs, min_logs):
     }
 
 
-# ids a CSV writer must quote: commas, quotes, embedded line breaks, inner spaces
-core_ids = st.text(alphabet='ab,"\n\r x', min_size=1, max_size=4).filter(lambda t: t == t.strip())
-padding = st.sampled_from(["", " ", "  "])
+# ids a CSV writer leaves bare (inner spaces and tabs, a non-ASCII letter), or must
+# quote: commas, quotes, embedded line breaks (csv.writer quotes a \r only when its
+# line terminator holds one)
+ID_ALPHABETS = {"\n": ["ab x\té", 'ab,"\n x'], "\r\n": ["ab x\té", 'ab,"\n\r x']}
+padding = st.sampled_from(["", " ", "  ", "\t", "\xa0"])
 
 
 @st.composite
 def csv_cohorts(draw):
+    """(records, pairs, log rows, Q-matrix rows, file layout (eol, final eol, BOM))."""
+    layout = draw(st.tuples(st.sampled_from(["\n", "\r\n"]), st.booleans(), st.booleans()))
+    alphabet = draw(st.sampled_from(ID_ALPHABETS[layout[0]]))
+    core_ids = st.text(alphabet=alphabet, min_size=1, max_size=4).filter(lambda t: t == t.strip())
     students = draw(st.lists(core_ids, min_size=1, max_size=5, unique=True))
     exercises = draw(st.lists(core_ids, min_size=1, max_size=5, unique=True))
     concepts = draw(st.lists(core_ids, min_size=1, max_size=3, unique=True))
@@ -342,25 +480,42 @@ def csv_cohorts(draw):
     pad = lambda text: draw(padding) + text + draw(padding)  # noqa: E731
     log_rows = [[pad(r.student_id), pad(r.exercise_id), pad(str(r.score))] for r in records]
     q_rows = [[pad(e), pad(c)] for e, c in pairs]
-    return records, pairs, log_rows, q_rows
+    return records, pairs, log_rows, q_rows, layout
 
 
-def write_rows(path, header, rows):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+def write_rows(path, header, rows, eol="\r\n", final_eol=True, bom=False):
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator=eol)
+    writer.writerow(header)
+    writer.writerows(rows)
+    text = out.getvalue() if final_eol else out.getvalue()[: -len(eol)]
+    path.write_bytes((UTF8_BOM if bom else b"") + text.encode("utf-8"))
     return path
+
+
+def reader_columns(path, header):
+    """Reference: ``csv.reader`` over the whole file, every field stripped."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        rows = [[field.strip() for field in row] for row in csv.reader(fh)]
+    assert rows[0] == header
+    return [[row[k] for row in rows[1:]] for k in range(len(header))]
+
 
 
 class TestColumnarIngestRoundTrip:
     @settings(max_examples=80, deadline=None)
     @given(csv_cohorts())
     def test_files_load_and_index_like_the_records(self, cohort):
-        records, pairs, log_rows, q_rows = cohort
+        records, pairs, log_rows, q_rows, (eol, final_eol, bom) = cohort
         with tempfile.TemporaryDirectory() as tmp:
-            logs = load_logs(write_rows(Path(tmp) / "logs.csv", LOG_HEADER, log_rows))
-            q_pairs = load_qmatrix(write_rows(Path(tmp) / "q.csv", QMATRIX_HEADER, q_rows))
+            log_path = write_rows(Path(tmp) / "logs.csv", LOG_HEADER, log_rows, eol, final_eol, bom)
+            q_path = write_rows(Path(tmp) / "q.csv", QMATRIX_HEADER, q_rows, eol, final_eol, bom)
+            logs, q_pairs = load_logs(log_path), load_qmatrix(q_path)
+            sids, eids, scores = reader_columns(log_path, LOG_HEADER)
+            q_eids, q_cids = reader_columns(q_path, QMATRIX_HEADER)
+        assert (logs.student_ids, logs.exercise_ids) == (sids, eids)
+        np.testing.assert_array_equal(logs.scores, np.array(scores, dtype=np.float64))
+        assert q_pairs == list(dict.fromkeys(zip(q_eids, q_cids)))
         assert len(logs) == len(records)
         assert list(logs) == list(records)
         assert q_pairs == list(dict.fromkeys(pairs))

@@ -1,12 +1,13 @@
 """The planted-cohort generator against a per-log reference loop."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from cogdiag.seeding import substream
-from cogdiag.synth import planted_cohort
+from cogdiag.synth import planted_cohort, write_cohort_csv
 from test_acceptance import RECOVERY_SHAPE
 
 
@@ -15,8 +16,8 @@ def per_log_cohort(n_students=200, n_exercises=400, n_concepts=10, per_student=8
     """Reference: one record and one scalar sigmoid per log, in the generator's draw order.
 
     Abilities and difficulties are uniform on (-2, 2) and each exercise
-    has one to three concepts.  Each student draws its exercises, then
-    one uniform number per log, in turn.
+    has one to three concepts, never more than there are.  Each student
+    draws its exercises, then one uniform number per log, in turn.
     """
     rng = substream(seed, "synthetic")
     abilities = rng.uniform(-2.0, 2.0, size=(n_students, n_concepts))
@@ -25,7 +26,7 @@ def per_log_cohort(n_students=200, n_exercises=400, n_concepts=10, per_student=8
     weights = weights / weights.sum()
     concepts_of = []
     for _ in range(n_exercises):
-        k = int(rng.integers(1, 4))
+        k = int(rng.integers(1, min(3, n_concepts) + 1))
         concepts_of.append(np.sort(rng.choice(n_concepts, size=k, replace=False, p=weights)))
     records = []
     for i in range(n_students):
@@ -47,6 +48,21 @@ SHAPES = {
     "ncd-wide": dict(n_students=30, n_exercises=2000, n_concepts=123, per_student=100),
     "tiny": dict(n_students=5, n_exercises=6, n_concepts=4, per_student=6),
     "every-exercise": dict(n_students=3, n_exercises=4, n_concepts=3, per_student=4),
+    # fewer concepts than an exercise may cover
+    "one-concept": dict(n_students=6, n_exercises=8, n_concepts=1, per_student=5),
+    "two-concepts": dict(n_students=6, n_exercises=8, n_concepts=2, per_student=5),
+}
+
+# SHA-256 of the CSV pair write_cohort_csv writes, then the planted abilities and
+# difficulties: perfbench's three workload cohorts at seed 1, and the acceptance recovery shape
+PINNED = {
+    "train-mirt-small": (dict(RECOVERY_SHAPE, seed=1),
+                         "3e7f3eede373c7d245ef1ec06312acd1a6d6e7731cf2478ae47e19013c46ee06"),
+    "train-ncd-wide": (dict(n_students=30, n_exercises=2000, n_concepts=123, per_student=100, seed=1),
+                       "4af849477fc0abb7fceed8fb46faccd8319aa9776b0a93f0b293eef55811ff44"),
+    "serve-assist": (dict(n_students=2493, n_exercises=17671, n_concepts=123, per_student=100, seed=1),
+                     "5e778acede89f66b38b9caefc58a23756f2c768ea1af8888ebbfd5a4bda4d124"),
+    "recovery": (RECOVERY_SHAPE, "cd82ba76a2dc14576382570ee07d2b7087f70d3644ad411a6415cd7032e9274d"),
 }
 
 
@@ -63,3 +79,27 @@ class TestPlantedCohort:
         np.testing.assert_array_equal(got.abilities, abilities)
         np.testing.assert_array_equal(got.difficulties, difficulties)
 
+
+    @pytest.mark.parametrize("n_concepts", [1, 2])
+    def test_fewer_concepts_than_an_exercise_may_cover(self, n_concepts):
+        cohort = planted_cohort(n_students=4, n_exercises=40, n_concepts=n_concepts, per_student=10,
+                                seed=3)
+        per_exercise = {}
+        for eid, cid in cohort.q_pairs:
+            per_exercise.setdefault(eid, []).append(cid)
+        assert len(per_exercise) == 40
+        assert max(map(len, per_exercise.values())) == n_concepts
+        assert {cid for cids in per_exercise.values() for cid in cids} == {
+            f"c{l:02d}" for l in range(n_concepts)
+        }
+
+    @pytest.mark.parametrize("name", PINNED)
+    def test_workload_cohorts_keep_their_bytes(self, tmp_path, name):
+        shape, digest = PINNED[name]
+        cohort = planted_cohort(**shape)
+        write_cohort_csv(cohort, tmp_path / "logs.csv", tmp_path / "qmatrix.csv")
+        h = hashlib.sha256()
+        for part in ((tmp_path / "logs.csv").read_bytes(), (tmp_path / "qmatrix.csv").read_bytes(),
+                     cohort.abilities.tobytes(), cohort.difficulties.tobytes()):
+            h.update(part)
+        assert h.hexdigest() == digest
