@@ -127,6 +127,7 @@ def _split_plain(raw: bytes, text: str, header: list[str]) -> list[list[str]] | 
     flat = text.replace(eol, ",").split(",")
     stop = len(flat) - len(flat) % width  # a final line ending leaves one "" past the rows
     columns = [flat[k:stop:width] for k in range(width, 2 * width)]
+    # non-ASCII text may hold any Unicode space, so it is always stripped
     if not text.isascii() or any(c in text for c in _ASCII_PADDING):
         columns = [list(map(str.strip, col)) for col in columns]
     if any(name.endswith("_id") and not all(col) for name, col in zip(header, columns)):

@@ -309,7 +309,8 @@ class TestPlainFilesSkipTheReader:
             want_q = [tuple(row) for row in list(csv.reader(fh))[1:]]
         no_reader()
         logs = load_logs(tmp_path / "out" / "logs.csv")
-        assert [[s, e, str(int(v))] for s, e, v in zip(logs.student_ids, logs.exercise_ids, logs.scores)] == want_logs
+        rows = zip(logs.student_ids, logs.exercise_ids, map(int, logs.scores))
+        assert [[s, e, str(v)] for s, e, v in rows] == want_logs
         assert load_qmatrix(tmp_path / "out" / "qmatrix.csv") == want_q
 
     def test_a_quoted_id_loads_through_the_reader(self, cohort_files, monkeypatch):
