@@ -7,8 +7,8 @@ and one with its weight set to zero.  Afterwards we rank-correlate each
 learned variance: reliable cells should get small variances, so the
 correlation ought to be clearly negative — but only when the hinge is on.
 
-We finish with the reliability table behind ECE/MCE, the same table the
-``cogdiag export-reliability`` command writes as CSV.
+We finish with the reliability table behind ECE/MCE, the same table
+``cogdiag eval`` writes beside its predictions as ``reliability_test.csv``.
 
 Run:  python3 demos/03_calibration_study.py          (~30 s)
 """

@@ -64,7 +64,6 @@ from .training import (
     calibration_pair_loss,
     prediction_loss,
     sample_pairs,
-    train,
 )
 
 __version__ = "0.1.0"

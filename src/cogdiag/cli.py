@@ -1,17 +1,19 @@
 """Command line interface.
 
-Subcommands: train, eval, diagnose, export-ability, export-reliability.
+Subcommands: train, eval, diagnose, export-ability.
 Exit codes: 0 success, 1 runtime failure (bad data files, missing or
 mismatched checkpoint, unknown ids), 2 usage or configuration errors.
 
 ``diagnose`` and ``export-ability`` read the checkpoint alone.  ``eval``
-and ``export-reliability`` rebuild the dataset from the files recorded
-in the checkpoint and verify the id maps match, so every published
-number is reproducible from the artifacts alone.  Every file is written
-to a temporary name and then renamed over its target, so a crash never
-leaves a truncated artifact.  Published probabilities are
-rounded to six decimals, and the printed metrics are computed on those
-rounded values; recomputing from the CSV gives the same numbers.
+rebuilds the dataset from the files recorded in the checkpoint and
+verifies the id maps match, so every published number is reproducible
+from the artifacts alone.  It writes the split's predictions and, in
+the same directory, the reliability table behind its ECE and MCE.
+Every file is written to a temporary name and then renamed over its
+target, so a crash never leaves a truncated artifact.  Published
+probabilities are rounded to six decimals, and the printed metrics and
+the table are computed on those rounded values; recomputing from the
+CSV gives the same numbers.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from .data import (
     DataFormatError,
     DataValidationError,
     Dataset,
-    Splits,
     build_dataset,
     load_logs,
     load_qmatrix,
@@ -43,7 +44,7 @@ from .data import (
 )
 from .inference import check_dataset_matches, diagnose, evaluate_probs, predict_split
 from .latent import STUDENT_LOGVAR, STUDENT_MEAN
-from .metrics import MetricError, calibration, format_reliability_csv
+from .metrics import MetricError, format_reliability_csv
 from .numerics import NonFiniteGradientError, stable_sigmoid
 from .training import NonFiniteLossError, Trainer
 
@@ -88,26 +89,6 @@ def _run_config_from_checkpoint(ck: Checkpoint) -> RunConfig:
             f"checkpoint head {ck.fn} disagrees with its run_config's {cfg.diagnostic}"
         )
     return cfg
-
-
-def _eval_context(checkpoint_path: str):
-    ck = load_checkpoint(checkpoint_path)
-    cfg = _run_config_from_checkpoint(ck)
-    dataset = _load_dataset(cfg)
-    check_dataset_matches(ck, dataset)
-    splits = split_per_student(dataset, cfg.split)
-    return ck, cfg, dataset, splits
-
-
-def _split_indices(splits: Splits, name: str):
-    return {"train": splits.train, "val": splits.val, "test": splits.test}[name]
-
-
-def _published_probs(ck: Checkpoint, dataset: Dataset, indices) -> tuple[list[str], list[float]]:
-    """Predictions at ``indices`` as published: six-decimal strings, and their floats."""
-    probs = predict_split(ck, ck.fn, dataset, indices)
-    published = [f"{p:.6f}" for p in probs.tolist()]
-    return published, [float(s) for s in published]
 
 
 def _csv_ids(ids: list[str]) -> list[str]:
@@ -171,13 +152,19 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    ck, cfg, dataset, splits = _eval_context(args.checkpoint)
-    indices = _split_indices(splits, args.split)
-    # publish first, then score exactly what was published
-    published, rounded = _published_probs(ck, dataset, indices)
-    report = evaluate_probs(rounded, dataset.scores[indices], bins=cfg.bins)
-
     out = _out_path(args.out, args.checkpoint, f"predictions_{args.split}.csv")
+    reliability = out.parent / f"reliability_{args.split}.csv"
+    if out == reliability:
+        raise ConfigError(f"--out {out} is where eval writes the reliability table")
+    ck = load_checkpoint(args.checkpoint)
+    cfg = _run_config_from_checkpoint(ck)
+    dataset = _load_dataset(cfg)
+    check_dataset_matches(ck, dataset)
+    indices = getattr(split_per_student(dataset, cfg.split), args.split)
+    # publish six-decimal strings first, then score exactly what was published
+    published = [f"{p:.6f}" for p in predict_split(ck, ck.fn, dataset, indices).tolist()]
+    report = evaluate_probs([float(p) for p in published], dataset.scores[indices], bins=cfg.bins)
+
     sids, eids = _csv_ids(dataset.student_ids), _csv_ids(dataset.exercise_ids)
     rows = zip(
         dataset.s_idx[indices].tolist(),
@@ -188,6 +175,7 @@ def cmd_eval(args) -> int:
     lines = ["student_id,exercise_id,label,prob"]
     lines += [f"{sids[s]},{eids[e]},{label},{prob}" for s, e, label, prob in rows]
     atomic_write(out, "\n".join(lines) + "\n")
+    atomic_write(reliability, format_reliability_csv(report.bin_report))
 
     print(f"split {args.split} n {report.n}")
     print(f"ACC  {report.acc:.6f}")
@@ -196,6 +184,7 @@ def cmd_eval(args) -> int:
     print(f"ECE  {report.ece:.6f}")
     print(f"MCE  {report.mce:.6f}")
     print(f"predictions written to {out}")
+    print(f"reliability table written to {reliability}")
     return 0
 
 
@@ -240,19 +229,6 @@ def cmd_export_ability(args) -> int:
     return 0
 
 
-def cmd_export_reliability(args) -> int:
-    ck, cfg, dataset, splits = _eval_context(args.checkpoint)
-    indices = _split_indices(splits, args.split)
-    _, rounded = _published_probs(ck, dataset, indices)
-    report = calibration(rounded, dataset.scores[indices], bins=cfg.bins)
-
-    out = _out_path(args.out, args.checkpoint, f"reliability_{args.split}.csv")
-    atomic_write(out, format_reliability_csv(report))
-    print(f"split {args.split} ECE {report.ece:.6f} MCE {report.mce:.6f}")
-    print(f"reliability table written to {out}")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cogdiag",
@@ -264,31 +240,28 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--config", required=True, help="flat key = value config file")
     p_train.set_defaults(fn=cmd_train)
 
-    def add_eval_args(p, with_split=True):
+    def add_eval_args(p):
         p.add_argument("--checkpoint", required=True, help="checkpoint.json from train")
-        if with_split:
-            p.add_argument(
-                "--split", choices=("train", "val", "test"), default="test",
-                help="which split to score (default: test)",
-            )
         p.add_argument("--out", default=None, help="output CSV path (default: next to checkpoint)")
 
-    p_eval = sub.add_parser("eval", help="score a split and write predictions")
+    p_eval = sub.add_parser(
+        "eval", help="score a split; write predictions and, beside them, the reliability table"
+    )
     add_eval_args(p_eval)
+    p_eval.add_argument(
+        "--split", choices=("train", "val", "test"), default="test",
+        help="which split to score (default: test)",
+    )
     p_eval.set_defaults(fn=cmd_eval)
 
     p_diag = sub.add_parser("diagnose", help="per-concept mastery and confidence for one student")
-    add_eval_args(p_diag, with_split=False)
+    add_eval_args(p_diag)
     p_diag.add_argument("--student", required=True, help="student id as it appears in the logs")
     p_diag.set_defaults(fn=cmd_diagnose)
 
     p_ab = sub.add_parser("export-ability", help="dump mastery and sigma for every student")
-    add_eval_args(p_ab, with_split=False)
+    add_eval_args(p_ab)
     p_ab.set_defaults(fn=cmd_export_ability)
-
-    p_rel = sub.add_parser("export-reliability", help="dump the reliability diagram table")
-    add_eval_args(p_rel)
-    p_rel.set_defaults(fn=cmd_export_reliability)
 
     return parser
 

@@ -76,8 +76,6 @@ class EvalReport:
     mce: float
     n: int
     bin_report: BinReport
-    probs: np.ndarray
-    labels: np.ndarray
 
 
 def evaluate_probs(probs: np.ndarray, labels: np.ndarray, bins: int = 10) -> EvalReport:
@@ -90,8 +88,6 @@ def evaluate_probs(probs: np.ndarray, labels: np.ndarray, bins: int = 10) -> Eva
         mce=report.mce,
         n=len(probs),
         bin_report=report,
-        probs=np.asarray(probs, dtype=np.float64),
-        labels=np.asarray(labels, dtype=np.float64),
     )
 
 

@@ -615,8 +615,3 @@ class Trainer:
             train_counts=concept_interaction_counts(self.dataset, self.splits.train, self.fn),
             val_metrics={k.removeprefix("val_"): v for k, v in val_metrics.items()},
         )
-
-
-def train(dataset: Dataset, fn: DiagnosticFunction, cfg: TrainConfig) -> Checkpoint:
-    """Run both phases end to end and return the best checkpoint."""
-    return Trainer(dataset, fn, cfg).train()

@@ -1,5 +1,6 @@
 """End-to-end command-line flows: train, eval, diagnose, exports."""
 
+import argparse
 import csv
 import gc
 import os
@@ -15,9 +16,9 @@ import pytest
 
 import cogdiag
 from cogdiag.checkpoint import load_checkpoint, save_checkpoint
-from cogdiag.cli import main
+from cogdiag.cli import build_parser, main
 from cogdiag.config import RunConfig
-from cogdiag.metrics import acc, auc, calibration, rmse
+from cogdiag.metrics import acc, auc, calibration, format_reliability_csv, rmse
 from cogdiag.synth import planted_cohort, write_cohort_csv
 
 
@@ -174,6 +175,26 @@ class TestEval:
         assert printed["ECE"] == f"{report.ece:.6f}"
         assert printed["MCE"] == f"{report.mce:.6f}"
 
+    @pytest.mark.parametrize("split", ["test", "val"])
+    def test_reliability_table_matches_csv_recomputation(self, workspace, capsys, tmp_path, split):
+        out_path = tmp_path / "preds.csv"
+        stdout = self.run_eval(workspace, capsys, split=split, out=out_path)
+        table = tmp_path / f"reliability_{split}.csv"
+        assert stdout.splitlines()[-1] == f"reliability table written to {table}"
+        with open(out_path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        probs = [float(r["prob"]) for r in rows]
+        labels = [int(r["label"]) for r in rows]
+        expected = format_reliability_csv(calibration(probs, labels, bins=RunConfig().bins))
+        assert table.read_text() == expected
+
+    def test_out_named_as_the_reliability_table_is_usage_error(self, workspace, capsys, tmp_path):
+        out = tmp_path / "reliability_val.csv"
+        assert main(["eval", "--checkpoint", str(workspace["checkpoint"]), "--split", "val",
+                     "--out", str(out)]) == 2
+        assert "reliability table" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_deterministic_output(self, workspace, capsys, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         self.run_eval(workspace, capsys, out=a)
@@ -217,9 +238,10 @@ class TestEval:
             workspace["checkpoint"], moved,
             edit=lambda h: h["run_config"].update(logs=str(logs), qmatrix=str(qmatrix)),
         )
-        for command in ("eval", "export-reliability"):
-            assert main([command, "--checkpoint", str(moved), "--out", str(tmp_path / "o.csv")]) == 1
-            assert "disagree" in capsys.readouterr().err
+        out = tmp_path / "o.csv"
+        assert main(["eval", "--checkpoint", str(moved), "--out", str(out)]) == 1
+        assert "disagree" in capsys.readouterr().err
+        assert not out.exists() and not (tmp_path / "reliability_test.csv").exists()
 
 
 class TestUnreadableDataFiles:
@@ -517,13 +539,12 @@ class TestExports:
         assert len(rows) == 1 + workspace["n_students"] * workspace["n_concepts"]
 
     def test_reliability_has_row_per_bin(self, workspace, capsys, tmp_path):
-        out = tmp_path / "rel.csv"
         code = main([
-            "export-reliability", "--checkpoint", str(workspace["checkpoint"]),
-            "--split", "test", "--out", str(out),
+            "eval", "--checkpoint", str(workspace["checkpoint"]),
+            "--split", "test", "--out", str(tmp_path / "preds.csv"),
         ])
         assert code == 0
-        rows = out.read_text().splitlines()
+        rows = (tmp_path / "reliability_test.csv").read_text().splitlines()
         assert rows[0] == "bin,lo,hi,count,frac_correct,avg_prob,gap"
         assert len(rows) == 1 + 10
 
@@ -649,6 +670,19 @@ class TestParser:
             main(["frobnicate"])
         assert err.value.code == 2
 
+    def test_export_reliability_is_gone(self):
+        with pytest.raises(SystemExit) as err:
+            main(["export-reliability", "--checkpoint", "checkpoint.json"])
+        assert err.value.code == 2
+
+    def test_readme_command_block_names_every_subcommand(self):
+        readme = Path(cogdiag.__file__).resolve().parents[2] / "README.md"
+        named = set(re.findall(r"^cogdiag ([\w-]+)", readme.read_text(), re.M))
+        (commands,) = [
+            a.choices for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        ]
+        assert named == set(commands)
+
     def test_console_script_installed(self):
         # check the declared script and `python -m cogdiag` against the
         # same src/ this test imported, whether or not it is installed
@@ -664,7 +698,9 @@ class TestParser:
         for command in commands:
             proc = subprocess.run(command, capture_output=True, text=True, env=env)
             assert proc.returncode == 0, proc.stderr
-            assert "train" in proc.stdout and "export-reliability" in proc.stdout
+            for name in ("train", "eval", "diagnose", "export-ability"):
+                assert name in proc.stdout
+            assert "export-reliability" not in proc.stdout
 
 
 def declared_scripts(pyproject):

@@ -456,7 +456,6 @@ class TestEvaluation:
             trainer.store, trainer.fn, ds, trainer.splits.test, bins=5
         )
         assert report.n == len(trainer.splits.test)
-        assert len(report.probs) == report.n
         assert report.bin_report.counts.sum() == report.n
         assert 0.0 <= report.ece <= 1.0
 
