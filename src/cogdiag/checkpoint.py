@@ -96,20 +96,26 @@ def _whole_counts(counts: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     return counts.astype(np.int64)
 
 
-def atomic_write(path, content: str | bytes) -> None:
+def atomic_write(path, content) -> None:
     """Write ``content`` to ``path``; readers see the old file or the whole new one.
 
-    A str is written as UTF-8.  The bytes go to a temporary file in the
-    same directory, which replaces ``path`` once complete; if anything
-    fails first, the temporary file is deleted and ``path`` is untouched.
+    ``content`` is a str, written as UTF-8, a bytes object, or an
+    iterable of bytes-like buffers written one after another, so a
+    caller with several large buffers never joins them into a copy.  The
+    bytes go to a temporary file in the same directory, which replaces
+    ``path`` once complete; if anything fails first, the iterable
+    included, the temporary file is deleted and ``path`` is untouched.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     if isinstance(content, str):
         content = content.encode("utf-8")
+    if isinstance(content, bytes):
+        content = [content]
     try:
         with open(tmp, "wb") as fh:
-            fh.write(content)
+            for part in content:
+                fh.write(part)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -136,8 +142,8 @@ def save_checkpoint(ck: Checkpoint, path) -> None:
     }
     header = json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False)
     header += " " * (-(len(header) + 1) % 8)  # the arrays start 8-byte aligned
-    # arrays join as their raw buffers, with no tobytes() copy each
-    atomic_write(path, b"".join([header.encode("ascii"), b"\n", *(arr for _, arr in arrays)]))
+    # each array is written from its own buffer: no tobytes() copy, no joined file image
+    atomic_write(path, [header.encode("ascii"), b"\n", *(arr for _, arr in arrays)])
 
 
 def load_checkpoint(path) -> Checkpoint:

@@ -294,6 +294,11 @@ def _first_seen_index(ids: list[str]) -> tuple[dict[str, int], np.ndarray]:
     return dict(zip(first_at, range(len(first_at)))), number[at]
 
 
+def _fresh_copies(ids) -> list[str]:
+    """Each id as a new string object equal to it, lone surrogates included."""
+    return [i.encode("utf-8", "surrogatepass").decode("utf-8", "surrogatepass") for i in ids]
+
+
 def build_dataset(logs: LogColumns, q_pairs: list[tuple[str, str]], min_logs: int = 15) -> Dataset:
     """Filter sparse students, then index everything densely.
 
@@ -344,10 +349,14 @@ def build_dataset(logs: LogColumns, q_pairs: list[tuple[str, str]], min_logs: in
             f"{len(missing)} exercise(s) have no Q-matrix concepts (e.g. {shown})"
         )
 
+    # The ids are copied out of the input.  Each first-seen id taken from a
+    # parsed file is a small string among the hundreds of thousands of the
+    # log columns, so holding it would keep those columns' allocator arenas
+    # resident (tens of MB on an ASSIST-size file) after they are freed.
     return Dataset(
-        student_ids=list(students),
-        exercise_ids=list(exercises),
-        concept_ids=list(concepts),
+        student_ids=_fresh_copies(students),
+        exercise_ids=_fresh_copies(exercises),
+        concept_ids=_fresh_copies(concepts),
         s_idx=s_idx,
         e_idx=e_idx,
         scores=np.array(scores, dtype=np.float64),

@@ -42,6 +42,11 @@ def predict_split(
     ncd the widest of it and the hidden layers.  That gives 256 rows at
     ncd's 512-wide layer, while irt and mirt keep large blocks.
 
+    The student means are squashed once, whole, since a split reads each
+    student many times.  The exercise tables can be far larger than what
+    a split reads of them, so each block squashes only the rows it
+    gathers, and no whole-table copy of them is made.
+
     Blocks move time and memory, not bits.  BLAS kernels step through
     rows 4 to 16 at a time and sum the leftover rows differently, so the
     default block is a multiple of 64 rows: every row then sits where one
@@ -50,8 +55,7 @@ def predict_split(
     """
     indices = np.asarray(indices, dtype=np.int64)
     theta_all = stable_sigmoid(model.params[STUDENT_MEAN])
-    diff_all = stable_sigmoid(model.params[EXERCISE_DIFF])
-    disc_all = stable_sigmoid(model.params[EXERCISE_DISC])
+    diff, disc = model.params[EXERCISE_DIFF], model.params[EXERCISE_DISC]
     if chunk is None:
         width = max([theta_all.shape[1], *(fn.mlp_hidden if fn.variant == "ncd" else ())])
         chunk = max(64, BLOCK_BYTES // (8 * width) // 64 * 64)
@@ -62,7 +66,9 @@ def predict_split(
     for hi in [*range(chunk, n - chunk + 1, chunk), n]:
         part = indices[lo:hi]
         theta, e = theta_all[dataset.s_idx[part]], dataset.e_idx[part]
-        out[lo:hi] = fn.predict(theta, diff_all[e], disc_all[e], fn.q_rows(dataset, e), model)
+        out[lo:hi] = fn.predict(
+            theta, stable_sigmoid(diff[e]), stable_sigmoid(disc[e]), fn.q_rows(dataset, e), model
+        )
         lo = hi
     return out
 

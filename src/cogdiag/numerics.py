@@ -72,6 +72,12 @@ class ParameterStore:
     gradients are tracked per touched row, letting :func:`adam_step`
     update only those rows when the caller opts into lazy mode.  Dense
     mode ignores the bookkeeping and is bit-exact textbook Adam.
+
+    Each parameter is stored as one float64 copy of the value given to
+    :meth:`add`.  Its gradient and moment buffers come from ``np.zeros``
+    (calloc): a large buffer is mapped zero pages that take memory only
+    once written, so a store that never steps, as in a zero-epoch run,
+    holds little more than its parameters.
     """
 
     def __init__(self):
@@ -90,9 +96,9 @@ class ParameterStore:
             raise ValueError(f"parameter {name!r} already registered")
         arr = np.array(value, dtype=np.float64)
         self.params[name] = arr
-        self.grads[name] = np.zeros_like(arr)
-        self.m[name] = np.zeros_like(arr)
-        self.v[name] = np.zeros_like(arr)
+        self.grads[name] = np.zeros(arr.shape)
+        self.m[name] = np.zeros(arr.shape)
+        self.v[name] = np.zeros(arr.shape)
         self._touched[name] = None
         if row_sparse:
             if arr.ndim != 2:
@@ -129,7 +135,13 @@ class ParameterStore:
             self._touched[name] = None
 
     def reset_moments(self) -> None:
-        """Clear Adam state: both moment buffers and the step counter."""
+        """Clear Adam state: both moment buffers and the step counter.
+
+        Only :func:`adam_step` writes the moments, so before its first
+        step they are still zero and are left untouched.
+        """
+        if self.step_count == 0:
+            return
         for name in self.params:
             self.m[name][:] = 0.0
             self.v[name][:] = 0.0

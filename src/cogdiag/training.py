@@ -599,13 +599,14 @@ class Trainer:
         return self.to_checkpoint(best_epoch, best_val)
 
     def to_checkpoint(self, best_epoch: int, val_metrics: dict) -> Checkpoint:
+        """The trained model; its ``params`` are the store's own arrays, not copies."""
         # bound per call, not at import, so a wrapper patched onto inference is seen
         from .inference import concept_interaction_counts
 
         consensus = self.prior.mean if self.prior is not None else None
         return Checkpoint(
             fn=self.fn,
-            params=self.store.copy_params(),
+            params=dict(self.store.params),
             consensus_mean=None if consensus is None else consensus.copy(),
             student_ids=list(self.dataset.student_ids),
             exercise_ids=list(self.dataset.exercise_ids),

@@ -664,6 +664,53 @@ class TestDescriptors:
         assert str(logs) in capsys.readouterr().err
 
 
+# The peak is read as VmHWM, not ru_maxrss: a child started by (v)fork and
+# exec carries its parent's resident high-water mark in ru_maxrss, so a
+# large test process would set the child's figure.
+MEASURE_TRAIN = """
+import os, re, sys
+from cogdiag.cli import main
+with open("/proc/self/statm") as fh:
+    before = int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+code = main(["train", "--config", sys.argv[1]])
+with open("/proc/self/status") as fh:
+    peak = int(re.search(r"^VmHWM:\\s*(\\d+) kB", fh.read(), re.M).group(1)) * 1024
+print(code, before, peak)
+"""
+
+
+class TestMemory:
+    @pytest.mark.skipif(not Path("/proc/self/statm").exists(), reason="needs /proc/self/statm")
+    def test_zero_epoch_train_holds_few_copies_of_its_parameters(self, tmp_path):
+        # a zero-epoch train reads its parameters once, to write them: its
+        # peak should stay a small multiple of the checkpoint it writes.
+        # Measured in a fresh process, so this process's own peak cannot
+        # hide the rise.
+        cohort = planted_cohort(
+            n_students=300, n_exercises=10_000, n_concepts=123, per_student=100, seed=3
+        )
+        logs, qmatrix = tmp_path / "logs.csv", tmp_path / "q.csv"
+        write_cohort_csv(cohort, logs, qmatrix)
+        config = tmp_path / "run.cfg"
+        config.write_text(
+            f"logs = {logs}\nqmatrix = {qmatrix}\noutput_dir = {tmp_path / 'run'}\n"
+            "variant = ncd\nmin_logs = 1\nmax_epochs = 0\npretrain_epochs = 0\nseed = 3\n"
+        )
+        src = Path(cogdiag.__file__).resolve().parents[1]
+        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", MEASURE_TRAIN, str(config)],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
+        )
+        assert proc.returncode == 0, proc.stderr
+        code, before, peak = map(int, proc.stdout.splitlines()[-1].split())
+        assert code == 0
+        size = (tmp_path / "run" / "checkpoint.json").stat().st_size
+        assert peak - before < 3 * size, (
+            f"train raised the peak RSS by {(peak - before) / size:.2f}x its {size} B checkpoint"
+        )
+
+
 class TestParser:
     def test_unknown_command_exits_two(self):
         with pytest.raises(SystemExit) as err:

@@ -412,6 +412,23 @@ class TestBuildDataset:
         np.testing.assert_array_equal(ds.concept_ptr, [0, 2, 3])
         np.testing.assert_array_equal(ds.concept_idx, [0, 1, 1])
 
+    def test_ids_are_equal_copies_not_the_input_strings(self):
+        # ids taken straight from a parsed file would each pin an
+        # allocator arena of the freed log columns; the dataset holds
+        # copies.  Lone surrogates and surrogate pairs survive the copy.
+        sids = ["stu-a", "stu-\ud800", "stu-b", "stu-a", "stu-\U0001f600"]
+        eids = ["ex-1", "ex-\udfff\ud83d", "ex-1", "ex-\u00e9t\u00e9", "ex-1"]
+        pairs = [("ex-1", "con-x"), ("ex-\udfff\ud83d", "con-\ud83d\ude00"),
+                 ("ex-\u00e9t\u00e9", "con-x"), ("ex-unused", "con-y")]
+        ds = build_dataset(LogColumns(sids, eids, np.ones(5)), pairs, min_logs=1)
+        assert ds.student_ids == ["stu-a", "stu-\ud800", "stu-b", "stu-\U0001f600"]
+        assert ds.exercise_ids == ["ex-1", "ex-\udfff\ud83d", "ex-\u00e9t\u00e9"]
+        assert ds.concept_ids == ["con-x", "con-\ud83d\ude00"]
+        assert [len(c) for c in ds.concept_ids] == [5, 6]  # the pair stays two code points
+        given = {id(i) for i in [*sids, *eids, *(i for pair in pairs for i in pair)]}
+        held = [*ds.student_ids, *ds.exercise_ids, *ds.concept_ids]
+        assert not given & {id(i) for i in held}
+
     def test_student_index_lookup(self, logs_csv, q_csv):
         ds = build_dataset(load_logs(logs_csv), load_qmatrix(q_csv), min_logs=1)
         assert ds.student_index("s2") == 1

@@ -5,6 +5,7 @@ import json
 import math
 import mmap
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,12 +14,18 @@ from cogdiag.checkpoint import (
     Checkpoint,
     CheckpointError,
     FORMAT_VERSION,
+    atomic_write,
     load_checkpoint,
     save_checkpoint,
 )
 from cogdiag.cli import main
 from cogdiag.data import LogColumns, build_dataset
-from cogdiag.diagnostics import DiagnosticFunction
+from cogdiag.diagnostics import (
+    EXERCISE_DIFF,
+    EXERCISE_DISC,
+    DiagnosticFunction,
+    parameter_layout,
+)
 from cogdiag.inference import (
     BLOCK_BYTES,
     check_dataset_matches,
@@ -27,7 +34,8 @@ from cogdiag.inference import (
     evaluate_store,
     predict_split,
 )
-from cogdiag.numerics import adam_step
+from cogdiag.latent import STUDENT_MEAN
+from cogdiag.numerics import adam_step, stable_sigmoid
 from cogdiag.synth import planted_cohort
 from cogdiag.training import TrainConfig, Trainer
 
@@ -321,6 +329,58 @@ class TestCheckpointIO:
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == ["ck.json"]
 
+    def test_atomic_write_writes_a_sequence_of_buffers_in_order(self, tmp_path):
+        path = tmp_path / "out.bin"
+        path.write_bytes(b"old")
+        arr = np.arange(3.0).reshape(3, 1)
+        atomic_write(path, [b"head\n", bytearray(b"ab"), memoryview(b"cd"), arr, b""])
+        assert path.read_bytes() == b"head\nabcd" + arr.tobytes()
+        atomic_write(path, b"plain bytes")
+        assert path.read_bytes() == b"plain bytes"
+        atomic_write(path, "text \u00e9")
+        assert path.read_bytes() == "text \u00e9".encode("utf-8")
+        assert os.listdir(tmp_path) == ["out.bin"]
+
+    def test_atomic_write_failing_sequence_leaves_old_target(self, tmp_path):
+        path = tmp_path / "out.bin"
+        path.write_bytes(b"old")
+
+        def parts():
+            yield b"new part, "
+            raise RuntimeError("source failed midway")
+
+        with pytest.raises(RuntimeError, match="midway"):
+            atomic_write(path, parts())
+        assert path.read_bytes() == b"old"
+        assert os.listdir(tmp_path) == ["out.bin"]
+
+    def test_save_writes_arrays_without_a_whole_file_copy(self, tmp_path):
+        # ncd with wide hidden layers: mlp_w2 alone is 2048 x 512 floats (8 MiB)
+        fn = DiagnosticFunction("ncd", mlp_hidden=(2048, 512))
+        rng = np.random.default_rng(0)
+        params = {name: rng.normal(size=shape)
+                  for name, shape, _ in parameter_layout(fn, 20, 30, 4)}
+        assert sum(arr.nbytes for arr in params.values()) >= 8 << 20
+        ck = Checkpoint(
+            fn=fn, params=params, consensus_mean=np.zeros(4),
+            student_ids=[f"s{i}" for i in range(20)],
+            exercise_ids=[f"e{i}" for i in range(30)],
+            concept_ids=[f"c{i}" for i in range(4)],
+            run_config={}, best_epoch=0,
+            train_counts=np.ones((20, 4), dtype=np.int64), val_metrics={},
+        )
+        path = tmp_path / "ck.json"
+        tracemalloc.start()
+        try:
+            save_checkpoint(ck, path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, f"save_checkpoint traced a peak of {peak} bytes"
+        back = load_checkpoint(path)
+        for name, arr in params.items():
+            assert same_bits(back.params[name], arr)
+
     def test_malformed_json_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
@@ -421,6 +481,26 @@ class TestEvaluation:
                 predict_split(ck, fn, ds, tailed),
                 predict_split(ck, fn, ds, tailed, chunk=len(tailed)),
             )
+
+    @pytest.mark.parametrize("variant", ["irt", "mirt", "ncd"])
+    def test_blocks_match_a_whole_table_reference(self, variant):
+        # the exercise tables are squashed per block of gathered rows; the
+        # sigmoid is elementwise, so that equals squashing the whole
+        # tables first and gathering from them, bit for bit
+        ds = toy_dataset()
+        _, ck = trained_checkpoint(ds, variant, mlp_hidden=(512, 256))
+        fn = ck.fn
+        idx = np.resize(np.arange(ds.n_interactions), 600)[::-1].copy()
+        e = ds.e_idx[idx]
+        reference = fn.predict(
+            stable_sigmoid(ck.params[STUDENT_MEAN])[ds.s_idx[idx]],
+            stable_sigmoid(ck.params[EXERCISE_DIFF])[e],
+            stable_sigmoid(ck.params[EXERCISE_DISC])[e],
+            fn.q_rows(ds, e),
+            ck,
+        )
+        for chunk in (64, None, len(idx)):
+            assert same_bits(predict_split(ck, fn, ds, idx, chunk=chunk), reference)
 
     @pytest.mark.parametrize("variant", ["irt", "mirt", "ncd"])
     def test_loaded_checkpoint_serves_the_trained_store_bits(self, tmp_path, variant):

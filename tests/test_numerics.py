@@ -304,6 +304,24 @@ class TestAdamStep:
         assert store.step_count == 0
         assert np.all(store.m["w"] == 0.0) and np.all(store.v["w"] == 0.0)
 
+    def test_reset_moments_before_any_step_leaves_zero_moments(self):
+        # before the first step reset_moments writes nothing, so the
+        # moments must still read as the zeros add() allocated
+        store = ParameterStore()
+        store.add("emb", np.ones((6, 3)), row_sparse=True)
+        store.add("b", np.ones(3))
+        store.reset_moments()
+        assert store.step_count == 0
+        for name in store.params:
+            assert not store.m[name].any() and not store.v[name].any()
+        store.grads["b"][:] = 1.0
+        adam_step(store, 0.002)
+        store.reset_moments()
+        store.reset_moments()  # a second reset, at step 0 again
+        assert store.step_count == 0
+        for name in store.params:
+            assert not store.m[name].any() and not store.v[name].any()
+
 
 class TestGradCheck:
     def test_quadratic(self):

@@ -455,6 +455,16 @@ class TestTrainer:
         assert ck.best_epoch == -1
         assert ck.val_metrics == {}
 
+    def test_checkpoint_holds_the_store_arrays_uncopied(self):
+        ds = tiny_dataset(seed=8)
+        cfg = quick_config(max_epochs=1, pretrain_epochs=1)
+        trainer = Trainer(ds, DiagnosticFunction("mirt"), cfg)
+        ck = trainer.train()
+        assert ck.params is not trainer.store.params
+        assert ck.params.keys() == trainer.store.params.keys()
+        for name, arr in trainer.store.params.items():
+            assert ck.params[name] is arr
+
     def test_tracker_counts_only_phase_two(self):
         ds = tiny_dataset(seed=4)
         fn = DiagnosticFunction("mirt")
