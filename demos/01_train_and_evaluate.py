@@ -58,7 +58,7 @@ print(f"test ECE  {report.ece:.4f}")
 
 print()
 print("=== 4. sanity-check recovery against the planted truth ===")
-rows = [dataset.student_index(f"s{i:04d}") for i in range(dataset.n_students)]
+rows = [dataset.student_ids.index(f"s{i:04d}") for i in range(dataset.n_students)]
 mastery = 1.0 / (1.0 + np.exp(-checkpoint.params["student_mu"][rows]))
 col_of = {cid: k for k, cid in enumerate(dataset.concept_ids)}
 for k in range(dataset.n_concepts):

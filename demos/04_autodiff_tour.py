@@ -3,7 +3,7 @@
 
 Training differentiates one objective: binary cross-entropy, a KL toward
 the prior and the calibration hinge.  Each piece returns its value and
-its vector-Jacobian product (``vjp=True``), and a training step records
+its vector-Jacobian product (the heads with ``vjp=True``), and a training step records
 the whole objective as one Node over the parameter leaves it reads; one
 call of that Node's VJP writes every gradient into the store.  This demo
 checks that gradient against central finite differences, then shows the

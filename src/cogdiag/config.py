@@ -34,7 +34,6 @@ class RunConfig(TrainConfig):
     variant: str = "ncd"
     output_dir: str = "run"
     min_logs: int = 15
-    bins: int = 10
     mlp_hidden1: int = DiagnosticFunction.mlp_hidden[0]
     mlp_hidden2: int = DiagnosticFunction.mlp_hidden[1]
 
@@ -42,8 +41,6 @@ class RunConfig(TrainConfig):
         problems = []
         if not (self.min_logs >= 1):
             problems.append(f"min_logs must be at least 1, got {self.min_logs}")
-        if not (self.bins >= 1):
-            problems.append(f"bins must be at least 1, got {self.bins}")
         try:
             self.diagnostic
         except ValueError as exc:

@@ -275,12 +275,6 @@ class Dataset:
         q[np.repeat(np.arange(self.n_exercises), np.diff(self.concept_ptr)), self.concept_idx] = 1.0
         return q
 
-    def student_index(self, student_id: str) -> int:
-        try:
-            return self.student_ids.index(student_id)
-        except ValueError:
-            raise KeyError(f"unknown student id {student_id!r}") from None
-
 
 def _first_seen_index(ids: list[str]) -> tuple[dict[str, int], np.ndarray]:
     """Number ids by first appearance: (id -> number, each entry's number as int64).

@@ -8,9 +8,9 @@ variance.  The variance doubles as a confidence readout: small means
 the model has settled, large means it is still guessing.
 
 The helpers below work on plain ndarrays.  Those the training objective
-differentiates take ``vjp=True`` and then also return their gradient
-function, which replays the backward pass of the one-op reference chain
-in ``tests/reftape.py``.
+differentiates return their value with its gradient function, which
+replays the backward pass of the one-op reference chain in
+``tests/reftape.py``.
 """
 
 from __future__ import annotations
@@ -49,21 +49,17 @@ def apply_dropout_mask(variance, mask: np.ndarray, alpha: float):
     return np.where(mask, variance, alpha)
 
 
-def draw_ability(mean, variance, eps: np.ndarray, vjp: bool = False):
-    """z = mu + sqrt(variance) * eps, theta = sigmoid(z); returns (z, theta).
+def draw_ability(mean, variance, eps: np.ndarray):
+    """theta = sigmoid(mean + sqrt(variance) * eps) with its gradient function.
 
-    ``vjp=True`` returns theta and its gradient function instead,
-    ``g -> (d mean, d variance)``.  It takes mean, variance and eps of
-    one shape, (B, d) in training, and ``g`` of that shape.  It replays
-    the backward pass of the sqrt -> mul -> add -> sigmoid reference
-    chain op for op, so gradients match the composed ops to the bit.
-    ``eps`` is data and gets no gradient.
+    The gradient function, ``g -> (d mean, d variance)``, takes mean,
+    variance and eps of one shape, (B, d) in training, and ``g`` of that
+    shape.  It replays the backward pass of the sqrt -> mul -> add ->
+    sigmoid reference chain op for op, so gradients match the composed
+    ops to the bit.  ``eps`` is data and gets no gradient.
     """
     sd = np.sqrt(variance)
-    z = mean + sd * eps
-    theta = stable_sigmoid(z)
-    if not vjp:
-        return z, theta
+    theta = stable_sigmoid(mean + sd * eps)
     safe = np.maximum(sd, 1e-150)
 
     def grads(g):
@@ -73,14 +69,14 @@ def draw_ability(mean, variance, eps: np.ndarray, vjp: bool = False):
     return theta, grads
 
 
-def kl_consensus(mean, variance, prior: PriorConsensus, vjp: bool = False):
+def kl_consensus(mean, variance, prior: PriorConsensus):
     """KL(N(mean, variance) || N(prior.mean, I)), summed over the trailing axis.
 
     0.5 * sum((mean - prior.mean)^2 + variance - log(variance) - 1) per
     occurrence, with the log argument floored at ``numerics.LOG_FLOOR``.
-    ``vjp=True`` also returns the gradient function, which replays the
-    composed reference ops' backward pass.  It takes mean and variance of
-    one shape, (B, d) in training, and maps ``g``, (B,), to (d mean, d
+    Returns it with its gradient function, which replays the composed
+    reference ops' backward pass.  That takes mean and variance of one
+    shape, (B, d) in training, and maps ``g``, (B,), to (d mean, d
     variance via the linear term, d variance via the log): the one-op
     chain adds those two contributions to the variance gradient as
     separate steps, and the variance usually has other consumers whose
@@ -97,7 +93,7 @@ def kl_consensus(mean, variance, prior: PriorConsensus, vjp: bool = False):
         g = np.broadcast_to(np.expand_dims(g * 0.5, -1), inner.shape)
         return g * 2.0 * gap, g, -g * inside / floored
 
-    return (out, grads) if vjp else out
+    return out, grads
 
 
 def compute_consensus(means: np.ndarray) -> PriorConsensus:

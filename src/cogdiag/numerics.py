@@ -73,8 +73,9 @@ class ParameterStore:
     update only those rows when the caller opts into lazy mode.  Dense
     mode ignores the bookkeeping and is bit-exact textbook Adam.
 
-    Each parameter is stored as one float64 copy of the value given to
-    :meth:`add`.  Its gradient and moment buffers come from ``np.zeros``
+    :meth:`add` takes ownership of a float64 array, with no copy, so the
+    caller must not hand one array to two stores; any other value is
+    converted once.  Its gradient and moment buffers come from ``np.zeros``
     (calloc): a large buffer is mapped zero pages that take memory only
     once written, so a store that never steps, as in a zero-epoch run,
     holds little more than its parameters.
@@ -94,7 +95,7 @@ class ParameterStore:
     def add(self, name: str, value: np.ndarray, row_sparse: bool = False) -> None:
         if name in self.params:
             raise ValueError(f"parameter {name!r} already registered")
-        arr = np.array(value, dtype=np.float64)
+        arr = np.asarray(value, dtype=np.float64)
         self.params[name] = arr
         self.grads[name] = np.zeros(arr.shape)
         self.m[name] = np.zeros(arr.shape)

@@ -72,7 +72,8 @@ class TrainConfig:
     ``pretrain_epochs`` takes -1 for "same as ``max_epochs``".  Each
     phase-two batch attempts ``batch_size`` calibration pairs.  Variance
     dropout keeps an entry with probability ``dropout_keep`` or pins it
-    to ``dropout_alpha``.
+    to ``dropout_alpha``.  Validation's ECE, like ``eval``'s, has
+    ``bins`` reliability bins.
     """
 
     gamma: float = 1e-4
@@ -88,6 +89,7 @@ class TrainConfig:
     calibration_sign: str = "consistent"
     dropout_alpha: float = 0.5
     dropout_keep: float = 0.5
+    bins: int = 10
 
     def __post_init__(self):
         problems = self._problems()
@@ -124,6 +126,8 @@ class TrainConfig:
             problems.append(f"dropout alpha must be positive, got {self.dropout_alpha}")
         if not (0 < self.dropout_keep <= 1):
             problems.append(f"dropout keep_probability must be in (0, 1], got {self.dropout_keep}")
+        if not (self.bins >= 1):
+            problems.append(f"bins must be at least 1, got {self.bins}")
         return problems
 
     @property
@@ -177,17 +181,15 @@ class CorrectnessTracker:
         return s, c, self.hits[s, c] / self.seen[s, c]
 
 
-def prediction_loss(probs, labels, vjp: bool = False):
-    """Mean binary cross-entropy of an array of probabilities.
+def prediction_loss(probs, labels):
+    """Mean binary cross-entropy of an array of probabilities, with its gradient function.
 
-    Both logs floor their argument at ``numerics.LOG_FLOOR``.
-    ``vjp=True`` returns the loss with its gradient function, ``g -> (d
-    probs,)`` for probs and labels of one shape, (B,) in training, and a
-    0-d ``g``.  It replays the backward pass of the composed log/mul/
-    sub/add/mean/negate chain of ``tests/reftape.py``, so it matches
-    that chain to the bit.  As with the chain's mean, that loss
-    multiplies by 1/n where the plain value divides by n; the two can
-    differ in the last bit.
+    Both logs floor their argument at ``numerics.LOG_FLOOR``.  The
+    gradient function, ``g -> (d probs,)``, takes probs and labels of one
+    shape, (B,) in training, and a 0-d ``g``.  It replays the backward
+    pass of the composed log/mul/sub/add/mean/negate chain of
+    ``tests/reftape.py``, so it matches that chain to the bit; as in the
+    chain's mean, the loss multiplies the sum by 1/n.
     """
     labels = np.asarray(labels, dtype=np.float64)
     yv = np.asarray(probs, dtype=np.float64)
@@ -198,8 +200,6 @@ def prediction_loss(probs, labels, vjp: bool = False):
     n = per.size
     if n == 0:
         raise ValueError("mean of an empty axis")
-    if not vjp:
-        return (per.sum() / float(n)) * -1.0
     inv_n = 1.0 / np.asarray(float(n))
     inside_y = yv >= LOG_FLOOR
     inside_miss = miss >= LOG_FLOOR
@@ -213,7 +213,7 @@ def prediction_loss(probs, labels, vjp: bool = False):
     return (per.sum() * inv_n) * -1.0, grads
 
 
-def calibration_pair_loss(var_a, var_b, o_a, o_b, sign_mode: str = "consistent", vjp: bool = False):
+def calibration_pair_loss(var_a, var_b, o_a, o_b, sign_mode: str = "consistent"):
     """Hinge on a variance pair with the correctness gap as margin.
 
     ``consistent`` orients the hinge so that the side with higher
@@ -221,8 +221,8 @@ def calibration_pair_loss(var_a, var_b, o_a, o_b, sign_mode: str = "consistent",
     the ranking the confidence story wants.  ``literal`` keeps the
     flipped orientation some published implementations of this loss
     ship with; it penalizes the opposite ordering.  Ties in correctness
-    contribute exactly zero either way.  ``vjp=True`` also returns the
-    gradient function, ``g -> (d var_a, d var_b)``.
+    contribute exactly zero either way.  Returns the per-pair hinge with
+    its gradient function, ``g -> (d var_a, d var_b)``.
     """
     if sign_mode not in SIGN_MODES:
         raise ValueError(f"sign_mode must be one of {SIGN_MODES}")
@@ -233,8 +233,6 @@ def calibration_pair_loss(var_a, var_b, o_a, o_b, sign_mode: str = "consistent",
         direction = -direction
     margin = np.abs(o_a - o_b)
     hinge = np.maximum((var_a - var_b) * direction + margin, 0.0)
-    if not vjp:
-        return hinge
     active = hinge > 0.0  # where the hinge's argument is positive
 
     def grads(g):  # back through the hinge, add, mul and sub, as the reference chain runs them
@@ -324,17 +322,22 @@ def draw_batch_noise(
     fn: DiagnosticFunction,
     cfg: TrainConfig,
     batch_idx: np.ndarray,
-    tracker: CorrectnessTracker | None,
+    tracker: CorrectnessTracker,
     rng_sampling: np.random.Generator,
     rng_dropout: np.random.Generator,
-    rng_pairing: np.random.Generator | None = None,
+    rng_pairing: np.random.Generator,
 ) -> BatchNoise:
+    """One step's reparameterization draws, dropout mask and, iff ``cfg.beta > 0``, pairs.
+
+    Phase one trains on ``beta = 0``, so it draws nothing from
+    ``rng_pairing``.
+    """
     B = len(batch_idx)
     d = fn.latent_dim(dataset.n_concepts)
     eps = rng_sampling.standard_normal((B, d))
     keep = dropout_mask((B, d), cfg.dropout_keep, rng_dropout)
     pairs = None
-    if rng_pairing is not None and tracker is not None and cfg.beta > 0:
+    if cfg.beta > 0:
         pairs = sample_pairs(
             dataset.s_idx[batch_idx], dataset.e_idx[batch_idx], fn.cells(dataset), tracker,
             cfg.batch_size, rng_pairing,
@@ -376,10 +379,10 @@ def build_batch_graph(
     touched rows.  The forward pass takes the float operations of the
     objective written as one reference op per step (``tests/reftape.py``):
     the draw, the head, the KL, the hinge and the BCE each give their
-    value and VJP (``vjp=True``).  The Node's VJP replays that op-by-op
-    graph's backward pass, var_hat summing five contributions in order (draw,
-    KL linear, KL log, pair side a, pair side b), so the store receives
-    the same bits.
+    value and VJP.  The Node's VJP replays that op-by-op graph's backward
+    pass, var_hat summing five contributions in order (draw, KL linear,
+    KL log, pair side a, pair side b), so the store receives the same
+    bits.
     """
     s, e, r = dataset.s_idx[batch_idx], dataset.e_idx[batch_idx], dataset.scores[batch_idx]
     students, s_at = np.unique(s, return_inverse=True)
@@ -397,14 +400,14 @@ def build_batch_graph(
     var_at = var[s_at]
     var_hat = apply_dropout_mask(var_at, keep, cfg.dropout_alpha)
     mu_at = mu[s_at]
-    theta, theta_grads = draw_ability(mu_at, var_hat, noise.eps, vjp=True)
+    theta, theta_grads = draw_ability(mu_at, var_hat, noise.eps)
     diff = stable_sigmoid(leaves[2].value)[e_at]
     disc = stable_sigmoid(leaves[3].value)[e_at] if trains_disc else None
     y, head_grads = fn.predict(theta, diff, disc, fn.q_rows(dataset, e), store, vjp=True)
-    l_pred, bce_grads = prediction_loss(y, r, vjp=True)
+    l_pred, bce_grads = prediction_loss(y, r)
     total, l_kl, l_rl = l_pred, 0.0, 0.0
     if cfg.gamma > 0:
-        kl_vec, kl_grads = kl_consensus(mu_at, var_hat, prior or STANDARD_PRIOR, vjp=True)
+        kl_vec, kl_grads = kl_consensus(mu_at, var_hat, prior or STANDARD_PRIOR)
         inv_kl = 1.0 / np.asarray(float(kl_vec.size))
         l_kl = kl_vec.sum() * inv_kl
         total = total + l_kl * np.asarray(cfg.gamma)
@@ -413,7 +416,7 @@ def build_batch_graph(
     if with_pairs:
         hinge, hinge_grads = calibration_pair_loss(
             var_hat[p.pos_a, p.cell_a], var_hat[p.pos_b, p.cell_b], p.o_a, p.o_b,
-            cfg.calibration_sign, vjp=True,
+            cfg.calibration_sign,
         )
         inv_pairs = 1.0 / np.asarray(float(p.count))
         l_rl = hinge.sum() * inv_pairs
@@ -528,10 +531,10 @@ class Trainer:
                 self.fn,
                 cfg,
                 batch_idx,
-                self.tracker if phase == 2 else None,
+                self.tracker,
                 self._streams["sampling"],
                 self._streams["dropout"],
-                self._streams["pairing"] if phase == 2 else None,
+                self._streams["pairing"],
             )
             try:
                 breakdown, probs = batch_loss(
@@ -555,7 +558,9 @@ class Trainer:
         # bound per call, not at import, so a wrapper patched onto inference is seen
         from .inference import evaluate_store
 
-        report = evaluate_store(self.store, self.fn, self.dataset, self.splits.val)
+        report = evaluate_store(
+            self.store, self.fn, self.dataset, self.splits.val, bins=self.cfg.bins
+        )
         return {"val_acc": report.acc, "val_auc": report.auc, "val_ece": report.ece}
 
     def _run_phase(self, phase: int, max_epochs: int, cfg: TrainConfig):

@@ -113,8 +113,8 @@ def test_criterion_01_kl_matches_monte_carlo():
         variance = np.exp(rng.uniform(-1.0, 0.5, size=d))
         prior = rng.normal(0.0, 0.5, size=d)
 
-        closed_std = float(kl_consensus(mean, variance, STANDARD_PRIOR))
-        closed_con = float(kl_consensus(mean, variance, PriorConsensus(prior)))
+        closed_std = float(kl_consensus(mean, variance, STANDARD_PRIOR)[0])
+        closed_con = float(kl_consensus(mean, variance, PriorConsensus(prior))[0])
         est_std = mc_kl(mean, variance, np.zeros(d), 1_000_000, rng)
         est_con = mc_kl(mean, variance, prior, 1_000_000, rng)
 
@@ -188,10 +188,10 @@ def test_criterion_03_calibration_loss_oracle():
         va, vb = rng.uniform(0.0, 3.0, size=2)
         oa, ob = rng.integers(0, 9, size=2) / 8.0  # quantized so ties happen
         for mode in ("consistent", "literal"):
-            got = float(calibration_pair_loss(np.array(va), np.array(vb), oa, ob, mode))
+            got = float(calibration_pair_loss(np.array(va), np.array(vb), oa, ob, mode)[0])
             want = straight_line_hinge(va, vb, oa, ob, mode)
             assert abs(got - want) < 1e-12, (case, mode)
-            swapped = float(calibration_pair_loss(np.array(vb), np.array(va), ob, oa, mode))
+            swapped = float(calibration_pair_loss(np.array(vb), np.array(va), ob, oa, mode)[0])
             assert swapped == got, (case, mode)
             if oa == ob:
                 assert got == 0.0
@@ -262,7 +262,7 @@ def test_criterion_05_synthetic_ability_recovery(recovery_run):
     cohort = recovery_run["cohort"]
     ds = recovery_run["dataset"]
     ck = recovery_run["checkpoint"]
-    rows = [ds.student_index(f"s{i:04d}") for i in range(RECOVERY_SHAPE["n_students"])]
+    rows = [ds.student_ids.index(f"s{i:04d}") for i in range(RECOVERY_SHAPE["n_students"])]
     col_of = {cid: k for k, cid in enumerate(ds.concept_ids)}
     mastery = 1.0 / (1.0 + np.exp(-ck.params["student_mu"][rows]))
     per_concept = [
@@ -317,8 +317,10 @@ def test_criterion_08_reduction_checks(tmp_path):
     cfg = TrainConfig(gamma=0.0, beta=0.0, dropout_keep=1.0, seed=1)
     store = init_parameters(fn, ds.n_students, ds.n_exercises, ds.n_concepts, default_rng(1))
     batch_idx = np.arange(16)
+    tracker = CorrectnessTracker(ds.n_students, fn.latent_dim(ds.n_concepts))
     noise = draw_batch_noise(
-        ds, fn, cfg, batch_idx, None, substream(1, "sampling"), substream(1, "dropout"), None
+        ds, fn, cfg, batch_idx, tracker,
+        substream(1, "sampling"), substream(1, "dropout"), substream(1, "pairing"),
     )
     breakdown, probs = batch_loss(ds, fn, store, batch_idx, cfg, noise)
     r = ds.scores[batch_idx]

@@ -188,6 +188,23 @@ class TestEval:
         expected = format_reliability_csv(calibration(probs, labels, bins=RunConfig().bins))
         assert table.read_text() == expected
 
+    def test_train_scores_validation_with_the_configured_bins(self, tmp_path, capsys):
+        # eval scores six-decimal probabilities, so the two agree to 1e-4, not to the bit
+        cohort = planted_cohort(n_students=60, n_exercises=80, n_concepts=5, per_student=30, seed=3)
+        logs, qmatrix = tmp_path / "logs.csv", tmp_path / "q.csv"
+        write_cohort_csv(cohort, logs, qmatrix)
+        config = tmp_path / "run.cfg"
+        config.write_text(
+            f"logs = {logs}\nqmatrix = {qmatrix}\noutput_dir = {tmp_path / 'run'}\n"
+            "variant = mirt\nmin_logs = 1\nmax_epochs = 2\npretrain_epochs = 2\nbins = 3\n"
+        )
+        assert main(["train", "--config", str(config)]) == 0
+        checkpoint = tmp_path / "run" / "checkpoint.json"
+        capsys.readouterr()
+        stdout = self.run_eval({"checkpoint": checkpoint}, capsys, split="val")
+        printed = float(next(l for l in stdout.splitlines() if l.startswith("ECE")).split()[1])
+        assert abs(load_checkpoint(checkpoint).val_metrics["ece"] - printed) < 1e-4
+
     def test_out_named_as_the_reliability_table_is_usage_error(self, workspace, capsys, tmp_path):
         out = tmp_path / "reliability_val.csv"
         assert main(["eval", "--checkpoint", str(workspace["checkpoint"]), "--split", "val",

@@ -232,7 +232,7 @@ def test_config_file_schema_is_pinned():
 
 
 # keys that configure the run itself rather than a library dataclass
-RUN_ONLY_KEYS = {"logs", "qmatrix", "output_dir", "min_logs", "bins"}
+RUN_ONLY_KEYS = {"logs", "qmatrix", "output_dir", "min_logs"}
 
 
 def built_fields(cfg):

@@ -429,12 +429,6 @@ class TestBuildDataset:
         held = [*ds.student_ids, *ds.exercise_ids, *ds.concept_ids]
         assert not given & {id(i) for i in held}
 
-    def test_student_index_lookup(self, logs_csv, q_csv):
-        ds = build_dataset(load_logs(logs_csv), load_qmatrix(q_csv), min_logs=1)
-        assert ds.student_index("s2") == 1
-        with pytest.raises(KeyError):
-            ds.student_index("nobody")
-
 
 def first_seen_oracle(records, pairs, min_logs):
     """Brute-force indexing: count, filter, then number ids by scanning lists."""

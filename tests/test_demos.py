@@ -30,6 +30,27 @@ def test_autodiff_tour_runs(tmp_path):
     assert "one Node over 10 parameter leaves" in proc.stdout
 
 
+def test_artifact_digests_repeat(tmp_path):
+    # two runs into one directory: the second wipes the first's files,
+    # and every artifact of the three heads hashes the same both times
+    def digest(out):
+        return subprocess.run([sys.executable, str(ROOT / "scripts" / "artifact_digest.py"),
+                               "--out", str(out)], capture_output=True, text=True, timeout=120)
+
+    runs = [digest(tmp_path / "digest") for _ in range(2)]
+    for proc in runs:
+        assert proc.returncode == 0, proc.stderr
+    assert runs[0].stdout == runs[1].stdout
+    names = {line.split("  ", 1)[1] for line in runs[0].stdout.splitlines()}
+    for head in ("irt", "mirt", "ncd"):
+        assert {f"{head}/checkpoint.json", f"{head}/train_log.csv", f"{head}/ability.csv",
+                f"{head}/predictions_val.csv", f"{head}/reliability_test.csv"} <= names
+    (tmp_path / "other").mkdir()
+    (tmp_path / "other" / "keep.txt").write_text("not the script's")
+    assert digest(tmp_path / "other").returncode == 2
+    assert (tmp_path / "other" / "keep.txt").exists()
+
+
 @pytest.mark.parametrize("path", EXAMPLES, ids=[f"{p.parent.name}/{p.name}" for p in EXAMPLES])
 def test_example_compiles_and_its_cogdiag_imports_resolve(path):
     # the other demos train for 15-30 s each; compiling them and resolving

@@ -602,7 +602,7 @@ class TestDiagnose:
         ds = toy_dataset()
         trainer, ck = trained_checkpoint(ds, "mirt")
         sid = ds.student_ids[3]
-        s = ds.student_index(sid)
+        s = ds.student_ids.index(sid)
         report = diagnose(ck, sid)
         by_concept = {row.concept_id: row for row in report.rows}
         for k, cid in enumerate(ds.concept_ids):

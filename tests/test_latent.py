@@ -19,7 +19,7 @@ from cogdiag.latent import (
 )
 from cogdiag.numerics import ParameterStore, grad_check
 from cogdiag.synth import planted_cohort
-from cogdiag.training import TrainConfig, batch_loss, draw_batch_noise
+from cogdiag.training import CorrectnessTracker, TrainConfig, batch_loss, draw_batch_noise
 
 import reftape as tape
 
@@ -90,7 +90,9 @@ class TestVarianceDropout:
         cfg = TrainConfig(seed=1, gamma=0.5, beta=0.0)
         store = init_parameters(fn, ds.n_students, ds.n_exercises, ds.n_concepts, default_rng(1))
         students, batch_idx = np.unique(ds.s_idx, return_index=True)
-        noise = draw_batch_noise(ds, fn, cfg, batch_idx, None, default_rng(2), default_rng(3))
+        tracker = CorrectnessTracker(ds.n_students, fn.latent_dim(ds.n_concepts))
+        noise = draw_batch_noise(ds, fn, cfg, batch_idx, tracker, default_rng(2), default_rng(3),
+                                 default_rng(4))
         assert noise.keep_mask.any() and not noise.keep_mask.all()
         batch_loss(ds, fn, store, batch_idx, cfg, noise)
         np.testing.assert_array_equal(store.grads[STUDENT_LOGVAR][students] != 0, noise.keep_mask)
@@ -99,17 +101,17 @@ class TestVarianceDropout:
 class TestSampling:
     def test_degenerate_variance_recovers_mean(self):
         mean = np.array([0.3, -1.2])
-        z, theta = draw_ability(mean, np.full(2, 1e-14), default_rng(0).standard_normal(2))
-        np.testing.assert_allclose(z, mean, atol=1e-5)
+        theta = draw_ability(mean, np.full(2, 1e-14), default_rng(0).standard_normal(2))[0]
         np.testing.assert_allclose(theta, 1 / (1 + np.exp(-mean)), atol=1e-5)
 
     def test_moments(self):
         rng = default_rng(123)
         mean = np.zeros(100_000)
-        z, theta = draw_ability(mean, np.ones_like(mean), rng.standard_normal(mean.shape))
+        theta = draw_ability(mean, np.ones_like(mean), rng.standard_normal(mean.shape))[0]
+        assert np.all((theta > 0) & (theta < 1))
+        z = np.log(theta / (1.0 - theta))  # the draw, read back through the logit
         assert abs(z.mean()) < 0.02
         assert abs(z.var() - 1.0) < 0.02
-        assert np.all((theta > 0) & (theta < 1))
 
     def test_deterministic_under_seed(self):
         mean, variance = np.array([0.5]), np.exp([0.3])
@@ -120,47 +122,47 @@ class TestSampling:
 
 class TestKL:
     def test_standard_zero_at_prior(self):
-        assert float(kl_consensus(np.zeros(4), np.ones(4), STANDARD_PRIOR)) == 0.0
+        assert float(kl_consensus(np.zeros(4), np.ones(4), STANDARD_PRIOR)[0]) == 0.0
 
     def test_standard_frozen_values(self):
         # d=1: 0.5 * (1 + 1 - 0 - 1) = 0.5
-        got = kl_consensus(np.array([1.0]), np.array([1.0]), STANDARD_PRIOR)
+        got = kl_consensus(np.array([1.0]), np.array([1.0]), STANDARD_PRIOR)[0]
         assert float(got) == pytest.approx(0.5)
         # d=1, mu=0, var=e: (e - 2) / 2
-        got = kl_consensus(np.array([0.0]), np.array([np.e]), STANDARD_PRIOR)
+        got = kl_consensus(np.array([0.0]), np.array([np.e]), STANDARD_PRIOR)[0]
         assert float(got) == pytest.approx(0.3591409142295226, abs=1e-12)
 
     def test_standard_sums_over_dims(self):
         mu = np.array([1.0, 1.0])
         var = np.ones(2)
-        assert float(kl_consensus(mu, var, STANDARD_PRIOR)) == pytest.approx(1.0)
+        assert float(kl_consensus(mu, var, STANDARD_PRIOR)[0]) == pytest.approx(1.0)
 
     def test_batch_shape(self):
         mu = np.zeros((5, 3))
         var = np.ones((5, 3))
-        out = kl_consensus(mu, var, STANDARD_PRIOR)
+        out = kl_consensus(mu, var, STANDARD_PRIOR)[0]
         assert out.shape == (5,)
         np.testing.assert_array_equal(out, np.zeros(5))
 
     def test_nonnegative_on_grid(self):
         mus, vars = np.meshgrid(np.linspace(-3, 3, 25), np.linspace(0.05, 5, 25))
         vals = 0.5 * (mus**2 + vars - np.log(vars) - 1)
-        got = kl_consensus(mus.reshape(-1, 1), vars.reshape(-1, 1), STANDARD_PRIOR)
+        got = kl_consensus(mus.reshape(-1, 1), vars.reshape(-1, 1), STANDARD_PRIOR)[0]
         np.testing.assert_allclose(got, vals.reshape(-1), rtol=1e-12)
         assert np.all(got >= 0.0)
 
     def test_standard_against_monte_carlo(self):
         for mu, var in [(0.7, 0.4), (-1.2, 2.5), (0.0, 1.0)]:
-            closed = float(kl_consensus(np.array([mu]), np.array([var]), STANDARD_PRIOR))
+            closed = float(kl_consensus(np.array([mu]), np.array([var]), STANDARD_PRIOR)[0])
             assert abs(closed - mc_kl(mu, var, 0.0)) < 2e-2
 
     def test_consensus_zero_at_prior(self):
         prior = PriorConsensus(mean=np.array([1.0, -0.5]))
-        assert float(kl_consensus(prior.mean.copy(), np.ones(2), prior)) == 0.0
+        assert float(kl_consensus(prior.mean.copy(), np.ones(2), prior)[0]) == 0.0
 
     def test_consensus_frozen_value(self):
         prior = PriorConsensus(mean=np.array([1.0]))
-        got = kl_consensus(np.array([0.0]), np.array([1.0]), prior)
+        got = kl_consensus(np.array([0.0]), np.array([1.0]), prior)[0]
         assert float(got) == pytest.approx(0.5)
 
     def test_consensus_with_zero_prior_matches_standard_bitwise(self):
@@ -168,14 +170,14 @@ class TestKL:
         mu = rng.normal(size=(8, 3))
         var = rng.uniform(0.1, 3.0, size=(8, 3))
         prior = PriorConsensus(mean=np.zeros(3))
-        standard = kl_consensus(mu, var, STANDARD_PRIOR)
-        np.testing.assert_array_equal(kl_consensus(mu, var, prior), standard)
+        standard = kl_consensus(mu, var, STANDARD_PRIOR)[0]
+        np.testing.assert_array_equal(kl_consensus(mu, var, prior)[0], standard)
 
     def test_consensus_against_monte_carlo(self):
         prior = PriorConsensus(mean=np.array([0.8, -0.3]))
         mu = np.array([0.1, 0.5])
         var = np.array([0.6, 1.7])
-        closed = float(kl_consensus(mu, var, prior))
+        closed = float(kl_consensus(mu, var, prior)[0])
         assert abs(closed - mc_kl(mu, var, prior.mean)) < 2e-2
 
     def test_gradients(self):
@@ -186,7 +188,7 @@ class TestKL:
         def kl_node(s, prior):
             # the closed-form KL and its vjp as one Node between reference ops
             mean, var = tape.leaf(s, STUDENT_MEAN), tape.exp(tape.leaf(s, STUDENT_LOGVAR))
-            out, grads = kl_consensus(mean.value, var.value, prior, vjp=True)
+            out, grads = kl_consensus(mean.value, var.value, prior)
             kl = tape.Node(out, (mean, var, var), grads)
             return tape.nmean(kl)
 

@@ -254,12 +254,12 @@ class TestAdamStep:
         grad[[1, 4]] = rng.normal(size=(2, 3))
 
         dense = ParameterStore()
-        dense.add("emb", init)
+        dense.add("emb", init.copy())
         dense.grads["emb"][:] = grad
         adam_step(dense, 0.002)
 
         lazy = ParameterStore()
-        lazy.add("emb", init, row_sparse=True)
+        lazy.add("emb", init.copy(), row_sparse=True)
         lazy.accumulate_grad("emb", np.array([1, 4]), grad[[1, 4]])
         adam_step(lazy, 0.002, lazy=True)
 

@@ -50,23 +50,23 @@ def quick_config(**overrides):
 
 class TestPredictionLoss:
     def test_coin_flip_is_log_two(self):
-        got = float(prediction_loss(np.array([0.5, 0.5]), np.array([1.0, 0.0])))
+        got = float(prediction_loss(np.array([0.5, 0.5]), np.array([1.0, 0.0]))[0])
         assert got == pytest.approx(np.log(2.0), abs=1e-15)
 
     def test_confident_and_right_is_near_zero(self):
-        got = float(prediction_loss(np.array([0.999999]), np.array([1.0])))
+        got = float(prediction_loss(np.array([0.999999]), np.array([1.0]))[0])
         assert got < 1e-5
 
     def test_frozen_single_case(self):
         # -log(0.1) for a confident miss
-        got = float(prediction_loss(np.array([0.1]), np.array([1.0])))
+        got = float(prediction_loss(np.array([0.1]), np.array([1.0]))[0])
         assert got == pytest.approx(2.302585092994046, abs=1e-12)
 
     def test_mean_over_batch(self):
         y = np.array([0.8, 0.3])
         r = np.array([1.0, 0.0])
         want = -np.mean([np.log(0.8), np.log(0.7)])
-        got = float(prediction_loss(y, r))
+        got = float(prediction_loss(y, r)[0])
         assert got == pytest.approx(want, abs=1e-14)
 
 
@@ -108,7 +108,7 @@ class TestTracker:
 
 class TestCalibrationPairLoss:
     def loss(self, va, vb, oa, ob, mode="consistent"):
-        return float(calibration_pair_loss(np.array(va), np.array(vb), oa, ob, mode))
+        return float(calibration_pair_loss(np.array(va), np.array(vb), oa, ob, mode)[0])
 
     def test_tie_is_exactly_zero(self):
         for mode in ("consistent", "literal"):
@@ -145,7 +145,7 @@ class TestCalibrationPairLoss:
     def test_vectorized_over_pairs(self):
         va = np.array([0.1, 0.9])
         vb = np.array([0.9, 0.1])
-        out = calibration_pair_loss(va, vb, np.array([0.8, 0.8]), np.array([0.2, 0.2]))
+        out = calibration_pair_loss(va, vb, np.array([0.8, 0.8]), np.array([0.2, 0.2]))[0]
         assert out[0] == 0.0
         assert out[1] == pytest.approx(1.4, abs=1e-12)
 
@@ -156,7 +156,7 @@ class TestCalibrationPairLoss:
     def test_gradient_pushes_confident_cell_down(self):
         # active hinge, consistent mode: d loss / d var_a = +1 when o_a > o_b,
         # so gradient descent shrinks the higher-correctness variance
-        _, grads = calibration_pair_loss(np.array(0.9), np.array(0.1), 0.8, 0.2, vjp=True)
+        _, grads = calibration_pair_loss(np.array(0.9), np.array(0.1), 0.8, 0.2)
         g_a, g_b = grads(np.array(1.0))
         assert float(g_a) == 1.0
         assert float(g_b) == -1.0
@@ -281,8 +281,7 @@ class TestBatchLoss:
         batch_idx = np.arange(16)
         noise = draw_batch_noise(
             ds, fn, cfg, batch_idx, tracker,
-            substream(seed, "sampling"), substream(seed, "dropout"),
-            substream(seed, "pairing") if with_pairs else None,
+            substream(seed, "sampling"), substream(seed, "dropout"), substream(seed, "pairing"),
         )
         return ds, fn, cfg, store, batch_idx, noise
 
@@ -472,6 +471,15 @@ class TestTrainer:
         trainer.train()
         per_epoch = np.diff(ds.concept_ptr)[ds.e_idx[trainer.splits.train]].sum()
         assert trainer.tracker.seen.sum() == 2 * per_epoch
+
+    def test_phase_one_draws_no_pairs_with_beta_in_the_config(self):
+        cfg = quick_config(max_epochs=0, pretrain_epochs=1, seed=7)
+        assert cfg.beta > 0
+        trainer = Trainer(tiny_dataset(seed=4), DiagnosticFunction("mirt"), cfg)
+        trainer.train()
+        assert [rec.phase for rec in trainer.history] == [1]
+        assert trainer._streams["pairing"].random() == substream(7, "pairing").random()
+        assert not trainer.tracker.seen.any()
 
     def test_consensus_frozen_after_phase_one(self):
         ds = tiny_dataset(seed=4)
