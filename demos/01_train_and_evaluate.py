@@ -49,7 +49,7 @@ checkpoint = trainer.train()
 
 print()
 print("=== 3. score the held-out test split ===")
-report = evaluate_store(trainer.store, trainer.fn, dataset, trainer.splits.test)
+report = evaluate_store(trainer.store, trainer.fn, dataset, trainer.splits.test, bins=config.bins)
 print(f"test n    {report.n}")
 print(f"test ACC  {report.acc:.4f}")
 print(f"test RMSE {report.rmse:.4f}")

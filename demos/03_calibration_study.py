@@ -52,7 +52,8 @@ print("without it the variances carry no reliability signal.")
 print()
 print("=== 2. the reliability table behind ECE ===")
 trainer = run(beta=0.1)
-report = evaluate_store(trainer.store, trainer.fn, dataset, trainer.splits.test)
+report = evaluate_store(trainer.store, trainer.fn, dataset, trainer.splits.test,
+                        bins=trainer.cfg.bins)
 print(f"test ECE {report.ece:.4f}, MCE {report.mce:.4f}")
 print(f"{'bin':>3}  {'range':>12}  {'count':>5}  {'right':>6}  {'avg p':>6}  {'gap':>6}")
 for bin_no, lo, hi, count, frac_correct, avg_prob, gap in reliability_rows(report.bin_report):

@@ -2,14 +2,14 @@
 """A tour of the closed-form gradients behind training.
 
 Training differentiates one objective: binary cross-entropy, a KL toward
-the prior and the calibration hinge.  Each piece returns its value and
-its vector-Jacobian product (the heads with ``vjp=True``), and a training step records
-the whole objective as one Node over the parameter leaves it reads; one
-call of that Node's VJP writes every gradient into the store.  This demo
-checks that gradient against central finite differences, then shows the
-two design details that matter most here — the bit-exact select used
-by variance dropout, and the nonnegative weight clamp that keeps the
-MLP variant monotone.
+the prior and the calibration hinge.  Each piece, the diagnostic heads
+too, returns its value and its vector-Jacobian product, and a training
+step records the whole objective as one Node over the parameter leaves
+it reads; one call of that Node's VJP writes every gradient into the
+store.  This demo checks that gradient against central finite
+differences, then shows the two design details that matter most here —
+the bit-exact select used by variance dropout, and the nonnegative
+weight clamp that keeps the MLP variant monotone.
 
 Run:  python3 demos/04_autodiff_tour.py          (~1 s)
 """
@@ -25,7 +25,7 @@ from cogdiag.training import CorrectnessTracker, TrainConfig, build_batch_graph,
 
 print("=== 1. one formula, its gradient by hand and in closed form ===")
 theta, difficulty, discrimination = np.array([0.4, 0.9]), np.array([0.5, 0.2]), np.array([0.7, 1.3])
-y, vjp = predict_irt(theta, difficulty, discrimination, vjp=True)
+y, vjp = predict_irt(theta, difficulty, discrimination)
 g_gap, _ = vjp(np.ones_like(y))  # d sum(y) / d (theta - difficulty)
 manual = y * (1 - y) * 1.702 * discrimination
 print(f"closed-form grad {g_gap}")
@@ -88,8 +88,8 @@ diff = np.full(3, 0.5)
 disc = np.full(3, 0.8)
 q = np.array([1.0, 1.0, 0.0])
 low, high = np.full(3, 0.2), np.full(3, 0.9)
-p_low = predict_ncd(low[None], diff[None], disc[None], q[None], layers)[0]
-p_high = predict_ncd(high[None], diff[None], disc[None], q[None], layers)[0]
+p_low = predict_ncd(low[None], diff[None], disc[None], q[None], layers)[0][0]
+p_high = predict_ncd(high[None], diff[None], disc[None], q[None], layers)[0][0]
 print(f"p(correct) with low mastery  {p_low:.4f}")
 print(f"p(correct) with high mastery {p_high:.4f}")
 print("after clamping the weights nonnegative, more mastery can never")

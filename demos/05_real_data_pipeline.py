@@ -65,7 +65,7 @@ print(f"trained in {time.monotonic() - start:.0f}s")
 
 print()
 print("=== 3. test-split report ===")
-report = evaluate_store(trainer.store, trainer.fn, dataset, trainer.splits.test, bins=10)
+report = evaluate_store(trainer.store, trainer.fn, dataset, trainer.splits.test, bins=config.bins)
 print(f"test ACC  {report.acc:.4f}")
 print(f"test AUC  {report.auc:.4f}   (published runs of this model family: ~0.75)")
 print(f"test ECE  {report.ece:.4f}   (published runs: ~0.017)")

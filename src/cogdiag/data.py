@@ -293,7 +293,7 @@ def _fresh_copies(ids) -> list[str]:
     return [i.encode("utf-8", "surrogatepass").decode("utf-8", "surrogatepass") for i in ids]
 
 
-def build_dataset(logs: LogColumns, q_pairs: list[tuple[str, str]], min_logs: int = 15) -> Dataset:
+def build_dataset(logs: LogColumns, q_pairs: list[tuple[str, str]], min_logs: int) -> Dataset:
     """Filter sparse students, then index everything densely.
 
     ``logs`` are columns, as :func:`load_logs` and ``synth.planted_cohort``

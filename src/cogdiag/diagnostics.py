@@ -16,10 +16,10 @@ through a sigmoid, so both stay in (0, 1) without constraints.
 
 Each predictor is one forward formula on arrays, which inference and
 training reach through ``DiagnosticFunction.predict``, the one place that
-picks the head.  With ``vjp=True`` it also returns its gradient function,
-which replays the backward pass of the one-op reference chain the formula
-stands for (``tests/reftape.py``), op for op; the training objective
-chains these.
+picks the head.  It returns the probabilities with their gradient
+function, which replays the backward pass of the one-op reference chain
+the formula stands for (``tests/reftape.py``), op for op; the training
+objective chains these, and serving keeps only the probabilities.
 """
 
 from __future__ import annotations
@@ -72,25 +72,22 @@ class DiagnosticFunction:
         """The concept-mask rows :meth:`predict` reads for ``exercises``; IRT reads none."""
         return None if self.variant == "irt" else dataset.dense_q[exercises]
 
-    def predict(self, theta, difficulty, discrimination, q_mask, model, vjp: bool = False):
-        """(B,) correctness probabilities of a batch under this head.
+    def predict(self, theta, difficulty, discrimination, q_mask, model):
+        """(B,) correctness probabilities of a batch under this head, and their gradient function.
 
         ``theta`` and ``difficulty`` are (B, latent), ``discrimination``
         is (B, 1) (mirt ignores it) and ``q_mask`` is :meth:`q_rows`.
         ``model`` is anything with ``params``, a store or a checkpoint;
-        only ncd reads it, for the MLP.  ``vjp=True`` also returns the
-        gradient function: (B,) in; d gap out, then d discrimination and
-        the MLP's grads where they train.
+        only ncd reads it, for the MLP.  The gradient function takes (B,)
+        and returns d gap, then d discrimination and the MLP's grads
+        where they train.
         """
         if self.variant == "mirt":
-            return predict_mirt(theta, difficulty, q_mask, vjp=vjp)
+            return predict_mirt(theta, difficulty, q_mask)
         if self.variant == "ncd":
-            return predict_ncd(theta, difficulty, discrimination, q_mask, mlp_layers(model), vjp=vjp)
+            return predict_ncd(theta, difficulty, discrimination, q_mask, mlp_layers(model))
         # irt forms a (B, 1) column: its single latent cell
-        out = predict_irt(theta, difficulty, discrimination, vjp=vjp)
-        if not vjp:
-            return out[:, 0]
-        y, grads = out
+        y, grads = predict_irt(theta, difficulty, discrimination)
         return y[:, 0], lambda g: grads(g[:, None])
 
 
@@ -135,18 +132,16 @@ def init_parameters(
     return store
 
 
-def predict_irt(theta, difficulty, discrimination, vjp: bool = False):
+def predict_irt(theta, difficulty, discrimination):
     """sigmoid(IRT_SCALE * discrimination * (theta - difficulty)), elementwise.
 
-    ``vjp=True`` also returns ``g -> (d gap, d discrimination)``, where
-    gap = theta - difficulty, through the mul -> mul -> sigmoid chain.
-    It takes theta, difficulty, discrimination and ``g`` of one shape,
-    (B, 1) in training.
+    Also returns ``g -> (d gap, d discrimination)``, where gap = theta -
+    difficulty, through the mul -> mul -> sigmoid chain.  It takes
+    theta, difficulty, discrimination and ``g`` of one shape, (B, 1) in
+    training.
     """
     gap = theta - difficulty
     y = stable_sigmoid(gap * discrimination * IRT_SCALE)
-    if not vjp:
-        return y
 
     def grads(g):
         g = g * y * (1.0 - y) * IRT_SCALE
@@ -155,16 +150,14 @@ def predict_irt(theta, difficulty, discrimination, vjp: bool = False):
     return y, grads
 
 
-def predict_mirt(theta, difficulty, q_mask, vjp: bool = False):
+def predict_mirt(theta, difficulty, q_mask):
     """sigmoid of the concept-masked sum of (theta - difficulty).
 
-    ``vjp=True`` also returns ``g -> (d gap,)``, where gap = theta -
-    difficulty, through the mul -> sum -> sigmoid chain.  It takes theta,
-    difficulty and ``q_mask`` at (B, K) and ``g`` at (B,).
+    Also returns ``g -> (d gap,)``, where gap = theta - difficulty,
+    through the mul -> sum -> sigmoid chain.  It takes theta, difficulty
+    and ``q_mask`` at (B, K) and ``g`` at (B,).
     """
     y = stable_sigmoid(((theta - difficulty) * q_mask).sum(axis=-1))
-    if not vjp:
-        return y
 
     def grads(g):
         return (np.expand_dims(g * y * (1.0 - y), -1) * q_mask,)
@@ -172,29 +165,27 @@ def predict_mirt(theta, difficulty, q_mask, vjp: bool = False):
     return y, grads
 
 
-def predict_ncd(theta, difficulty, discrimination, q_mask, layers, vjp: bool = False):
+def predict_ncd(theta, difficulty, discrimination, q_mask, layers):
     """Masked interaction vector through a 3-layer sigmoid MLP.
 
     ``layers`` is [(w1, b1), (w2, b2), (w3, b3)], the last one unit
-    wide; the output sums that unit axis away.  Only ``vjp=True`` keeps
-    each layer's input, for the backward pass.  It takes theta,
-    difficulty and ``q_mask`` at (B, K), ``discrimination`` at (B, 1) and
-    ``g`` at (B,), and also returns ``g -> (d gap, d discrimination, d w1,
-    d b1, d w2, d b2, d w3, d b3)``, where gap = theta - difficulty: back
-    through the sum, then sigmoid, bias add and matmul per layer, then
-    the two masking muls.
+    wide; the output sums that unit axis away.  Each layer's input is
+    kept for the backward pass.  It takes theta, difficulty and
+    ``q_mask`` at (B, K), ``discrimination`` at (B, 1) and ``g`` at (B,),
+    and also returns ``g -> (d gap, d discrimination, d w1, d b1, d w2,
+    d b2, d w3, d b3)``, where gap = theta - difficulty: back through the
+    sum, then sigmoid, bias add and matmul per layer, then the two
+    masking muls.
     """
-    x = (theta - difficulty) * q_mask * discrimination
+    masked = (theta - difficulty) * q_mask
+    x = masked * discrimination
     inputs = []
     for w, b in layers:
-        if vjp:
-            inputs.append(x)
+        inputs.append(x)
         h = x @ w
         h += b  # in place: one block temporary fewer per layer
         x = stable_sigmoid(h)
     y = x.sum(axis=-1)
-    if not vjp:
-        return y
 
     def grads(g):
         g = np.expand_dims(g, -1)
@@ -204,8 +195,6 @@ def predict_ncd(theta, difficulty, discrimination, q_mask, layers, vjp: bool = F
             layer_grads[:0] = [x_in.T @ g, g.sum(axis=0)]
             g = g @ w.T
             out = x_in
-        gap = theta - difficulty  # recomputed, so value mode holds no extra (B, K) arrays
-        masked = gap * q_mask
         return g * discrimination * q_mask, (g * masked).sum(axis=1, keepdims=True), *layer_grads
 
     return y, grads

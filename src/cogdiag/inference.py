@@ -68,7 +68,7 @@ def predict_split(
         theta, e = theta_all[dataset.s_idx[part]], dataset.e_idx[part]
         out[lo:hi] = fn.predict(
             theta, stable_sigmoid(diff[e]), stable_sigmoid(disc[e]), fn.q_rows(dataset, e), model
-        )
+        )[0]
         lo = hi
     return out
 
@@ -84,7 +84,7 @@ class EvalReport:
     bin_report: BinReport
 
 
-def evaluate_probs(probs: np.ndarray, labels: np.ndarray, bins: int = 10) -> EvalReport:
+def evaluate_probs(probs: np.ndarray, labels: np.ndarray, bins: int) -> EvalReport:
     report = calibration(probs, labels, bins=bins)
     return EvalReport(
         acc=acc(probs, labels),
@@ -102,7 +102,7 @@ def evaluate_store(
     fn: DiagnosticFunction,
     dataset: Dataset,
     indices: np.ndarray,
-    bins: int = 10,
+    bins: int,
 ) -> EvalReport:
     probs = predict_split(model, fn, dataset, indices)
     return evaluate_probs(probs, dataset.scores[np.asarray(indices, dtype=np.int64)], bins=bins)

@@ -100,7 +100,7 @@ def bin_index(probs: np.ndarray, bins: int) -> np.ndarray:
     return np.searchsorted(edges, probs, side="left")
 
 
-def calibration(probs, labels, bins: int = 10) -> BinReport:
+def calibration(probs, labels, bins: int) -> BinReport:
     y, r = _validated(probs, labels)
     if bins < 1:
         raise MetricError(f"bins must be at least 1, got {bins}")

@@ -213,7 +213,7 @@ def prediction_loss(probs, labels):
     return (per.sum() * inv_n) * -1.0, grads
 
 
-def calibration_pair_loss(var_a, var_b, o_a, o_b, sign_mode: str = "consistent"):
+def calibration_pair_loss(var_a, var_b, o_a, o_b, sign_mode: str):
     """Hinge on a variance pair with the correctness gap as margin.
 
     ``consistent`` orients the hinge so that the side with higher
@@ -403,7 +403,7 @@ def build_batch_graph(
     theta, theta_grads = draw_ability(mu_at, var_hat, noise.eps)
     diff = stable_sigmoid(leaves[2].value)[e_at]
     disc = stable_sigmoid(leaves[3].value)[e_at] if trains_disc else None
-    y, head_grads = fn.predict(theta, diff, disc, fn.q_rows(dataset, e), store, vjp=True)
+    y, head_grads = fn.predict(theta, diff, disc, fn.q_rows(dataset, e), store)
     l_pred, bce_grads = prediction_loss(y, r)
     total, l_kl, l_rl = l_pred, 0.0, 0.0
     if cfg.gamma > 0:

@@ -684,25 +684,43 @@ class TestDescriptors:
 # The peak is read as VmHWM, not ru_maxrss: a child started by (v)fork and
 # exec carries its parent's resident high-water mark in ru_maxrss, so a
 # large test process would set the child's figure.
-MEASURE_TRAIN = """
+MEASURE = """
 import os, re, sys
 from cogdiag.cli import main
 with open("/proc/self/statm") as fh:
     before = int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
-code = main(["train", "--config", sys.argv[1]])
+code = main(sys.argv[1:])
 with open("/proc/self/status") as fh:
     peak = int(re.search(r"^VmHWM:\\s*(\\d+) kB", fh.read(), re.M).group(1)) * 1024
 print(code, before, peak)
 """
 
 
+def measured_rise(argv):
+    """How far one ``cli.main(argv)`` call raises the peak RSS of a fresh process.
+
+    A fresh process, so this process's own peak cannot hide the rise.
+    """
+    src = Path(cogdiag.__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", MEASURE, *argv],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, before, peak = map(int, proc.stdout.splitlines()[-1].split())
+    assert code == 0
+    return peak - before
+
+
+@pytest.mark.skipif(not Path("/proc/self/statm").exists(), reason="needs /proc/self/statm")
 class TestMemory:
-    @pytest.mark.skipif(not Path("/proc/self/statm").exists(), reason="needs /proc/self/statm")
-    def test_zero_epoch_train_holds_few_copies_of_its_parameters(self, tmp_path):
-        # a zero-epoch train reads its parameters once, to write them: its
-        # peak should stay a small multiple of the checkpoint it writes.
-        # Measured in a fresh process, so this process's own peak cannot
-        # hide the rise.
+    # each command's peak should stay a small multiple of the checkpoint
+    # it writes or reads
+    @pytest.fixture(scope="class")
+    def zero_epoch_run(self, tmp_path_factory):
+        """A zero-epoch ncd train on a wide cohort: its directory and its peak rise."""
+        tmp_path = tmp_path_factory.mktemp("memory")
         cohort = planted_cohort(
             n_students=300, n_exercises=10_000, n_concepts=123, per_student=100, seed=3
         )
@@ -713,18 +731,26 @@ class TestMemory:
             f"logs = {logs}\nqmatrix = {qmatrix}\noutput_dir = {tmp_path / 'run'}\n"
             "variant = ncd\nmin_logs = 1\nmax_epochs = 0\npretrain_epochs = 0\nseed = 3\n"
         )
-        src = Path(cogdiag.__file__).resolve().parents[1]
-        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-c", MEASURE_TRAIN, str(config)],
-            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
-        )
-        assert proc.returncode == 0, proc.stderr
-        code, before, peak = map(int, proc.stdout.splitlines()[-1].split())
-        assert code == 0
+        return tmp_path, measured_rise(["train", "--config", str(config)])
+
+    def test_zero_epoch_train_holds_few_copies_of_its_parameters(self, zero_epoch_run):
+        # a zero-epoch train reads its parameters once, to write them
+        tmp_path, rise = zero_epoch_run
         size = (tmp_path / "run" / "checkpoint.json").stat().st_size
-        assert peak - before < 3 * size, (
-            f"train raised the peak RSS by {(peak - before) / size:.2f}x its {size} B checkpoint"
+        assert rise < 3 * size, (
+            f"train raised the peak RSS by {rise / size:.2f}x its {size} B checkpoint"
+        )
+
+    def test_eval_serves_in_blocks(self, zero_epoch_run):
+        # eval holds the checkpoint and one block of each head layer; serving
+        # the whole split as one block raises the peak past this bound
+        tmp_path, _ = zero_epoch_run
+        checkpoint = tmp_path / "run" / "checkpoint.json"
+        rise = measured_rise(["eval", "--checkpoint", str(checkpoint), "--split", "test",
+                              "--out", str(tmp_path / "predictions_test.csv")])
+        size = checkpoint.stat().st_size
+        assert rise < 4.5 * size, (
+            f"eval raised the peak RSS by {rise / size:.2f}x its {size} B checkpoint"
         )
 
 

@@ -51,6 +51,23 @@ def test_artifact_digests_repeat(tmp_path):
     assert (tmp_path / "other" / "keep.txt").exists()
 
 
+def test_artifact_digest_runs_a_perfbench_workload(tmp_path):
+    # the workload's cohort and config come from perfbench/workloads.py;
+    # train, eval and diagnose each leave their files and stdout
+    def digest(name):
+        return subprocess.run([sys.executable, str(ROOT / "scripts" / "artifact_digest.py"),
+                               "--out", str(tmp_path / "digest"), "--workload", name],
+                              capture_output=True, text=True, timeout=120)
+
+    proc = digest("train-mirt-small")
+    assert proc.returncode == 0, proc.stderr
+    names = {line.split("  ", 1)[1] for line in proc.stdout.splitlines()}
+    assert {"logs.csv", "run/checkpoint.json", "run/train_log.csv", "run/train.stdout",
+            "run/predictions_test.csv", "run/eval_test.stdout", "run/diagnose.stdout"} <= names
+    unknown = digest("no-such-workload")
+    assert unknown.returncode == 2 and "train-mirt-small" in unknown.stderr
+
+
 @pytest.mark.parametrize("path", EXAMPLES, ids=[f"{p.parent.name}/{p.name}" for p in EXAMPLES])
 def test_example_compiles_and_its_cogdiag_imports_resolve(path):
     # the other demos train for 15-30 s each; compiling them and resolving

@@ -101,26 +101,26 @@ class TestInitParameters:
 
 class TestPredictIRT:
     def test_matched_ability_gives_half(self):
-        assert float(predict_irt(0.7, 0.7, 0.9)) == 0.5
+        assert float(predict_irt(0.7, 0.7, 0.9)[0]) == 0.5
 
     def test_frozen_unit_gap(self):
         # scale 1.702, full discrimination, gap one: sigmoid(1.702)
-        got = float(predict_irt(1.0, 0.0, 1.0))
+        got = float(predict_irt(1.0, 0.0, 1.0)[0])
         assert got == pytest.approx(0.8457957659328213, abs=1e-12)
 
     def test_vanishing_discrimination_flattens(self):
-        assert float(predict_irt(0.9, 0.1, 1e-12)) == pytest.approx(0.5, abs=1e-9)
+        assert float(predict_irt(0.9, 0.1, 1e-12)[0]) == pytest.approx(0.5, abs=1e-9)
 
     def test_monotone_in_theta_and_antitone_in_difficulty(self):
         thetas = np.linspace(0.01, 0.99, 50)
-        probs = predict_irt(thetas, 0.5, 0.8)
+        probs = predict_irt(thetas, 0.5, 0.8)[0]
         assert np.all(np.diff(probs) > 0)
         diffs = np.linspace(0.01, 0.99, 50)
-        probs = predict_irt(0.5, diffs, 0.8)
+        probs = predict_irt(0.5, diffs, 0.8)[0]
         assert np.all(np.diff(probs) < 0)
 
     def test_batch_shapes(self):
-        out = predict_irt(np.full((4, 1), 0.6), np.full((4, 1), 0.2), np.full((4, 1), 0.5))
+        out = predict_irt(np.full((4, 1), 0.6), np.full((4, 1), 0.2), np.full((4, 1), 0.5))[0]
         assert out.shape == (4, 1)
         assert np.all((out > 0.5) & (out < 1))
 
@@ -128,18 +128,18 @@ class TestPredictIRT:
 class TestPredictMIRT:
     def test_empty_mask_gives_half(self):
         theta = np.array([0.9, 0.1, 0.4])
-        assert float(predict_mirt(theta, theta * 0.0, np.zeros(3))) == 0.5
+        assert float(predict_mirt(theta, theta * 0.0, np.zeros(3))[0]) == 0.5
 
     def test_matched_gives_half(self):
         theta = np.array([0.3, 0.8])
-        assert float(predict_mirt(theta, theta, np.ones(2))) == 0.5
+        assert float(predict_mirt(theta, theta, np.ones(2))[0]) == 0.5
 
     def test_frozen_masked_sum(self):
         # mask hides the middle term; 0.2 - 0.1 = 0.1 -> sigmoid(0.1)
         theta = np.array([0.7, 0.99, 0.2])
         diff = np.array([0.5, 0.01, 0.3])
         q = np.array([1.0, 0.0, 1.0])
-        got = float(predict_mirt(theta, diff, q))
+        got = float(predict_mirt(theta, diff, q)[0])
         assert got == pytest.approx(0.5249791874789399, abs=1e-12)
 
     def test_masked_dims_never_matter(self):
@@ -147,17 +147,17 @@ class TestPredictMIRT:
         q = np.array([1.0, 0.0, 1.0, 0.0])
         theta = rng.uniform(size=4)
         diff = rng.uniform(size=4)
-        base = float(predict_mirt(theta, diff, q))
+        base = float(predict_mirt(theta, diff, q)[0])
         theta2 = theta.copy()
         theta2[[1, 3]] = rng.uniform(size=2)
-        assert float(predict_mirt(theta2, diff, q)) == base
+        assert float(predict_mirt(theta2, diff, q)[0]) == base
 
     def test_batch(self):
         rng = default_rng(3)
         theta = rng.uniform(size=(6, 4))
         diff = rng.uniform(size=(6, 4))
         q = (rng.uniform(size=(6, 4)) < 0.5).astype(float)
-        out = predict_mirt(theta, diff, q)
+        out = predict_mirt(theta, diff, q)[0]
         ref = 1 / (1 + np.exp(-((theta - diff) * q).sum(axis=1)))
         np.testing.assert_allclose(out, ref, rtol=1e-12)
 
@@ -178,7 +178,7 @@ class TestPredictNCD:
             (np.zeros((6, 3)), np.zeros(3)),
             (np.zeros((3, 1)), np.zeros(1)),
         ]
-        out = float(predict_ncd(np.full(d, 0.9), np.full(d, 0.1), 1.0, np.ones(d), layers))
+        out = float(predict_ncd(np.full(d, 0.9), np.full(d, 0.1), 1.0, np.ones(d), layers)[0])
         assert out == 0.5
 
     def test_matches_scalar_reference(self):
@@ -189,7 +189,7 @@ class TestPredictNCD:
         diff = rng.uniform(size=d)
         q = (rng.uniform(size=d) < 0.6).astype(float)
         disc = 0.73
-        got = float(predict_ncd(theta, diff, disc, q, layers))
+        got = float(predict_ncd(theta, diff, disc, q, layers)[0])
         want = ncd_reference(theta, diff, disc, q, [(w, b) for w, b in layers])
         assert got == pytest.approx(want, abs=1e-10)
 
@@ -201,10 +201,10 @@ class TestPredictNCD:
         diff = rng.uniform(size=(B, d))
         disc = rng.uniform(size=(B, 1))
         q = (rng.uniform(size=(B, d)) < 0.5).astype(float)
-        out = predict_ncd(theta, diff, disc, q, layers)
+        out = predict_ncd(theta, diff, disc, q, layers)[0]
         assert out.shape == (B,)
         for i in range(B):
-            single = float(predict_ncd(theta[i], diff[i], float(disc[i, 0]), q[i], layers))
+            single = float(predict_ncd(theta[i], diff[i], float(disc[i, 0]), q[i], layers)[0])
             assert out[i] == pytest.approx(single, abs=1e-12)
 
     def test_monotone_under_nonnegative_weights(self):
@@ -217,18 +217,18 @@ class TestPredictNCD:
             q = np.zeros(d)
             q[rng.integers(0, d)] = 1.0
             q[(rng.integers(0, d))] = 1.0
-            base = float(predict_ncd(theta, diff, 0.8, q, layers))
+            base = float(predict_ncd(theta, diff, 0.8, q, layers)[0])
             k = int(np.flatnonzero(q)[0])
             theta2 = theta.copy()
             theta2[k] += 0.1
-            assert float(predict_ncd(theta2, diff, 0.8, q, layers)) >= base
+            assert float(predict_ncd(theta2, diff, 0.8, q, layers)[0]) >= base
 
     def test_output_strictly_inside_unit_interval(self):
         rng = default_rng(9)
         d = 3
         layers = self.layers(rng, d)
         theta = rng.uniform(size=(20, d))
-        out = predict_ncd(theta, rng.uniform(size=(20, d)), 0.5, np.ones((20, d)), layers)
+        out = predict_ncd(theta, rng.uniform(size=(20, d)), 0.5, np.ones((20, d)), layers)[0]
         assert np.all((out > 0) & (out < 1))
 
 
@@ -290,7 +290,7 @@ class TestPredictorGradients:
             diff = reftape.sigmoid(reftape.leaf(s, EXERCISE_DIFF))
             disc = reftape.sigmoid(reftape.leaf(s, EXERCISE_DISC))
             mlp = [reftape.leaf(s, name) for name in MLP_PARAMS]
-            y, grads = predict_ncd(theta, diff.value, disc.value, q, mlp_layers(s), vjp=True)
+            y, grads = predict_ncd(theta, diff.value, disc.value, q, mlp_layers(s))
 
             def vjp(g):
                 g_gap, *rest = grads(g)

@@ -1,7 +1,7 @@
 """Closed-form formulas and the one-Node training step against the reference chains.
 
 The BCE, draw, KL and hinge each return their value with its gradient
-function, as the three heads do with ``vjp=True``, replaying the one-op
+function, as the three heads do, replaying the one-op
 chain's backward pass; the training step records its whole objective as
 one Node.  The chains, and the composed batch graph built from them, are
 kept here as oracles: values and gradients must agree to the bit,
@@ -242,13 +242,13 @@ class TestPredictionLoss:
 
 
 class TestHeads:
-    """The heads' values against the chain's on arrays, and ``vjp=True``
-    against the chain's gradients.  The gradient functions return d gap
+    """The heads' values against the chain's on arrays, and their gradient
+    functions against the chain's gradients.  The gradient functions return d gap
     (gap = theta - difficulty); the sub op hands it to theta and, negated,
     to difficulty."""
 
     def assert_values(self, head, ref, args):
-        assert_bits(head(*args), tape.value_of(ref(*args)))
+        assert_bits(head(*args)[0], tape.value_of(ref(*args)))
 
     def test_mirt_batch(self):
         rng = default_rng(4)
@@ -269,7 +269,7 @@ class TestHeads:
         # one array as ability and difficulty: every masked gap is exactly 0
         x = default_rng(6).uniform(size=(4, 3))
         self.assert_values(predict_mirt, ref_predict_mirt, (x, x, np.ones((4, 3))))
-        assert_bits(predict_mirt(x, x, np.ones((4, 3))), np.full(4, 0.5))
+        assert_bits(predict_mirt(x, x, np.ones((4, 3)))[0], np.full(4, 0.5))
 
     def test_irt_column_shapes(self):
         rng = default_rng(7)
@@ -298,8 +298,7 @@ class TestHeads:
         def gap_to_inputs(g_gap, g_disc):
             return g_gap, -g_gap, g_disc
 
-        assert_vjp_matches(lambda t, d, c: predict_irt(t, d, c, vjp=True), ref_predict_irt,
-                           (theta, diff, disc), gap_to_inputs)
+        assert_vjp_matches(predict_irt, ref_predict_irt, (theta, diff, disc), gap_to_inputs)
 
     @pytest.mark.parametrize("theta_shape", [(8, 5), (5,)])
     def test_mirt_vjp_matches_chain(self, theta_shape):
@@ -311,16 +310,16 @@ class TestHeads:
         def gap_to_inputs(g_gap):
             return _unbroadcast(g_gap, theta.shape), _unbroadcast(-g_gap, diff.shape)
 
-        assert_vjp_matches(lambda t, d: predict_mirt(t, d, q, vjp=True),
+        assert_vjp_matches(lambda t, d: predict_mirt(t, d, q),
                            lambda t, d: ref_predict_mirt(t, d, q), (theta, diff), gap_to_inputs)
 
 
 class TestPredictNcdVjp:
-    """Every gradient of ``predict_ncd(vjp=True)`` against the chain."""
+    """Every gradient of ``predict_ncd`` against the chain."""
 
     def check(self, theta, diff, disc, q, params):
         def fused(t, d, c, *mlp):
-            return predict_ncd(t, d, c, q, list(zip(mlp[::2], mlp[1::2])), vjp=True)
+            return predict_ncd(t, d, c, q, list(zip(mlp[::2], mlp[1::2])))
 
         def ref(t, d, c, *mlp):
             return ref_predict_ncd(t, d, c, q, list(zip(mlp[::2], mlp[1::2])))
@@ -330,7 +329,7 @@ class TestPredictNcdVjp:
 
         assert_vjp_matches(fused, ref, (theta, diff, disc, *params), gap_to_inputs)
         assert_bits(fused(theta, diff, disc, *params)[0],
-                    predict_ncd(theta, diff, disc, q, list(zip(params[::2], params[1::2]))))
+                    predict_ncd(theta, diff, disc, q, list(zip(params[::2], params[1::2])))[0])
 
     def inputs(self, seed, B=7, K=5, hidden=(6, 4)):
         rng = default_rng(seed)
@@ -355,7 +354,7 @@ class TestPredictNcdVjp:
         params[5][:] = -60.0                     # every output below LOG_FLOOR
         hidden = stable_sigmoid((theta - diff) * q * disc @ params[0] + params[1])
         assert (hidden[:, 0] == 1.0).all() and (hidden[:, 1:3] == 0.0).all()
-        y = predict_ncd(theta, diff, disc, q, list(zip(params[::2], params[1::2])))
+        y = predict_ncd(theta, diff, disc, q, list(zip(params[::2], params[1::2])))[0]
         assert (y < LOG_FLOOR).all()
         self.check(theta, diff, disc, q, params)
 

@@ -427,7 +427,7 @@ class TestEvaluation:
         )
         mu = [3.0 if sid in strong else -3.0 for sid in ds.student_ids]
         ck = hand_built_checkpoint(ds, mu)
-        report = evaluate_store(ck, ck.fn, ds, np.arange(ds.n_interactions))
+        report = evaluate_store(ck, ck.fn, ds, np.arange(ds.n_interactions), bins=10)
         assert report.acc == 1.0
         assert report.auc == 1.0
 
@@ -498,7 +498,7 @@ class TestEvaluation:
             stable_sigmoid(ck.params[EXERCISE_DISC])[e],
             fn.q_rows(ds, e),
             ck,
-        )
+        )[0]
         for chunk in (64, None, len(idx)):
             assert same_bits(predict_split(ck, fn, ds, idx, chunk=chunk), reference)
 
@@ -518,8 +518,8 @@ class TestEvaluation:
         ds = toy_dataset()
         _, ck = trained_checkpoint(ds)
         idx = np.arange(0, ds.n_interactions, 3)
-        a = evaluate_store(ck, ck.fn, ds, idx)
-        b = evaluate_store(ck, ck.fn, ds, idx)
+        a = evaluate_store(ck, ck.fn, ds, idx, bins=10)
+        b = evaluate_store(ck, ck.fn, ds, idx, bins=10)
         assert a.acc == b.acc and a.auc == b.auc and a.ece == b.ece
 
     def test_dataset_mismatch_detected(self):

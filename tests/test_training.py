@@ -145,7 +145,8 @@ class TestCalibrationPairLoss:
     def test_vectorized_over_pairs(self):
         va = np.array([0.1, 0.9])
         vb = np.array([0.9, 0.1])
-        out = calibration_pair_loss(va, vb, np.array([0.8, 0.8]), np.array([0.2, 0.2]))[0]
+        o_a, o_b = np.array([0.8, 0.8]), np.array([0.2, 0.2])
+        out = calibration_pair_loss(va, vb, o_a, o_b, "consistent")[0]
         assert out[0] == 0.0
         assert out[1] == pytest.approx(1.4, abs=1e-12)
 
@@ -156,7 +157,7 @@ class TestCalibrationPairLoss:
     def test_gradient_pushes_confident_cell_down(self):
         # active hinge, consistent mode: d loss / d var_a = +1 when o_a > o_b,
         # so gradient descent shrinks the higher-correctness variance
-        _, grads = calibration_pair_loss(np.array(0.9), np.array(0.1), 0.8, 0.2)
+        _, grads = calibration_pair_loss(np.array(0.9), np.array(0.1), 0.8, 0.2, "consistent")
         g_a, g_b = grads(np.array(1.0))
         assert float(g_a) == 1.0
         assert float(g_b) == -1.0
