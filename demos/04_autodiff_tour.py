@@ -5,8 +5,8 @@ Training differentiates one objective: binary cross-entropy, a KL toward
 the prior and the calibration hinge.  Each piece, the diagnostic heads
 too, returns its value and its vector-Jacobian product, and a training
 step records the whole objective as one Node over the parameter leaves
-it reads; one call of that Node's VJP writes every gradient into the
-store.  This demo checks that gradient against central finite
+it reads; one call of that Node's VJP hands the store one gradient
+block per parameter.  This demo checks that gradient against central finite
 differences, then shows the two design details that matter most here —
 the bit-exact select used by variance dropout, and the nonnegative
 weight clamp that keeps the MLP variant monotone.
@@ -54,7 +54,7 @@ print(f"the objective is one Node over {len(root.parents)} parameter leaves")
 def objective(store, backward):
     total, breakdown, _ = build_batch_graph(dataset, fn, store, batch, config, noise, None)
     if backward:
-        tape.backprop(total)  # one VJP call, each leaf's gradient added into the store
+        tape.backprop(total)  # one VJP call, each leaf's gradient block handed to the store
     return breakdown.total
 
 

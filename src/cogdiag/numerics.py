@@ -1,10 +1,10 @@
 """Parameter storage, initialization, Adam, and gradient checking.
 
 Everything here is deliberately small and explicit: a dict of named
-float64 arrays with matching gradient and moment buffers, an Adam step
-with bias correction, a central-difference gradient checker used
-throughout the test suite, and the clamps the closed-form gradients
-share.
+float64 arrays with their moment buffers and each step's gradient
+blocks, an Adam step with bias correction, a central-difference
+gradient checker used throughout the test suite, and the clamps the
+closed-form gradients share.
 """
 
 from __future__ import annotations
@@ -66,30 +66,29 @@ def xavier_init(fan_in: int, fan_out: int, rng: np.random.Generator) -> np.ndarr
 
 
 class ParameterStore:
-    """Named float64 parameter arrays with grad and Adam moment buffers.
+    """Named float64 parameter arrays, Adam moments, and one gradient block each per step.
 
-    Embedding-style matrices can be registered ``row_sparse``: their
-    gradients are tracked per touched row, letting :func:`adam_step`
-    update only those rows when the caller opts into lazy mode.  Dense
-    mode ignores the bookkeeping and is bit-exact textbook Adam.
+    A block is the ``(rows, gradient)`` :meth:`accumulate_grad` received,
+    ``rows`` None for the whole array.  Matrices registered ``row_sparse``
+    let :func:`adam_step` update only their block's rows in lazy mode;
+    dense mode reads :meth:`grad` for each parameter: textbook Adam, bit-exact.
 
     :meth:`add` takes ownership of a float64 array, with no copy, so the
     caller must not hand one array to two stores; any other value is
-    converted once.  Its gradient and moment buffers come from ``np.zeros``
-    (calloc): a large buffer is mapped zero pages that take memory only
-    once written, so a store that never steps, as in a zero-epoch run,
-    holds little more than its parameters.
+    converted once.  Its moment buffers come from ``np.zeros`` (calloc):
+    a large buffer is mapped zero pages that take memory only once
+    written, so a store that never steps, as in a zero-epoch run, holds
+    little more than its parameters.
     """
 
     def __init__(self):
         self.params: dict[str, np.ndarray] = {}
-        self.grads: dict[str, np.ndarray] = {}
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
         self.step_count: int = 0
         self._row_sparse: set[str] = set()
-        # name -> None (untouched), "dense", or the sorted distinct touched rows
-        self._touched: dict[str, object] = {}
+        # name -> (rows or None, gradient block) received since the last step
+        self._blocks: dict[str, tuple] = {}
         self._scratch: dict[str, np.ndarray] = {}
 
     def add(self, name: str, value: np.ndarray, row_sparse: bool = False) -> None:
@@ -97,10 +96,8 @@ class ParameterStore:
             raise ValueError(f"parameter {name!r} already registered")
         arr = np.asarray(value, dtype=np.float64)
         self.params[name] = arr
-        self.grads[name] = np.zeros(arr.shape)
         self.m[name] = np.zeros(arr.shape)
         self.v[name] = np.zeros(arr.shape)
-        self._touched[name] = None
         if row_sparse:
             if arr.ndim != 2:
                 raise ValueError(f"row_sparse parameter {name!r} must be 2-d")
@@ -110,30 +107,36 @@ class ParameterStore:
         return name in self._row_sparse
 
     def accumulate_grad(self, name: str, rows, grad: np.ndarray) -> None:
-        """Add ``grad`` into the accumulator, whole (``rows=None``) or by rows.
+        """Hold ``grad`` as this step's gradient of ``name``, whole (``rows=None``) or by rows.
 
-        ``rows`` are sorted and distinct; they join the touched set
-        without a further ``np.unique``.
+        ``rows`` are sorted and distinct.  The store owns the block, with
+        no copy, and :func:`adam_step` spends it.  A block of the wrong
+        shape, or a second one for ``name`` in one step, raises ValueError.
         """
+        shape = self.params[name].shape
+        block = np.asarray(grad, dtype=np.float64)
+        if block.shape != (shape if rows is None else (len(rows), *shape[1:])):
+            raise ValueError(f"gradient for {name!r} has shape {block.shape}, parameter {shape}")
+        if name in self._blocks:
+            raise ValueError(f"parameter {name!r} already holds a gradient this step")
+        self._blocks[name] = (rows, block)
+
+    def grad(self, name: str) -> np.ndarray:
+        """This step's gradient of ``name`` as a whole array, zero where no block fell."""
+        rows, block = self._blocks.get(name, ([], 0.0))  # no block: no rows to fill
         if rows is None:
-            self.grads[name] += grad
-            self._touched[name] = "dense"
-            return
-        self.grads[name][rows] += grad
-        entry = self._touched[name]
-        if entry is None:
-            self._touched[name] = rows
-        elif entry is not rows and not isinstance(entry, str):
-            self._touched[name] = np.union1d(entry, rows)
+            return block
+        full = np.zeros(self.params[name].shape)
+        full[rows] = block
+        return full
 
     def touched_rows(self, name: str):
-        """Sorted unique row indices touched since the last step, or "dense"/None."""
-        return self._touched[name]
+        """The sorted distinct rows holding a gradient this step, or "dense"/None."""
+        rows, block = self._blocks.get(name, (None, None))
+        return None if block is None else "dense" if rows is None else rows
 
     def zero_grads(self) -> None:
-        for name, g in self.grads.items():
-            g[:] = 0.0
-            self._touched[name] = None
+        self._blocks.clear()
 
     def reset_moments(self) -> None:
         """Clear Adam state: both moment buffers and the step counter.
@@ -190,34 +193,32 @@ def adam_step(store: ParameterStore, learning_rate: float, lazy: bool = False) -
     """One Adam update over every parameter in the store, with the ``ADAM_*`` constants.
 
     Validates all gradients first so a non-finite gradient aborts the
-    step before anything mutates.  With ``lazy=True``, row_sparse
-    parameters update only the rows touched since the last step
+    step before anything mutates, the held blocks included.  With
+    ``lazy=True``, row_sparse parameters update only their block's rows
     (SparseAdam-style); untouched rows keep stale moments, which is the
     standard trade for not sweeping a huge embedding matrix every step.
-    Afterwards all gradient accumulators are zeroed and the shared step
-    counter advances by one.
+    Other parameters update whole from :meth:`ParameterStore.grad`.  The
+    step spends and releases the blocks and advances the step counter.
     """
     plans: list[tuple[str, object, np.ndarray]] = []
     for name in store.params:
-        rows = store.touched_rows(name) if lazy and name in store._row_sparse else "dense"
-        if rows is None:
+        by_rows = lazy and name in store._row_sparse
+        rows, grad = store._blocks.get(name, (None, None)) if by_rows else (None, store.grad(name))
+        if grad is None:
             continue
-        rows = None if isinstance(rows, str) else rows
-        grad = store.grads[name] if rows is None else store.grads[name].take(rows, axis=0)
         if not np.isfinite(grad).all():
             raise NonFiniteGradientError(f"non-finite gradient for parameter {name!r}")
         plans.append((name, rows, grad))
+    store.zero_grads()
 
     t = store.step_count + 1
     bc1 = 1.0 - ADAM_BETA1**t
     bc2 = 1.0 - ADAM_BETA2**t
     sparse = [(name, rows, g) for name, rows, g in plans if rows is not None]
     for name, rows, g in plans:
-        store._touched[name] = None
         if rows is None:
             m, v = store.m[name], store.v[name]
             _adam_update(store.params[name], g, m, v, store.scratch(name), learning_rate, bc1, bc2)
-            g[:] = 0.0
     if sparse:
         # the touched rows of every lazy parameter, end to end: one
         # elementwise update over copies of all of them, then written back
@@ -234,7 +235,6 @@ def adam_step(store: ParameterStore, learning_rate: float, lazy: bool = False) -
             store.params[name][rows] = p[at].reshape(g.shape)
             store.m[name][rows] = m[at].reshape(g.shape)
             store.v[name][rows] = v[at].reshape(g.shape)
-            store.grads[name][rows] = 0.0
     store.step_count = t
 
 
@@ -243,11 +243,11 @@ def grad_check(f, store: ParameterStore, h: float = 1e-5) -> float:
 
     ``f(store, backward)`` must evaluate the objective from the store's
     current values and return it as a float; with ``backward`` true it
-    must also add the objective's gradient into the store's
-    accumulators, as ``training.batch_loss`` does.  Every parameter entry
-    is perturbed by +-h in turn.  Relative error is |a - n| / max(|a|,
-    |n|, 1e-6); the floor keeps zero-gradient entries from reporting
-    pure rounding noise as 100% error.
+    must also hand the objective's gradient blocks to the store, as
+    ``training.batch_loss`` does.  Every parameter entry is perturbed
+    by +-h in turn.  Relative error is |a - n| / max(|a|, |n|, 1e-6);
+    the floor keeps zero-gradient entries from reporting pure rounding
+    noise as 100% error.
     """
     if not (1e-6 <= h <= 1e-3):
         raise ValueError(f"step size h must be in [1e-6, 1e-3], got {h}")
@@ -256,7 +256,7 @@ def grad_check(f, store: ParameterStore, h: float = 1e-5) -> float:
     if not np.isfinite(f(store, True)):
         store.zero_grads()
         raise GradCheckError("objective evaluated non-finite at the base point")
-    analytic = {name: store.grads[name].copy() for name in store.params}
+    analytic = {name: store.grad(name) for name in store.params}
     store.zero_grads()
 
     worst = 0.0

@@ -3,10 +3,10 @@
 Each training step records its whole objective as one :class:`Node`
 whose parents are parameter leaves and whose ``vjp`` is the objective's
 closed-form gradient (see ``training.build_batch_graph``).
-:func:`backprop` calls that VJP once and adds each leaf's gradient into
-the parameter store its ``param_ref`` names.  The op-by-op reference
-autodiff the closed form is checked against lives with the tests, in
-``tests/reftape.py``.
+:func:`backprop` calls that VJP once and hands each leaf's gradient,
+one block per parameter, to the store its ``param_ref`` names.  The
+op-by-op reference autodiff the closed form is checked against lives
+with the tests, in ``tests/reftape.py``.
 """
 
 from __future__ import annotations
@@ -36,12 +36,12 @@ class Node:
 def backprop(root: Node) -> None:
     """Call the scalar ``root``'s VJP once and flush each leaf's gradient.
 
-    Every parent carrying a ``param_ref`` has its gradient added into
-    the owning store with ``accumulate_grad``.
+    Every parent carrying a ``param_ref`` hands its gradient to the
+    owning store with ``accumulate_grad``, as this step's block.
     """
     if root.value.shape != ():
         raise ValueError(f"backprop root must be scalar, got shape {root.value.shape}")
     for parent, grad in zip(root.parents, root.vjp(np.ones_like(root.value))):
         if parent.param_ref is not None:
             store, name, rows = parent.param_ref
-            store.accumulate_grad(name, rows, np.asarray(grad))
+            store.accumulate_grad(name, rows, grad)

@@ -353,7 +353,7 @@ def _leaf(store: ParameterStore, name: str, rows=None) -> tape.Node:
 
 def _row_block(n_rows: int, at: np.ndarray, per_row):
     # per-occurrence gradient rows summed into distinct rows from zeros, in
-    # occurrence order, as np.add.at summed them into the store
+    # occurrence order: the block the store holds for this step
     block = np.zeros((n_rows,) + per_row.shape[1:])
     np.add.at(block, at, per_row)
     return block
@@ -459,10 +459,10 @@ def batch_loss(
     noise: BatchNoise,
     prior: PriorConsensus | None = None,
 ):
-    """One training step's loss with gradients accumulated into the store.
+    """One training step's loss, its gradient blocks handed to the store.
 
-    Raises NonFiniteLossError (naming the term) before any gradient is
-    written if a component diverged.
+    Raises NonFiniteLossError (naming the term) before any gradient
+    reaches the store if a component diverged.
     """
     total, breakdown, probs = build_batch_graph(dataset, fn, store, batch_idx, cfg, noise, prior)
     for term, val in (

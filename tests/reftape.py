@@ -29,8 +29,8 @@ class Node:
     gradient to one gradient per parent, each already summed to that
     parent's shape; a whole formula can be one Node this way.  Leaves
     from :func:`leaf` and :func:`row_leaf` carry ``param_ref`` so their
-    gradient can be pushed back into the store's accumulators after the
-    backward pass.
+    gradient can be handed back to the store, one block per parameter,
+    after the backward pass.
     """
 
     __slots__ = ("value", "grad", "parents", "vjp", "param_ref")

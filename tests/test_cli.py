@@ -741,6 +741,22 @@ class TestMemory:
             f"train raised the peak RSS by {rise / size:.2f}x its {size} B checkpoint"
         )
 
+    def test_one_epoch_train_keeps_no_full_size_gradient(self, zero_epoch_run):
+        # a mirt epoch steps Adam on the batch's rows; full-size gradient
+        # buffers beside the parameters and moments raise the peak past this
+        tmp_path, _ = zero_epoch_run
+        config = tmp_path / "mirt.cfg"
+        config.write_text(
+            f"logs = {tmp_path / 'logs.csv'}\nqmatrix = {tmp_path / 'q.csv'}\n"
+            f"output_dir = {tmp_path / 'mirt'}\nvariant = mirt\nmin_logs = 1\n"
+            "max_epochs = 1\npretrain_epochs = 0\nseed = 3\n"
+        )
+        rise = measured_rise(["train", "--config", str(config)])
+        size = (tmp_path / "mirt" / "checkpoint.json").stat().st_size
+        assert rise < 6.7 * size, (
+            f"train raised the peak RSS by {rise / size:.2f}x its {size} B checkpoint"
+        )
+
     def test_eval_serves_in_blocks(self, zero_epoch_run):
         # eval holds the checkpoint and one block of each head layer; serving
         # the whole split as one block raises the peak past this bound

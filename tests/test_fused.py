@@ -107,9 +107,10 @@ def ref_batch_step(dataset, fn, store, batch_idx, cfg, noise, prior):
     """The composed batch graph, one Node per op, then backprop into ``store``.
 
     Row leaves hold one gathered row per occurrence.  After the
-    backward pass each leaf scatter-adds its gradient into the store
-    with ``np.add.at``, leaves in the tape's topological order, as the
-    store did when training ran this graph.  Returns (breakdown, probs).
+    backward pass each leaf scatter-adds its gradient into a zero-filled
+    array with ``np.add.at``, leaves in the tape's topological order, as
+    the store did when training ran this graph.  Returns (breakdown,
+    probs, {name: whole-array gradient}); the MLP's come from the store.
     """
     s = dataset.s_idx[batch_idx]
     e = dataset.e_idx[batch_idx]
@@ -156,11 +157,12 @@ def ref_batch_step(dataset, fn, store, batch_idx, cfg, noise, prior):
         total = tape.add(total, tape.mul(l_rl, cfg.beta))
     breakdown = LossBreakdown(*(float(tape.value_of(x)) for x in (l_pred, l_kl, l_rl, total)))
     tape.backprop(total)  # MLP leaves go to the store here
+    grads = {name: store.grad(name) for name in store.params}  # zeros but the MLP's
     for node in tape._topo_order(total):
         if id(node) in rows_of:
             name, rows = rows_of[id(node)]
-            np.add.at(store.grads[name], rows, node.grad)
-    return breakdown, tape.value_of(y).copy()
+            np.add.at(grads[name], rows, node.grad)
+    return breakdown, tape.value_of(y).copy(), grads
 
 
 def ref_tracker_update(tracker, students, cell_lists, probs, labels):
@@ -444,8 +446,9 @@ class TestBatchGradients:
         want = ref_batch_step(ds, fn, store, batch_idx, cfg, noise, prior)
         assert got[0] == want[0]
         assert_bits(got[1], want[1])
-        for name in store.grads:
-            assert_bits(got_store.grads[name], store.grads[name])
+        for name in store.params:
+            assert_bits(got_store.grad(name), want[2][name])
+        return want[2]
 
     def fixtures(self, variant, ds, cfg, seed=2):
         fn = DiagnosticFunction(variant, mlp_hidden=(6, 4))
@@ -484,10 +487,10 @@ class TestBatchGradients:
         batch_idx = np.concatenate([np.arange(22), np.arange(8)])
         noise = self.noise(ds, fn, cfg, batch_idx, tracker)
         assert noise.keep_mask.all() == keep_all
-        self.step_both_ways(ds, fn, store, batch_idx, cfg, noise,
-                            self.prior(with_prior, variant, ds.n_concepts))
+        grads = self.step_both_ways(ds, fn, store, batch_idx, cfg, noise,
+                                    self.prior(with_prior, variant, ds.n_concepts))
         for name in ("student_mu", "student_logvar", "exercise_diff"):
-            assert store.grads[name].any()
+            assert grads[name].any()
 
     @pytest.mark.parametrize("variant", ["irt", "mirt", "ncd"])
     @pytest.mark.parametrize("with_prior", [False, True])

@@ -95,7 +95,7 @@ class TestVarianceDropout:
                                  default_rng(4))
         assert noise.keep_mask.any() and not noise.keep_mask.all()
         batch_loss(ds, fn, store, batch_idx, cfg, noise)
-        np.testing.assert_array_equal(store.grads[STUDENT_LOGVAR][students] != 0, noise.keep_mask)
+        np.testing.assert_array_equal(store.grad(STUDENT_LOGVAR)[students] != 0, noise.keep_mask)
 
 
 class TestSampling:

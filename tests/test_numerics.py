@@ -184,7 +184,7 @@ class TestAdamStep:
         # with constant g=1, bias-corrected mhat=1 and vhat=1, so the
         # first update is lr/(1 + eps) regardless of the betas
         store = scalar_store(0.0)
-        store.grads["w"][:] = 1.0
+        store.accumulate_grad("w", None, np.ones((1, 1)))
         adam_step(store, 0.002)
         delta = float(store.params["w"][0, 0])
         assert abs(delta + 0.002) <= 0.002 * 1e-7
@@ -193,7 +193,7 @@ class TestAdamStep:
         # v_t = (1 - beta2^t) g^2 for constant gradient
         store = scalar_store(0.0)
         for _ in range(2):
-            store.grads["w"][:] = 3.0
+            store.accumulate_grad("w", None, np.full((1, 1), 3.0))
             adam_step(store, 0.002)
         expected = (1 - ADAM_BETA2**2) * 9.0
         assert abs(float(store.v["w"][0, 0]) - expected) < 1e-15
@@ -201,22 +201,32 @@ class TestAdamStep:
 
     def test_gradients_cleared_after_step(self):
         store = scalar_store()
-        store.grads["w"][:] = 5.0
+        store.accumulate_grad("w", None, np.full((1, 1), 5.0))
         adam_step(store, 0.002)
-        assert float(store.grads["w"][0, 0]) == 0.0
+        assert float(store.grad("w")[0, 0]) == 0.0
+        assert store.touched_rows("w") is None
 
     def test_non_finite_gradient_aborts_whole_step(self):
         store = ParameterStore()
         store.add("a", np.array([1.0]))
         store.add("b", np.array([2.0]))
-        store.grads["a"][:] = 1.0
-        store.grads["b"][:] = np.nan
+        store.add("emb", np.zeros((3, 1)), row_sparse=True)
+        rows = np.array([0, 2])
+        store.accumulate_grad("a", None, np.ones(1))
+        store.accumulate_grad("b", None, np.full(1, np.nan))
+        store.accumulate_grad("emb", rows, np.ones((2, 1)))
         before_a = store.params["a"].copy()
         with pytest.raises(NonFiniteGradientError, match="'b'"):
             adam_step(store, 0.002)
         # 'a' must not have moved: the step aborts atomically
         np.testing.assert_array_equal(store.params["a"], before_a)
         assert store.step_count == 0
+        # and every held gradient survives the abort
+        np.testing.assert_array_equal(store.grad("a"), [1.0])
+        assert np.isnan(store.grad("b")).all()
+        np.testing.assert_array_equal(store.grad("emb")[:, 0], [1.0, 0.0, 1.0])
+        assert store.touched_rows("a") == "dense" and store.touched_rows("b") == "dense"
+        assert store.touched_rows("emb") is rows
 
     def test_dense_in_place_matches_textbook_formula_bitwise(self):
         # the out= buffer version against the expression it replaced
@@ -232,7 +242,7 @@ class TestAdamStep:
             grads = {name: rng.normal(size=p.shape) * 10.0 ** rng.integers(-6, 3)
                      for name, p in ref.items()}
             for name, g in grads.items():
-                store.grads[name][:] = g
+                store.accumulate_grad(name, None, g.copy())  # the store spends its block
             adam_step(store, lr)
             bc1 = 1.0 - ADAM_BETA1**t
             bc2 = 1.0 - ADAM_BETA2**t
@@ -245,7 +255,7 @@ class TestAdamStep:
                 assert store.params[name].tobytes() == ref[name].tobytes()
                 assert store.m[name].tobytes() == m[name].tobytes()
                 assert store.v[name].tobytes() == v[name].tobytes()
-                assert not store.grads[name].any()
+                assert not store.grad(name).any()
 
     def test_lazy_rows_match_dense_for_touched_rows(self):
         rng = default_rng(5)
@@ -255,7 +265,7 @@ class TestAdamStep:
 
         dense = ParameterStore()
         dense.add("emb", init.copy())
-        dense.grads["emb"][:] = grad
+        dense.accumulate_grad("emb", None, grad.copy())
         adam_step(dense, 0.002)
 
         lazy = ParameterStore()
@@ -278,16 +288,41 @@ class TestAdamStep:
         assert store.m["emb"][2, 0] == pytest.approx(0.1)
         assert store.params["emb"][1, 0] == 0.0
 
-    def test_touched_rows_join_within_a_step(self):
+    def test_second_block_in_a_step_raises(self):
         store = ParameterStore()
         store.add("emb", np.zeros((5, 2)), row_sparse=True)
-        store.accumulate_grad("emb", np.array([2, 4]), np.ones((2, 2)))
-        store.accumulate_grad("emb", np.array([0, 2]), np.ones((2, 2)))
-        np.testing.assert_array_equal(store.touched_rows("emb"), [0, 2, 4])
-        np.testing.assert_array_equal(store.grads["emb"][:, 0], [1.0, 0.0, 2.0, 0.0, 1.0])
+        rows = np.array([2, 4])
+        store.accumulate_grad("emb", rows, np.ones((2, 2)))
+        with pytest.raises(ValueError, match="'emb'"):
+            store.accumulate_grad("emb", np.array([0, 2]), np.full((2, 2), 7.0))
+        # the first block is kept, as it was
+        assert store.touched_rows("emb") is rows
+        np.testing.assert_array_equal(store.grad("emb")[:, 0], [0.0, 0.0, 1.0, 0.0, 1.0])
         adam_step(store, 0.002, lazy=True)
         assert store.touched_rows("emb") is None
-        assert (store.m["emb"][[0, 2, 4]] != 0).all() and not store.m["emb"][[1, 3]].any()
+        assert (store.m["emb"][[2, 4]] != 0).all() and not store.m["emb"][[0, 1, 3]].any()
+
+    def test_block_of_the_wrong_shape_raises(self):
+        store = ParameterStore()
+        store.add("emb", np.zeros((5, 2)), row_sparse=True)
+        with pytest.raises(ValueError, match="'emb'"):
+            store.accumulate_grad("emb", np.array([0, 2]), np.ones((2, 3)))
+        with pytest.raises(ValueError, match="'emb'"):
+            store.accumulate_grad("emb", None, np.ones(2))
+        assert store.touched_rows("emb") is None
+
+    def test_grad_reads_each_block_whole(self):
+        store = ParameterStore()
+        store.add("emb", np.ones((4, 2)), row_sparse=True)
+        store.add("b", np.ones(2))
+        store.add("idle", np.ones(3))
+        block = np.array([0.5, -0.5])
+        store.accumulate_grad("emb", np.array([1, 3]), np.array([[1.0, 2.0], [3.0, 4.0]]))
+        store.accumulate_grad("b", None, block)
+        np.testing.assert_array_equal(store.grad("emb"), [[0, 0], [1, 2], [0, 0], [3, 4]])
+        assert store.grad("b") is block  # a whole block is the gradient itself
+        np.testing.assert_array_equal(store.grad("idle"), np.zeros(3))
+        assert store.touched_rows("idle") is None
 
     def test_snapshot_roundtrip(self):
         store = scalar_store(1.5)
@@ -298,7 +333,7 @@ class TestAdamStep:
 
     def test_reset_moments(self):
         store = scalar_store()
-        store.grads["w"][:] = 1.0
+        store.accumulate_grad("w", None, np.ones((1, 1)))
         adam_step(store, 0.002)
         store.reset_moments()
         assert store.step_count == 0
@@ -314,7 +349,7 @@ class TestAdamStep:
         assert store.step_count == 0
         for name in store.params:
             assert not store.m[name].any() and not store.v[name].any()
-        store.grads["b"][:] = 1.0
+        store.accumulate_grad("b", None, np.ones(3))
         adam_step(store, 0.002)
         store.reset_moments()
         store.reset_moments()  # a second reset, at step 0 again
@@ -366,7 +401,8 @@ class TestGradCheck:
         store = scalar_store(1.25)
         grad_check(objective(lambda s: tape.nsum(tape.square(leaf(s, "w")))), store)
         assert float(store.params["w"][0, 0]) == 1.25
-        assert np.all(store.grads["w"] == 0.0)
+        assert np.all(store.grad("w") == 0.0)
+        assert store.touched_rows("w") is None
 
     def test_flags_a_deliberately_wrong_gradient(self):
         # negative control: a node whose backward pass claims 3x instead of

@@ -202,7 +202,7 @@ class TestOpGradients:
 
 
 class TestObjectiveNode:
-    """``cogdiag.tape.backprop``: one VJP call, each leaf's gradient into its store."""
+    """``cogdiag.tape.backprop``: one VJP call, each leaf's gradient handed to its store."""
 
     def store(self):
         store = ParameterStore()
@@ -228,8 +228,8 @@ class TestObjectiveNode:
         root, calls = self.root(objective_tape.Node, w, b)
         objective_tape.backprop(root)
         assert len(calls) == 1 and calls[0].shape == () and float(calls[0]) == 1.0
-        np.testing.assert_array_equal(store.grads["w"], [[0, 0], [1, 2], [0, 0], [3, 4]])
-        np.testing.assert_array_equal(store.grads["b"], [0.5, -0.5])
+        np.testing.assert_array_equal(store.grad("w"), [[0, 0], [1, 2], [0, 0], [3, 4]])
+        np.testing.assert_array_equal(store.grad("b"), [0.5, -0.5])
         assert store.touched_rows("w") is rows
         assert store.touched_rows("b") == "dense"
 
@@ -246,7 +246,7 @@ class TestObjectiveNode:
         )
         objective_tape.backprop(root)
         for name in ("w", "b"):
-            np.testing.assert_array_equal(got.grads[name], want.grads[name])
+            np.testing.assert_array_equal(got.grad(name), want.grad(name))
             np.testing.assert_array_equal(got.touched_rows(name), want.touched_rows(name))
 
     def test_requires_scalar_root(self):
