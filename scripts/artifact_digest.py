@@ -5,7 +5,11 @@ Writes a small planted cohort, then for each head (irt, mirt, ncd 16/8)
 runs ``train`` (3 + 3 epochs, seed 2), ``eval --split val``, ``eval
 --split test``, ``diagnose`` for the first student and
 ``export-ability`` through ``cogdiag.cli.main``.  Each command's stdout
-is kept as a file beside what it wrote.  The output directory is wiped
+is kept as a file beside what it wrote.  It then runs ``train`` on four
+damaged copies of the cohort's files (an undecodable byte, a wrong field
+count, a bad score after a row whose quoted id spans two lines, an empty
+Q-matrix id) and keeps each failure's exit code and stderr, so the
+error messages are compared too.  The output directory is wiped
 first, so two runs into the same directory embed the same paths; the
 digests then compare two checkouts byte for byte:
 
@@ -57,6 +61,48 @@ def run(argv: list[str], stdout_file: Path) -> None:
     stdout_file.write_text(buffer.getvalue(), encoding="utf-8")
 
 
+def run_failing(argv: list[str], stderr_file: Path) -> None:
+    """Run a command that must fail; keep its exit code and what it printed."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cogdiag(argv)
+    if code == 0:
+        raise SystemExit(f"cogdiag {' '.join(argv)} succeeded on damaged input")
+    stderr_file.write_text(f"exit {code}\n{stderr.getvalue()}{stdout.getvalue()}", encoding="utf-8")
+
+
+def write_config(path: Path, entries: dict) -> None:
+    path.write_text("".join(f"{k} = {v}\n" for k, v in entries.items()), encoding="utf-8")
+
+
+# name: (the file it damages, {1-based line of the cohort's file: edit of its bytes})
+DAMAGE = {
+    "undecodable_byte": ("logs", {10: lambda line: b"\xff" + line}),
+    "wrong_field_count": ("logs", {10: lambda line: line.rsplit(b",", 1)[0]}),
+    "bad_score_after_a_multiline_id": ("logs", {
+        2: lambda line: b'"' + line.replace(b",", b'\r\nsecond line",', 1),
+        10: lambda line: line[:-1] + b"7",
+    }),
+    "empty_qmatrix_id": ("qmatrix", {5: lambda line: line[line.index(b","):]}),
+}
+
+
+def write_failures(out: Path, logs: Path, qmatrix: Path) -> None:
+    """Train on each damaged copy of the CRLF cohort files; keep each failure's output."""
+    files = {"logs": logs, "qmatrix": qmatrix}
+    for name, (which, edits) in DAMAGE.items():
+        case = out / "errors" / name
+        case.mkdir(parents=True)
+        lines = files[which].read_bytes().split(b"\r\n")
+        for number, edit in edits.items():
+            lines[number - 1] = edit(lines[number - 1])
+        damaged = case / files[which].name
+        damaged.write_bytes(b"\r\n".join(lines))
+        config = case / "run.cfg"
+        write_config(config, {**files, which: damaged, "output_dir": case / "run", "min_logs": 1})
+        run_failing(["train", "--config", str(config)], case / "train.stderr")
+
+
 def write_cohort(out: Path, **shape):
     """The planted cohort's CSVs in ``out``: (cohort, logs path, Q-matrix path)."""
     cohort = planted_cohort(**shape)
@@ -72,7 +118,7 @@ def train_and_serve(run_dir: Path, entries: dict, splits, student: str) -> str:
     """
     run_dir.mkdir()
     config = run_dir / "run.cfg"
-    config.write_text("".join(f"{k} = {v}\n" for k, v in entries.items()), encoding="utf-8")
+    write_config(config, entries)
     checkpoint = str(run_dir / "checkpoint.json")
     run(["train", "--config", str(config)], run_dir / "train.stdout")
     for split in splits:
@@ -90,6 +136,7 @@ def write_artifacts(out: Path) -> None:
                        min_logs=1, max_epochs=3, pretrain_epochs=3, seed=2)
         checkpoint = train_and_serve(run_dir, entries, ("val", "test"), cohort.logs.student_ids[0])
         run(["export-ability", "--checkpoint", checkpoint], run_dir / "export_ability.stdout")
+    write_failures(out, logs, qmatrix)
 
 
 def load_workloads() -> dict:

@@ -43,7 +43,7 @@ from .data import (
     split_per_student,
 )
 from .inference import check_dataset_matches, diagnose, evaluate_probs, predict_split
-from .latent import STUDENT_LOGVAR, STUDENT_MEAN
+from .latent import STUDENT_LOGVAR, STUDENT_MEAN, variance_from_logvar
 from .metrics import MetricError, format_reliability_csv
 from .numerics import NonFiniteGradientError, stable_sigmoid
 from .training import NonFiniteLossError, Trainer
@@ -216,7 +216,7 @@ def cmd_export_ability(args) -> int:
     ck = load_checkpoint(args.checkpoint)
     _run_config_from_checkpoint(ck)
     mastery = stable_sigmoid(ck.params[STUDENT_MEAN])
-    sigma = np.sqrt(np.exp(ck.params[STUDENT_LOGVAR]))
+    sigma = np.sqrt(variance_from_logvar(ck.params[STUDENT_LOGVAR]))
     labels = _csv_ids(ck.fn.cell_labels(ck.concept_ids))
 
     out = _out_path(args.out, args.checkpoint, "ability.csv")

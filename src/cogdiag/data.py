@@ -8,15 +8,19 @@ every downstream artifact reproducible from the input files alone.
 
 Files are read into columns, not into an object per row: every check
 and every index runs over a whole column at once, and only a failed
-check goes back to find the first offending row.
+check goes back, in the text already read, to find the first offending
+row.
 
-A file is read once.  A plain file, with no quote, no NUL, one line
-ending throughout (LF or CRLF), the right comma count on every line and
-no empty id, is split on its commas in one ``str.split``; every CSV that
+A file is read once, on every path: one read of its bytes and one
+UTF-8 decode (a leading byte-order mark is dropped).  A file that is not
+UTF-8 is rejected at the line of its first bad byte, whatever else it
+holds.  A plain file, with no quote, no NUL, one line ending throughout
+(LF or CRLF), the right comma count on every line and no empty id, is
+split on its commas in one ``str.split``; every CSV that
 ``synth.write_cohort_csv`` and ``scripts/prepare_assist2009.py`` write is
 plain unless an id needs quoting.  Any other file, and every malformed
-one, goes through ``csv.reader`` over the same text, so the reader
-alone words every error and numbers every line.
+one, goes through ``csv.reader`` over the decoded text, so the reader
+alone words every other error and numbers every line.
 """
 
 from __future__ import annotations
@@ -68,37 +72,35 @@ LOG_HEADER = ["student_id", "exercise_id", "score"]
 QMATRIX_HEADER = ["exercise_id", "concept_id"]
 
 
-def _bad_utf8_line(path) -> int:
-    """The line of the first byte of ``path`` that is not valid UTF-8."""
-    raw = Path(path).read_bytes()
-    try:
-        raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        return raw.count(b"\n", 0, exc.start) + 1
-    return 1
+def _read_columns(path, header: list[str]) -> list[list[str]]:
+    """Stripped field columns of the rows after ``header``; a malformed file raises.
 
-
-def _read_columns(path, header: list[str]) -> tuple[list[list[str]], list[tuple[int, str]]]:
-    """Stripped field columns of the rows after ``header``, and their problems.
-
-    Columns cover the rows before the first one whose field count is
-    wrong.  Problems are (row index, message): that row, if any, and the
-    first empty field of each ``*_id`` column.  The file is read once; a
-    plain file is split whole (:func:`_split_plain`), any other goes
-    through ``csv.reader`` over the same text.
+    The file is read and decoded once.  Bytes that are not UTF-8 raise at
+    the line of the first bad one.  A plain file is then split whole
+    (:func:`_split_plain`); any other goes through ``csv.reader`` over
+    the same text.  Every ``*_id`` field must be non-empty and every
+    ``score`` 0 or 1; the earliest row that breaks a rule, or has the
+    wrong field count, raises with its line.
     """
     raw = Path(path).read_bytes()
     try:
         text = raw.decode("utf-8-sig")
-    except UnicodeDecodeError:
-        # stream the file as before: the reader meets the bad byte where it lies,
-        # after any csv error on an earlier line
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            return _reader_columns(path, fh, header)
-    columns = _split_plain(raw, text, header)
+    except UnicodeDecodeError as exc:
+        # exc.start indexes exc.object, the bytes after any byte-order mark
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise DataFormatError(f"{path} line {line}: not valid UTF-8 ({exc.reason})") from None
+    columns, problems = _split_plain(raw, text, header), []
     if columns is None:
-        return _reader_columns(path, io.StringIO(text, newline=""), header)
-    return columns, []
+        columns, problems = _reader_columns(path, text, header)
+    if "score" in header:
+        scores = columns[header.index("score")]
+        if not set(scores) <= {"0", "1"}:
+            i = next(i for i, s in enumerate(scores) if s not in ("0", "1"))
+            problems.append((i, f"score must be 0 or 1, got {scores[i]!r}"))
+    if problems:  # the earliest row's; on one row, the first found
+        index, message = min(problems, key=itemgetter(0))
+        raise DataFormatError(f"{path} line {_row_line(text, index)}: {message}")
+    return columns
 
 
 # What ``str.strip`` removes from ASCII text, line breaks aside
@@ -114,7 +116,7 @@ def _split_plain(raw: bytes, text: str, header: list[str]) -> list[list[str]] | 
     line), no line longer than ``csv.field_size_limit()`` and no empty
     id: there every line is one row and every comma a field break, so
     ``csv.reader`` would read the same fields.  Any other file is left
-    to the reader, which stays the one source of error messages.
+    to the reader, which words every error of the file's layout.
     """
     width = len(header)
     if not text or '"' in text or "\0" in text:
@@ -161,16 +163,19 @@ def _one_row_per_line(raw: bytes, width: int, eol: str) -> bool:
     return bool((ends - starts - 1).max() <= csv.field_size_limit())
 
 
-def _reader_columns(path, lines, header: list[str]) -> tuple[list[list[str]], list[tuple[int, str]]]:
-    """:func:`_read_columns` through ``csv.reader`` over ``lines``.
+def _reader_columns(path, text: str, header: list[str]) -> tuple[list[list[str]], list[tuple[int, str]]]:
+    """The columns of ``text`` read by ``csv.reader``, and their problems.
 
-    The reader's rows are appended to one flat list as they stream past,
-    and the running length after each row tells every row's field count
-    without keeping a list per row.
+    Columns cover the rows before the first one whose field count is
+    wrong.  Problems are (row index, message): that row, if any, and the
+    first empty field of each ``*_id`` column.  The reader's rows are
+    appended to one flat list as they stream past, and the running
+    length after each row tells every row's field count without keeping
+    a list per row.
     """
     flat: list[str] = []
     try:
-        reader = csv.reader(lines)
+        reader = csv.reader(io.StringIO(text, newline=""))
         got = [h.strip() for h in next(reader, header)]
         if got != header:
             raise DataFormatError(
@@ -179,9 +184,6 @@ def _reader_columns(path, lines, header: list[str]) -> tuple[list[list[str]], li
         ends = np.fromiter(map(len, map(flat.__iadd__, reader)), dtype=np.int64)
     except csv.Error as exc:
         raise DataFormatError(f"{path} line {reader.line_num}: {exc}") from None
-    except UnicodeDecodeError as exc:
-        line = _bad_utf8_line(path)
-        raise DataFormatError(f"{path} line {line}: not valid UTF-8 ({exc.reason})") from None
     width = len(header)
     counts = np.diff(ends, prepend=0)
     bad = np.flatnonzero(counts != width)
@@ -197,33 +199,21 @@ def _reader_columns(path, lines, header: list[str]) -> tuple[list[list[str]], li
     return columns, problems
 
 
-def _row_line(path, index: int) -> int:
-    """The line of ``path`` on which data row ``index`` starts.
+def _row_line(text: str, index: int) -> int:
+    """The line of ``text`` on which data row ``index`` starts.
 
-    Re-reads the file up to that row: a quoted field may span lines, so
-    only the reader's own line count places a row.
+    A quoted field may span lines, so only the reader's own line count
+    places a row.
     """
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        for _ in range(index + 1):  # the header, then the rows before ``index``
-            next(reader)
-        return reader.line_num + 1
-
-
-def _raise_first(path, problems: list[tuple[int, str]]) -> None:
-    """Raise the problem of the earliest row; on one row, the first one found."""
-    if problems:
-        index, message = min(problems, key=itemgetter(0))
-        raise DataFormatError(f"{path} line {_row_line(path, index)}: {message}")
+    reader = csv.reader(io.StringIO(text, newline=""))
+    for _ in range(index + 1):  # the header, then the rows before ``index``
+        next(reader)
+    return reader.line_num + 1
 
 
 def load_logs(path) -> LogColumns:
     """Parse a response-log CSV. Malformed rows raise with their line number."""
-    (sids, eids, scores), problems = _read_columns(path, LOG_HEADER)
-    if not set(scores) <= {"0", "1"}:
-        i = next(i for i, s in enumerate(scores) if s not in ("0", "1"))
-        problems.append((i, f"score must be 0 or 1, got {scores[i]!r}"))
-    _raise_first(path, problems)
+    sids, eids, scores = _read_columns(path, LOG_HEADER)
     # every score is "0" or "1" here, so its one ASCII byte minus b"0" is its value
     digits = np.frombuffer("".join(scores).encode("ascii"), dtype=np.uint8)
     return LogColumns(sids, eids, (digits - ord("0")).astype(np.float64))
@@ -231,8 +221,7 @@ def load_logs(path) -> LogColumns:
 
 def load_qmatrix(path) -> list[tuple[str, str]]:
     """Parse Q-matrix pairs, dropping duplicates but keeping first-seen order."""
-    (eids, cids), problems = _read_columns(path, QMATRIX_HEADER)
-    _raise_first(path, problems)
+    eids, cids = _read_columns(path, QMATRIX_HEADER)
     return list(dict.fromkeys(zip(eids, cids)))
 
 

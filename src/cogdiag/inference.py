@@ -14,7 +14,7 @@ import numpy as np
 from .checkpoint import Checkpoint, CheckpointError
 from .data import Dataset, cell_runs
 from .diagnostics import EXERCISE_DIFF, EXERCISE_DISC, DiagnosticFunction
-from .latent import STUDENT_LOGVAR, STUDENT_MEAN
+from .latent import STUDENT_LOGVAR, STUDENT_MEAN, variance_from_logvar
 from .metrics import BinReport, acc, auc, calibration, rmse
 from .numerics import ParameterStore, stable_sigmoid
 
@@ -165,7 +165,7 @@ def diagnose(ck: Checkpoint, student_id: str) -> DiagnosisReport:
     except ValueError:
         raise KeyError(f"unknown student id {student_id!r}") from None
     mastery = stable_sigmoid(ck.params[STUDENT_MEAN][s])
-    sigma = np.sqrt(np.exp(ck.params[STUDENT_LOGVAR][s]))
+    sigma = np.sqrt(variance_from_logvar(ck.params[STUDENT_LOGVAR][s]))
     counts = ck.train_counts[s]
     labels = ck.fn.cell_labels(ck.concept_ids)
     order = np.argsort(sigma, kind="stable")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import LOG_FLOOR, stable_sigmoid
+from .numerics import EXP_CLAMP, LOG_FLOOR, stable_sigmoid
 
 STUDENT_MEAN = "student_mu"
 STUDENT_LOGVAR = "student_logvar"
@@ -33,6 +33,11 @@ class PriorConsensus:
 
 
 STANDARD_PRIOR = PriorConsensus(mean=np.zeros(()))  # phase one's N(0, I)
+
+
+def variance_from_logvar(logvar):
+    """sigma^2 = exp(logvar), with logvar clipped to +-``numerics.EXP_CLAMP`` as training reads it."""
+    return np.exp(np.clip(logvar, -EXP_CLAMP, EXP_CLAMP))
 
 
 def dropout_mask(shape, keep_probability: float, rng: np.random.Generator) -> np.ndarray:

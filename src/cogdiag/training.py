@@ -47,6 +47,7 @@ from .latent import (
     draw_ability,
     dropout_mask,
     kl_consensus,
+    variance_from_logvar,
 )
 from .numerics import (
     EXP_CLAMP,
@@ -146,8 +147,8 @@ class CorrectnessTracker:
     shared slot for IRT.  After each training step the batch's sampled
     probabilities are thresholded at 0.5 (ties predict correct) and
     compared with the labels; every concept the exercise touches gets
-    the outcome.  ``frequency`` is hits over attempts, or None before
-    any history exists.
+    the outcome.  A cell's correctness frequency is ``hits / seen``;
+    ``seen == 0`` means it has no history yet.
     """
 
     def __init__(self, n_students: int, n_cells: int):
@@ -168,12 +169,6 @@ class CorrectnessTracker:
         np.add.at(self.seen, (rows, cols), 1)
         hit = np.repeat(correct, sizes)
         np.add.at(self.hits, (rows[hit], cols[hit]), 1)
-
-    def frequency(self, student: int, cell: int):
-        n = self.seen[student, cell]
-        if n == 0:
-            return None
-        return self.hits[student, cell] / n
 
     def observed_cells(self):
         """(students, cells, frequencies) for every cell with history."""
@@ -395,7 +390,7 @@ def build_batch_graph(
     leaves += [_leaf(store, name) for name in MLP_PARAMS if name in store.params]  # ncd's MLP
     mu, logvar = leaves[0].value, leaves[1].value
     keep = noise.keep_mask
-    var = np.exp(np.clip(logvar, -EXP_CLAMP, EXP_CLAMP))
+    var = variance_from_logvar(logvar)
     var_inside = (logvar > -EXP_CLAMP) & (logvar < EXP_CLAMP)
     var_at = var[s_at]
     var_hat = apply_dropout_mask(var_at, keep, cfg.dropout_alpha)

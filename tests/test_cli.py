@@ -3,6 +3,7 @@
 import argparse
 import csv
 import gc
+import math
 import os
 import re
 import shutil
@@ -18,6 +19,7 @@ import cogdiag
 from cogdiag.checkpoint import load_checkpoint, save_checkpoint
 from cogdiag.cli import build_parser, main
 from cogdiag.config import RunConfig
+from cogdiag.inference import diagnose
 from cogdiag.metrics import acc, auc, calibration, format_reliability_csv, rmse
 from cogdiag.synth import planted_cohort, write_cohort_csv
 
@@ -513,6 +515,34 @@ class TestDiagnose:
         rows = out.read_text().splitlines()
         assert rows[0] == "rank,concept_id,mastery,sigma,interactions"
         assert len(rows) == 1 + workspace["n_concepts"]
+
+    def test_sigma_comes_from_the_variance_training_used(self, workspace, tmp_path, capsys):
+        # training clips logvar to +-30 before exp, so logvar +-40 serves as sigma exp(+-15)
+        ck = load_checkpoint(workspace["checkpoint"])
+        logvar = ck.params["student_logvar"].copy()
+        logvar[0, :2] = (40.0, -40.0)
+        ck.params["student_logvar"] = logvar
+        path = tmp_path / "checkpoint.json"
+        save_checkpoint(ck, path)
+        sid, (wide, narrow) = ck.student_ids[0], ck.concept_ids[:2]
+        report = diagnose(load_checkpoint(path), sid)
+        sigma = {row.concept_id: row.sigma for row in report.rows}
+        assert sigma[wide] == pytest.approx(math.exp(15.0), rel=1e-12)
+        assert sigma[narrow] == pytest.approx(math.exp(-15.0), rel=1e-12)
+        assert (report.rows[0].concept_id, report.rows[-1].concept_id) == (narrow, wide)
+        diag, ability = tmp_path / "diag.csv", tmp_path / "ability.csv"
+        assert main(["diagnose", "--checkpoint", str(path), "--student", sid,
+                     "--out", str(diag)]) == 0
+        assert f"{math.exp(15.0):>8.4f}" in capsys.readouterr().out
+        assert main(["export-ability", "--checkpoint", str(path), "--out", str(ability)]) == 0
+        with open(diag, newline="") as fh:
+            diag_sigma = {row["concept_id"]: row["sigma"] for row in csv.DictReader(fh)}
+        with open(ability, newline="") as fh:
+            ability_sigma = {row["concept_id"]: row["sigma"] for row in csv.DictReader(fh)
+                             if row["student_id"] == sid}
+        for shown in (diag_sigma, ability_sigma):
+            assert shown[wide] == f"{math.exp(15.0):.6f}"
+            assert shown[narrow] == f"{math.exp(-15.0):.6f}"
 
     def test_unknown_student_is_runtime_error(self, workspace, capsys):
         code = main([

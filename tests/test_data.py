@@ -1,5 +1,7 @@
 """Log parsing, filtering, indexing, splitting, batching."""
 
+import builtins
+import contextlib
 import csv
 import importlib.util
 import io
@@ -73,6 +75,18 @@ def q_csv(tmp_path):
         "e2,c_sub\n"
         "e3,c_mul\n",
     )
+
+
+# (test id suffix, byte-order mark, rows after the header, line of the first bad byte)
+UNDECODABLE_BODIES = [
+    ("", b"", b"s1,e1,1\n" * 3 + b"s\xff,e1,1\n", 5),
+    # the bad byte wins over an earlier csv error, however far apart the two lie
+    ("-after-a-long-field", b"", b"s1,e1,1\n" + b"y" * 200_000 + b",e1,1\ns\xff,e1,1\n", 4),
+    ("-2000-rows-after-a-long-field", b"",
+     b"s1,e1,1\n" + b"y" * 200_000 + b",e1,1\n" + b"s1,e1,1\n" * 2000 + b"s\xff,e1,1\n", 2004),
+    # the line is counted after the mark, as the decoder reports the byte's position
+    ("-after-a-byte-order-mark", UTF8_BOM, b"s1,e1,1\ns\xff,e1,1\n", 3),
+]
 
 
 class TestLoading:
@@ -183,15 +197,49 @@ class TestLoading:
             load(bad)
         assert str(excinfo.value) == f"{bad} line 3: field larger than field limit (131072)"
 
-    @pytest.mark.parametrize("load, header", [(load_logs, b"student_id,exercise_id,score\n"),
-                                              (load_qmatrix, b"exercise_id,concept_id\n")],
-                             ids=["logs", "qmatrix"])
-    def test_undecodable_byte_names_file_and_line(self, tmp_path, load, header):
+    @pytest.mark.parametrize(
+        "load, data, line",
+        [pytest.param(load, bom + header + body, line, id=name + suffix)
+         for name, load, header in (("logs", load_logs, b"student_id,exercise_id,score\n"),
+                                    ("qmatrix", load_qmatrix, b"exercise_id,concept_id\n"))
+         for suffix, bom, body, line in UNDECODABLE_BODIES],
+    )
+    def test_undecodable_byte_names_file_and_line(self, tmp_path, load, data, line):
         bad = tmp_path / "bytes.csv"
-        bad.write_bytes(header + b"s1,e1,1\n" * 3 + b"s\xff,e1,1\n")
+        bad.write_bytes(data)
         with pytest.raises(DataFormatError) as excinfo:
             load(bad)
-        assert str(excinfo.value) == f"{bad} line 5: not valid UTF-8 (invalid start byte)"
+        assert str(excinfo.value) == f"{bad} line {line}: not valid UTF-8 (invalid start byte)"
+
+    @pytest.mark.parametrize(
+        "load, data",
+        [
+            (load_logs, b"student_id,exercise_id,score\ns1,e1,1\ns1,e2,0\n"),
+            (load_logs, b'student_id,exercise_id,score\n"s1",e1,1\n'),
+            (load_logs, b"student_id,exercise_id,score\ns1,e1,1\ns1,e2,2\n"),
+            (load_logs, b"student_id,exercise_id,score\ns1,e1,1\ns\xff,e2,0\n"),
+            (load_qmatrix, b"exercise_id,concept_id\ne1,c1\ne2,\n"),
+            (load_qmatrix, b"exercise_id,concept_id\ne1,c1\ne\xff,c1\n"),
+        ],
+        ids=["plain", "quoted", "bad-score", "undecodable", "qmatrix-empty-id",
+             "qmatrix-undecodable"],
+    )
+    def test_a_load_opens_its_file_once(self, tmp_path, monkeypatch, load, data):
+        path = tmp_path / "data.csv"
+        path.write_bytes(data)
+        opened = []
+        real_open = io.open
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(file)
+            return real_open(file, *args, **kwargs)
+
+        # Path.read_bytes opens through io.open, a bare open() through builtins
+        monkeypatch.setattr(io, "open", counting_open)
+        monkeypatch.setattr(builtins, "open", counting_open)
+        with contextlib.suppress(DataFormatError):
+            load(path)
+        assert opened == [path]
 
 
 LOG_LINE = "student_id,exercise_id,score"

@@ -45,6 +45,15 @@ def test_artifact_digests_repeat(tmp_path):
     for head in ("irt", "mirt", "ncd"):
         assert {f"{head}/checkpoint.json", f"{head}/train_log.csv", f"{head}/ability.csv",
                 f"{head}/predictions_val.csv", f"{head}/reliability_test.csv"} <= names
+    # and each damaged input's failing train leaves its exit code and message
+    errors = {"undecodable_byte": "line 10: not valid UTF-8 (invalid start byte)",
+              "wrong_field_count": "line 10: expected 3 fields, got 2",
+              "bad_score_after_a_multiline_id": "line 11: score must be 0 or 1, got '7'",
+              "empty_qmatrix_id": "line 5: empty id field"}
+    for case, message in errors.items():
+        assert f"errors/{case}/train.stderr" in names
+        kept = (tmp_path / "digest" / "errors" / case / "train.stderr").read_text()
+        assert kept.startswith("exit 1\nerror: ") and kept.endswith(f" {message}\n")
     (tmp_path / "other").mkdir()
     (tmp_path / "other" / "keep.txt").write_text("not the script's")
     assert digest(tmp_path / "other").returncode == 2

@@ -642,10 +642,11 @@ class TestSamplePairsReference:
                 assert i != j
                 ci = int(idx[ptr[exercises[i]] : ptr[exercises[i] + 1]][pick_a[k]])
                 cj = int(idx[ptr[exercises[j]] : ptr[exercises[j] + 1]][pick_b[k]])
-                oi = tracker.frequency(int(students[i]), ci)
-                oj = tracker.frequency(int(students[j]), cj)
-                if oi is None or oj is None:
+                si, sj = int(students[i]), int(students[j])
+                if tracker.seen[si, ci] == 0 or tracker.seen[sj, cj] == 0:
                     continue  # an untracked side drops the pair
+                oi = tracker.hits[si, ci] / tracker.seen[si, ci]
+                oj = tracker.hits[sj, cj] / tracker.seen[sj, cj]
                 for col, item in zip(cols, (i, ci, oi, j, cj, oj)):
                     col.append(item)
         want = [np.array(col, dtype=np.float64 if k in (2, 5) else np.int64)
