@@ -17,6 +17,7 @@ import numpy as np
 
 from cogdiag import DiagnosticFunction, TrainConfig, Trainer, build_dataset, planted_cohort
 from cogdiag.inference import evaluate_store
+from cogdiag.latent import variance_from_logvar
 from cogdiag.metrics import reliability_rows
 
 print("=== 1. train twice: hinge on vs hinge off ===")
@@ -43,7 +44,7 @@ def rank_corr(x, y):
 
 for label, trainer in (("hinge on ", run(beta=0.1)), ("hinge off", run(beta=0.0))):
     s, c, observed = trainer.tracker.observed_cells()
-    variance = np.exp(trainer.store.params["student_logvar"])[s, c]
+    variance = variance_from_logvar(trainer.store.params["student_logvar"])[s, c]
     rho = rank_corr(observed, variance)
     print(f"  {label}: rank corr(correctness frequency, variance) = {rho:+.3f}")
 print("the negative correlation appears when the calibration term trains;")

@@ -44,7 +44,7 @@ tracker.seen[:] = 2
 tracker.hits[:] = 1
 batch = np.arange(8)
 noise = draw_batch_noise(
-    dataset, fn, config, batch, tracker,
+    dataset, fn.cells(dataset), config, batch, tracker,
     substream(1, "sampling"), substream(1, "dropout"), substream(1, "pairing"),
 )
 root = build_batch_graph(dataset, fn, model, batch, config, noise, None)[0]

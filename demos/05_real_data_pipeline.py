@@ -54,8 +54,8 @@ config = TrainConfig(
 
 
 def progress(record):
-    val = f"val auc {record.val_auc:.4f}" if record.val_auc is not None else ""
-    print(f"  phase {record.phase} epoch {record.epoch:>3}  pred {record.prediction:.4f}  {val}")
+    print(f"  phase {record.phase} epoch {record.epoch:>3}  pred {record.prediction:.4f}  "
+          f"val auc {record.val_auc:.4f}")
 
 
 start = time.monotonic()

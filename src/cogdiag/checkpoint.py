@@ -99,9 +99,9 @@ def _whole_counts(counts: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
 def atomic_write(path, content) -> None:
     """Write ``content`` to ``path``; readers see the old file or the whole new one.
 
-    ``content`` is a str, written as UTF-8, a bytes object, or an
-    iterable of bytes-like buffers written one after another, so a
-    caller with several large buffers never joins them into a copy.  The
+    ``content`` is a str, written as UTF-8, or an iterable of
+    bytes-like buffers written one after another, so a caller with
+    several large buffers never joins them into a copy.  The
     bytes go to a temporary file in the same directory, which replaces
     ``path`` once complete; if anything fails first, the iterable
     included, the temporary file is deleted and ``path`` is untouched.
@@ -109,9 +109,7 @@ def atomic_write(path, content) -> None:
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     if isinstance(content, str):
-        content = content.encode("utf-8")
-    if isinstance(content, bytes):
-        content = [content]
+        content = [content.encode("utf-8")]
     try:
         with open(tmp, "wb") as fh:
             for part in content:

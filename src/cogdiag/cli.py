@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import asdict, fields
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -126,7 +126,6 @@ def cmd_train(args) -> int:
         f"interactions={dataset.n_interactions}"
     )
     ck = trainer.train()
-    ck.run_config = asdict(cfg)
 
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -144,8 +143,8 @@ def cmd_train(args) -> int:
     best = ck.val_metrics
     if best:
         print(
-            f"best epoch {ck.best_epoch}: val acc {best.get('acc', float('nan')):.4f} "
-            f"auc {best.get('auc', float('nan')):.4f} ece {best.get('ece', float('nan')):.4f}"
+            f"best epoch {ck.best_epoch}: val acc {best['acc']:.4f} "
+            f"auc {best['auc']:.4f} ece {best['ece']:.4f}"
         )
     print(f"checkpoint written to {ck_path}")
     return 0

@@ -86,9 +86,11 @@ def _read_columns(path, header: list[str]) -> list[list[str]]:
     try:
         text = raw.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
-        # exc.start indexes exc.object, the bytes after any byte-order mark
-        line = exc.object.count(b"\n", 0, exc.start) + 1
-        raise DataFormatError(f"{path} line {line}: not valid UTF-8 ({exc.reason})") from None
+        # exc.start indexes exc.object, the bytes after any byte-order mark;
+        # lines break at \n, \r and \r\n, as csv.reader counts them
+        body, end = exc.object, exc.start
+        breaks = body.count(b"\n", 0, end) + body.count(b"\r", 0, end) - body.count(b"\r\n", 0, end)
+        raise DataFormatError(f"{path} line {breaks + 1}: not valid UTF-8 ({exc.reason})") from None
     columns, problems = _split_plain(raw, text, header), []
     if columns is None:
         columns, problems = _reader_columns(path, text, header)

@@ -29,18 +29,17 @@ def predict_split(
     fn: DiagnosticFunction,
     dataset: Dataset,
     indices: np.ndarray,
-    chunk: int | None = None,
 ) -> np.ndarray:
     """Correctness probabilities for the given interaction positions.
 
     ``model`` is read for its ``params`` alone, so a training store and
     a loaded checkpoint serve alike.
 
-    Rows go through the head ``chunk`` at a time.  By default a block
-    holds as many rows as keep the widest (rows, width) array the head
-    forms within ``BLOCK_BYTES``: the width is the latent size, or for
-    ncd the widest of it and the hidden layers.  That gives 256 rows at
-    ncd's 512-wide layer, while irt and mirt keep large blocks.
+    Rows go through the head a block at a time.  A block holds as many
+    rows as keep the widest (rows, width) array the head forms within
+    ``BLOCK_BYTES``: the width is the latent size, or for ncd the widest
+    of it and the hidden layers.  That gives 256 rows at ncd's 512-wide
+    layer, while irt and mirt keep large blocks.
 
     The student means are squashed once, whole, since a split reads each
     student many times.  The exercise tables can be far larger than what
@@ -49,21 +48,20 @@ def predict_split(
 
     Blocks move time and memory, not bits.  BLAS kernels step through
     rows 4 to 16 at a time and sum the leftover rows differently, so the
-    default block is a multiple of 64 rows: every row then sits where one
-    whole call would put it.  A tail shorter than a block joins the block
+    block is a multiple of 64 rows: every row then sits where one whole
+    call would put it.  A tail shorter than a block joins the block
     before it, since a one-row matmul takes the matrix-vector path.
     """
     indices = np.asarray(indices, dtype=np.int64)
     theta_all = stable_sigmoid(model.params[STUDENT_MEAN])
     diff, disc = model.params[EXERCISE_DIFF], model.params[EXERCISE_DISC]
-    if chunk is None:
-        width = max([theta_all.shape[1], *(fn.mlp_hidden if fn.variant == "ncd" else ())])
-        chunk = max(64, BLOCK_BYTES // (8 * width) // 64 * 64)
+    width = max([theta_all.shape[1], *(fn.mlp_hidden if fn.variant == "ncd" else ())])
+    block = max(64, BLOCK_BYTES // (8 * width) // 64 * 64)
 
     n = len(indices)
     out = np.empty(n)
     lo = 0
-    for hi in [*range(chunk, n - chunk + 1, chunk), n]:
+    for hi in [*range(block, n - block + 1, block), n]:
         part = indices[lo:hi]
         theta, e = theta_all[dataset.s_idx[part]], dataset.e_idx[part]
         out[lo:hi] = fn.predict(
@@ -168,18 +166,14 @@ def diagnose(ck: Checkpoint, student_id: str) -> DiagnosisReport:
     sigma = np.sqrt(variance_from_logvar(ck.params[STUDENT_LOGVAR][s]))
     counts = ck.train_counts[s]
     labels = ck.fn.cell_labels(ck.concept_ids)
-    order = np.argsort(sigma, kind="stable")
-    rank = np.empty(len(sigma), dtype=np.int64)
-    rank[order] = np.arange(1, len(sigma) + 1)
     rows = [
         ConceptDiagnosis(
             concept_id=labels[k],
             mastery=float(mastery[k]),
             sigma=float(sigma[k]),
             interactions=int(counts[k]),
-            rank=int(rank[k]),
+            rank=rank,
         )
-        for k in range(len(sigma))
+        for rank, k in enumerate(np.argsort(sigma, kind="stable").tolist(), start=1)
     ]
-    rows.sort(key=lambda row: row.rank)
     return DiagnosisReport(student_id=student_id, rows=rows)

@@ -22,7 +22,7 @@ phase two.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -314,7 +314,7 @@ class LossBreakdown:
 
 def draw_batch_noise(
     dataset: Dataset,
-    fn: DiagnosticFunction,
+    cells: tuple[np.ndarray, np.ndarray],
     cfg: TrainConfig,
     batch_idx: np.ndarray,
     tracker: CorrectnessTracker,
@@ -324,17 +324,18 @@ def draw_batch_noise(
 ) -> BatchNoise:
     """One step's reparameterization draws, dropout mask and, iff ``cfg.beta > 0``, pairs.
 
-    Phase one trains on ``beta = 0``, so it draws nothing from
-    ``rng_pairing``.
+    ``cells`` is the run's (ptr, idx) cell map, as
+    :meth:`DiagnosticFunction.cells` gives it; the draws are as wide as
+    the tracker's cells.  Phase one trains on ``beta = 0``, so it draws
+    nothing from ``rng_pairing``.
     """
-    B = len(batch_idx)
-    d = fn.latent_dim(dataset.n_concepts)
+    B, d = len(batch_idx), tracker.seen.shape[1]
     eps = rng_sampling.standard_normal((B, d))
     keep = dropout_mask((B, d), cfg.dropout_keep, rng_dropout)
     pairs = None
     if cfg.beta > 0:
         pairs = sample_pairs(
-            dataset.s_idx[batch_idx], dataset.e_idx[batch_idx], fn.cells(dataset), tracker,
+            dataset.s_idx[batch_idx], dataset.e_idx[batch_idx], cells, tracker,
             cfg.batch_size, rng_pairing,
         )
     return BatchNoise(eps=eps, keep_mask=keep, pairs=pairs)
@@ -523,7 +524,7 @@ class Trainer:
         for batch_idx in batches(self.splits.train, cfg.batch_size, self._streams["batching"]):
             noise = draw_batch_noise(
                 self.dataset,
-                self.fn,
+                self.cells,
                 cfg,
                 batch_idx,
                 self.tracker,
@@ -558,25 +559,23 @@ class Trainer:
         )
         return {"val_acc": report.acc, "val_auc": report.auc, "val_ece": report.ece}
 
-    def _run_phase(self, phase: int, max_epochs: int, cfg: TrainConfig):
-        best_auc = -np.inf
-        best_params = None
-        best_epoch = -1
-        best_val: dict = {}
+    def _run_phase(self, phase: int, max_epochs: int, cfg: TrainConfig) -> EpochRecord | None:
+        """Train one phase; the store ends at its best epoch's parameters.
+
+        Returns that epoch's record, the first with the highest
+        validation AUC, or None if the phase ran no epoch.
+        """
+        best = best_params = None
         stale = 0
         start = len(self.history)
-        for epoch in range(max_epochs):
-            losses = self._epoch(phase, cfg, start + epoch)
-            val = self._validate()
-            record = EpochRecord(phase=phase, epoch=start + epoch, **losses, **val)
+        for epoch in range(start, start + max_epochs):
+            losses = self._epoch(phase, cfg, epoch)
+            record = EpochRecord(phase=phase, epoch=epoch, **losses, **self._validate())
             self.history.append(record)
             if self.on_epoch is not None:
                 self.on_epoch(record)
-            if val["val_auc"] > best_auc:
-                best_auc = val["val_auc"]
-                best_params = self.store.copy_params()
-                best_epoch = start + epoch
-                best_val = val
+            if best is None or record.val_auc > best.val_auc:
+                best, best_params = record, self.store.copy_params()
                 stale = 0
             else:
                 stale += 1
@@ -584,7 +583,7 @@ class Trainer:
                     break
         if best_params is not None:
             self.store.load_params(best_params)
-        return best_epoch, best_val
+        return best
 
     def train(self) -> Checkpoint:
         cfg = self.cfg
@@ -595,15 +594,19 @@ class Trainer:
         self.prior = compute_consensus(self.store.params[STUDENT_MEAN])
         self.store.reset_moments()
 
-        best_epoch, best_val = self._run_phase(2, cfg.max_epochs, cfg)
-        return self.to_checkpoint(best_epoch, best_val)
+        return self.to_checkpoint(self._run_phase(2, cfg.max_epochs, cfg))
 
-    def to_checkpoint(self, best_epoch: int, val_metrics: dict) -> Checkpoint:
-        """The trained model; its ``params`` are the store's own arrays, not copies."""
+    def to_checkpoint(self, best: EpochRecord | None) -> Checkpoint:
+        """The trained model, with ``best`` as its best phase-two epoch (None: no epoch ran).
+
+        Its ``params`` are the store's own arrays, not copies, and its
+        ``run_config`` is the config the Trainer was built with.
+        """
         # bound per call, not at import, so a wrapper patched onto inference is seen
         from .inference import concept_interaction_counts
 
         consensus = self.prior.mean if self.prior is not None else None
+        val = {"acc": best.val_acc, "auc": best.val_auc, "ece": best.val_ece} if best else {}
         return Checkpoint(
             fn=self.fn,
             params=dict(self.store.params),
@@ -611,8 +614,8 @@ class Trainer:
             student_ids=list(self.dataset.student_ids),
             exercise_ids=list(self.dataset.exercise_ids),
             concept_ids=list(self.dataset.concept_ids),
-            run_config={},  # cmd_train stores the RunConfig it trained from
-            best_epoch=best_epoch,
+            run_config=asdict(self.cfg),
+            best_epoch=-1 if best is None else best.epoch,
             train_counts=concept_interaction_counts(self.dataset, self.splits.train, self.fn),
-            val_metrics={k.removeprefix("val_"): v for k, v in val_metrics.items()},
+            val_metrics=val,
         )

@@ -28,7 +28,7 @@ from cogdiag.data import (
 )
 from cogdiag.diagnostics import DiagnosticFunction, init_parameters
 from cogdiag.inference import concept_interaction_counts, evaluate_probs, evaluate_store
-from cogdiag.latent import STANDARD_PRIOR, PriorConsensus, kl_consensus
+from cogdiag.latent import STANDARD_PRIOR, PriorConsensus, kl_consensus, variance_from_logvar
 from cogdiag.metrics import acc, auc, calibration, rmse
 from cogdiag.numerics import grad_check
 from cogdiag.seeding import substream
@@ -150,7 +150,7 @@ def test_criterion_02_gradient_fidelity():
             tracker.hits[:] = default_rng(seed + 1).integers(0, 3, size=tracker.seen.shape)
             batch_idx = np.arange(8)
             noise = draw_batch_noise(
-                ds, fn, cfg, batch_idx, tracker,
+                ds, fn.cells(ds), cfg, batch_idx, tracker,
                 substream(seed % 1000, "sampling"),
                 substream(seed % 1000, "dropout"),
                 substream(seed % 1000, "pairing"),
@@ -280,7 +280,7 @@ def test_criterion_06_uncertainty_shrinks_with_evidence(recovery_run):
     ds = recovery_run["dataset"]
     trainer = recovery_run["trainer"]
     counts = concept_interaction_counts(ds, trainer.splits.train, trainer.fn)
-    variance = np.exp(trainer.store.params["student_logvar"])
+    variance = variance_from_logvar(trainer.store.params["student_logvar"])  # as diagnose reads it
     rich = variance[counts >= 20]
     sparse = variance[counts <= 2]
     assert rich.size > 0 and sparse.size > 0
@@ -293,7 +293,7 @@ def test_criterion_06_uncertainty_shrinks_with_evidence(recovery_run):
 def test_criterion_07_calibration_ordering(recovery_run):
     def tracker_variance_corr(trainer):
         s, c, o = trainer.tracker.observed_cells()
-        variance = np.exp(trainer.store.params["student_logvar"])
+        variance = variance_from_logvar(trainer.store.params["student_logvar"])
         return float(spearmanr(o, variance[s, c]).statistic)
 
     corr_full = tracker_variance_corr(recovery_run["trainer"])
@@ -319,7 +319,7 @@ def test_criterion_08_reduction_checks(tmp_path):
     batch_idx = np.arange(16)
     tracker = CorrectnessTracker(ds.n_students, fn.latent_dim(ds.n_concepts))
     noise = draw_batch_noise(
-        ds, fn, cfg, batch_idx, tracker,
+        ds, fn.cells(ds), cfg, batch_idx, tracker,
         substream(1, "sampling"), substream(1, "dropout"), substream(1, "pairing"),
     )
     breakdown, probs = batch_loss(ds, fn, store, batch_idx, cfg, noise)

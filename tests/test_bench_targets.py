@@ -114,8 +114,9 @@ def step(request):
     tracker = training.CorrectnessTracker(ds.n_students, fn.latent_dim(ds.n_concepts))
     tracker.seen[:] = 1
     batch_idx = np.arange(12)
-    noise = training.draw_batch_noise(ds, fn, cfg, batch_idx, tracker, substream(5, "sampling"),
-                                      substream(5, "dropout"), substream(5, "pairing"))
+    noise = training.draw_batch_noise(ds, fn.cells(ds), cfg, batch_idx, tracker,
+                                      substream(5, "sampling"), substream(5, "dropout"),
+                                      substream(5, "pairing"))
     return ds, fn, cfg, store, batch_idx, noise, tracker
 
 

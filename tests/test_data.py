@@ -86,6 +86,9 @@ UNDECODABLE_BODIES = [
      b"s1,e1,1\n" + b"y" * 200_000 + b",e1,1\n" + b"s1,e1,1\n" * 2000 + b"s\xff,e1,1\n", 2004),
     # the line is counted after the mark, as the decoder reports the byte's position
     ("-after-a-byte-order-mark", UTF8_BOM, b"s1,e1,1\ns\xff,e1,1\n", 3),
+    # lines break at \r and \r\n too, as csv.reader numbers every other error
+    ("-after-cr-only-lines", b"", b"s1,e1,1\r" * 2 + b"s\xff,e1,1\r", 4),
+    ("-after-crlf-lines", b"", b"s1,e1,1\r\n" * 2 + b"s\xff,e1,1\r\n", 4),
 ]
 
 

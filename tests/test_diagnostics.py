@@ -264,7 +264,7 @@ class TestPredictorGradients:
         tracker.seen[:] = 2
         tracker.hits[:] = default_rng(3).integers(0, 3, size=tracker.seen.shape)
         batch_idx = np.arange(10)
-        noise = draw_batch_noise(ds, fn, cfg, batch_idx, tracker,
+        noise = draw_batch_noise(ds, fn.cells(ds), cfg, batch_idx, tracker,
                                  default_rng(4), default_rng(5), default_rng(6))
         assert noise.pairs.count > 0
 

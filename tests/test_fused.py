@@ -461,7 +461,7 @@ class TestBatchGradients:
 
     def noise(self, ds, fn, cfg, batch_idx, tracker):
         noise = draw_batch_noise(
-            ds, fn, cfg, batch_idx, tracker,
+            ds, fn.cells(ds), cfg, batch_idx, tracker,
             substream(4, "sampling"), substream(4, "dropout"), substream(4, "pairing"),
         )
         assert (noise.pairs.count > 0) == (len(batch_idx) > 1)  # one instance draws no pairs

@@ -10,6 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from cogdiag import inference
 from cogdiag.checkpoint import (
     Checkpoint,
     CheckpointError,
@@ -42,6 +43,16 @@ from cogdiag.training import TrainConfig, Trainer
 
 def same_bits(a, b):
     return np.array_equal(np.asarray(a).view(np.int64), np.asarray(b).view(np.int64))
+
+
+ONE_BLOCK = 1 << 60  # as BLOCK_BYTES, serves any split as one block; 0 gives 64-row blocks
+
+
+def predict_in_blocks(monkeypatch, block_bytes, *args):
+    """``predict_split(*args)`` with ``inference.BLOCK_BYTES`` set to ``block_bytes``."""
+    with monkeypatch.context() as patch:
+        patch.setattr(inference, "BLOCK_BYTES", block_bytes)
+        return predict_split(*args)
 
 
 def toy_dataset(seed=1):
@@ -335,7 +346,7 @@ class TestCheckpointIO:
         arr = np.arange(3.0).reshape(3, 1)
         atomic_write(path, [b"head\n", bytearray(b"ab"), memoryview(b"cd"), arr, b""])
         assert path.read_bytes() == b"head\nabcd" + arr.tobytes()
-        atomic_write(path, b"plain bytes")
+        atomic_write(path, [b"plain bytes"])
         assert path.read_bytes() == b"plain bytes"
         atomic_write(path, "text \u00e9")
         assert path.read_bytes() == "text \u00e9".encode("utf-8")
@@ -440,18 +451,8 @@ class TestEvaluation:
         singles = [predict_split(ck, fn, ds, np.array([i]))[0] for i in idx]
         np.testing.assert_array_equal(probs, singles)
 
-    def test_chunked_prediction_matches_whole(self):
-        ds = toy_dataset()
-        _, ck = trained_checkpoint(ds, "ncd")
-        fn = ck.fn
-        idx = np.arange(ds.n_interactions)
-        np.testing.assert_array_equal(
-            predict_split(ck, fn, ds, idx, chunk=7),
-            predict_split(ck, fn, ds, idx, chunk=10_000),
-        )
-
     @pytest.mark.parametrize("variant", ["ncd", "mirt", "irt"])
-    def test_default_block_matches_whole_and_single_rows(self, variant):
+    def test_default_block_matches_whole_and_single_rows(self, variant, monkeypatch):
         # ncd at the paper's 512/256 width; the positions repeat so that
         # every variant spans 2.5 default blocks plus a ragged tail
         ds = toy_dataset()
@@ -461,10 +462,10 @@ class TestEvaluation:
         block = BLOCK_BYTES // (8 * width) // 64 * 64
         idx = np.resize(np.arange(ds.n_interactions), 5 * block // 2 + 3)
         blocked = predict_split(ck, fn, ds, idx)
-        assert same_bits(blocked, predict_split(ck, fn, ds, idx, chunk=len(idx)))
+        assert same_bits(blocked, predict_in_blocks(monkeypatch, ONE_BLOCK, ck, fn, ds, idx))
 
         positions = np.arange(ds.n_interactions)
-        whole = predict_split(ck, fn, ds, positions, chunk=len(positions))
+        whole = predict_in_blocks(monkeypatch, ONE_BLOCK, ck, fn, ds, positions)
         singles = np.array([predict_split(ck, fn, ds, positions[i : i + 1])[0] for i in positions])
         if variant == "ncd":
             # a one-row matmul takes BLAS's matrix-vector path, which may
@@ -479,11 +480,11 @@ class TestEvaluation:
             tailed = np.append(idx[: 2 * block], pos)
             assert same_bits(
                 predict_split(ck, fn, ds, tailed),
-                predict_split(ck, fn, ds, tailed, chunk=len(tailed)),
+                predict_in_blocks(monkeypatch, ONE_BLOCK, ck, fn, ds, tailed),
             )
 
     @pytest.mark.parametrize("variant", ["irt", "mirt", "ncd"])
-    def test_blocks_match_a_whole_table_reference(self, variant):
+    def test_blocks_match_a_whole_table_reference(self, variant, monkeypatch):
         # the exercise tables are squashed per block of gathered rows; the
         # sigmoid is elementwise, so that equals squashing the whole
         # tables first and gathering from them, bit for bit
@@ -499,8 +500,8 @@ class TestEvaluation:
             fn.q_rows(ds, e),
             ck,
         )[0]
-        for chunk in (64, None, len(idx)):
-            assert same_bits(predict_split(ck, fn, ds, idx, chunk=chunk), reference)
+        for block_bytes in (0, BLOCK_BYTES, ONE_BLOCK):
+            assert same_bits(predict_in_blocks(monkeypatch, block_bytes, ck, fn, ds, idx), reference)
 
     @pytest.mark.parametrize("variant", ["irt", "mirt", "ncd"])
     def test_loaded_checkpoint_serves_the_trained_store_bits(self, tmp_path, variant):

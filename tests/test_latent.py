@@ -91,8 +91,8 @@ class TestVarianceDropout:
         store = init_parameters(fn, ds.n_students, ds.n_exercises, ds.n_concepts, default_rng(1))
         students, batch_idx = np.unique(ds.s_idx, return_index=True)
         tracker = CorrectnessTracker(ds.n_students, fn.latent_dim(ds.n_concepts))
-        noise = draw_batch_noise(ds, fn, cfg, batch_idx, tracker, default_rng(2), default_rng(3),
-                                 default_rng(4))
+        noise = draw_batch_noise(ds, fn.cells(ds), cfg, batch_idx, tracker,
+                                 default_rng(2), default_rng(3), default_rng(4))
         assert noise.keep_mask.any() and not noise.keep_mask.all()
         batch_loss(ds, fn, store, batch_idx, cfg, noise)
         np.testing.assert_array_equal(store.grad(STUDENT_LOGVAR)[students] != 0, noise.keep_mask)

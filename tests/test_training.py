@@ -1,9 +1,14 @@
 """Loss terms, tracker, pair sampling, batch loss, and the two-phase loop."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from numpy.random import default_rng
 
+from cogdiag import cli
+from cogdiag.checkpoint import load_checkpoint, save_checkpoint
+from cogdiag.config import RunConfig
 from cogdiag.data import build_dataset
 from cogdiag.diagnostics import IRT_SCALE, DiagnosticFunction, init_parameters
 from cogdiag.numerics import grad_check
@@ -32,6 +37,14 @@ def tiny_dataset(seed=1, students=30, exercises=40, concepts=4, per_student=20):
         per_student=per_student,
         seed=seed,
     )
+    return build_dataset(cohort.logs, cohort.q_pairs, min_logs=1)
+
+
+def coin_flip_dataset():
+    """Labels that are coin flips: validation AUC is noise, so early stopping fires fast."""
+    rng = default_rng(0)
+    cohort = planted_cohort(n_students=20, n_exercises=30, n_concepts=3, per_student=15, seed=2)
+    cohort.logs.scores = (rng.random(len(cohort.logs)) < 0.5).astype(np.float64)
     return build_dataset(cohort.logs, cohort.q_pairs, min_logs=1)
 
 
@@ -281,7 +294,7 @@ class TestBatchLoss:
             tracker.hits = np.minimum(rng.integers(0, 3, size=tracker.seen.shape), tracker.seen)
         batch_idx = np.arange(16)
         noise = draw_batch_noise(
-            ds, fn, cfg, batch_idx, tracker,
+            ds, fn.cells(ds), cfg, batch_idx, tracker,
             substream(seed, "sampling"), substream(seed, "dropout"), substream(seed, "pairing"),
         )
         return ds, fn, cfg, store, batch_idx, noise
@@ -380,7 +393,7 @@ class TestBatchLoss:
         tracker.hits[:] = default_rng(10).integers(0, 3, size=tracker.seen.shape)
         batch_idx = np.arange(8)
         noise = draw_batch_noise(
-            ds, fn, cfg, batch_idx, tracker,
+            ds, fn.cells(ds), cfg, batch_idx, tracker,
             substream(9, "sampling"), substream(9, "dropout"), substream(9, "pairing"),
         )
 
@@ -507,15 +520,28 @@ class TestTrainer:
         )
 
     def test_early_stopping_cuts_the_run_short(self):
-        rng = default_rng(0)
-        cohort = planted_cohort(n_students=20, n_exercises=30, n_concepts=3, per_student=15, seed=2)
-        # coin-flip labels: validation AUC is noise, patience 1 should fire fast
-        cohort.logs.scores = (rng.random(len(cohort.logs)) < 0.5).astype(np.float64)
-        ds = build_dataset(cohort.logs, cohort.q_pairs, min_logs=1)
         cfg = quick_config(max_epochs=30, pretrain_epochs=0, patience=1, seed=1)
-        trainer = Trainer(ds, DiagnosticFunction("mirt"), cfg)
+        trainer = Trainer(coin_flip_dataset(), DiagnosticFunction("mirt"), cfg)
         trainer.train()
         assert len(trainer.history) < 30
+
+    def test_checkpoint_records_the_first_best_phase_two_epoch(self):
+        cfg = quick_config(max_epochs=30, pretrain_epochs=1, patience=2, seed=1)
+        trainer = Trainer(coin_flip_dataset(), DiagnosticFunction("mirt"), cfg)
+        ck = trainer.train()
+        phase2 = [rec for rec in trainer.history if rec.phase == 2]
+        assert 2 < len(phase2) < 30  # early stopping fired
+        best = max(phase2, key=lambda rec: rec.val_auc)  # the first of any tie
+        assert ck.best_epoch == best.epoch
+        assert ck.val_metrics == {"acc": best.val_acc, "auc": best.val_auc, "ece": best.val_ece}
+
+    def test_checkpoint_records_the_run_config_it_trained_from(self, tmp_path):
+        cfg = RunConfig(variant="mirt", max_epochs=1, pretrain_epochs=1, seed=3, batch_size=16)
+        ck = Trainer(tiny_dataset(seed=4), cfg.diagnostic, cfg).train()
+        assert ck.run_config == asdict(cfg)
+        save_checkpoint(ck, tmp_path / "ck.json")
+        for served in (ck, load_checkpoint(tmp_path / "ck.json")):
+            assert cli._run_config_from_checkpoint(served) == cfg
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
