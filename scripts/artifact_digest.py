@@ -9,7 +9,11 @@ is kept as a file beside what it wrote.  It then runs ``train`` on four
 damaged copies of the cohort's files (an undecodable byte, a wrong field
 count, a bad score after a row whose quoted id spans two lines, an empty
 Q-matrix id) and keeps each failure's exit code and stderr, so the
-error messages are compared too.  The output directory is wiped
+error messages are compared too.  Last, a library ``Trainer`` trains
+mirt on a ``TrainConfig`` (1 + 1 epochs, seed 2) and saves its
+checkpoint, which ``diagnose`` and ``export-ability`` serve and ``eval``,
+having no data files to read, refuses; that exit code and stderr are
+kept the same way.  The output directory is wiped
 first, so two runs into the same directory embed the same paths; the
 digests then compare two checkouts byte for byte:
 
@@ -43,8 +47,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
+from cogdiag.checkpoint import save_checkpoint  # noqa: E402
 from cogdiag.cli import main as cogdiag  # noqa: E402
+from cogdiag.data import build_dataset, load_logs, load_qmatrix  # noqa: E402
+from cogdiag.diagnostics import DiagnosticFunction  # noqa: E402
 from cogdiag.synth import planted_cohort, write_cohort_csv  # noqa: E402
+from cogdiag.training import TrainConfig, Trainer  # noqa: E402
 
 MARKER = ".artifact_digest"
 HEADS = {"irt": dict(variant="irt"), "mirt": dict(variant="mirt"),
@@ -67,7 +75,7 @@ def run_failing(argv: list[str], stderr_file: Path) -> None:
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = cogdiag(argv)
     if code == 0:
-        raise SystemExit(f"cogdiag {' '.join(argv)} succeeded on damaged input")
+        raise SystemExit(f"cogdiag {' '.join(argv)} succeeded where it must fail")
     stderr_file.write_text(f"exit {code}\n{stderr.getvalue()}{stdout.getvalue()}", encoding="utf-8")
 
 
@@ -127,6 +135,19 @@ def train_and_serve(run_dir: Path, entries: dict, splits, student: str) -> str:
     return checkpoint
 
 
+def write_library_run(out: Path, logs: Path, qmatrix: Path, student: str) -> None:
+    """Serve a checkpoint a library Trainer saved on a TrainConfig, as the README trains one."""
+    run_dir = out / "library"
+    run_dir.mkdir()
+    dataset = build_dataset(load_logs(logs), load_qmatrix(qmatrix), min_logs=1)
+    cfg = TrainConfig(max_epochs=1, pretrain_epochs=1, seed=2)
+    checkpoint = str(run_dir / "checkpoint.json")
+    save_checkpoint(Trainer(dataset, DiagnosticFunction("mirt"), cfg).train(), checkpoint)
+    run(["diagnose", "--checkpoint", checkpoint, "--student", student], run_dir / "diagnose.stdout")
+    run(["export-ability", "--checkpoint", checkpoint], run_dir / "export_ability.stdout")
+    run_failing(["eval", "--checkpoint", checkpoint], run_dir / "eval.stderr")
+
+
 def write_artifacts(out: Path) -> None:
     cohort, logs, qmatrix = write_cohort(
         out, n_students=60, n_exercises=80, n_concepts=5, per_student=30, seed=2)
@@ -137,6 +158,7 @@ def write_artifacts(out: Path) -> None:
         checkpoint = train_and_serve(run_dir, entries, ("val", "test"), cohort.logs.student_ids[0])
         run(["export-ability", "--checkpoint", checkpoint], run_dir / "export_ability.stdout")
     write_failures(out, logs, qmatrix)
+    write_library_run(out, logs, qmatrix, cohort.logs.student_ids[0])
 
 
 def load_workloads() -> dict:

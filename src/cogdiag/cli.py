@@ -20,19 +20,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import (
-    Checkpoint,
-    CheckpointError,
-    atomic_write,
-    load_checkpoint,
-    save_checkpoint,
-)
-from .config import ConfigError, RunConfig, format_config, parse_config_file
+from .checkpoint import CheckpointError, atomic_write, load_checkpoint, save_checkpoint
+from .config import ConfigError, RunConfig, config_from_checkpoint, format_config, parse_config_file
 from .data import (
     DataFormatError,
     DataValidationError,
@@ -65,30 +58,6 @@ RUNTIME_ERRORS = (
 
 def _load_dataset(cfg: RunConfig) -> Dataset:
     return build_dataset(load_logs(cfg.logs), load_qmatrix(cfg.qmatrix), min_logs=cfg.min_logs)
-
-
-def _run_config_from_checkpoint(ck: Checkpoint) -> RunConfig:
-    known, have = {f.name for f in fields(RunConfig)}, set(ck.run_config)
-    if have != known:
-        raise CheckpointError(
-            "checkpoint run_config does not match this build's configuration schema "
-            f"(missing keys: {', '.join(sorted(known - have)) or 'none'}; unexpected keys: "
-            f"{', '.join(sorted(have - known)) or 'none'}); retrain with `cogdiag train`"
-        )
-    defaults = RunConfig()
-    for name, value in ck.run_config.items():
-        # what a config file could hold: a bool is not an int (and loading rejected 1e999)
-        if type(value) is not type(getattr(defaults, name)):
-            raise CheckpointError(f"checkpoint run_config is malformed: {name} = {value!r}")
-    try:
-        cfg = RunConfig(**ck.run_config)
-    except ValueError as exc:
-        raise CheckpointError(f"checkpoint configuration no longer valid: {exc}") from None
-    if cfg.diagnostic != ck.fn:
-        raise CheckpointError(
-            f"checkpoint head {ck.fn} disagrees with its run_config's {cfg.diagnostic}"
-        )
-    return cfg
 
 
 def _csv_ids(ids: list[str]) -> list[str]:
@@ -156,7 +125,12 @@ def cmd_eval(args) -> int:
     if out == reliability:
         raise ConfigError(f"--out {out} is where eval writes the reliability table")
     ck = load_checkpoint(args.checkpoint)
-    cfg = _run_config_from_checkpoint(ck)
+    cfg = config_from_checkpoint(ck)
+    if not isinstance(cfg, RunConfig):
+        raise CheckpointError(
+            f"checkpoint {args.checkpoint} records a library TrainConfig, which names no data "
+            "files to score; eval serves checkpoints written by `cogdiag train`"
+        )
     dataset = _load_dataset(cfg)
     check_dataset_matches(ck, dataset)
     indices = getattr(split_per_student(dataset, cfg.split), args.split)
@@ -189,7 +163,7 @@ def cmd_eval(args) -> int:
 
 def cmd_diagnose(args) -> int:
     ck = load_checkpoint(args.checkpoint)
-    _run_config_from_checkpoint(ck)
+    config_from_checkpoint(ck)
     report = diagnose(ck, args.student)
 
     print(f"student {report.student_id}")
@@ -213,7 +187,7 @@ def cmd_diagnose(args) -> int:
 
 def cmd_export_ability(args) -> int:
     ck = load_checkpoint(args.checkpoint)
-    _run_config_from_checkpoint(ck)
+    config_from_checkpoint(ck)
     mastery = stable_sigmoid(ck.params[STUDENT_MEAN])
     sigma = np.sqrt(variance_from_logvar(ck.params[STUDENT_LOGVAR]))
     labels = _csv_ids(ck.fn.cell_labels(ck.concept_ids))

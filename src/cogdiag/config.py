@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
+from .checkpoint import CheckpointError
 from .diagnostics import DiagnosticFunction
 from .training import TrainConfig
 
@@ -62,11 +63,11 @@ def _parse_float(raw: str) -> float:
 
 
 _PARSERS = {int: int, float: _parse_float, str: str}
+# the config schema: every key, in file order, with the type of its value
+KEY_TYPES = {f.name: type(f.default) for f in fields(RunConfig)}
 
 
 def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
-    defaults = RunConfig()
-    known = {f.name for f in fields(RunConfig)}
     values: dict = {}
     errors: list[str] = []
     seen: set[str] = set()
@@ -80,20 +81,18 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
         key, _, raw = stripped.partition("=")
         key = key.strip()
         raw = raw.strip()
-        if key not in known:
+        if key not in KEY_TYPES:
             errors.append(f"line {lineno}: unknown key {key!r}")
             continue
         if key in seen:
             errors.append(f"line {lineno}: duplicate key {key!r}")
             continue
         seen.add(key)
-        parser = _PARSERS[type(getattr(defaults, key))]
         try:
-            values[key] = parser(raw)
+            values[key] = _PARSERS[KEY_TYPES[key]](raw)
         except ValueError:
             errors.append(
-                f"line {lineno}: cannot parse {key!r} value {raw!r} as "
-                f"{type(getattr(defaults, key)).__name__}"
+                f"line {lineno}: cannot parse {key!r} value {raw!r} as {KEY_TYPES[key].__name__}"
             )
 
     if not errors:
@@ -124,7 +123,33 @@ def parse_config_file(path) -> RunConfig:
 
 def format_config(cfg: RunConfig) -> str:
     """Render a RunConfig back to the flat file format (resolved values)."""
-    lines = []
-    for f in fields(RunConfig):
-        lines.append(f"{f.name} = {getattr(cfg, f.name)}")
-    return "\n".join(lines) + "\n"
+    return "".join(f"{key} = {getattr(cfg, key)}\n" for key in KEY_TYPES)
+
+
+def config_from_checkpoint(ck) -> TrainConfig:
+    """The run config ``ck`` records, checked as strictly as a config file's values.
+
+    ``cogdiag train`` records every key, giving a RunConfig whose head must
+    agree with the header's; a library Trainer records its TrainConfig's keys
+    alone, giving that TrainConfig.  Any other key set is rejected.
+    """
+    have, known = set(ck.run_config), KEY_TYPES.keys()
+    if have != known and have != {f.name for f in fields(TrainConfig)}:
+        raise CheckpointError(
+            "checkpoint run_config does not match this build's configuration schema "
+            f"(missing keys: {', '.join(sorted(known - have)) or 'none'}; unexpected keys: "
+            f"{', '.join(sorted(have - known)) or 'none'}); retrain with `cogdiag train`"
+        )
+    for name, value in ck.run_config.items():
+        # what a config file could hold: a bool is not an int (and loading rejected 1e999)
+        if type(value) is not KEY_TYPES[name]:
+            raise CheckpointError(f"checkpoint run_config is malformed: {name} = {value!r}")
+    try:
+        cfg = (RunConfig if have == known else TrainConfig)(**ck.run_config)
+    except ValueError as exc:
+        raise CheckpointError(f"checkpoint configuration no longer valid: {exc}") from None
+    if isinstance(cfg, RunConfig) and cfg.diagnostic != ck.fn:
+        raise CheckpointError(
+            f"checkpoint head {ck.fn} disagrees with its run_config's {cfg.diagnostic}"
+        )
+    return cfg

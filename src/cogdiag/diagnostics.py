@@ -49,8 +49,8 @@ class DiagnosticFunction:
         problems = []
         if self.variant not in VARIANTS:
             problems.append(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        if len(self.mlp_hidden) != 2 or not all(h >= 1 for h in self.mlp_hidden):
-            problems.append(f"mlp_hidden needs two positive sizes, got {self.mlp_hidden}")
+        if len(self.mlp_hidden) != 2 or not all(type(h) is int and h >= 1 for h in self.mlp_hidden):
+            problems.append(f"mlp_hidden needs two positive int sizes, got {self.mlp_hidden}")
         if problems:
             raise ValueError("; ".join(problems))
 

@@ -49,6 +49,7 @@ from .latent import (
     kl_consensus,
     variance_from_logvar,
 )
+from .metrics import hard_calls
 from .numerics import (
     EXP_CLAMP,
     LOG_FLOOR,
@@ -145,7 +146,7 @@ class CorrectnessTracker:
 
     A cell is a concept for the multidimensional variants and the single
     shared slot for IRT.  After each training step the batch's sampled
-    probabilities are thresholded at 0.5 (ties predict correct) and
+    probabilities become hard calls (``metrics.hard_calls``) and are
     compared with the labels; every concept the exercise touches gets
     the outcome.  A cell's correctness frequency is ``hits / seen``;
     ``seen == 0`` means it has no history yet.
@@ -163,7 +164,7 @@ class CorrectnessTracker:
         exercise must be distinct, as a Dataset's concepts are: a
         repeated cell would count twice.
         """
-        correct = (np.asarray(probs) >= 0.5) == (np.asarray(labels) == 1)
+        correct = hard_calls(probs) == (np.asarray(labels) == 1)
         cols, sizes = cell_runs(*cells, np.asarray(exercises, dtype=np.int64))
         rows = np.repeat(np.asarray(students, dtype=np.int64), sizes)
         np.add.at(self.seen, (rows, cols), 1)

@@ -18,10 +18,13 @@ import pytest
 import cogdiag
 from cogdiag.checkpoint import load_checkpoint, save_checkpoint
 from cogdiag.cli import build_parser, main
-from cogdiag.config import RunConfig
+from cogdiag.config import KEY_TYPES, RunConfig
+from cogdiag.data import build_dataset, load_logs, load_qmatrix
+from cogdiag.diagnostics import DiagnosticFunction
 from cogdiag.inference import diagnose
 from cogdiag.metrics import acc, auc, calibration, format_reliability_csv, rmse
 from cogdiag.synth import planted_cohort, write_cohort_csv
+from cogdiag.training import TrainConfig, Trainer
 
 
 @pytest.fixture(scope="module")
@@ -328,9 +331,11 @@ class TestMalformedCheckpoint:
             assert "malformed" in capsys.readouterr().err
 
 
-    @pytest.mark.parametrize(
-        "key, value", [("gamma", '"abc"'), ("patience", "true"), ("gamma", "1e999")]
-    )
+    @pytest.mark.parametrize("key, value", list(dict.fromkeys(
+        [("gamma", '"abc"'), ("patience", "true"), ("gamma", "1e999")]
+        # one per key: a bool for an int, an int for a float, a number for a str
+        + [(key, {int: "true", float: "1", str: "5"}[kind]) for key, kind in KEY_TYPES.items()]
+    )))
     def test_run_config_value_a_config_file_cannot_hold(
         self, workspace, tmp_path, capsys, rewrite_checkpoint, key, value
     ):
@@ -409,6 +414,39 @@ class TestMalformedCheckpoint:
             assert "missing keys: none" in err and "cogdiag train" in err
             for key in older:
                 assert key in err
+
+    @pytest.mark.parametrize("drop, add", [("gamma", None), (None, "min_logs")])
+    def test_train_config_schema_off_by_one_key(
+        self, workspace, tmp_path, capsys, rewrite_checkpoint, drop, add
+    ):
+        # a library Trainer records exactly TrainConfig's keys; one fewer or one more is neither schema
+        def edit(header):
+            run_config = header["run_config"]
+            kept = {f.name: run_config[f.name] for f in fields(TrainConfig) if f.name != drop}
+            if add is not None:
+                kept[add] = run_config[add]
+            header["run_config"] = kept
+
+        bad = tmp_path / "bad.json"
+        rewrite_checkpoint(workspace["checkpoint"], bad, edit=edit)
+        for err in self.serving_errors(bad, "s0000", tmp_path, capsys):
+            assert "configuration schema (missing keys: " in err and "cogdiag train" in err
+            if drop is not None:
+                assert drop in err
+        assert main(["export-ability", "--checkpoint", str(bad), "--out", str(tmp_path / "a.csv")]) == 1
+        assert "missing keys: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("widths", [[16.0, 8.0], [True, 8]], ids=["floats", "bool"])
+    def test_head_width_that_is_not_an_int(
+        self, workspace, tmp_path, capsys, rewrite_checkpoint, widths
+    ):
+        # 16.0 == 16 would pass the run_config's head check, and eval would then crash
+        bad = tmp_path / "bad.json"
+        rewrite_checkpoint(workspace["checkpoint"], bad, edit=lambda h: h.update(mlp_hidden=widths))
+        self.assert_serving_exits_one(bad, "s0000", tmp_path, capsys, "mlp_hidden")
+        assert main(["export-ability", "--checkpoint", str(bad), "--out", str(tmp_path / "a.csv")]) == 1
+        err = capsys.readouterr().err
+        assert "malformed" in err and "mlp_hidden" in err and "Traceback" not in err
 
     @pytest.mark.parametrize(
         "edit, named",
@@ -489,6 +527,47 @@ class TestMalformedCheckpoint:
     def assert_serving_exits_one(self, bad, student, tmp_path, capsys, detail="malformed"):
         for err in self.serving_errors(bad, student, tmp_path, capsys):
             assert "malformed" in err and detail in err
+
+
+class TestLibraryCheckpoint:
+    """A checkpoint a library Trainer saved on a TrainConfig, as the README quickstart trains."""
+
+    @pytest.fixture(scope="class")
+    def library_checkpoint(self, workspace, tmp_path_factory):
+        root = workspace["root"]
+        dataset = build_dataset(load_logs(root / "logs.csv"), load_qmatrix(root / "q.csv"), min_logs=1)
+        cfg = TrainConfig(max_epochs=1, pretrain_epochs=1)
+        path = tmp_path_factory.mktemp("library") / "checkpoint.json"
+        save_checkpoint(Trainer(dataset, DiagnosticFunction("mirt"), cfg).train(), path)
+        return path
+
+    def test_diagnose_and_export_ability_serve_it(self, library_checkpoint, tmp_path, capsys):
+        ck = load_checkpoint(library_checkpoint)
+        sid = ck.student_ids[0]
+        expected = {row.concept_id: (f"{row.mastery:.6f}", f"{row.sigma:.6f}")
+                    for row in diagnose(ck, sid).rows}
+        diag, ability = tmp_path / "diag.csv", tmp_path / "ability.csv"
+        assert main(["diagnose", "--checkpoint", str(library_checkpoint), "--student", sid,
+                     "--out", str(diag)]) == 0
+        printed = capsys.readouterr().out
+        for mastery, sigma in expected.values():
+            assert f"{float(mastery):>8.4f} {float(sigma):>8.4f}" in printed
+        assert main(["export-ability", "--checkpoint", str(library_checkpoint),
+                     "--out", str(ability)]) == 0
+        with open(diag, newline="") as fh:
+            assert {row["concept_id"]: (row["mastery"], row["sigma"])
+                    for row in csv.DictReader(fh)} == expected
+        with open(ability, newline="") as fh:
+            assert {row["concept_id"]: (row["mastery"], row["sigma"])
+                    for row in csv.DictReader(fh) if row["student_id"] == sid} == expected
+
+    def test_eval_exits_one_naming_what_it_lacks(self, library_checkpoint, tmp_path, capsys):
+        out = tmp_path / "preds.csv"
+        assert main(["eval", "--checkpoint", str(library_checkpoint), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "records a library TrainConfig, which names no data files" in err
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestDiagnose:

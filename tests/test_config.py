@@ -6,8 +6,14 @@ from types import SimpleNamespace
 
 import pytest
 
-from cogdiag import cli
-from cogdiag.config import ConfigError, RunConfig, format_config, parse_config_file, parse_config_text
+from cogdiag.config import (
+    ConfigError,
+    RunConfig,
+    config_from_checkpoint,
+    format_config,
+    parse_config_file,
+    parse_config_text,
+)
 from cogdiag.data import SplitSpec
 from cogdiag.diagnostics import DiagnosticFunction
 from cogdiag.training import TrainConfig
@@ -228,7 +234,7 @@ def test_config_file_schema_is_pinned():
     # serves, beside the default head its header names
     run_config = {key: json_value(raw) for key, _, raw in (line.partition(" = ") for line in SCHEMA)}
     ck = SimpleNamespace(run_config=run_config, fn=DiagnosticFunction("ncd"))
-    assert cli._run_config_from_checkpoint(ck) == RunConfig()
+    assert config_from_checkpoint(ck) == RunConfig()
 
 
 # keys that configure the run itself rather than a library dataclass

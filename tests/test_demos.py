@@ -32,7 +32,7 @@ def test_autodiff_tour_runs(tmp_path):
 
 def test_artifact_digests_repeat(tmp_path):
     # two runs into one directory: the second wipes the first's files,
-    # and every artifact of the three heads hashes the same both times
+    # and every artifact of the three heads and the library run hashes the same both times
     def digest(out):
         return subprocess.run([sys.executable, str(ROOT / "scripts" / "artifact_digest.py"),
                                "--out", str(out)], capture_output=True, text=True, timeout=120)
@@ -54,6 +54,12 @@ def test_artifact_digests_repeat(tmp_path):
         assert f"errors/{case}/train.stderr" in names
         kept = (tmp_path / "digest" / "errors" / case / "train.stderr").read_text()
         assert kept.startswith("exit 1\nerror: ") and kept.endswith(f" {message}\n")
+    # a library Trainer's checkpoint: diagnose and export-ability serve it, eval says why it cannot
+    assert {"library/checkpoint.json", "library/diagnose.stdout", "library/diagnosis_s0000.csv",
+            "library/export_ability.stdout", "library/ability.csv", "library/eval.stderr"} <= names
+    kept = (tmp_path / "digest" / "library" / "eval.stderr").read_text()
+    assert kept.startswith("exit 1\nerror: ")
+    assert "records a library TrainConfig, which names no data files to score" in kept
     (tmp_path / "other").mkdir()
     (tmp_path / "other" / "keep.txt").write_text("not the script's")
     assert digest(tmp_path / "other").returncode == 2

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 from numpy.random import default_rng
 
-from cogdiag import cli
 from cogdiag.checkpoint import load_checkpoint, save_checkpoint
-from cogdiag.config import RunConfig
+from cogdiag.config import RunConfig, config_from_checkpoint
 from cogdiag.data import build_dataset
 from cogdiag.diagnostics import IRT_SCALE, DiagnosticFunction, init_parameters
 from cogdiag.numerics import grad_check
@@ -541,7 +540,14 @@ class TestTrainer:
         assert ck.run_config == asdict(cfg)
         save_checkpoint(ck, tmp_path / "ck.json")
         for served in (ck, load_checkpoint(tmp_path / "ck.json")):
-            assert cli._run_config_from_checkpoint(served) == cfg
+            assert config_from_checkpoint(served) == cfg
+        # a library run on a TrainConfig records that config, and reads back as it
+        lib_cfg = TrainConfig(max_epochs=1, pretrain_epochs=1, seed=3, batch_size=16)
+        ck = Trainer(tiny_dataset(seed=4), cfg.diagnostic, lib_cfg).train()
+        save_checkpoint(ck, tmp_path / "lib.json")
+        for served in (ck, load_checkpoint(tmp_path / "lib.json")):
+            read = config_from_checkpoint(served)
+            assert type(read) is TrainConfig and read == lib_cfg
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
