@@ -6,7 +6,7 @@ has a known ability vector, every exercise a known difficulty, and the
 response logs are Bernoulli draws from the planted model.  We train the
 masked-sum (MIRT-style) variant and watch the usual metrics move.
 
-Run:  python3 demos/01_train_and_evaluate.py          (~15 s)
+Run:  python3 demos/01_train_and_evaluate.py          (~2 s)
 """
 
 import numpy as np
@@ -35,11 +35,11 @@ print("=== 2. train (two phases: fit first, then calibrate confidence) ===")
 
 
 def progress(record):
-    val = f"val auc {record.val_auc:.3f}" if record.val_auc is not None else ""
+    losses = record.losses
     print(
         f"  phase {record.phase} epoch {record.epoch:>2}  "
-        f"pred {record.prediction:.4f}  kl {record.kl:.1f}  "
-        f"hinge {record.calibration:.4f}  {val}"
+        f"pred {losses.prediction:.4f}  kl {losses.kl:.1f}  "
+        f"hinge {losses.calibration:.4f}  val auc {record.val.auc:.3f}"
     )
 
 

@@ -10,7 +10,7 @@ correlation ought to be clearly negative — but only when the hinge is on.
 We finish with the reliability table behind ECE/MCE, the same table
 ``cogdiag eval`` writes beside its predictions as ``reliability_test.csv``.
 
-Run:  python3 demos/03_calibration_study.py          (~30 s)
+Run:  python3 demos/03_calibration_study.py          (~6 s)
 """
 
 import numpy as np
@@ -18,7 +18,7 @@ import numpy as np
 from cogdiag import DiagnosticFunction, TrainConfig, Trainer, build_dataset, planted_cohort
 from cogdiag.inference import evaluate_store
 from cogdiag.latent import variance_from_logvar
-from cogdiag.metrics import reliability_rows
+from cogdiag.metrics import format_reliability_csv
 
 print("=== 1. train twice: hinge on vs hinge off ===")
 cohort = planted_cohort(
@@ -56,15 +56,8 @@ trainer = run(beta=0.1)
 report = evaluate_store(trainer.store, trainer.fn, dataset, trainer.splits.test,
                         bins=trainer.cfg.bins)
 print(f"test ECE {report.ece:.4f}, MCE {report.mce:.4f}")
-print(f"{'bin':>3}  {'range':>12}  {'count':>5}  {'right':>6}  {'avg p':>6}  {'gap':>6}")
-for bin_no, lo, hi, count, frac_correct, avg_prob, gap in reliability_rows(report.bin_report):
-    if count == 0:
-        print(f"{bin_no:>3}  ({lo:.1f}, {hi:.1f}]  {'-':>5}")
-        continue
-    print(
-        f"{bin_no:>3}  ({lo:.1f}, {hi:.1f}]  {count:>5}  "
-        f"{frac_correct:>6.3f}  {avg_prob:>6.3f}  {gap:>6.3f}"
-    )
-print("each row: how often the answers in the bin were correct vs the")
-print("probability of a correct answer the model gave them; ECE is the")
-print("count-weighted mean of the gap column.")
+print(format_reliability_csv(report), end="")
+print("each row: a bin (lo, hi] of predicted probabilities; how often the")
+print("answers in it were correct (frac_correct) vs the probability of a")
+print("correct answer the model gave them (avg_prob); an empty bin leaves")
+print("those fields blank.  ECE is the count-weighted mean of the gap column.")

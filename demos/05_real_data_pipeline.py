@@ -54,8 +54,8 @@ config = TrainConfig(
 
 
 def progress(record):
-    print(f"  phase {record.phase} epoch {record.epoch:>3}  pred {record.prediction:.4f}  "
-          f"val auc {record.val_auc:.4f}")
+    print(f"  phase {record.phase} epoch {record.epoch:>3}  pred {record.losses.prediction:.4f}  "
+          f"val auc {record.val.auc:.4f}")
 
 
 start = time.monotonic()

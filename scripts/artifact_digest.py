@@ -9,7 +9,10 @@ is kept as a file beside what it wrote.  It then runs ``train`` on four
 damaged copies of the cohort's files (an undecodable byte, a wrong field
 count, a bad score after a row whose quoted id spans two lines, an empty
 Q-matrix id) and keeps each failure's exit code and stderr, so the
-error messages are compared too.  Last, a library ``Trainer`` trains
+error messages are compared too.  The three serving commands are then
+run where each must fail, keeping the same: on a copy of the mirt
+checkpoint with a nan in ``student_mu``, and with ``--out`` naming the
+checkpoint they read.  Last, a library ``Trainer`` trains
 mirt on a ``TrainConfig`` (1 + 1 epochs, seed 2) and saves its
 checkpoint, which ``diagnose`` and ``export-ability`` serve and ``eval``,
 having no data files to read, refuses; that exit code and stderr are
@@ -47,7 +50,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from cogdiag.checkpoint import save_checkpoint  # noqa: E402
+from cogdiag.checkpoint import load_checkpoint, save_checkpoint  # noqa: E402
 from cogdiag.cli import main as cogdiag  # noqa: E402
 from cogdiag.data import build_dataset, load_logs, load_qmatrix  # noqa: E402
 from cogdiag.diagnostics import DiagnosticFunction  # noqa: E402
@@ -111,6 +114,24 @@ def write_failures(out: Path, logs: Path, qmatrix: Path) -> None:
         run_failing(["train", "--config", str(config)], case / "train.stderr")
 
 
+def write_serving_failures(out: Path, checkpoint: str, student: str) -> None:
+    """Serve two bad requests on copies of ``checkpoint``; keep each command's failure."""
+    commands = {"diagnose": ["--student", student], "eval": [], "export_ability": []}
+    for case in ("nan_student_mu", "out_is_checkpoint"):
+        case_dir = out / "errors" / case
+        case_dir.mkdir(parents=True)
+        copy = str(case_dir / "checkpoint.json")
+        ck = load_checkpoint(checkpoint)
+        if case == "nan_student_mu":
+            ck.params["student_mu"][0, 0] = float("nan")  # a private map: the file is untouched
+        save_checkpoint(ck, copy)
+        for command, extra in commands.items():
+            argv = [command.replace("_", "-"), "--checkpoint", copy, *extra]
+            if case == "out_is_checkpoint":
+                argv += ["--out", copy]
+            run_failing(argv, case_dir / f"{command}.stderr")
+
+
 def write_cohort(out: Path, **shape):
     """The planted cohort's CSVs in ``out``: (cohort, logs path, Q-matrix path)."""
     cohort = planted_cohort(**shape)
@@ -158,6 +179,7 @@ def write_artifacts(out: Path) -> None:
         checkpoint = train_and_serve(run_dir, entries, ("val", "test"), cohort.logs.student_ids[0])
         run(["export-ability", "--checkpoint", checkpoint], run_dir / "export_ability.stdout")
     write_failures(out, logs, qmatrix)
+    write_serving_failures(out, str(out / "mirt" / "checkpoint.json"), cohort.logs.student_ids[0])
     write_library_run(out, logs, qmatrix, cohort.logs.student_ids[0])
 
 

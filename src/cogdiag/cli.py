@@ -35,10 +35,10 @@ from .data import (
     load_qmatrix,
     split_per_student,
 )
-from .inference import check_dataset_matches, diagnose, evaluate_probs, predict_split
-from .latent import STUDENT_LOGVAR, STUDENT_MEAN, variance_from_logvar
+from .inference import check_dataset_matches, diagnose, evaluate_probs, mastery_and_sigma
+from .inference import predict_split
 from .metrics import MetricError, format_reliability_csv
-from .numerics import NonFiniteGradientError, stable_sigmoid
+from .numerics import NonFiniteGradientError
 from .training import NonFiniteLossError, Trainer
 
 USAGE_EXIT = 2
@@ -71,9 +71,24 @@ def _csv_ids(ids: list[str]) -> list[str]:
 
 
 def _out_path(arg_out, checkpoint_path: str, default_name: str) -> Path:
-    if arg_out:
-        return Path(arg_out)
-    return Path(checkpoint_path).parent / default_name
+    """``arg_out``, or ``default_name`` beside the checkpoint."""
+    out = Path(arg_out or Path(checkpoint_path).parent / default_name)
+    return _not_the_checkpoint(out, checkpoint_path)
+
+
+def _not_the_checkpoint(out: Path, checkpoint_path: str) -> Path:
+    """``out``, unless it is the checkpoint being read (via ``..``, a symlink or a hard link)."""
+    if out.exists() and Path(checkpoint_path).exists() and out.samefile(checkpoint_path):
+        raise ConfigError(f"{out} is the checkpoint; writing there would replace it")
+    return out
+
+
+def _read(checkpoint_path: str, read, *args):
+    """``read(*args)``, naming the checkpoint in the error a value read from its arrays raises."""
+    try:
+        return read(*args)
+    except CheckpointError as exc:
+        raise CheckpointError(f"checkpoint {checkpoint_path} is malformed: {exc}") from None
 
 
 def cmd_train(args) -> int:
@@ -82,10 +97,11 @@ def cmd_train(args) -> int:
     fn = cfg.diagnostic
 
     def progress(rec):
+        loss, val = rec.losses, rec.val
         print(
             f"phase {rec.phase} epoch {rec.epoch:3d}  "
-            f"loss {rec.total:.6f} (pred {rec.prediction:.6f} kl {rec.kl:.6f} cal {rec.calibration:.6f})  "
-            f"val acc {rec.val_acc:.4f} auc {rec.val_auc:.4f} ece {rec.val_ece:.4f}"
+            f"loss {loss.total:.6f} (pred {loss.prediction:.6f} kl {loss.kl:.6f} cal {loss.calibration:.6f})  "
+            f"val acc {val.acc:.4f} auc {val.auc:.4f} ece {val.ece:.4f}"
         )
 
     trainer = Trainer(dataset, fn, cfg, on_epoch=progress)
@@ -102,12 +118,9 @@ def cmd_train(args) -> int:
     save_checkpoint(ck, ck_path)
     atomic_write(out_dir / "config_resolved.txt", format_config(cfg))
     log_lines = ["epoch,phase,loss_pred,loss_kl,loss_cal,loss_total,val_acc,val_auc,val_ece"]
-    for rec in trainer.history:
-        log_lines.append(
-            f"{rec.epoch},{rec.phase},{rec.prediction:.6f},{rec.kl:.6f},"
-            f"{rec.calibration:.6f},{rec.total:.6f},"
-            f"{rec.val_acc:.6f},{rec.val_auc:.6f},{rec.val_ece:.6f}"
-        )
+    for rec in trainer.history:  # the loss columns follow LossBreakdown's fields
+        values = [*vars(rec.losses).values(), rec.val.acc, rec.val.auc, rec.val.ece]
+        log_lines.append(f"{rec.epoch},{rec.phase}," + ",".join(f"{v:.6f}" for v in values))
     atomic_write(out_dir / "train_log.csv", "\n".join(log_lines) + "\n")
     best = ck.val_metrics
     if best:
@@ -121,7 +134,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     out = _out_path(args.out, args.checkpoint, f"predictions_{args.split}.csv")
-    reliability = out.parent / f"reliability_{args.split}.csv"
+    reliability = _not_the_checkpoint(out.parent / f"reliability_{args.split}.csv", args.checkpoint)
     if out == reliability:
         raise ConfigError(f"--out {out} is where eval writes the reliability table")
     ck = load_checkpoint(args.checkpoint)
@@ -135,7 +148,8 @@ def cmd_eval(args) -> int:
     check_dataset_matches(ck, dataset)
     indices = getattr(split_per_student(dataset, cfg.split), args.split)
     # publish six-decimal strings first, then score exactly what was published
-    published = [f"{p:.6f}" for p in predict_split(ck, ck.fn, dataset, indices).tolist()]
+    probs = _read(args.checkpoint, predict_split, ck, ck.fn, dataset, indices)
+    published = [f"{p:.6f}" for p in probs.tolist()]
     report = evaluate_probs([float(p) for p in published], dataset.scores[indices], bins=cfg.bins)
 
     sids, eids = _csv_ids(dataset.student_ids), _csv_ids(dataset.exercise_ids)
@@ -148,7 +162,7 @@ def cmd_eval(args) -> int:
     lines = ["student_id,exercise_id,label,prob"]
     lines += [f"{sids[s]},{eids[e]},{label},{prob}" for s, e, label, prob in rows]
     atomic_write(out, "\n".join(lines) + "\n")
-    atomic_write(reliability, format_reliability_csv(report.bin_report))
+    atomic_write(reliability, format_reliability_csv(report))
 
     print(f"split {args.split} n {report.n}")
     print(f"ACC  {report.acc:.6f}")
@@ -162,9 +176,11 @@ def cmd_eval(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
+    name = args.student.replace("%", "%25").replace("/", "%2F")  # one file beside the checkpoint
+    out = _out_path(args.out, args.checkpoint, f"diagnosis_{name}.csv")
     ck = load_checkpoint(args.checkpoint)
     config_from_checkpoint(ck)
-    report = diagnose(ck, args.student)
+    report = _read(args.checkpoint, diagnose, ck, args.student)
 
     print(f"student {report.student_id}")
     print("mastery is sigmoid of the posterior mean; rank 1 = most confident (smallest sigma)")
@@ -175,8 +191,6 @@ def cmd_diagnose(args) -> int:
             f"{row.sigma:>8.4f} {row.interactions:>5}"
         )
 
-    name = args.student.replace("%", "%25").replace("/", "%2F")  # one file beside the checkpoint
-    out = _out_path(args.out, args.checkpoint, f"diagnosis_{name}.csv")
     lines = ["rank,concept_id,mastery,sigma,interactions"]
     for row, cid in zip(report.rows, _csv_ids([row.concept_id for row in report.rows])):
         lines.append(f"{row.rank},{cid},{row.mastery:.6f},{row.sigma:.6f},{row.interactions}")
@@ -186,13 +200,12 @@ def cmd_diagnose(args) -> int:
 
 
 def cmd_export_ability(args) -> int:
+    out = _out_path(args.out, args.checkpoint, "ability.csv")
     ck = load_checkpoint(args.checkpoint)
     config_from_checkpoint(ck)
-    mastery = stable_sigmoid(ck.params[STUDENT_MEAN])
-    sigma = np.sqrt(variance_from_logvar(ck.params[STUDENT_LOGVAR]))
+    mastery, sigma = _read(args.checkpoint, mastery_and_sigma, ck)
     labels = _csv_ids(ck.fn.cell_labels(ck.concept_ids))
 
-    out = _out_path(args.out, args.checkpoint, "ability.csv")
     lines = ["student_id,concept_id,mastery,sigma"]
     for i, sid in enumerate(_csv_ids(ck.student_ids)):
         for k, cid in enumerate(labels):

@@ -13,7 +13,7 @@ import numpy as np
 
 from .checkpoint import Checkpoint, CheckpointError
 from .data import Dataset, cell_runs
-from .diagnostics import EXERCISE_DIFF, EXERCISE_DISC, DiagnosticFunction
+from .diagnostics import EXERCISE_DIFF, EXERCISE_DISC, MLP_PARAMS, DiagnosticFunction
 from .latent import STUDENT_LOGVAR, STUDENT_MEAN, variance_from_logvar
 from .metrics import BinReport, acc, auc, calibration, rmse
 from .numerics import ParameterStore, stable_sigmoid
@@ -22,6 +22,13 @@ from .numerics import ParameterStore, stable_sigmoid
 # bytes of the widest float64 array one block forms: half of a 2 MiB
 # per-core L2, so a layer's input and output blocks stay in cache together
 BLOCK_BYTES = 1 << 20
+
+
+def _finite(name: str, values: np.ndarray) -> np.ndarray:
+    """``values`` read from ``name``, unless one is nan or inf; serving checks only what it reads."""
+    if not np.isfinite(values).all():
+        raise CheckpointError(f"{name} holds a non-finite value")
+    return values
 
 
 def predict_split(
@@ -53,8 +60,10 @@ def predict_split(
     before it, since a one-row matmul takes the matrix-vector path.
     """
     indices = np.asarray(indices, dtype=np.int64)
-    theta_all = stable_sigmoid(model.params[STUDENT_MEAN])
+    theta_all = stable_sigmoid(_finite(STUDENT_MEAN, model.params[STUDENT_MEAN]))
     diff, disc = model.params[EXERCISE_DIFF], model.params[EXERCISE_DISC]
+    for name in MLP_PARAMS if fn.variant == "ncd" else ():  # ncd's head, read whole
+        _finite(name, model.params[name])
     width = max([theta_all.shape[1], *(fn.mlp_hidden if fn.variant == "ncd" else ())])
     block = max(64, BLOCK_BYTES // (8 * width) // 64 * 64)
 
@@ -65,33 +74,30 @@ def predict_split(
         part = indices[lo:hi]
         theta, e = theta_all[dataset.s_idx[part]], dataset.e_idx[part]
         out[lo:hi] = fn.predict(
-            theta, stable_sigmoid(diff[e]), stable_sigmoid(disc[e]), fn.q_rows(dataset, e), model
+            theta, stable_sigmoid(_finite(EXERCISE_DIFF, diff[e])),
+            stable_sigmoid(_finite(EXERCISE_DISC, disc[e])), fn.q_rows(dataset, e), model,
         )[0]
         lo = hi
     return out
 
 
 @dataclass
-class EvalReport:
+class EvalReport(BinReport):
+    """A split's calibration bins, ECE and MCE, with its ACC, RMSE and AUC over ``n`` rows."""
+
     acc: float
     rmse: float
     auc: float
-    ece: float
-    mce: float
     n: int
-    bin_report: BinReport
 
 
 def evaluate_probs(probs: np.ndarray, labels: np.ndarray, bins: int) -> EvalReport:
-    report = calibration(probs, labels, bins=bins)
     return EvalReport(
+        **vars(calibration(probs, labels, bins=bins)),
         acc=acc(probs, labels),
         rmse=rmse(probs, labels),
         auc=auc(probs, labels),
-        ece=report.ece,
-        mce=report.mce,
         n=len(probs),
-        bin_report=report,
     )
 
 
@@ -151,6 +157,13 @@ class DiagnosisReport:
     rows: list[ConceptDiagnosis]  # sorted by rank
 
 
+def mastery_and_sigma(ck: Checkpoint, rows=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+    """Mastery (sigmoid of the posterior mean) and sigma of the students at ``rows``, read alone."""
+    mastery = stable_sigmoid(_finite(STUDENT_MEAN, ck.params[STUDENT_MEAN][rows]))
+    sigma = np.sqrt(variance_from_logvar(ck.params[STUDENT_LOGVAR][rows]))
+    return mastery, _finite(STUDENT_LOGVAR, sigma)  # the clip takes an inf, not a nan
+
+
 def diagnose(ck: Checkpoint, student_id: str) -> DiagnosisReport:
     """Per-concept mastery and confidence for one student.
 
@@ -162,8 +175,7 @@ def diagnose(ck: Checkpoint, student_id: str) -> DiagnosisReport:
         s = ck.student_ids.index(student_id)
     except ValueError:
         raise KeyError(f"unknown student id {student_id!r}") from None
-    mastery = stable_sigmoid(ck.params[STUDENT_MEAN][s])
-    sigma = np.sqrt(variance_from_logvar(ck.params[STUDENT_LOGVAR][s]))
+    mastery, sigma = mastery_and_sigma(ck, s)
     counts = ck.train_counts[s]
     labels = ck.fn.cell_labels(ck.concept_ids)
     rows = [

@@ -127,33 +127,18 @@ def calibration(probs, labels, bins: int) -> BinReport:
     )
 
 
-def reliability_rows(report: BinReport) -> list[tuple]:
-    """One row per bin: (bin, lo, hi, count, frac_correct, avg_prob, gap).
-
-    Every bin appears, occupied or not; empty bins carry None in the
-    frac_correct, avg_prob, and gap columns.
-    """
-    rows = []
-    for n in range(report.bins):
-        if report.counts[n]:
-            a = float(report.frac_correct[n])
-            p = float(report.avg_prob[n])
-            gap = abs(a - p)
-        else:
-            a = p = gap = None
-        rows.append((n + 1, n / report.bins, (n + 1) / report.bins, int(report.counts[n]), a, p, gap))
-    return rows
-
-
-RELIABILITY_HEADER = "bin,lo,hi,count,frac_correct,avg_prob,gap"
-
-
 def format_reliability_csv(report: BinReport) -> str:
-    """CSV text for a reliability diagram; empty bins leave empty fields."""
-    lines = [RELIABILITY_HEADER]
-    for bin_no, lo, hi, count, a, p, gap in reliability_rows(report):
-        tail = (
-            f"{a:.6f},{p:.6f},{gap:.6f}" if a is not None else ",,"
-        )
-        lines.append(f"{bin_no},{lo:.6f},{hi:.6f},{count},{tail}")
+    """CSV text for a reliability diagram, one row per bin, occupied or not.
+
+    A row is (bin, lo, hi, count, frac_correct, avg_prob, gap), the gap
+    being |frac_correct - avg_prob|; an empty bin leaves the last three
+    fields empty.
+    """
+    lines = ["bin,lo,hi,count,frac_correct,avg_prob,gap"]
+    for n, count in enumerate(report.counts.tolist()):
+        tail = ",,"
+        if count:
+            a, p = report.frac_correct[n], report.avg_prob[n]
+            tail = f"{a:.6f},{p:.6f},{abs(a - p):.6f}"
+        lines.append(f"{n + 1},{n / report.bins:.6f},{(n + 1) / report.bins:.6f},{count},{tail}")
     return "\n".join(lines) + "\n"

@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from . import tape  # tape.backprop is looked up per call, so a wrapper patched onto it is seen
+from . import inference, tape  # looked up per call, so a wrapper patched onto either is seen
 from .checkpoint import Checkpoint
 from .data import Dataset, Splits, SplitSpec, batches, cell_runs, split_per_student
 from .diagnostics import (
@@ -475,15 +475,12 @@ def batch_loss(
 
 @dataclass
 class EpochRecord:
+    """One epoch: the means of its steps' losses and the validation split's report after it."""
+
     phase: int
     epoch: int
-    prediction: float
-    kl: float
-    calibration: float
-    total: float
-    val_acc: float
-    val_auc: float
-    val_ece: float
+    losses: LossBreakdown
+    val: inference.EvalReport
 
 
 class Trainer:
@@ -513,8 +510,8 @@ class Trainer:
         self.prior: PriorConsensus | None = None
         self.history: list[EpochRecord] = []
 
-    def _epoch(self, phase: int, cfg: TrainConfig, epoch: int) -> dict:
-        """One pass over the train split; ``epoch`` numbers it in errors.
+    def _epoch(self, phase: int, cfg: TrainConfig, epoch: int) -> LossBreakdown:
+        """One pass over the train split: its steps' mean losses.  ``epoch`` numbers it in errors.
 
         A non-finite loss or gradient is re-raised with the phase, epoch
         and zero-based step prefixed to the message naming the term or
@@ -549,16 +546,7 @@ class Trainer:
             steps += 1
         if steps == 0:
             raise ValueError("training split produced no batches")
-        return dict(zip(("prediction", "kl", "calibration", "total"), sums / steps))
-
-    def _validate(self) -> dict:
-        # bound per call, not at import, so a wrapper patched onto inference is seen
-        from .inference import evaluate_store
-
-        report = evaluate_store(
-            self.store, self.fn, self.dataset, self.splits.val, bins=self.cfg.bins
-        )
-        return {"val_acc": report.acc, "val_auc": report.auc, "val_ece": report.ece}
+        return LossBreakdown(*(sums / steps).tolist())
 
     def _run_phase(self, phase: int, max_epochs: int, cfg: TrainConfig) -> EpochRecord | None:
         """Train one phase; the store ends at its best epoch's parameters.
@@ -571,11 +559,13 @@ class Trainer:
         start = len(self.history)
         for epoch in range(start, start + max_epochs):
             losses = self._epoch(phase, cfg, epoch)
-            record = EpochRecord(phase=phase, epoch=epoch, **losses, **self._validate())
+            val = inference.evaluate_store(self.store, self.fn, self.dataset, self.splits.val,
+                                           bins=cfg.bins)
+            record = EpochRecord(phase, epoch, losses, val)
             self.history.append(record)
             if self.on_epoch is not None:
                 self.on_epoch(record)
-            if best is None or record.val_auc > best.val_auc:
+            if best is None or val.auc > best.val.auc:
                 best, best_params = record, self.store.copy_params()
                 stale = 0
             else:
@@ -603,11 +593,8 @@ class Trainer:
         Its ``params`` are the store's own arrays, not copies, and its
         ``run_config`` is the config the Trainer was built with.
         """
-        # bound per call, not at import, so a wrapper patched onto inference is seen
-        from .inference import concept_interaction_counts
-
         consensus = self.prior.mean if self.prior is not None else None
-        val = {"acc": best.val_acc, "auc": best.val_auc, "ece": best.val_ece} if best else {}
+        val = {"acc": best.val.acc, "auc": best.val.auc, "ece": best.val.ece} if best else {}
         return Checkpoint(
             fn=self.fn,
             params=dict(self.store.params),
@@ -617,6 +604,8 @@ class Trainer:
             concept_ids=list(self.dataset.concept_ids),
             run_config=asdict(self.cfg),
             best_epoch=-1 if best is None else best.epoch,
-            train_counts=concept_interaction_counts(self.dataset, self.splits.train, self.fn),
+            train_counts=inference.concept_interaction_counts(
+                self.dataset, self.splits.train, self.fn
+            ),
             val_metrics=val,
         )

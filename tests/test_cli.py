@@ -510,6 +510,59 @@ class TestMalformedCheckpoint:
         rewrite_checkpoint(workspace["checkpoint"], bad, edit=edit)
         self.assert_serving_exits_one(bad, "s0000", tmp_path, capsys, detail)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("array, command", [
+        ("student_mu", "diagnose"), ("student_mu", "eval"), ("student_mu", "export-ability"),
+        ("exercise_diff", "eval"), ("exercise_disc", "eval"), ("mlp_w2", "eval"),
+        ("student_logvar", "diagnose"), ("student_logvar", "export-ability"),
+    ])
+    def test_non_finite_array_value(
+        self, workspace, tmp_path, capsys, rewrite_checkpoint, array, command, value
+    ):
+        # loading checks shapes, not values: each command checks the values it reads
+        ck = load_checkpoint(workspace["checkpoint"])
+        damaged = ck.params[array].copy()
+        # the diagnosed student's row; every exercise's or MLP row's first entry
+        row = ck.student_ids.index("s0000") if array.startswith("student") else slice(None)
+        damaged[row, 0] = float(value)
+        bad = tmp_path / "bad.json"
+        rewrite_checkpoint(workspace["checkpoint"], bad, arrays={array: damaged})
+        out = tmp_path / "out.csv"
+        student = ["--student", "s0000"] if command == "diagnose" else []
+        code = main([command, "--checkpoint", str(bad), "--out", str(out), *student])
+        err = capsys.readouterr().err
+        if array == "student_logvar" and value != "nan":  # clipped, as training reads it
+            assert code == 0, err
+            with open(out, newline="") as fh:
+                sigmas = [float(r["sigma"]) for r in csv.DictReader(fh)]
+            clipped = math.sqrt(math.exp(math.copysign(30.0, float(value))))
+            assert all(math.isfinite(s) for s in sigmas) and f"{clipped:.6f}" in out.read_text()
+            return
+        assert code == 1
+        assert f"error: checkpoint {bad} is malformed: {array} holds a non-finite value" in err
+        assert "Traceback" not in err
+        assert sorted(tmp_path.iterdir()) == [bad]
+
+    def test_diagnose_reads_only_its_students_row(
+        self, workspace, tmp_path, capsys, rewrite_checkpoint
+    ):
+        ck = load_checkpoint(workspace["checkpoint"])
+        other = ck.student_ids.index("s0001")
+        damaged = {name: ck.params[name].copy() for name in ("student_mu", "student_logvar")}
+        for arr in damaged.values():
+            arr[other] = np.nan
+        bad = tmp_path / "bad.json"
+        rewrite_checkpoint(workspace["checkpoint"], bad, arrays=damaged)
+        out = tmp_path / "diag.csv"
+        assert main(["diagnose", "--checkpoint", str(bad), "--student", "s0000",
+                     "--out", str(out)]) == 0
+        expected = tmp_path / "expected.csv"
+        assert main(["diagnose", "--checkpoint", str(workspace["checkpoint"]),
+                     "--student", "s0000", "--out", str(expected)]) == 0
+        assert out.read_bytes() == expected.read_bytes()
+        assert main(["diagnose", "--checkpoint", str(bad), "--student", "s0001"]) == 1
+        assert "student_mu holds a non-finite value" in capsys.readouterr().err
+
     def serving_errors(self, bad, student, tmp_path, capsys):
         """stderr of ``diagnose`` and ``eval`` on ``bad``; each must exit 1 without a traceback."""
         capsys.readouterr()
@@ -527,6 +580,43 @@ class TestMalformedCheckpoint:
     def assert_serving_exits_one(self, bad, student, tmp_path, capsys, detail="malformed"):
         for err in self.serving_errors(bad, student, tmp_path, capsys):
             assert "malformed" in err and detail in err
+
+
+class TestOutNamingTheCheckpoint:
+    """No serving command writes over the checkpoint it reads, however the path is spelled."""
+
+    @pytest.fixture
+    def copy(self, workspace, tmp_path):
+        (tmp_path / "sub").mkdir()
+        path = tmp_path / "checkpoint.json"
+        shutil.copyfile(workspace["checkpoint"], path)
+        (tmp_path / "link.json").symlink_to(path)
+        os.link(path, tmp_path / "hardlink.json")
+        return path
+
+    @pytest.mark.parametrize("command", ["eval", "diagnose", "export-ability"])
+    @pytest.mark.parametrize("spelling", ["same", "dot-dot", "symlink", "hardlink"])
+    def test_exits_two_and_writes_nothing(self, copy, tmp_path, capsys, command, spelling):
+        out = {"same": copy, "dot-dot": tmp_path / "sub" / ".." / copy.name,
+               "symlink": tmp_path / "link.json", "hardlink": tmp_path / "hardlink.json"}[spelling]
+        before = copy.read_bytes()
+        student = ["--student", "s0000"] if command == "diagnose" else []
+        assert main([command, "--checkpoint", str(copy), "--out", str(out), *student]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {out} is the checkpoint" in err
+        assert copy.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "checkpoint.json", "hardlink.json", "link.json", "sub"]
+
+    def test_eval_never_writes_its_reliability_table_over_the_checkpoint(
+        self, copy, tmp_path, capsys
+    ):
+        table = copy.rename(tmp_path / "reliability_test.csv")
+        before = table.read_bytes()
+        assert main(["eval", "--checkpoint", str(table)]) == 2
+        assert f"{table} is the checkpoint" in capsys.readouterr().err
+        assert table.read_bytes() == before
+        assert not (tmp_path / "predictions_test.csv").exists()
 
 
 class TestLibraryCheckpoint:

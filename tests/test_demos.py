@@ -18,16 +18,38 @@ ROOT = Path(__file__).resolve().parents[1]
 EXAMPLES = sorted([*ROOT.glob("demos/*.py"), *ROOT.glob("scripts/*.py")])
 
 
-def test_autodiff_tour_runs(tmp_path):
-    # the tour builds graphs by hand and asserts its own claims; run it
-    # against the src/ these tests import, whether or not it is installed
+def run_demo(name, cwd):
+    """stdout of ``demos/<name>``, run against the src/ these tests import, installed or not."""
     src = Path(cogdiag.__file__).resolve().parents[1]
     path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    proc = subprocess.run([sys.executable, str(ROOT / "demos" / "04_autodiff_tour.py")],
-                          capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / name)],
+                          capture_output=True, text=True, env=env, cwd=cwd, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert "one Node over 10 parameter leaves" in proc.stdout
+    return proc.stdout
+
+
+def test_autodiff_tour_runs(tmp_path):
+    # the tour builds graphs by hand and asserts its own claims
+    assert "one Node over 10 parameter leaves" in run_demo("04_autodiff_tour.py", tmp_path)
+
+
+def test_train_and_evaluate_demo_runs(tmp_path):
+    # it reads each epoch's record at run time, which an import check cannot see
+    out = run_demo("01_train_and_evaluate.py", tmp_path)
+    epochs = [line for line in out.splitlines() if line.startswith("  phase ")]
+    assert len(epochs) >= 2 and all(" val auc 0." in line for line in epochs)
+    assert "test AUC  0." in out and "rank correlation vs truth +" in out
+
+
+def test_calibration_study_demo_prints_the_reliability_table(tmp_path):
+    # the table is the one eval writes beside its predictions: a header and one row per bin
+    lines = run_demo("03_calibration_study.py", tmp_path).splitlines()
+    start = lines.index("bin,lo,hi,count,frac_correct,avg_prob,gap")
+    rows = [line.split(",") for line in lines[start + 1 : start + 11]]
+    assert [row[0] for row in rows] == [str(n) for n in range(1, 11)]
+    assert all(len(row) == 7 for row in rows)
+    assert not lines[start + 11].startswith("11,")
 
 
 def test_artifact_digests_repeat(tmp_path):
@@ -54,6 +76,17 @@ def test_artifact_digests_repeat(tmp_path):
         assert f"errors/{case}/train.stderr" in names
         kept = (tmp_path / "digest" / "errors" / case / "train.stderr").read_text()
         assert kept.startswith("exit 1\nerror: ") and kept.endswith(f" {message}\n")
+    # each serving command refuses a nan student_mu, and an --out that is its checkpoint
+    for case, message in (("nan_student_mu", "student_mu holds a non-finite value"),
+                          ("out_is_checkpoint", "is the checkpoint; writing there would replace it")):
+        copy = tmp_path / "digest" / "errors" / case / "checkpoint.json"
+        assert f"errors/{case}/checkpoint.json" in names
+        for command in ("diagnose", "eval", "export_ability"):
+            assert f"errors/{case}/{command}.stderr" in names
+            kept = (copy.parent / f"{command}.stderr").read_text()
+            code = 1 if case == "nan_student_mu" else 2
+            assert kept.startswith(f"exit {code}\nerror: ") and message in kept
+            assert str(copy) in kept
     # a library Trainer's checkpoint: diagnose and export-ability serve it, eval says why it cannot
     assert {"library/checkpoint.json", "library/diagnose.stdout", "library/diagnosis_s0000.csv",
             "library/export_ability.stdout", "library/ability.csv", "library/eval.stderr"} <= names
@@ -85,9 +118,9 @@ def test_artifact_digest_runs_a_perfbench_workload(tmp_path):
 
 @pytest.mark.parametrize("path", EXAMPLES, ids=[f"{p.parent.name}/{p.name}" for p in EXAMPLES])
 def test_example_compiles_and_its_cogdiag_imports_resolve(path):
-    # the other demos train for 15-30 s each; compiling them and resolving
-    # every name they import from cogdiag catches an API they still use
-    # after it is renamed or deleted
+    # demos 02 and 05 are not run here (05 needs the real ASSISTments files);
+    # compiling every example and resolving each name it imports from cogdiag
+    # catches an API it still uses after it is renamed or deleted
     tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
     compile(tree, str(path), "exec")
     for node in ast.walk(tree):

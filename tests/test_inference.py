@@ -537,7 +537,7 @@ class TestEvaluation:
             trainer.store, trainer.fn, ds, trainer.splits.test, bins=5
         )
         assert report.n == len(trainer.splits.test)
-        assert report.bin_report.counts.sum() == report.n
+        assert report.bins == 5 and report.counts.sum() == report.n
         assert 0.0 <= report.ece <= 1.0
 
 

@@ -14,7 +14,6 @@ from cogdiag.metrics import (
     calibration,
     format_reliability_csv,
     hard_calls,
-    reliability_rows,
     rmse,
 )
 
@@ -226,27 +225,45 @@ class TestCalibration:
         assert rep.mce == rep.ece
 
 
+def reliability_rows(report):
+    """The rows of ``format_reliability_csv(report)``, each split into its seven fields."""
+    header, *rows = format_reliability_csv(report).splitlines()
+    assert header == "bin,lo,hi,count,frac_correct,avg_prob,gap"
+    return [row.split(",") for row in rows]
+
+
 class TestReliabilityRows:
     def test_every_bin_present(self):
         rep = calibration([0.95, 0.15], [1, 0], bins=10)
         rows = reliability_rows(rep)
-        assert len(rows) == 10
-        assert [row[0] for row in rows] == list(range(1, 11))
-        assert rows[0][1] == 0.0 and rows[9][2] == 1.0
+        assert len(rows) == 10 == rep.bins == len(rep.counts)
+        assert [row[0] for row in rows] == [str(n) for n in range(1, 11)]
+        assert [int(row[3]) for row in rows] == rep.counts.tolist()
+        # the edges are n/M: bin 1 opens at 0, bin 10 closes at 1, and each bin starts where the last ended
+        assert rows[0][1] == "0.000000" and rows[9][2] == "1.000000"
+        assert [row[1] for row in rows[1:]] == [row[2] for row in rows[:-1]]
+        assert [float(row[2]) for row in rows] == pytest.approx([n / 10 for n in range(1, 11)])
 
-    def test_empty_bins_carry_none(self):
-        rows = reliability_rows(calibration([0.95], [1], bins=10))
-        assert rows[0][4] is None and rows[0][5] is None and rows[0][6] is None
-        assert rows[9][3] == 1 and rows[9][4] == 1.0
+    def test_empty_bins_leave_empty_fields(self):
+        rep = calibration([0.95], [1], bins=10)
+        rows = reliability_rows(rep)
+        assert rows[0][3:] == ["0", "", "", ""]
+        assert np.isnan(rep.frac_correct[0]) and np.isnan(rep.avg_prob[0])
+        assert rows[9][3] == "1" and rows[9][4] == "1.000000"
+        assert rep.counts[9] == 1 and rep.frac_correct[9] == 1.0
 
     def test_gap_consistency(self):
         rng = default_rng(3)
         y = rng.uniform(size=300)
         r = (rng.uniform(size=300) < y).astype(float)
         rep = calibration(y, r, bins=10)
-        for _, _, _, count, a, p, gap in reliability_rows(rep):
-            if count:
-                assert gap == pytest.approx(abs(a - p), abs=1e-12)
+        for n, (_, _, _, count, a, p, gap) in enumerate(reliability_rows(rep)):
+            if int(count):
+                gap_n = abs(rep.frac_correct[n] - rep.avg_prob[n])
+                assert gap == f"{gap_n:.6f}"
+                assert a == f"{rep.frac_correct[n]:.6f}" and p == f"{rep.avg_prob[n]:.6f}"
+                # the six-decimal fields agree with each other to their rounding
+                assert float(gap) == pytest.approx(abs(float(a) - float(p)), abs=1.5e-6)
 
     def test_csv_format(self):
         text = format_reliability_csv(calibration([0.95], [1], bins=3))

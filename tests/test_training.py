@@ -423,8 +423,8 @@ class TestTrainer:
         ds = tiny_dataset(seed=4)
         trainer = Trainer(ds, DiagnosticFunction("mirt"), quick_config(max_epochs=6, pretrain_epochs=4))
         trainer.train()
-        first = trainer.history[0].prediction
-        last = trainer.history[-1].prediction
+        first = trainer.history[0].losses.prediction
+        last = trainer.history[-1].losses.prediction
         assert last < first
 
     def test_phases_recorded_in_order(self):
@@ -530,9 +530,9 @@ class TestTrainer:
         ck = trainer.train()
         phase2 = [rec for rec in trainer.history if rec.phase == 2]
         assert 2 < len(phase2) < 30  # early stopping fired
-        best = max(phase2, key=lambda rec: rec.val_auc)  # the first of any tie
+        best = max(phase2, key=lambda rec: rec.val.auc)  # the first of any tie
         assert ck.best_epoch == best.epoch
-        assert ck.val_metrics == {"acc": best.val_acc, "auc": best.val_auc, "ece": best.val_ece}
+        assert ck.val_metrics == {"acc": best.val.acc, "auc": best.val.auc, "ece": best.val.ece}
 
     def test_checkpoint_records_the_run_config_it_trained_from(self, tmp_path):
         cfg = RunConfig(variant="mirt", max_epochs=1, pretrain_epochs=1, seed=3, batch_size=16)
