@@ -18,6 +18,7 @@ from cogdiag import (
     build_dataset,
     evaluate_store,
     planted_cohort,
+    spearman,
 )
 
 print("=== 1. make a cohort with known ground truth ===")
@@ -62,12 +63,7 @@ rows = [dataset.student_ids.index(f"s{i:04d}") for i in range(dataset.n_students
 mastery = 1.0 / (1.0 + np.exp(-checkpoint.params["student_mu"][rows]))
 col_of = {cid: k for k, cid in enumerate(dataset.concept_ids)}
 for k in range(dataset.n_concepts):
-    learned = mastery[:, col_of[f"c{k:02d}"]]
-    true = cohort.abilities[:, k]
-    # rank correlation without scipy: correlate the rank vectors
-    r_l = np.argsort(np.argsort(learned)).astype(float)
-    r_t = np.argsort(np.argsort(true)).astype(float)
-    rho = float(np.corrcoef(r_l, r_t)[0, 1])
+    rho = spearman(mastery[:, col_of[f"c{k:02d}"]], cohort.abilities[:, k])
     print(f"  concept c{k:02d}: rank correlation vs truth {rho:+.3f}")
 print("positive correlations mean the latent abilities are being recovered,")
 print("not just the response probabilities.")

@@ -13,12 +13,10 @@ We finish with the reliability table behind ECE/MCE, the same table
 Run:  python3 demos/03_calibration_study.py          (~6 s)
 """
 
-import numpy as np
-
 from cogdiag import DiagnosticFunction, TrainConfig, Trainer, build_dataset, planted_cohort
 from cogdiag.inference import evaluate_store
 from cogdiag.latent import variance_from_logvar
-from cogdiag.metrics import format_reliability_csv
+from cogdiag.metrics import format_reliability_csv, spearman
 
 print("=== 1. train twice: hinge on vs hinge off ===")
 cohort = planted_cohort(
@@ -36,16 +34,10 @@ def run(beta):
     return trainer
 
 
-def rank_corr(x, y):
-    rx = np.argsort(np.argsort(x)).astype(float)
-    ry = np.argsort(np.argsort(y)).astype(float)
-    return float(np.corrcoef(rx, ry)[0, 1])
-
-
 for label, trainer in (("hinge on ", run(beta=0.1)), ("hinge off", run(beta=0.0))):
     s, c, observed = trainer.tracker.observed_cells()
     variance = variance_from_logvar(trainer.store.params["student_logvar"])[s, c]
-    rho = rank_corr(observed, variance)
+    rho = spearman(observed, variance)
     print(f"  {label}: rank corr(correctness frequency, variance) = {rho:+.3f}")
 print("the negative correlation appears when the calibration term trains;")
 print("without it the variances carry no reliability signal.")

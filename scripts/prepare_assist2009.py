@@ -7,12 +7,13 @@ problem log per linked skill).
 
 Output: ``logs.csv`` (student_id, exercise_id, score) and ``qmatrix.csv``
 (exercise_id, concept_id) in the chosen output directory, plus a summary
-of what the standard >= 15-logs-per-student filter keeps.  The widely
-cited filtered size of this dataset is 2,493 students, 17,671 exercises,
-123 concepts; the script reports how close the produced files land so a
-preprocessing drift is visible immediately.
+of what the standard >= 15-logs-per-student filter keeps: the dataset
+``build_dataset`` makes of the written files.  The widely cited filtered
+size of this dataset is 2,493 students, 17,671 exercises, 123 concepts;
+the script reports how close the produced files land so a preprocessing
+drift is visible immediately.
 
-Usage:
+Usage (with cogdiag importable: installed, or ``PYTHONPATH=src``):
     python3 scripts/prepare_assist2009.py RAW_CSV --out data/assist2009
     COGDIAG_ASSIST2009_DIR=data/assist2009 pytest tests/test_acceptance.py -k real_data
 """
@@ -22,8 +23,9 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from collections import Counter, defaultdict
 from pathlib import Path
+
+from cogdiag.data import LOG_HEADER, QMATRIX_HEADER, build_dataset, load_logs, load_qmatrix
 
 EXPECTED = {"students": 2493, "exercises": 17671, "concepts": 123}
 
@@ -71,23 +73,6 @@ def build_tables(rows):
     return logs, sorted(q_pairs)
 
 
-def filtered_stats(logs, q_pairs, min_logs):
-    per_student = Counter(user for user, _, _ in logs)
-    kept_students = {u for u, n in per_student.items() if n >= min_logs}
-    kept_logs = [(u, p, s) for u, p, s in logs if u in kept_students]
-    kept_exercises = {p for _, p, _ in kept_logs}
-    skills_of = defaultdict(set)
-    for problem, skill in q_pairs:
-        skills_of[problem].add(skill)
-    kept_concepts = set().union(*(skills_of[p] for p in kept_exercises)) if kept_exercises else set()
-    return {
-        "students": len(kept_students),
-        "exercises": len(kept_exercises),
-        "concepts": len(kept_concepts),
-        "logs": len(kept_logs),
-    }
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("raw_csv", type=Path, help="skill_builder_data.csv from the public release")
@@ -109,23 +94,25 @@ def main(argv=None) -> int:
     q_path = args.out / "qmatrix.csv"
     with open(logs_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["student_id", "exercise_id", "score"])
+        writer.writerow(LOG_HEADER)
         writer.writerows(logs)
     with open(q_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["exercise_id", "concept_id"])
+        writer.writerow(QMATRIX_HEADER)
         writer.writerows(q_pairs)
 
-    stats = filtered_stats(logs, q_pairs, args.min_logs)
     print(f"wrote {len(logs)} interaction logs to {logs_path}")
     print(f"wrote {len(q_pairs)} exercise-concept links to {q_path}")
+    try:
+        dataset = build_dataset(load_logs(logs_path), load_qmatrix(q_path), args.min_logs)
+    except ValueError as exc:  # the data module's errors, and a min_logs below 1
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     print(f"after the >= {args.min_logs}-logs filter the dataset will have:")
-    for key in ("students", "exercises", "concepts"):
-        want = EXPECTED[key]
-        got = stats[key]
-        drift = f"  (commonly reported: {want}, drift {got - want:+d})"
-        print(f"  {key:9} {got}{drift}")
-    print(f"  {'logs':9} {stats['logs']}")
+    for key, want in EXPECTED.items():
+        got = getattr(dataset, f"n_{key}")
+        print(f"  {key:9} {got}  (commonly reported: {want}, drift {got - want:+d})")
+    print(f"  {'logs':9} {dataset.n_interactions}")
     print(f"train with: cogdiag train --config <cfg with logs={logs_path} qmatrix={q_path} min_logs={args.min_logs}>")
     return 0
 

@@ -45,7 +45,7 @@ from .inference import (
     predict_split,
 )
 from .latent import PriorConsensus, compute_consensus, kl_consensus
-from .metrics import BinReport, MetricError, acc, auc, calibration, rmse
+from .metrics import BinReport, MetricError, acc, auc, calibration, rmse, spearman
 from .numerics import (
     ParameterStore,
     adam_step,

@@ -1,12 +1,12 @@
 """Prediction quality and calibration metrics.
 
 Conventions used everywhere: a probability of exactly 0.5 predicts
-correct (ties go to the positive class), AUC handles tied scores by
-average rank (each tie counts 1/2), and calibration bins partition
-(0, 1] with y = 0 folded into the first bin.  A bin's calibration gap
-compares the fraction of correct answers among its members with their
-mean predicted probability of a correct answer (the binary reliability
-diagram of Naeini et al., 2015, and Guo et al., 2017).
+correct (ties go to the positive class), AUC and Spearman's rho rank
+tied values by their average rank (an AUC tie counts 1/2), and
+calibration bins partition (0, 1] with y = 0 folded into the first bin.
+A bin's calibration gap compares the fraction of correct answers among
+its members with their mean predicted probability of a correct answer
+(the binary reliability diagram of Naeini et al., 2015, and Guo et al., 2017).
 """
 
 from __future__ import annotations
@@ -49,6 +49,17 @@ def rmse(probs, labels) -> float:
     return float(np.sqrt(np.mean((y - r) ** 2)))
 
 
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of ``x``, tied values sharing the average rank of their group."""
+    order = np.argsort(x, kind="stable")
+    # tie group [i, j] of the sorted values shares the average 1-based rank
+    _, first, size = np.unique(x[order], return_index=True, return_counts=True)
+    last = first + size - 1
+    ranks = np.empty(x.size, dtype=np.float64)
+    ranks[order] = np.repeat(0.5 * (first + last) + 1.0, size)
+    return ranks
+
+
 def auc(probs, labels) -> float:
     """Probability a random positive outranks a random negative.
 
@@ -61,15 +72,19 @@ def auc(probs, labels) -> float:
     n_neg = y.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise MetricError("AUC needs both classes present")
-    order = np.argsort(y, kind="stable")
-    sorted_y = y[order]
-    # tie group [i, j] of the sorted scores shares the average 1-based rank
-    _, first, size = np.unique(sorted_y, return_index=True, return_counts=True)
-    last = first + size - 1
-    ranks = np.empty(y.size, dtype=np.float64)
-    ranks[order] = np.repeat(0.5 * (first + last) + 1.0, size)
-    rank_sum = ranks[pos].sum()
-    return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+    return float((_average_ranks(y)[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+
+
+def spearman(a, b) -> float:
+    """Spearman's rho: Pearson's r of the average ranks of two finite, non-constant inputs."""
+    x, y = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    if x.shape != y.shape or x.ndim != 1 or x.size < 2:
+        raise MetricError(f"need matching 1-d arrays of 2 or more values, got {x.shape}, {y.shape}")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise MetricError("Spearman's rho needs finite values")
+    if np.ptp(x) == 0 or np.ptp(y) == 0:
+        raise MetricError("Spearman's rho is undefined when an input is constant")
+    return float(np.corrcoef(_average_ranks(x), _average_ranks(y))[0, 1])
 
 
 @dataclass

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import LogColumns, cell_runs
+from .data import LOG_HEADER, QMATRIX_HEADER, LogColumns, cell_runs
 from .numerics import stable_sigmoid
 from .seeding import substream
 
@@ -97,9 +97,9 @@ def write_cohort_csv(cohort: SyntheticCohort, logs_path, qmatrix_path) -> None:
     logs = cohort.logs
     with open(logs_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["student_id", "exercise_id", "score"])
+        writer.writerow(LOG_HEADER)
         writer.writerows(zip(logs.student_ids, logs.exercise_ids, map(int, logs.scores.tolist())))
     with open(qmatrix_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["exercise_id", "concept_id"])
+        writer.writerow(QMATRIX_HEADER)
         writer.writerows(cohort.q_pairs)

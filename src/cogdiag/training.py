@@ -28,7 +28,15 @@ import numpy as np
 
 from . import inference, tape  # looked up per call, so a wrapper patched onto either is seen
 from .checkpoint import Checkpoint
-from .data import Dataset, Splits, SplitSpec, batches, cell_runs, split_per_student
+from .data import (
+    DataValidationError,
+    Dataset,
+    Splits,
+    SplitSpec,
+    batches,
+    cell_runs,
+    split_per_student,
+)
 from .diagnostics import (
     EXERCISE_DIFF,
     EXERCISE_DISC,
@@ -49,7 +57,7 @@ from .latent import (
     kl_consensus,
     variance_from_logvar,
 )
-from .metrics import hard_calls
+from .metrics import MetricError, hard_calls
 from .numerics import (
     EXP_CLAMP,
     LOG_FLOOR,
@@ -545,7 +553,10 @@ class Trainer:
             sums += (breakdown.prediction, breakdown.kl, breakdown.calibration, breakdown.total)
             steps += 1
         if steps == 0:
-            raise ValueError("training split produced no batches")
+            raise DataValidationError(
+                f"phase {phase}, epoch {epoch}: the training split is empty, since no student has "
+                "enough interactions for a train share; raise min_logs"
+            )
         return LossBreakdown(*(sums / steps).tolist())
 
     def _run_phase(self, phase: int, max_epochs: int, cfg: TrainConfig) -> EpochRecord | None:
@@ -559,8 +570,11 @@ class Trainer:
         start = len(self.history)
         for epoch in range(start, start + max_epochs):
             losses = self._epoch(phase, cfg, epoch)
-            val = inference.evaluate_store(self.store, self.fn, self.dataset, self.splits.val,
-                                           bins=cfg.bins)
+            try:
+                val = inference.evaluate_store(self.store, self.fn, self.dataset, self.splits.val,
+                                               bins=cfg.bins)
+            except MetricError as exc:
+                raise MetricError(f"phase {phase}, epoch {epoch}, validation split: {exc}") from exc
             record = EpochRecord(phase, epoch, losses, val)
             self.history.append(record)
             if self.on_epoch is not None:

@@ -14,7 +14,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 from numpy.random import default_rng
-from scipy.stats import spearmanr
 
 from cogdiag import tape
 from cogdiag.checkpoint import load_checkpoint, save_checkpoint
@@ -29,7 +28,7 @@ from cogdiag.data import (
 from cogdiag.diagnostics import DiagnosticFunction, init_parameters
 from cogdiag.inference import concept_interaction_counts, evaluate_probs, evaluate_store
 from cogdiag.latent import STANDARD_PRIOR, PriorConsensus, kl_consensus, variance_from_logvar
-from cogdiag.metrics import acc, auc, calibration, rmse
+from cogdiag.metrics import acc, auc, calibration, rmse, spearman
 from cogdiag.numerics import grad_check
 from cogdiag.seeding import substream
 from cogdiag.synth import planted_cohort, write_cohort_csv
@@ -266,7 +265,7 @@ def test_criterion_05_synthetic_ability_recovery(recovery_run):
     col_of = {cid: k for k, cid in enumerate(ds.concept_ids)}
     mastery = 1.0 / (1.0 + np.exp(-ck.params["student_mu"][rows]))
     per_concept = [
-        spearmanr(mastery[:, col_of[f"c{k:02d}"]], cohort.abilities[:, k]).statistic
+        spearman(mastery[:, col_of[f"c{k:02d}"]], cohort.abilities[:, k])
         for k in range(RECOVERY_SHAPE["n_concepts"])
     ]
     mean_rho = float(np.mean(per_concept))
@@ -294,7 +293,7 @@ def test_criterion_07_calibration_ordering(recovery_run):
     def tracker_variance_corr(trainer):
         s, c, o = trainer.tracker.observed_cells()
         variance = variance_from_logvar(trainer.store.params["student_logvar"])
-        return float(spearmanr(o, variance[s, c]).statistic)
+        return spearman(o, variance[s, c])
 
     corr_full = tracker_variance_corr(recovery_run["trainer"])
     corr_beta0 = tracker_variance_corr(recovery_run["trainer_beta0"])

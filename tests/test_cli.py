@@ -126,6 +126,41 @@ class TestTrain:
         assert key in err and "unknown key" not in err
         assert not (tmp_path / "run").exists()
 
+    def write_run(self, tmp_path, logs, qmatrix, settings):
+        """A mirt run config on the given log and Q-matrix rows, with min_logs = 1."""
+        (tmp_path / "logs.csv").write_text("student_id,exercise_id,score\n" + logs)
+        (tmp_path / "q.csv").write_text("exercise_id,concept_id\n" + qmatrix)
+        config = tmp_path / "run.cfg"
+        config.write_text(
+            f"logs = {tmp_path / 'logs.csv'}\nqmatrix = {tmp_path / 'q.csv'}\n"
+            f"output_dir = {tmp_path / 'run'}\nvariant = mirt\nmin_logs = 1\n{settings}"
+        )
+        return config
+
+    def test_an_empty_train_split_exits_one_naming_min_logs(self, tmp_path, capsys):
+        # one log per student leaves every student's logs to the other splits
+        config = self.write_run(tmp_path, "a,e1,1\nb,e2,0\nc,e1,1\n", "e1,c1\ne2,c2\n",
+                                "max_epochs = 1\n")
+        assert main(["train", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: phase 1, epoch 0: the training split is empty")
+        assert "raise min_logs" in err and "Traceback" not in err
+        assert not (tmp_path / "run").exists()
+        # a zero-epoch run trains nothing, so it needs no train split
+        config.write_text(config.read_text().replace("max_epochs = 1", "max_epochs = 0"))
+        assert main(["train", "--config", str(config)]) == 0
+        assert (tmp_path / "run" / "checkpoint.json").exists()
+
+    def test_a_validation_metric_failure_names_the_split_and_epoch(self, tmp_path, capsys):
+        # every answer correct: the validation split holds one class, so its AUC is undefined
+        logs = "".join(f"s{i},e{j},1\n" for i in range(20) for j in range(10))
+        qmatrix = "".join(f"e{j},c{j % 3}\n" for j in range(10))
+        config = self.write_run(tmp_path, logs, qmatrix, "max_epochs = 1\n")
+        assert main(["train", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: phase 1, epoch 0, validation split: AUC needs both classes present\n"
+        assert not (tmp_path / "run").exists()
+
     def test_progress_lines_printed(self, workspace, capsys, tmp_path):
         # rerun into a throwaway dir to capture stdout
         text = workspace["config"].read_text().replace(

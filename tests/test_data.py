@@ -347,13 +347,22 @@ class TestPlainFilesSkipTheReader:
         assert load_qmatrix(q_path) == cohort.q_pairs
 
     def test_prepared_assist_files(self, tmp_path, no_reader, capsys):
+        # four students with 7 first attempts each, and one with 2 that the filter drops
         raw = tmp_path / "skill_builder_data.csv"
         rows = [(order, 70000 + order % 4, 3000 + order % 7, 10 + order % 3, order % 2)
-                for order in range(1, 60)]
+                for order in range(1, 60)] + [(60, 70009, 3000, 10, 1), (61, 70009, 3001, 11, 0)]
         raw.write_text("order_id,user_id,problem_id,skill_id,correct\n"
                        + "".join(",".join(map(str, row)) + "\n" for row in rows), encoding="latin-1")
-        assert load_script("prepare_assist2009").main([str(raw), "--out", str(tmp_path / "out")]) == 0
-        capsys.readouterr()
+        prepare = load_script("prepare_assist2009").main
+        assert prepare([str(raw), "--out", str(tmp_path / "out"), "--min-logs", "5"]) == 0
+        # the printed counts are those of the dataset the files make
+        printed = {line.split()[0]: int(line.split()[1])
+                   for line in capsys.readouterr().out.splitlines() if line.startswith("  ")}
+        dataset = build_dataset(load_logs(tmp_path / "out" / "logs.csv"),
+                                load_qmatrix(tmp_path / "out" / "qmatrix.csv"), min_logs=5)
+        assert printed == {"students": dataset.n_students, "exercises": dataset.n_exercises,
+                           "concepts": dataset.n_concepts, "logs": dataset.n_interactions}
+        assert printed == {"students": 4, "exercises": 7, "concepts": 3, "logs": 28}
         with open(tmp_path / "out" / "logs.csv", newline="") as fh:
             want_logs = list(csv.reader(fh))[1:]
         with open(tmp_path / "out" / "qmatrix.csv", newline="") as fh:
@@ -363,6 +372,13 @@ class TestPlainFilesSkipTheReader:
         rows = zip(logs.student_ids, logs.exercise_ids, map(int, logs.scores))
         assert [[s, e, str(v)] for s, e, v in rows] == want_logs
         assert load_qmatrix(tmp_path / "out" / "qmatrix.csv") == want_q
+
+    def test_assist_script_exits_one_when_no_student_reaches_min_logs(self, tmp_path, capsys):
+        raw = tmp_path / "skill_builder_data.csv"
+        raw.write_text("order_id,user_id,problem_id,skill_id,correct\n1,7,30,10,1\n2,7,31,11,0\n",
+                       encoding="latin-1")
+        assert load_script("prepare_assist2009").main([str(raw), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == "error: no students survive the min_logs=15 filter (2 logs in)\n"
 
     def test_a_quoted_id_loads_through_the_reader(self, cohort_files, monkeypatch):
         cohort, logs_path, _ = cohort_files

@@ -154,6 +154,40 @@ def test_every_imported_name_is_used(path):
     assert not imported - read, f"{path.name} imports {sorted(imported - read)} and never uses them"
 
 
+def _requirements(key):
+    """Distribution names on pyproject.toml's ``key = [...]`` line.
+
+    The line is parsed here because tomllib needs Python 3.11, and the
+    project supports 3.10.
+    """
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    items = re.search(rf"^{key} = \[(.*)\]$", text, re.M).group(1).split(",")
+    return {re.match(r'\s*"([\w.-]+)', item).group(1) for item in items}
+
+
+def test_third_party_imports_are_declared():
+    # outside src/, a module imports only the runtime dependency and the test
+    # extras, and every test extra is imported somewhere, so none is listed
+    # that no code needs any more
+    local = {"cogdiag", *(path.stem for path in ROOT.glob("tests/*.py"))}
+    importers = {}
+    for path in [*ROOT.glob("tests/*.py"), *EXAMPLES]:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for top in {name.split(".")[0] for name in names} - local - sys.stdlib_module_names:
+                importers.setdefault(top, set()).add(f"{path.parent.name}/{path.name}")
+    extras = _requirements("test")
+    undeclared = {name: sorted(where) for name, where in importers.items()
+                  if name not in extras | _requirements("dependencies")}
+    assert not undeclared, f"imported but not in pyproject.toml: {undeclared}"
+    assert extras <= set(importers), f"test extras nothing imports: {sorted(extras - set(importers))}"
+
+
 def _defined_names(tree):
     """(name, where) of each top-level def, class and constant, and each method of those classes."""
     for node in tree.body:

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.random import default_rng
 
@@ -15,6 +15,7 @@ from cogdiag.metrics import (
     format_reliability_csv,
     hard_calls,
     rmse,
+    spearman,
 )
 
 
@@ -30,6 +31,19 @@ def auc_brute(y, r):
             elif p == n:
                 total += 0.5
     return total / (len(pos) * len(neg))
+
+
+def spearman_brute(a, b):
+    """Rank = 1 + the smaller values + half the other equal ones; Pearson's r by explicit sums."""
+    def ranks(x):
+        return [1 + sum(w < v for w in x) + (sum(w == v for w in x) - 1) / 2 for v in x]
+
+    ra, rb = ranks(a), ranks(b)
+    n = len(ra)
+    sa, sb = sum(ra), sum(rb)
+    sab = sum(u * v for u, v in zip(ra, rb))
+    saa, sbb = sum(u * u for u in ra), sum(v * v for v in rb)
+    return (n * sab - sa * sb) / ((n * saa - sa * sa) * (n * sbb - sb * sb)) ** 0.5
 
 
 def calibration_brute(y, r, bins):
@@ -133,6 +147,59 @@ class TestAuc:
         r[:2] = [0, 1]
         squashed = y**3 / (y**3 + (1 - y) ** 3)
         assert auc(y, r) == pytest.approx(auc(squashed, r), abs=1e-12)
+
+
+def paired_samples(values):
+    """Two equal-length lists of at least 2 values drawn from ``values``."""
+    return st.integers(2, 40).flatmap(
+        lambda n: st.tuples(st.lists(values, min_size=n, max_size=n),
+                            st.lists(values, min_size=n, max_size=n)))
+
+
+# a few distinct values force ties; integers over a wide range rarely tie;
+# floats over many magnitudes try the ranking on values no grid holds
+TIED = st.integers(0, 4).map(float)
+WIDE = st.integers(-1000, 1000).map(float)
+FLOATS = st.floats(-1e6, 1e6, allow_nan=False)
+
+
+class TestSpearman:
+    def test_frozen(self):
+        assert spearman([1, 2, 3, 4], [10, 20, 30, 40]) == pytest.approx(1.0)
+        assert spearman([1, 2, 3, 4], [4, 3, 2, 1]) == pytest.approx(-1.0)
+        # ranks (1.5, 1.5, 3) against (1, 2, 3): r = 1.5 / sqrt(1.5 * 2)
+        assert spearman([5, 5, 7], [1, 2, 3]) == pytest.approx(np.sqrt(0.75), abs=1e-15)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(paired_samples(TIED), paired_samples(WIDE), paired_samples(FLOATS)))
+    def test_brute_force_equivalence(self, pair):
+        a, b = pair
+        assume(len(set(a)) > 1 and len(set(b)) > 1)
+        assert spearman(a, b) == pytest.approx(spearman_brute(a, b), abs=1e-12)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(paired_samples(TIED), paired_samples(WIDE)))
+    def test_invariant_under_increasing_maps_and_symmetric(self, pair):
+        a, b = (np.array(x) for x in pair)
+        assume(np.ptp(a) > 0 and np.ptp(b) > 0)
+        rho = spearman(a, b)
+        # on these integers both maps are strictly increasing and exact enough to keep every order
+        assert spearman(a**3 + 5 * a, np.exp(b / 1000.0)) == pytest.approx(rho, abs=1e-12)
+        assert spearman(b, a) == pytest.approx(rho, abs=1e-15)
+
+    @pytest.mark.parametrize("a, b, message", [
+        ([1.0, 2.0, 3.0], [1.0, 2.0], "matching 1-d arrays"),
+        ([[1.0, 2.0], [3.0, 4.0]], [[1.0, 2.0], [4.0, 3.0]], "matching 1-d arrays"),
+        ([1.0], [2.0], "2 or more values"),
+        ([], [], "2 or more values"),
+        ([1.0, np.nan, 3.0], [1.0, 2.0, 3.0], "finite"),
+        ([1.0, 2.0, 3.0], [1.0, np.inf, 3.0], "finite"),
+        ([2.0, 2.0, 2.0], [1.0, 2.0, 3.0], "constant"),
+        ([1.0, 2.0, 3.0], [0.5, 0.5, 0.5], "constant"),
+    ])
+    def test_undefined_inputs_rejected(self, a, b, message):
+        with pytest.raises(MetricError, match=message):
+            spearman(a, b)
 
 
 class TestBinIndex:
