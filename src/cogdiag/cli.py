@@ -19,6 +19,7 @@ CSV gives the same numbers.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -78,8 +79,11 @@ def _out_path(arg_out, checkpoint_path: str, default_name: str) -> Path:
 
 def _not_the_checkpoint(out: Path, checkpoint_path: str) -> Path:
     """``out``, unless it is the checkpoint being read (via ``..``, a symlink or a hard link)."""
-    if out.exists() and Path(checkpoint_path).exists() and out.samefile(checkpoint_path):
-        raise ConfigError(f"{out} is the checkpoint; writing there would replace it")
+    try:
+        if os.path.samefile(out, checkpoint_path):
+            raise ConfigError(f"{out} is the checkpoint; writing there would replace it")
+    except OSError:  # one of the two is missing, so there is nothing to replace
+        pass
     return out
 
 

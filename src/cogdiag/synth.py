@@ -10,6 +10,7 @@ concepts, which any of the diagnostic variants should be able to chase.
 from __future__ import annotations
 
 import csv
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,22 +50,31 @@ def planted_cohort(
     exercises, then one uniform number per log: below the planted
     probability is correct.
     The logs are the :class:`LogColumns` that ``load_logs`` returns.
+    :func:`_distinct_concepts` replays ``rng.choice(n_concepts, k, replace=False,
+    p=weights)``: the same uniforms and table look-ups in order, so the same bytes.
     """
-    if per_student > n_exercises:
-        raise ValueError("per_student cannot exceed n_exercises (sampling is without replacement)")
+    bad = [msg for ok, msg in (
+        (n_concepts >= 1, f"n_concepts must be at least 1, got {n_concepts}"),
+        (n_exercises >= 1, f"n_exercises must be at least 1, got {n_exercises}"),
+        (0 < concept_skew * max(n_concepts, 1) < np.inf,  # every weight > 0, their sum finite
+         f"concept_skew must be > 0 and finite times n_concepts, got {concept_skew}"),
+        (per_student <= n_exercises, "per_student cannot exceed n_exercises (sampling is without replacement)"),
+    ) if not ok]
+    if bad:
+        raise ValueError("; ".join(bad))
     rng = substream(seed, "synthetic")
     abilities = rng.uniform(*ABILITY_RANGE, size=(n_students, n_concepts))
     difficulties = rng.uniform(*ABILITY_RANGE, size=(n_exercises, n_concepts))
 
     weights = np.linspace(1.0, concept_skew, n_concepts)
     weights = weights / weights.sum()
-    concepts_of = []
+    cdf = np.cumsum(weights)
+    cdf = (cdf / cdf[-1]).tolist()
     k_max = min(MAX_CONCEPTS_PER_EXERCISE, n_concepts)
-    for _ in range(n_exercises):
-        k = int(rng.integers(1, k_max + 1))
-        concepts_of.append(np.sort(rng.choice(n_concepts, size=k, replace=False, p=weights)))
+    concepts_of = [_distinct_concepts(rng, int(rng.integers(1, k_max + 1)), weights, cdf)
+                   for _ in range(n_exercises)]
     ptr = np.cumsum([0] + [len(cs) for cs in concepts_of], dtype=np.int64)
-    idx = np.concatenate(concepts_of)
+    idx = np.array([l for cs in concepts_of for l in cs], dtype=np.int64)
 
     picks = np.empty((n_students, per_student), dtype=np.int64)
     draws = np.empty((n_students, per_student))
@@ -85,12 +95,23 @@ def planted_cohort(
         list(map(exercise_ids.__getitem__, js.tolist())),
         (draws.ravel() < p).astype(np.float64),
     )
-    q_pairs = [
-        (exercise_ids[j], concept_ids[l]) for j in range(n_exercises) for l in concepts_of[j]
-    ]
-    return SyntheticCohort(
-        logs=logs, q_pairs=q_pairs, abilities=abilities, difficulties=difficulties
-    )
+    q_pairs = [(eid, concept_ids[l]) for eid, ls in zip(exercise_ids, concepts_of) for l in ls]
+    return SyntheticCohort(logs, q_pairs, abilities, difficulties)
+
+
+def _distinct_concepts(rng, k: int, weights: np.ndarray, cdf: list[float]) -> list[int]:
+    """Sorted ``rng.choice(len(weights), k, replace=False, p=weights)``, ``cdf`` its first table."""
+    found: list[int] = []
+    while len(found) < k:
+        if found:  # a repeat: numpy's next round, on the table without the concepts found
+            p = weights.copy()
+            p[found] = 0.0
+            cdf = np.cumsum(p)
+            cdf = (cdf / cdf[-1]).tolist()
+        for x in rng.random(k - len(found)).tolist():
+            if (l := bisect_right(cdf, x)) not in found:
+                found.append(l)
+    return sorted(found)
 
 
 def write_cohort_csv(cohort: SyntheticCohort, logs_path, qmatrix_path) -> None:
@@ -98,7 +119,7 @@ def write_cohort_csv(cohort: SyntheticCohort, logs_path, qmatrix_path) -> None:
     with open(logs_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(LOG_HEADER)
-        writer.writerows(zip(logs.student_ids, logs.exercise_ids, map(int, logs.scores.tolist())))
+        writer.writerows(zip(logs.student_ids, logs.exercise_ids, logs.scores.astype(np.int64).tolist()))
     with open(qmatrix_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(QMATRIX_HEADER)

@@ -5,9 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cogdiag.seeding import substream
-from cogdiag.synth import planted_cohort, write_cohort_csv
+from cogdiag.synth import _distinct_concepts, planted_cohort, write_cohort_csv
 from test_acceptance import RECOVERY_SHAPE
 
 
@@ -16,8 +18,11 @@ def per_log_cohort(n_students=200, n_exercises=400, n_concepts=10, per_student=8
     """Reference: one record and one scalar sigmoid per log, in the generator's draw order.
 
     Abilities and difficulties are uniform on (-2, 2) and each exercise
-    has one to three concepts, never more than there are.  Each student
-    draws its exercises, then one uniform number per log, in turn.
+    has one to three concepts, never more than there are, drawn by numpy's
+    own ``rng.choice``: this is the oracle for the generator's hand sampler.
+    Should a numpy upgrade change ``choice``'s draws, ``PINNED`` still
+    guards the generator's bytes.  Each student draws its exercises, then
+    one uniform number per log, in turn.
     """
     rng = substream(seed, "synthetic")
     abilities = rng.uniform(-2.0, 2.0, size=(n_students, n_concepts))
@@ -63,6 +68,22 @@ PINNED = {
     "serve-assist": (dict(n_students=2493, n_exercises=17671, n_concepts=123, per_student=100, seed=1),
                      "5e778acede89f66b38b9caefc58a23756f2c768ea1af8888ebbfd5a4bda4d124"),
     "recovery": (RECOVERY_SHAPE, "cd82ba76a2dc14576382570ee07d2b7087f70d3644ad411a6415cd7032e9274d"),
+    # two concepts, up to two per exercise: 3 of its 8 exercises need a re-draw round (29 of
+    # train-ncd-wide's 2,000 do)
+    "two-concepts": (dict(SHAPES["two-concepts"], seed=1),
+                     "4aaa03c30571dd0658239f237f3a45ed4a3803e859dc69d77d17ef00da708f4f"),
+}
+
+# each argument the generator refuses, with a call that names it
+BAD_ARGUMENTS = {
+    "negative-skew-three-concepts": (dict(concept_skew=-1.0, n_concepts=3), "concept_skew"),
+    "negative-skew": (dict(concept_skew=-0.5), "concept_skew"),
+    "nan-skew": (dict(concept_skew=float("nan")), "concept_skew"),
+    "zero-skew-two-concepts": (dict(concept_skew=0.0, n_concepts=2), "concept_skew"),
+    "overflowing-weight-sum": (dict(concept_skew=1.7e308, n_concepts=3), "concept_skew"),
+    "no-concepts": (dict(n_concepts=0), "n_concepts"),
+    "no-exercises": (dict(n_exercises=0, per_student=0), "n_exercises"),
+    "more-picks-than-exercises": (dict(n_exercises=5, per_student=6), "per_student"),
 }
 
 
@@ -92,6 +113,37 @@ class TestPlantedCohort:
         assert {cid for cids in per_exercise.values() for cid in cids} == {
             f"c{l:02d}" for l in range(n_concepts)
         }
+
+    @pytest.mark.parametrize("kwargs, name", BAD_ARGUMENTS.values(), ids=BAD_ARGUMENTS.keys())
+    def test_bad_arguments_are_named(self, kwargs, name):
+        with pytest.raises(ValueError, match=name) as info:
+            planted_cohort(**kwargs)
+        assert info.value.args[0].count(";") == 0  # one argument is bad, one is named
+
+    def test_every_bad_argument_is_named_at_once(self):
+        with pytest.raises(ValueError) as info:
+            planted_cohort(n_concepts=0, n_exercises=0, per_student=1, concept_skew=-1.0)
+        assert [msg.split()[0] for msg in info.value.args[0].split("; ")] == [
+            "n_concepts", "n_exercises", "concept_skew", "per_student"
+        ]
+
+    @settings(max_examples=200, deadline=None)
+    @given(n_concepts=st.integers(1, 6), k_max=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+           concept_skew=st.floats(0.1, 50.0))
+    def test_sampler_makes_choices_draws(self, n_concepts, k_max, seed, concept_skew):
+        """Same concepts as ``rng.choice`` and the same stream position after, re-draws included."""
+        weights = np.linspace(1.0, concept_skew, n_concepts)
+        weights = weights / weights.sum()
+        cdf = np.cumsum(weights)
+        cdf = (cdf / cdf[-1]).tolist()
+        ours, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
+        k_max = min(k_max, n_concepts)
+        for _ in range(20):
+            k = int(ours.integers(1, k_max + 1))
+            assert int(numpys.integers(1, k_max + 1)) == k
+            expected = np.sort(numpys.choice(n_concepts, size=k, replace=False, p=weights)).tolist()
+            assert _distinct_concepts(ours, k, weights, cdf) == expected
+        assert ours.random() == numpys.random()
 
     @pytest.mark.parametrize("name", PINNED)
     def test_workload_cohorts_keep_their_bytes(self, tmp_path, name):
