@@ -17,8 +17,9 @@ mirt on a ``TrainConfig`` (1 + 1 epochs, seed 2) and saves its
 checkpoint, which ``diagnose`` and ``export-ability`` serve and ``eval``,
 having no data files to read, refuses; that exit code and stderr are
 kept the same way.  The output directory is wiped
-first, so two runs into the same directory embed the same paths; the
-digests then compare two checkouts byte for byte:
+first.  The commands run from inside it, on paths relative to it, so
+no artifact holds the directory's own path, and the digests compare
+two checkouts, or two directories, byte for byte:
 
     python3 scripts/artifact_digest.py --out /tmp/digest > a.txt   # in one checkout
     python3 scripts/artifact_digest.py --out /tmp/digest > b.txt   # in the other
@@ -30,6 +31,18 @@ config instead (``perfbench/workloads.py``, seed 1) and runs ``train``,
 which checks a change's bytes at the benchmark's own shapes:
 
     python3 scripts/artifact_digest.py --out /tmp/digest --workload serve-assist
+
+``--check`` also compares the digests with their section of the
+committed manifest, ``tests/artifact_digests.txt``: ``[default]`` for
+the three heads, else the workload's name.  If any artifact moved, it
+names each one on stderr, with the numpy and BLAS builds the bytes
+depend on, and exits 1.  A deliberate change of seeded bytes rewrites
+the manifest, one section per run:
+
+    for w in default train-mirt-small train-ncd-wide serve-assist; do
+        echo "[$w]"
+        python3 scripts/artifact_digest.py --out /tmp/digest $([ $w = default ] || echo --workload $w)
+    done > tests/artifact_digests.txt
 
 The cogdiag imported is the one in this checkout's ``src/``.  A
 directory that holds files but not the marker a previous run left is
@@ -43,9 +56,12 @@ import contextlib
 import hashlib
 import importlib.util
 import io
+import os
 import shutil
 import sys
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
@@ -58,6 +74,7 @@ from cogdiag.synth import planted_cohort, write_cohort_csv  # noqa: E402
 from cogdiag.training import TrainConfig, Trainer  # noqa: E402
 
 MARKER = ".artifact_digest"
+MANIFEST = ROOT / "tests" / "artifact_digests.txt"
 HEADS = {"irt": dict(variant="irt"), "mirt": dict(variant="mirt"),
          "ncd": dict(variant="ncd", mlp_hidden1=16, mlp_hidden2=8)}
 WORKLOAD_SEED = 1
@@ -204,10 +221,42 @@ def write_workload(out: Path, workload) -> None:
     train_and_serve(run_dir, entries, ("test",), cohort.logs.student_ids[0])
 
 
+def manifest_section(name: str) -> dict[str, str]:
+    """{artifact: digest} of the manifest's ``[name]`` section."""
+    section, digests = None, {}
+    for line in MANIFEST.read_text(encoding="utf-8").splitlines():
+        if line.startswith("["):
+            section = line.strip("[]")
+        elif line and section == name:
+            digest, artifact = line.split("  ", 1)
+            digests[artifact] = digest
+    return digests
+
+
+def moved_report(name: str, digests: dict[str, str]) -> str | None:
+    """What moved against the manifest's ``[name]`` section, with the builds; None if nothing."""
+    expected = manifest_section(name)
+    moved = [f"  {'gone' if a not in digests else 'new' if a not in expected else 'changed'}  {a}"
+             for a in sorted(expected.keys() | digests.keys()) if expected.get(a) != digests.get(a)]
+    if not moved:
+        return None
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except TypeError:  # numpy before 1.25 only prints its build
+        blas = {}
+    return "\n".join([
+        f"{len(moved)} artifacts moved from [{name}] of {MANIFEST.relative_to(ROOT)}:", *moved,
+        f"numpy {np.__version__}; BLAS {blas.get('name')} {blas.get('version')} "
+        f"({blas.get('openblas configuration', 'no configuration given')})",
+    ])
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, help="directory to wipe and write into")
     parser.add_argument("--workload", help="a perfbench workload to run instead of the three heads")
+    parser.add_argument("--check", action="store_true",
+                        help="exit 1, naming each moved artifact, unless the manifest agrees")
     args = parser.parse_args(argv)
     workload = None
     if args.workload is not None:
@@ -224,12 +273,23 @@ def main(argv=None) -> int:
         shutil.rmtree(out)
     out.mkdir(parents=True)
     (out / MARKER).touch()
-    if workload is None:
-        write_artifacts(out)
-    else:
-        write_workload(out, workload)
-    for path in sorted(p for p in out.rglob("*") if p.is_file() and p.name != MARKER):
-        print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.relative_to(out)}")
+    cwd = os.getcwd()
+    os.chdir(out)  # every path the commands see is relative to out
+    try:
+        if workload is None:
+            write_artifacts(Path())
+        else:
+            write_workload(Path(), workload)
+    finally:
+        os.chdir(cwd)
+    digests = {str(path.relative_to(out)): hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in sorted(out.rglob("*")) if path.is_file() and path.name != MARKER}
+    for artifact, digest in digests.items():
+        print(f"{digest}  {artifact}")
+    report = moved_report(args.workload or "default", digests) if args.check else None
+    if report is not None:
+        print(report, file=sys.stderr)
+        return 1
     return 0
 
 

@@ -52,14 +52,46 @@ def test_calibration_study_demo_prints_the_reliability_table(tmp_path):
     assert not lines[start + 11].startswith("11,")
 
 
-def test_artifact_digests_repeat(tmp_path):
+def digest(out, *args):
+    """``scripts/artifact_digest.py --out out *args``, run against this checkout's src/."""
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / "artifact_digest.py"),
+                           "--out", str(out), *args], capture_output=True, text=True, timeout=120)
+
+
+@pytest.fixture(scope="module")
+def checked_digest(tmp_path_factory):
+    """``workload -> (out, run)``: one ``--check`` run per workload (None: the three heads).
+
+    Each is made once for this module, so the manifest test and the tests
+    that read a run's files share it.
+    """
+    runs = {}
+
+    def run(workload=None):
+        if workload not in runs:
+            out = tmp_path_factory.mktemp("digest") / "out"
+            runs[workload] = out, digest(out, "--check", *(["--workload", workload] if workload else []))
+        return runs[workload]
+
+    return run
+
+
+@pytest.mark.parametrize("workload", [None, "train-mirt-small", "train-ncd-wide"],
+                         ids=["default", "train-mirt-small", "train-ncd-wide"])
+def test_artifacts_match_the_manifest(checked_digest, workload):
+    # the seeded bytes of every artifact, at the heads' shape and at two benchmark
+    # shapes, are the ones tests/artifact_digests.txt records; on a mismatch the
+    # script names each moved artifact and the numpy and BLAS builds
+    _, proc = checked_digest(workload)
+    assert proc.returncode == 0, proc.stderr
+    assert len(proc.stdout.splitlines()) == (73 if workload is None else 12)
+
+
+def test_artifact_digests_repeat(tmp_path, checked_digest):
     # two runs into one directory: the second wipes the first's files,
     # and every artifact of the three heads and the library run hashes the same both times
-    def digest(out):
-        return subprocess.run([sys.executable, str(ROOT / "scripts" / "artifact_digest.py"),
-                               "--out", str(out)], capture_output=True, text=True, timeout=120)
-
-    runs = [digest(tmp_path / "digest") for _ in range(2)]
+    out, first = checked_digest()
+    runs = [first, digest(out)]
     for proc in runs:
         assert proc.returncode == 0, proc.stderr
     assert runs[0].stdout == runs[1].stdout
@@ -74,23 +106,23 @@ def test_artifact_digests_repeat(tmp_path):
               "empty_qmatrix_id": "line 5: empty id field"}
     for case, message in errors.items():
         assert f"errors/{case}/train.stderr" in names
-        kept = (tmp_path / "digest" / "errors" / case / "train.stderr").read_text()
+        kept = (out / "errors" / case / "train.stderr").read_text()
         assert kept.startswith("exit 1\nerror: ") and kept.endswith(f" {message}\n")
     # each serving command refuses a nan student_mu, and an --out that is its checkpoint
     for case, message in (("nan_student_mu", "student_mu holds a non-finite value"),
                           ("out_is_checkpoint", "is the checkpoint; writing there would replace it")):
-        copy = tmp_path / "digest" / "errors" / case / "checkpoint.json"
-        assert f"errors/{case}/checkpoint.json" in names
+        copy = f"errors/{case}/checkpoint.json"  # as the commands, run inside out, named it
+        assert copy in names
         for command in ("diagnose", "eval", "export_ability"):
             assert f"errors/{case}/{command}.stderr" in names
-            kept = (copy.parent / f"{command}.stderr").read_text()
+            kept = (out / "errors" / case / f"{command}.stderr").read_text()
             code = 1 if case == "nan_student_mu" else 2
             assert kept.startswith(f"exit {code}\nerror: ") and message in kept
-            assert str(copy) in kept
+            assert copy in kept
     # a library Trainer's checkpoint: diagnose and export-ability serve it, eval says why it cannot
     assert {"library/checkpoint.json", "library/diagnose.stdout", "library/diagnosis_s0000.csv",
             "library/export_ability.stdout", "library/ability.csv", "library/eval.stderr"} <= names
-    kept = (tmp_path / "digest" / "library" / "eval.stderr").read_text()
+    kept = (out / "library" / "eval.stderr").read_text()
     assert kept.startswith("exit 1\nerror: ")
     assert "records a library TrainConfig, which names no data files to score" in kept
     (tmp_path / "other").mkdir()
@@ -99,20 +131,15 @@ def test_artifact_digests_repeat(tmp_path):
     assert (tmp_path / "other" / "keep.txt").exists()
 
 
-def test_artifact_digest_runs_a_perfbench_workload(tmp_path):
+def test_artifact_digest_runs_a_perfbench_workload(tmp_path, checked_digest):
     # the workload's cohort and config come from perfbench/workloads.py;
     # train, eval and diagnose each leave their files and stdout
-    def digest(name):
-        return subprocess.run([sys.executable, str(ROOT / "scripts" / "artifact_digest.py"),
-                               "--out", str(tmp_path / "digest"), "--workload", name],
-                              capture_output=True, text=True, timeout=120)
-
-    proc = digest("train-mirt-small")
+    _, proc = checked_digest("train-mirt-small")
     assert proc.returncode == 0, proc.stderr
     names = {line.split("  ", 1)[1] for line in proc.stdout.splitlines()}
     assert {"logs.csv", "run/checkpoint.json", "run/train_log.csv", "run/train.stdout",
             "run/predictions_test.csv", "run/eval_test.stdout", "run/diagnose.stdout"} <= names
-    unknown = digest("no-such-workload")
+    unknown = digest(tmp_path / "digest", "--workload", "no-such-workload")
     assert unknown.returncode == 2 and "train-mirt-small" in unknown.stderr
 
 
