@@ -61,7 +61,13 @@ import shutil
 import sys
 from pathlib import Path
 
-import numpy as np
+# One BLAS thread, set before numpy loads, as perfbench runs: a wide
+# matmul split over more threads sums in another order, so the bytes
+# would depend on the host's core count.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import numpy as np  # noqa: E402
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))

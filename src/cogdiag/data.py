@@ -360,8 +360,8 @@ def cell_runs(ptr: np.ndarray, idx: np.ndarray, rows: np.ndarray):
     """
     starts = ptr[rows]
     sizes = ptr[rows + 1] - starts
-    ends = np.cumsum(sizes)
-    return idx[np.repeat(starts - ends + sizes, sizes) + np.arange(ends[-1] if len(ends) else 0)], sizes
+    ends = sizes.cumsum()
+    return idx[(starts - ends + sizes).repeat(sizes) + np.arange(ends[-1] if len(ends) else 0)], sizes
 
 
 @dataclass

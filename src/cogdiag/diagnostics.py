@@ -70,7 +70,7 @@ class DiagnosticFunction:
 
     def q_rows(self, dataset, exercises: np.ndarray) -> np.ndarray | None:
         """The concept-mask rows :meth:`predict` reads for ``exercises``; IRT reads none."""
-        return None if self.variant == "irt" else dataset.dense_q[exercises]
+        return None if self.variant == "irt" else dataset.dense_q.take(exercises, axis=0)
 
     def predict(self, theta, difficulty, discrimination, q_mask, model):
         """(B,) correctness probabilities of a batch under this head, and their gradient function.
@@ -160,7 +160,7 @@ def predict_mirt(theta, difficulty, q_mask):
     y = stable_sigmoid(((theta - difficulty) * q_mask).sum(axis=-1))
 
     def grads(g):
-        return (np.expand_dims(g * y * (1.0 - y), -1) * q_mask,)
+        return ((g * y * (1.0 - y))[..., None] * q_mask,)
 
     return y, grads
 
@@ -188,7 +188,7 @@ def predict_ncd(theta, difficulty, discrimination, q_mask, layers):
     y = x.sum(axis=-1)
 
     def grads(g):
-        g = np.expand_dims(g, -1)
+        g = g[..., None]
         out, layer_grads = x, []
         for (w, b), x_in in zip(reversed(layers), reversed(inputs)):
             g = g * out * (1.0 - out)

@@ -37,7 +37,7 @@ STANDARD_PRIOR = PriorConsensus(mean=np.zeros(()))  # phase one's N(0, I)
 
 def variance_from_logvar(logvar):
     """sigma^2 = exp(logvar), with logvar clipped to +-``numerics.EXP_CLAMP`` as training reads it."""
-    return np.exp(np.clip(logvar, -EXP_CLAMP, EXP_CLAMP))
+    return np.exp(np.minimum(np.maximum(logvar, -EXP_CLAMP), EXP_CLAMP))  # np.clip's bits, fewer calls
 
 
 def dropout_mask(shape, keep_probability: float, rng: np.random.Generator) -> np.ndarray:
@@ -81,11 +81,12 @@ def kl_consensus(mean, variance, prior: PriorConsensus):
     occurrence, with the log argument floored at ``numerics.LOG_FLOOR``.
     Returns it with its gradient function, which replays the composed
     reference ops' backward pass.  That takes mean and variance of one
-    shape, (B, d) in training, and maps ``g``, (B,), to (d mean, d
-    variance via the linear term, d variance via the log): the one-op
-    chain adds those two contributions to the variance gradient as
-    separate steps, and the variance usually has other consumers whose
-    additions interleave.
+    shape, (B, d) in training, and maps ``g``, (B,) or one value for
+    every row, to (d mean, d variance via the linear term, d variance via
+    the log).  The linear term is the same across a row, so it keeps a
+    trailing axis of one and broadcasts.  The one-op chain adds those two
+    contributions to the variance gradient as separate steps, and the
+    variance usually has other consumers whose additions interleave.
     """
     mv, vv = np.asarray(mean, dtype=np.float64), np.asarray(variance, dtype=np.float64)
     gap = mv - prior.mean
@@ -95,7 +96,7 @@ def kl_consensus(mean, variance, prior: PriorConsensus):
     inside = vv >= LOG_FLOOR
 
     def grads(g):
-        g = np.broadcast_to(np.expand_dims(g * 0.5, -1), inner.shape)
+        g = (np.asarray(g) * 0.5)[..., None]  # broadcasts over the trailing axis
         return g * 2.0 * gap, g, -g * inside / floored
 
     return out, grads

@@ -45,11 +45,11 @@ def stable_sigmoid(x):
     """
     arr = np.asarray(x, dtype=np.float64)
     scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
+    if scalar:
+        arr = arr.reshape(1)
     if not np.isfinite(arr).all():
         raise ValueError("stable_sigmoid requires finite input")
-    z = np.abs(arr)
-    np.negative(z, out=z)
+    z = np.copysign(arr, -1.0)  # -|x|, exactly
     np.exp(z, out=z)
     out = np.add(z, 1.0)
     np.maximum(z, arr >= 0, out=z)  # numerator: 1 or z, by sign
@@ -204,37 +204,39 @@ def adam_step(store: ParameterStore, learning_rate: float, lazy: bool = False) -
     for name in store.params:
         by_rows = lazy and name in store._row_sparse
         rows, grad = store._blocks.get(name, (None, None)) if by_rows else (None, store.grad(name))
-        if grad is None:
-            continue
-        if not np.isfinite(grad).all():
-            raise NonFiniteGradientError(f"non-finite gradient for parameter {name!r}")
-        plans.append((name, rows, grad))
+        if grad is not None:
+            plans.append((name, rows, grad))
+    sparse = [plan for plan in plans if plan[1] is not None]
+    # the row blocks end to end: one finiteness pass, then one elementwise update
+    g = np.concatenate([block for _, _, block in sparse], axis=None) if sparse else None
+    if not ((g is None or np.isfinite(g).all())
+            and all(np.isfinite(grad).all() for _, rows, grad in plans if rows is None)):
+        name = next(name for name, _, grad in plans if not np.isfinite(grad).all())
+        raise NonFiniteGradientError(f"non-finite gradient for parameter {name!r}")
     store.zero_grads()
 
     t = store.step_count + 1
     bc1 = 1.0 - ADAM_BETA1**t
     bc2 = 1.0 - ADAM_BETA2**t
-    sparse = [(name, rows, g) for name, rows, g in plans if rows is not None]
-    for name, rows, g in plans:
+    for name, rows, grad in plans:
         if rows is None:
             m, v = store.m[name], store.v[name]
-            _adam_update(store.params[name], g, m, v, store.scratch(name), learning_rate, bc1, bc2)
+            _adam_update(store.params[name], grad, m, v, store.scratch(name), learning_rate, bc1, bc2)
     if sparse:
-        # the touched rows of every lazy parameter, end to end: one
-        # elementwise update over copies of all of them, then written back
+        # copies of the touched rows of every lazy parameter, laid end to end
+        # as g is: one elementwise update over all of them, then written back
         def gather(arrays):
-            return np.concatenate([arrays[n].take(r, axis=0).ravel() for n, r, _ in sparse])
+            return np.concatenate([arrays[n].take(r, axis=0) for n, r, _ in sparse], axis=None)
 
-        g = np.concatenate([g.ravel() for _, _, g in sparse])
         p, m, v = gather(store.params), gather(store.m), gather(store.v)
         _adam_update(p, g, m, v, np.empty_like(g), learning_rate, bc1, bc2)
         end = 0
-        for name, rows, g in sparse:
-            at = slice(end, end + g.size)
-            end += g.size
-            store.params[name][rows] = p[at].reshape(g.shape)
-            store.m[name][rows] = m[at].reshape(g.shape)
-            store.v[name][rows] = v[at].reshape(g.shape)
+        for name, rows, block in sparse:
+            at = slice(end, end + block.size)
+            end += block.size
+            store.params[name][rows] = p[at].reshape(block.shape)
+            store.m[name][rows] = m[at].reshape(block.shape)
+            store.v[name][rows] = v[at].reshape(block.shape)
     store.step_count = t
 
 

@@ -41,7 +41,7 @@ def backprop(root: Node) -> None:
     """
     if root.value.shape != ():
         raise ValueError(f"backprop root must be scalar, got shape {root.value.shape}")
-    for parent, grad in zip(root.parents, root.vjp(np.ones_like(root.value))):
+    for parent, grad in zip(root.parents, root.vjp(np.array(1.0))):
         if parent.param_ref is not None:
             store, name, rows = parent.param_ref
             store.accumulate_grad(name, rows, grad)

@@ -22,6 +22,7 @@ phase two.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -174,9 +175,9 @@ class CorrectnessTracker:
         """
         correct = hard_calls(probs) == (np.asarray(labels) == 1)
         cols, sizes = cell_runs(*cells, np.asarray(exercises, dtype=np.int64))
-        rows = np.repeat(np.asarray(students, dtype=np.int64), sizes)
+        rows = np.asarray(students, dtype=np.int64).repeat(sizes)
         np.add.at(self.seen, (rows, cols), 1)
-        hit = np.repeat(correct, sizes)
+        hit = correct.repeat(sizes)
         np.add.at(self.hits, (rows[hit], cols[hit]), 1)
 
     def observed_cells(self):
@@ -197,22 +198,20 @@ def prediction_loss(probs, labels):
     """
     labels = np.asarray(labels, dtype=np.float64)
     yv = np.asarray(probs, dtype=np.float64)
-    miss = 1.0 - yv
+    miss, other = 1.0 - yv, 1.0 - labels
     floored_y = np.maximum(yv, LOG_FLOOR)
     floored_miss = np.maximum(miss, LOG_FLOOR)
-    per = np.log(floored_y) * labels + np.log(floored_miss) * (1.0 - labels)
+    per = np.log(floored_y) * labels + np.log(floored_miss) * other
     n = per.size
     if n == 0:
         raise ValueError("mean of an empty axis")
-    inv_n = 1.0 / np.asarray(float(n))
-    inside_y = yv >= LOG_FLOOR
-    inside_miss = miss >= LOG_FLOOR
+    inv_n = 1.0 / n
 
     def grads(g):
         g = g * -1.0 * inv_n
-        via_y = g * labels * inside_y / floored_y
-        via_miss = g * (1.0 - labels) * inside_miss / floored_miss
-        return (via_y + -via_miss,)
+        via_y = g * labels * (yv >= LOG_FLOOR) / floored_y
+        via_miss = g * other * (miss >= LOG_FLOOR) / floored_miss
+        return (via_y - via_miss,)  # x - y is x + (-y), bit for bit
 
     return (per.sum() * inv_n) * -1.0, grads
 
@@ -232,10 +231,11 @@ def calibration_pair_loss(var_a, var_b, o_a, o_b, sign_mode: str):
         raise ValueError(f"sign_mode must be one of {SIGN_MODES}")
     o_a = np.asarray(o_a, dtype=np.float64)
     o_b = np.asarray(o_b, dtype=np.float64)
-    direction = np.sign(o_a - o_b)
+    gap = o_a - o_b
+    direction = np.sign(gap)
     if sign_mode == "literal":
         direction = -direction
-    margin = np.abs(o_a - o_b)
+    margin = np.abs(gap)
     hinge = np.maximum((var_a - var_b) * direction + margin, 0.0)
     active = hinge > 0.0  # where the hinge's argument is positive
 
@@ -284,24 +284,24 @@ def sample_pairs(
     students = np.asarray(students, dtype=np.int64)
     exercises = np.asarray(exercises, dtype=np.int64)
     (ptr, idx), B = cells, len(students)
-    pos_a = pos_b = cell_a = cell_b = np.zeros(0, dtype=np.int64)
+    pos = cell = np.zeros(0, dtype=np.int64)  # side a's attempts, then side b's
     if B >= 2:
         pos_a = rng.integers(0, B, size=count)
-        pos_b = (pos_a + rng.integers(1, B, size=count)) % B
-        lo_a, lo_b = ptr[exercises[pos_a]], ptr[exercises[pos_b]]
-        cell_a = idx[lo_a + rng.integers(0, ptr[exercises[pos_a] + 1] - lo_a)]
-        cell_b = idx[lo_b + rng.integers(0, ptr[exercises[pos_b] + 1] - lo_b)]
-    s_a, s_b = students[pos_a], students[pos_b]
-    seen_a, seen_b = tracker.seen[s_a, cell_a], tracker.seen[s_b, cell_b]
-    keep = (seen_a != 0) & (seen_b != 0)
-    return PairSample(
-        pos_a=pos_a[keep],
-        cell_a=cell_a[keep],
-        o_a=tracker.hits[s_a[keep], cell_a[keep]] / seen_a[keep],
-        pos_b=pos_b[keep],
-        cell_b=cell_b[keep],
-        o_b=tracker.hits[s_b[keep], cell_b[keep]] / seen_b[keep],
-    )
+        pos = np.concatenate((pos_a, (pos_a + rng.integers(1, B, size=count)) % B))
+        ex = exercises[pos]
+        lo = ptr[ex]
+        n_cells = ptr[ex + 1] - lo
+        picks = (rng.integers(0, n_cells[:count]), rng.integers(0, n_cells[count:]))
+        cell = idx[lo + np.concatenate(picks)]
+    s = students[pos]
+    seen = tracker.seen[s, cell]
+    tracked = seen != 0
+    keep = tracked[:count] & tracked[count:]
+    if not keep.all():  # filter only when a pair was dropped
+        both = np.concatenate((keep, keep))
+        pos, cell, s, seen = pos[both], cell[both], s[both], seen[both]
+    o, n = tracker.hits[s, cell] / seen, len(pos) // 2
+    return PairSample(pos[:n], cell[:n], o[:n], pos[n:], cell[n:], o[n:])
 
 
 @dataclass
@@ -352,16 +352,30 @@ def draw_batch_noise(
 
 def _leaf(store: ParameterStore, name: str, rows=None) -> tape.Node:
     # a parameter leaf: the whole array, or the sorted distinct ``rows``
-    value = store.params[name] if rows is None else store.params[name][rows]
+    value = store.params[name] if rows is None else store.params[name].take(rows, axis=0)
     return tape.Node(value, param_ref=(store, name, rows))
 
 
-def _row_block(n_rows: int, at: np.ndarray, per_row):
-    # per-occurrence gradient rows summed into distinct rows from zeros, in
-    # occurrence order: the block the store holds for this step
-    block = np.zeros((n_rows,) + per_row.shape[1:])
-    np.add.at(block, at, per_row)
-    return block
+def distinct_rows(rows: np.ndarray):
+    """``np.unique(rows, return_inverse=True)`` of a 1-d int array, in fewer calls.
+
+    The sorted distinct rows, and each entry's position among them.
+    """
+    ranked = np.sort(rows)
+    first = np.empty(len(ranked), dtype=bool)
+    first[:1] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
+    distinct = ranked[first]
+    return distinct, distinct.searchsorted(rows)
+
+
+def _row_blocks(n_rows: int, at: np.ndarray, *per_row):
+    # each (B, width) per-occurrence gradient summed into its distinct rows
+    # from zeros, in occurrence order as np.add.at sums (bincount adds its
+    # weights in input order): the blocks the store holds for this step
+    width = per_row[0].shape[1]
+    cells = ((at * width)[:, None] + np.arange(width)).ravel()
+    return [np.bincount(cells, g.ravel(), n_rows * width).reshape(n_rows, width) for g in per_row]
 
 
 def build_batch_graph(
@@ -390,65 +404,58 @@ def build_batch_graph(
     bits.
     """
     s, e, r = dataset.s_idx[batch_idx], dataset.e_idx[batch_idx], dataset.scores[batch_idx]
-    students, s_at = np.unique(s, return_inverse=True)
-    exercises, e_at = np.unique(e, return_inverse=True)
+    students, s_at = distinct_rows(s)
+    exercises, e_at = distinct_rows(e)
     trains_disc = fn.variant != "mirt"  # mirt pins discrimination to one; its rows never train
     leaves = [_leaf(store, STUDENT_MEAN, students), _leaf(store, STUDENT_LOGVAR, students),
               _leaf(store, EXERCISE_DIFF, exercises)]
     if trains_disc:
         leaves.append(_leaf(store, EXERCISE_DISC, exercises))
     leaves += [_leaf(store, name) for name in MLP_PARAMS if name in store.params]  # ncd's MLP
-    mu, logvar = leaves[0].value, leaves[1].value
+    mu_at, logvar_at = leaves[0].value.take(s_at, axis=0), leaves[1].value.take(s_at, axis=0)
     keep = noise.keep_mask
-    var = variance_from_logvar(logvar)
-    var_inside = (logvar > -EXP_CLAMP) & (logvar < EXP_CLAMP)
-    var_at = var[s_at]
+    var_at = variance_from_logvar(logvar_at)
     var_hat = apply_dropout_mask(var_at, keep, cfg.dropout_alpha)
-    mu_at = mu[s_at]
     theta, theta_grads = draw_ability(mu_at, var_hat, noise.eps)
-    diff = stable_sigmoid(leaves[2].value)[e_at]
-    disc = stable_sigmoid(leaves[3].value)[e_at] if trains_disc else None
+    diff = stable_sigmoid(leaves[2].value).take(e_at, axis=0)
+    disc = stable_sigmoid(leaves[3].value).take(e_at, axis=0) if trains_disc else None
     y, head_grads = fn.predict(theta, diff, disc, fn.q_rows(dataset, e), store)
     l_pred, bce_grads = prediction_loss(y, r)
     total, l_kl, l_rl = l_pred, 0.0, 0.0
     if cfg.gamma > 0:
         kl_vec, kl_grads = kl_consensus(mu_at, var_hat, prior or STANDARD_PRIOR)
-        inv_kl = 1.0 / np.asarray(float(kl_vec.size))
+        inv_kl = 1.0 / kl_vec.size
         l_kl = kl_vec.sum() * inv_kl
-        total = total + l_kl * np.asarray(cfg.gamma)
+        total = total + l_kl * cfg.gamma
     p = noise.pairs
     with_pairs = cfg.beta > 0 and p is not None and p.count > 0
     if with_pairs:
+        B, d = var_hat.shape
+        cells = (p.pos_a * d + p.cell_a, p.pos_b * d + p.cell_b)  # flat (position, cell)
         hinge, hinge_grads = calibration_pair_loss(
-            var_hat[p.pos_a, p.cell_a], var_hat[p.pos_b, p.cell_b], p.o_a, p.o_b,
-            cfg.calibration_sign,
-        )
-        inv_pairs = 1.0 / np.asarray(float(p.count))
+            var_hat.take(cells[0]), var_hat.take(cells[1]), p.o_a, p.o_b, cfg.calibration_sign)
+        inv_pairs = 1.0 / p.count
         l_rl = hinge.sum() * inv_pairs
-        total = total + l_rl * np.asarray(cfg.beta)
+        total = total + l_rl * cfg.beta
 
     def grads(g):
         (g_y,) = bce_grads(g)
         g_gap, *g_head = head_grads(g_y)
         g_mu, g_var_hat = theta_grads(g_gap)
-        if cfg.gamma > 0:
-            k_mu, k_lin, k_log = kl_grads(np.full(kl_vec.shape, g * cfg.gamma * inv_kl))
+        if cfg.gamma > 0:  # every row's KL gets the same gradient
+            k_mu, k_lin, k_log = kl_grads(g * cfg.gamma * inv_kl)
             g_mu, g_var_hat = g_mu + k_mu, g_var_hat + k_lin + k_log
         if with_pairs:
-            sides = hinge_grads(np.full(p.count, g * cfg.beta * inv_pairs))
-            for pos, cell, side in zip((p.pos_a, p.pos_b), (p.cell_a, p.cell_b), sides):
-                full = np.zeros_like(var_hat)
-                np.add.at(full, (pos, cell), side)
-                g_var_hat = g_var_hat + full
-        g_logvar = g_var_hat * keep * var_at * var_inside[s_at]
-        n_s, n_e = len(students), len(exercises)
-        blocks = [
-            _row_block(n_s, s_at, g_mu),
-            _row_block(n_s, s_at, g_logvar),
-            _row_block(n_e, e_at, -g_gap * diff * (1.0 - diff)),
-        ]
+            for at, side in zip(cells, hinge_grads(g * cfg.beta * inv_pairs)):
+                # summed from zeros in pair order, as np.add.at would
+                g_var_hat = g_var_hat + np.bincount(at, side, B * d).reshape(B, d)
+        inside = np.abs(logvar_at) < EXP_CLAMP  # where the clip passes logvar through
+        g_logvar = g_var_hat * keep * var_at * inside
+        n_e = len(exercises)
+        blocks = [*_row_blocks(len(students), s_at, g_mu, g_logvar),
+                  *_row_blocks(n_e, e_at, -g_gap * diff * (1.0 - diff))]
         if trains_disc:
-            blocks.append(_row_block(n_e, e_at, g_head[0] * disc * (1.0 - disc)))
+            blocks += _row_blocks(n_e, e_at, g_head[0] * disc * (1.0 - disc))
         return (*blocks, *g_head[1:])
 
     breakdown = LossBreakdown(float(l_pred), float(l_kl), float(l_rl), float(total))
@@ -475,7 +482,7 @@ def batch_loss(
         ("kl", breakdown.kl),
         ("calibration", breakdown.calibration),
     ):
-        if not np.isfinite(val):
+        if not math.isfinite(val):
             raise NonFiniteLossError(f"{term} loss is non-finite ({val})")
     tape.backprop(total)
     return breakdown, probs
@@ -525,7 +532,7 @@ class Trainer:
         and zero-based step prefixed to the message naming the term or
         parameter.
         """
-        sums = np.zeros(4)
+        sums = [0.0] * 4
         steps = 0
         for batch_idx in batches(self.splits.train, cfg.batch_size, self._streams["batching"]):
             noise = draw_batch_noise(
@@ -550,14 +557,15 @@ class Trainer:
             if phase == 2:
                 self.tracker.update(self.dataset.s_idx[batch_idx], self.dataset.e_idx[batch_idx],
                                     self.cells, probs, self.dataset.scores[batch_idx])
-            sums += (breakdown.prediction, breakdown.kl, breakdown.calibration, breakdown.total)
+            sums = [sum_ + term for sum_, term in zip(sums, (
+                breakdown.prediction, breakdown.kl, breakdown.calibration, breakdown.total))]
             steps += 1
         if steps == 0:
             raise DataValidationError(
                 f"phase {phase}, epoch {epoch}: the training split is empty, since no student has "
                 "enough interactions for a train share; raise min_logs"
             )
-        return LossBreakdown(*(sums / steps).tolist())
+        return LossBreakdown(*(sum_ / steps for sum_ in sums))
 
     def _run_phase(self, phase: int, max_epochs: int, cfg: TrainConfig) -> EpochRecord | None:
         """Train one phase; the store ends at its best epoch's parameters.

@@ -485,8 +485,17 @@ class TestBatchGradients:
         fn, store, tracker = self.fixtures(variant, ds, cfg)
         # a batch that repeats students, so rows scatter-add more than once
         batch_idx = np.concatenate([np.arange(22), np.arange(8)])
+        assert len(np.unique(ds.s_idx[batch_idx])) < len(batch_idx)
+        tracker.seen += 1  # every cell tracked: all the attempted pairs survive
         noise = self.noise(ds, fn, cfg, batch_idx, tracker)
         assert noise.keep_mask.all() == keep_all
+        # and pairs that repeat a (position, cell) on a side, with a correctness
+        # gap each time, so the hinge adds two gradients into one var_hat entry
+        p = noise.pairs
+        gap = p.o_a != p.o_b  # a tie's hinge has no gradient
+        sides = [list(zip(pos[gap].tolist(), cell[gap].tolist()))
+                 for pos, cell in ((p.pos_a, p.cell_a), (p.pos_b, p.cell_b))]
+        assert any(len(set(side)) < len(side) for side in sides)
         grads = self.step_both_ways(ds, fn, store, batch_idx, cfg, noise,
                                     self.prior(with_prior, variant, ds.n_concepts))
         for name in ("student_mu", "student_logvar", "exercise_diff"):

@@ -228,6 +228,43 @@ class TestAdamStep:
         assert store.touched_rows("a") == "dense" and store.touched_rows("b") == "dense"
         assert store.touched_rows("emb") is rows
 
+    @pytest.mark.parametrize("order", [("emb", "b"), ("b", "emb")])
+    def test_non_finite_gradients_name_the_first_in_store_order(self, order):
+        # a row-sparse block and a dense gradient both non-finite in one lazy
+        # step: the error names whichever of them the store registered first,
+        # and nothing moves, the moments of an earlier step included
+        store = ParameterStore()
+        store.add("a", np.ones(3))
+        for name in order:
+            if name == "emb":
+                store.add("emb", np.ones((4, 2)), row_sparse=True)
+            else:
+                store.add(name, np.ones(3))
+        rows = np.array([1, 3])
+
+        def hold(emb, b):
+            store.accumulate_grad("a", None, np.full(3, 0.5))
+            store.accumulate_grad("emb", rows, np.array(emb))
+            store.accumulate_grad("b", None, np.full(3, b))
+
+        hold([[0.5, 0.5], [0.5, 0.5]], 0.5)
+        adam_step(store, 0.002, lazy=True)
+        before = {table: {name: arr.copy() for name, arr in getattr(store, table).items()}
+                  for table in ("params", "m", "v")}
+        hold([[0.5, np.inf], [np.nan, 0.5]], np.nan)
+        with pytest.raises(NonFiniteGradientError, match=f"'{order[0]}'"):
+            adam_step(store, 0.002, lazy=True)
+        for table, arrays in before.items():
+            for name, arr in arrays.items():
+                assert getattr(store, table)[name].tobytes() == arr.tobytes(), (table, name)
+        assert store.step_count == 1
+        # every held block survives the abort
+        assert store.touched_rows("emb") is rows
+        assert store.touched_rows("a") == "dense" and store.touched_rows("b") == "dense"
+        np.testing.assert_array_equal(store.grad("a"), np.full(3, 0.5))
+        assert np.isinf(store.grad("emb")[1, 1]) and np.isnan(store.grad("emb")[3, 0])
+        assert np.isnan(store.grad("b")).all()
+
     def test_dense_in_place_matches_textbook_formula_bitwise(self):
         # the out= buffer version against the expression it replaced
         rng = default_rng(11)

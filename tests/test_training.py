@@ -4,11 +4,13 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.random import default_rng
 
 from cogdiag.checkpoint import load_checkpoint, save_checkpoint
 from cogdiag.config import RunConfig, config_from_checkpoint
-from cogdiag.data import build_dataset
+from cogdiag.data import batches, build_dataset
 from cogdiag.diagnostics import IRT_SCALE, DiagnosticFunction, init_parameters
 from cogdiag.numerics import grad_check
 from cogdiag.seeding import substream
@@ -22,6 +24,7 @@ from cogdiag.training import (
     batch_loss,
     build_batch_graph,
     calibration_pair_loss,
+    distinct_rows,
     draw_batch_noise,
     prediction_loss,
     sample_pairs,
@@ -173,6 +176,37 @@ class TestCalibrationPairLoss:
         g_a, g_b = grads(np.array(1.0))
         assert float(g_a) == 1.0
         assert float(g_b) == -1.0
+
+
+class TestDistinctRows:
+    """``distinct_rows`` returns exactly ``np.unique(rows, return_inverse=True)``."""
+
+    @staticmethod
+    def assert_unique(rows):
+        got, want = distinct_rows(rows), np.unique(rows, return_inverse=True)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype == np.int64
+            assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 9) | st.integers(0, 2**40), min_size=1, max_size=70))
+    def test_matches_np_unique(self, values):
+        # small values repeat often, large ones rarely: batches of 1 to 70 rows
+        self.assert_unique(np.array(values, dtype=np.int64))
+
+    @pytest.mark.parametrize("size", [1, 2, 32, 70])
+    def test_all_equal_batch(self, size):
+        self.assert_unique(np.full(size, 7, dtype=np.int64))
+
+    def test_batches_of_an_epoch_with_the_folded_last_one(self):
+        # 100 positions at size 32 give 32, 32 and a folded 36
+        ds = tiny_dataset()
+        sizes = []
+        for batch_idx in batches(np.arange(100), 32, default_rng(4)):
+            sizes.append(len(batch_idx))
+            for column in (ds.s_idx, ds.e_idx):
+                self.assert_unique(column[batch_idx])
+        assert sizes == [32, 32, 36]
 
 
 class TestSamplePairs:
