@@ -32,6 +32,7 @@ from .data import (
     DataValidationError,
     Dataset,
     build_dataset,
+    csv_fields,
     load_logs,
     load_qmatrix,
     split_per_student,
@@ -59,16 +60,6 @@ RUNTIME_ERRORS = (
 
 def _load_dataset(cfg: RunConfig) -> Dataset:
     return build_dataset(load_logs(cfg.logs), load_qmatrix(cfg.qmatrix), min_logs=cfg.min_logs)
-
-
-def _csv_ids(ids: list[str]) -> list[str]:
-    """``ids`` as CSV fields: any that holds a comma, quote or line break quoted RFC 4180-style."""
-    joined = "\x00".join(ids)  # one scan of all ids, so plain ones pass as they are
-    if not any(c in joined for c in ',"\r\n'):
-        return ids
-    return [
-        '"' + i.replace('"', '""') + '"' if any(c in i for c in ',"\r\n') else i for i in ids
-    ]
 
 
 def _out_path(arg_out, checkpoint_path: str, default_name: str) -> Path:
@@ -156,7 +147,7 @@ def cmd_eval(args) -> int:
     published = [f"{p:.6f}" for p in probs.tolist()]
     report = evaluate_probs([float(p) for p in published], dataset.scores[indices], bins=cfg.bins)
 
-    sids, eids = _csv_ids(dataset.student_ids), _csv_ids(dataset.exercise_ids)
+    sids, eids = csv_fields(dataset.student_ids), csv_fields(dataset.exercise_ids)
     rows = zip(
         dataset.s_idx[indices].tolist(),
         dataset.e_idx[indices].tolist(),
@@ -196,7 +187,7 @@ def cmd_diagnose(args) -> int:
         )
 
     lines = ["rank,concept_id,mastery,sigma,interactions"]
-    for row, cid in zip(report.rows, _csv_ids([row.concept_id for row in report.rows])):
+    for row, cid in zip(report.rows, csv_fields([row.concept_id for row in report.rows])):
         lines.append(f"{row.rank},{cid},{row.mastery:.6f},{row.sigma:.6f},{row.interactions}")
     atomic_write(out, "\n".join(lines) + "\n")
     print(f"diagnosis written to {out}")
@@ -208,10 +199,10 @@ def cmd_export_ability(args) -> int:
     ck = load_checkpoint(args.checkpoint)
     config_from_checkpoint(ck)
     mastery, sigma = _read(args.checkpoint, mastery_and_sigma, ck)
-    labels = _csv_ids(ck.fn.cell_labels(ck.concept_ids))
+    labels = csv_fields(ck.fn.cell_labels(ck.concept_ids))
 
     lines = ["student_id,concept_id,mastery,sigma"]
-    for i, sid in enumerate(_csv_ids(ck.student_ids)):
+    for i, sid in enumerate(csv_fields(ck.student_ids)):
         for k, cid in enumerate(labels):
             lines.append(f"{sid},{cid},{mastery[i, k]:.6f},{sigma[i, k]:.6f}")
     atomic_write(out, "\n".join(lines) + "\n")

@@ -9,7 +9,8 @@ every downstream artifact reproducible from the input files alone.
 Files are read into columns, not into an object per row: every check
 and every index runs over a whole column at once, and only a failed
 check goes back, in the text already read, to find the first offending
-row.
+row.  A log file's two id columns are then coded against tables of
+their distinct ids, so no string per row outlives the load.
 
 A file is read once, on every path: one read of its bytes and one
 UTF-8 decode (a leading byte-order mark is dropped).  A file that is not
@@ -55,17 +56,33 @@ class ResponseLog:
 
 @dataclass(eq=False, slots=True)
 class LogColumns:
-    """Response logs as parallel columns; ``logs[i]`` is the i-th :class:`ResponseLog`."""
+    """Response logs as coded columns; ``logs[i]`` is the i-th :class:`ResponseLog`.
+
+    ``student_ids`` and ``exercise_ids`` hold each distinct id once, in
+    the order of its first log, and ``students`` and ``exercises`` code
+    each log's ids as positions in them, so no log holds a string of its
+    own.  :meth:`from_rows` codes per-log ids.
+    """
 
     student_ids: list[str]
     exercise_ids: list[str]
-    scores: np.ndarray  # (n,) float64 in {0.0, 1.0}
+    students: np.ndarray   # (n,) int64 position in student_ids
+    exercises: np.ndarray  # (n,) int64 position in exercise_ids
+    scores: np.ndarray     # (n,) float64 in {0.0, 1.0}
+
+    @classmethod
+    def from_rows(cls, student_ids: list[str], exercise_ids: list[str], scores) -> LogColumns:
+        """The columns of per-log ids, each table in first-seen order."""
+        students, s_codes = _first_seen_index(student_ids)
+        exercises, e_codes = _first_seen_index(exercise_ids)
+        return cls(students, exercises, s_codes, e_codes, scores)
 
     def __len__(self) -> int:
-        return len(self.student_ids)
+        return len(self.scores)
 
     def __getitem__(self, i: int) -> ResponseLog:
-        return ResponseLog(self.student_ids[i], self.exercise_ids[i], int(self.scores[i]))
+        return ResponseLog(self.student_ids[self.students[i]], self.exercise_ids[self.exercises[i]],
+                           int(self.scores[i]))
 
 
 LOG_HEADER = ["student_id", "exercise_id", "score"]
@@ -213,12 +230,25 @@ def _row_line(text: str, index: int) -> int:
     return reader.line_num + 1
 
 
+def csv_fields(ids: list[str]) -> list[str]:
+    """``ids`` as CSV fields: any that holds a comma, quote or line break quoted RFC 4180-style.
+
+    The same field ``csv.writer`` writes, in a row of more than one.
+    """
+    joined = "\x00".join(ids)  # one scan of all ids, so plain ones pass as they are
+    if not any(c in joined for c in ',"\r\n'):
+        return ids
+    return [
+        '"' + i.replace('"', '""') + '"' if any(c in i for c in ',"\r\n') else i for i in ids
+    ]
+
+
 def load_logs(path) -> LogColumns:
     """Parse a response-log CSV. Malformed rows raise with their line number."""
     sids, eids, scores = _read_columns(path, LOG_HEADER)
     # every score is "0" or "1" here, so its one ASCII byte minus b"0" is its value
     digits = np.frombuffer("".join(scores).encode("ascii"), dtype=np.uint8)
-    return LogColumns(sids, eids, (digits - ord("0")).astype(np.float64))
+    return LogColumns.from_rows(sids, eids, (digits - ord("0")).astype(np.float64))
 
 
 def load_qmatrix(path) -> list[tuple[str, str]]:
@@ -267,16 +297,35 @@ class Dataset:
         return q
 
 
-def _first_seen_index(ids: list[str]) -> tuple[dict[str, int], np.ndarray]:
-    """Number ids by first appearance: (id -> number, each entry's number as int64).
+def _first_seen_index(ids: list[str]) -> tuple[list[str], np.ndarray]:
+    """Number ids by first appearance: (the distinct ids in order, each entry's number as int64).
 
-    One pass over the dict: each entry reads the position at which its id
-    first appeared, and ranking those first positions numbers the ids.
+    One pass over the dict tells each entry the position at which its id
+    first appeared.
     """
     first_at: dict[str, int] = {}
     at = np.fromiter(map(first_at.setdefault, ids, count()), dtype=np.int64, count=len(ids))
-    number = np.cumsum(at == np.arange(len(ids)), dtype=np.int64) - 1  # by position
-    return dict(zip(first_at, range(len(first_at)))), number[at]
+    return list(first_at), _ranked(at)
+
+
+def first_seen_codes(codes: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Renumber ``codes``, ints in ``[0, n)``, by first appearance.
+
+    Returns (the codes that occur, in that order; each entry's new number
+    as int64), from integer work alone.
+    """
+    first_at = np.full(n, len(codes), dtype=np.int64)
+    np.minimum.at(first_at, codes, np.arange(len(codes)))
+    at = first_at[codes]
+    return codes[at == np.arange(len(codes))], _ranked(at)
+
+
+def _ranked(at: np.ndarray) -> np.ndarray:
+    """Each entry's id number, from ``at``, the position where its id first appears.
+
+    Ranking those first positions numbers the ids by first appearance.
+    """
+    return (np.cumsum(at == np.arange(len(at)), dtype=np.int64) - 1)[at]
 
 
 def _fresh_copies(ids) -> list[str]:
@@ -290,34 +339,33 @@ def build_dataset(logs: LogColumns, q_pairs: list[tuple[str, str]], min_logs: in
     ``logs`` are columns, as :func:`load_logs` and ``synth.planted_cohort``
     return them, and every score must be 0 or 1.
     Students with fewer than ``min_logs`` logs are dropped in one pass
-    over the original counts, so the filter is idempotent.  Exercises
-    present only in the Q-matrix are dropped; exercises present in the
-    retained logs but absent from the Q-matrix are an error.  Concepts
-    are numbered by first appearance among retained exercises, scanning
-    the Q-matrix in file order.  A repeated (exercise, concept) pair
-    counts once, as :func:`load_qmatrix` already ensures for files.
+    over the original counts, so the filter is idempotent.  The filter
+    and the numbering run on the logs' codes; only the distinct ids of
+    their tables are looked up.  Exercises present only in the Q-matrix
+    are dropped; exercises present in the retained logs but absent from
+    the Q-matrix are an error.  Concepts are numbered by first appearance
+    among retained exercises, scanning the Q-matrix in file order.  A
+    repeated (exercise, concept) pair counts once, as :func:`load_qmatrix`
+    already ensures for files.
     """
     if min_logs < 1:
         raise ValueError(f"min_logs must be at least 1, got {min_logs}")
-    sids, eids, scores = logs.student_ids, logs.exercise_ids, logs.scores
+    s_codes, e_codes, scores = logs.students, logs.exercises, logs.scores
     bad = np.flatnonzero((scores != 0.0) & (scores != 1.0))
     if len(bad):
         i = int(bad[0])
         raise DataValidationError(f"log {i}: score must be 0 or 1, got {scores[i]:g}")
-    students, s_idx = _first_seen_index(sids)
-    kept = np.bincount(s_idx) >= min_logs  # per student
-    if not kept.all():
-        keep = kept[s_idx]
-        # kept students keep their first-seen order, so dropping the others renumbers them
-        s_idx = (np.cumsum(kept, dtype=np.int64) - 1)[s_idx[keep]]
-        students = list(compress(students, kept.tolist()))
-        eids = list(compress(eids, keep.tolist()))
-        scores = scores[keep]
+    keep = (np.bincount(s_codes, minlength=len(logs.student_ids)) >= min_logs)[s_codes]
+    if not keep.all():
+        s_codes, e_codes, scores = s_codes[keep], e_codes[keep], scores[keep]
+    in_order, s_idx = first_seen_codes(s_codes, len(logs.student_ids))
+    students = list(map(logs.student_ids.__getitem__, in_order.tolist()))
     if not students:
         raise DataValidationError(
             f"no students survive the min_logs={min_logs} filter ({len(logs)} logs in)"
         )
-    exercises, e_idx = _first_seen_index(eids)
+    in_order, e_idx = first_seen_codes(e_codes, len(logs.exercise_ids))
+    exercises = dict(zip(map(logs.exercise_ids.__getitem__, in_order.tolist()), count()))
 
     pairs = dict.fromkeys(q_pairs)
     q_e = np.fromiter(map(exercises.get, map(itemgetter(0), pairs), repeat(-1)),
@@ -334,10 +382,10 @@ def build_dataset(logs: LogColumns, q_pairs: list[tuple[str, str]], min_logs: in
             f"{len(missing)} exercise(s) have no Q-matrix concepts (e.g. {shown})"
         )
 
-    # The ids are copied out of the input.  Each first-seen id taken from a
-    # parsed file is a small string among the hundreds of thousands of the
-    # log columns, so holding it would keep those columns' allocator arenas
-    # resident (tens of MB on an ASSIST-size file) after they are freed.
+    # The ids are copied out of the input.  Each id in a loaded table is a
+    # small string allocated among the hundreds of thousands the file's rows
+    # were split into, so holding it would keep those strings' allocator
+    # arenas resident (tens of MB on an ASSIST-size file) after they are freed.
     return Dataset(
         student_ids=_fresh_copies(students),
         exercise_ids=_fresh_copies(exercises),

@@ -9,13 +9,12 @@ concepts, which any of the diagnostic variants should be able to chase.
 
 from __future__ import annotations
 
-import csv
 from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import LOG_HEADER, QMATRIX_HEADER, LogColumns, cell_runs
+from .data import LOG_HEADER, QMATRIX_HEADER, LogColumns, cell_runs, csv_fields, first_seen_codes
 from .numerics import stable_sigmoid
 from .seeding import substream
 
@@ -49,7 +48,8 @@ def planted_cohort(
     pick up on.  Each student in turn draws ``per_student`` distinct
     exercises, then one uniform number per log: below the planted
     probability is correct.
-    The logs are the :class:`LogColumns` that ``load_logs`` returns.
+    The logs are the :class:`LogColumns` that ``load_logs`` returns for
+    the file :func:`write_cohort_csv` writes, coded straight from the draws.
     :func:`_distinct_concepts` replays ``rng.choice(n_concepts, k, replace=False,
     p=weights)``: the same uniforms and table look-ups in order, so the same bytes.
     """
@@ -87,14 +87,13 @@ def planted_cohort(
     gaps = abilities[np.repeat(s_of, sizes), cs] - difficulties[np.repeat(js, sizes), cs]
     p = stable_sigmoid(np.add.reduceat(gaps, np.cumsum(sizes) - sizes))  # a log's gaps, in order
 
-    student_ids = [f"s{i:04d}" for i in range(n_students)]
     exercise_ids = [f"e{j:04d}" for j in range(n_exercises)]
     concept_ids = [f"c{l:02d}" for l in range(n_concepts)]
-    logs = LogColumns(
-        [sid for sid in student_ids for _ in range(per_student)],
-        list(map(exercise_ids.__getitem__, js.tolist())),
-        (draws.ravel() < p).astype(np.float64),
-    )
+    students, s_codes = first_seen_codes(s_of, n_students)
+    exercises, e_codes = first_seen_codes(js, n_exercises)
+    logs = LogColumns([f"s{i:04d}" for i in students.tolist()],
+                      list(map(exercise_ids.__getitem__, exercises.tolist())),
+                      s_codes, e_codes, (draws.ravel() < p).astype(np.float64))
     q_pairs = [(eid, concept_ids[l]) for eid, ls in zip(exercise_ids, concepts_of) for l in ls]
     return SyntheticCohort(logs, q_pairs, abilities, difficulties)
 
@@ -115,12 +114,20 @@ def _distinct_concepts(rng, k: int, weights: np.ndarray, cdf: list[float]) -> li
 
 
 def write_cohort_csv(cohort: SyntheticCohort, logs_path, qmatrix_path) -> None:
+    """Write the cohort as ``csv.writer`` would, byte for byte, quoting each distinct id once.
+
+    A log's line is its student's field and its (exercise, score) tail, gathered by its codes.
+    """
     logs = cohort.logs
+    if not np.isin(logs.scores, (0.0, 1.0)).all():
+        raise ValueError("every score must be 0 or 1")
+    tails = [f",{eid},{score}\r\n" for eid in csv_fields(logs.exercise_ids) for score in (0, 1)]
+    pieces = np.empty(2 * len(logs), dtype=object)
+    pieces[0::2] = np.array(csv_fields(logs.student_ids), dtype=object)[logs.students]
+    pieces[1::2] = np.array(tails, dtype=object)[2 * logs.exercises + logs.scores.astype(np.int64)]
     with open(logs_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(LOG_HEADER)
-        writer.writerows(zip(logs.student_ids, logs.exercise_ids, logs.scores.astype(np.int64).tolist()))
+        fh.write(",".join(LOG_HEADER) + "\r\n" + "".join(pieces.tolist()))
+    fields = csv_fields([i for pair in cohort.q_pairs for i in pair])
     with open(qmatrix_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(QMATRIX_HEADER)
-        writer.writerows(cohort.q_pairs)
+        fh.write(",".join(QMATRIX_HEADER) + "\r\n"
+                 + "".join(map("{},{}\r\n".format, fields[0::2], fields[1::2])))

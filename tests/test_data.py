@@ -38,6 +38,11 @@ def write(path, text):
     return path
 
 
+def rows_of(logs):
+    """The logs one row at a time, as code outside the package reads them."""
+    return [logs[i] for i in range(len(logs))]
+
+
 UTF8_BOM = b"\xef\xbb\xbf"
 DATASET_ARRAYS = ("s_idx", "e_idx", "scores", "concept_ptr", "concept_idx")
 
@@ -305,8 +310,9 @@ class TestFilesTheSplitDeclines:
             with pytest.raises(DataFormatError, match=str(exc)):
                 load_logs(path)
             return
-        logs = load_logs(path)
-        assert [logs.student_ids, logs.exercise_ids, list(map(str, map(int, logs.scores)))] == want
+        got = rows_of(load_logs(path))
+        assert [[r.student_id for r in got], [r.exercise_id for r in got],
+                [str(r.score) for r in got]] == want
 
 
 def load_script(name):
@@ -342,6 +348,7 @@ class TestPlainFilesSkipTheReader:
             path.write_bytes(path.read_bytes().replace(b"\r\n", eol.encode()))
         no_reader()
         logs = load_logs(logs_path)
+        assert rows_of(logs) == rows_of(cohort.logs)
         assert (logs.student_ids, logs.exercise_ids) == (cohort.logs.student_ids, cohort.logs.exercise_ids)
         np.testing.assert_array_equal(logs.scores, cohort.logs.scores)
         assert load_qmatrix(q_path) == cohort.q_pairs
@@ -369,8 +376,7 @@ class TestPlainFilesSkipTheReader:
             want_q = [tuple(row) for row in list(csv.reader(fh))[1:]]
         no_reader()
         logs = load_logs(tmp_path / "out" / "logs.csv")
-        rows = zip(logs.student_ids, logs.exercise_ids, map(int, logs.scores))
-        assert [[s, e, str(v)] for s, e, v in rows] == want_logs
+        assert [[r.student_id, r.exercise_id, str(r.score)] for r in rows_of(logs)] == want_logs
         assert load_qmatrix(tmp_path / "out" / "qmatrix.csv") == want_q
 
     def test_assist_script_exits_one_when_no_student_reaches_min_logs(self, tmp_path, capsys):
@@ -387,14 +393,46 @@ class TestPlainFilesSkipTheReader:
         monkeypatch.setattr(csv, "reader", lambda lines: calls.append(lines) or reader(lines))
         logs = load_logs(logs_path)
         assert len(calls) == 1
-        assert logs.student_ids == cohort.logs.student_ids + ["s,1"]
+        assert [r.student_id for r in rows_of(logs)] == [r.student_id for r in rows_of(cohort.logs)] + ["s,1"]
         assert logs.scores[-1] == 1.0
+
+
+class TestRowContract:
+    """What code outside the package reads of a ``LogColumns``.
+
+    perfbench indexes ``logs[pos]`` with numpy positions and iterates the
+    logs; ``scripts/artifact_digest.py`` serves ``logs.student_ids[0]`` as
+    the first row's student.
+    """
+
+    @pytest.mark.parametrize("source", ["split", "reader", "planted_cohort"])
+    def test_rows_and_first_seen_tables(self, tmp_path, monkeypatch, source):
+        cohort = planted_cohort(n_students=12, n_exercises=30, n_concepts=4, per_student=10, seed=2)
+        path = tmp_path / "logs.csv"
+        write_cohort_csv(cohort, path, tmp_path / "qmatrix.csv")
+        if source == "reader":  # a quoted id, as its own first row, sends the file to csv.reader
+            header, body = path.read_bytes().split(b"\r\n", 1)
+            path.write_bytes(header + b'\r\n"s,1",e0029,1\r\n' + body)
+        sids, eids, scores = reader_columns(path, LOG_HEADER)
+        want = [ResponseLog(s, e, int(v)) for s, e, v in zip(sids, eids, scores)]
+        calls, reader = [], csv.reader
+        monkeypatch.setattr(csv, "reader", lambda lines: calls.append(lines) or reader(lines))
+        logs = cohort.logs if source == "planted_cohort" else load_logs(path)
+        assert len(calls) == (source == "reader")
+        assert len(logs) == len(want)
+        assert [logs[np.int64(i)] for i in range(len(logs))] == want
+        assert list(logs) == want  # iteration stops at the end, on IndexError
+        with pytest.raises(IndexError):
+            logs[len(logs)]
+        assert logs.student_ids == list(dict.fromkeys(sids))
+        assert logs.exercise_ids == list(dict.fromkeys(eids))
+        assert logs.student_ids[0] == want[0].student_id
 
 
 def columns_of(ds):
     """The logs a dataset indexes, in file order."""
-    return LogColumns([ds.student_ids[s] for s in ds.s_idx],
-                      [ds.exercise_ids[e] for e in ds.e_idx], ds.scores)
+    return LogColumns.from_rows([ds.student_ids[s] for s in ds.s_idx],
+                                [ds.exercise_ids[e] for e in ds.e_idx], ds.scores)
 
 
 class TestFilterStudents:
@@ -403,7 +441,7 @@ class TestFilterStudents:
     def logs(self, counts):
         sids = [sid for sid, n in counts.items() for _ in range(n)]
         eids = [f"e{k}" for n in counts.values() for k in range(n)]
-        return LogColumns(sids, eids, np.ones(len(sids)))
+        return LogColumns.from_rows(sids, eids, np.ones(len(sids)))
 
     def q_pairs(self, logs):
         return [(eid, "c") for eid in logs.exercise_ids]
@@ -446,7 +484,7 @@ class TestBuildDataset:
         np.testing.assert_array_equal(ds.dense_q, expected)
 
     def test_filter_applied_before_indexing(self, q_csv):
-        logs = LogColumns(["rare"] + ["busy"] * 5, ["e1"] * 6, np.ones(6))
+        logs = LogColumns.from_rows(["rare"] + ["busy"] * 5, ["e1"] * 6, np.ones(6))
         ds = build_dataset(logs, load_qmatrix(q_csv), min_logs=2)
         assert ds.student_ids == ["busy"]
         assert ds.exercise_ids == ["e1"]
@@ -465,19 +503,44 @@ class TestBuildDataset:
     @pytest.mark.parametrize("bad, shown", [(2, "2"), (0.5, "0.5"), (-1.0, "-1"), (float("nan"), "nan")])
     def test_scores_must_be_zero_or_one_in_any_form(self, bad, shown):
         pairs = [("e", "c"), ("f", "c")]
-        good = LogColumns(["s"] * 3, ["e", "f", "e"], np.array([0.0, 1.0, 1.0]))
+        good = LogColumns.from_rows(["s"] * 3, ["e", "f", "e"], np.array([0.0, 1.0, 1.0]))
         np.testing.assert_array_equal(build_dataset(good, pairs, min_logs=1).scores, [0, 1, 1])
-        logs = LogColumns(["s"] * 5, ["e", "f", "e", "f", "e"], np.array([0.0, 1.0, 1.0, bad, 3.0]))
+        logs = LogColumns.from_rows(["s"] * 5, ["e", "f", "e", "f", "e"],
+                                    np.array([0.0, 1.0, 1.0, bad, 3.0]))
         with pytest.raises(DataValidationError, match=rf"^log 3: score must be 0 or 1, got {shown}$"):
             build_dataset(logs, pairs, min_logs=1)
 
     def test_repeated_qmatrix_pairs_count_once(self):
-        logs = LogColumns(["s1", "s1"], ["e", "f"], np.array([1.0, 0.0]))
+        logs = LogColumns.from_rows(["s1", "s1"], ["e", "f"], np.array([1.0, 0.0]))
         pairs = [("e", "c"), ("f", "d"), ("e", "c"), ("e", "d"), ("f", "d")]
         ds = build_dataset(logs, pairs, min_logs=1)
         assert ds.concept_ids == ["c", "d"]
         np.testing.assert_array_equal(ds.concept_ptr, [0, 2, 3])
         np.testing.assert_array_equal(ds.concept_idx, [0, 1, 1])
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), min_logs=st.integers(1, 4))
+    def test_codes_in_any_order_index_like_their_rows(self, data, min_logs):
+        # tables out of first-seen order, with ids no log uses, index as the rows they code
+        n_students, n_exercises = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+        n = data.draw(st.integers(1, 25))
+        logs = LogColumns(
+            [f"s{k}" for k in range(n_students)], [f"e{k}" for k in range(n_exercises)],
+            np.array(data.draw(st.lists(st.integers(0, n_students - 1), min_size=n, max_size=n))),
+            np.array(data.draw(st.lists(st.integers(0, n_exercises - 1), min_size=n, max_size=n))),
+            np.ones(n),
+        )
+        rows = rows_of(logs)
+        recoded = LogColumns.from_rows([r.student_id for r in rows], [r.exercise_id for r in rows],
+                                       np.ones(n))
+        pairs = [(f"e{k}", "c") for k in range(n_exercises)]
+        try:
+            want = build_dataset(recoded, pairs, min_logs=min_logs)
+        except DataValidationError:
+            with pytest.raises(DataValidationError, match="min_logs"):
+                build_dataset(logs, pairs, min_logs=min_logs)
+            return
+        assert_same_dataset(build_dataset(logs, pairs, min_logs=min_logs), want)
 
     def test_ids_are_equal_copies_not_the_input_strings(self):
         # ids taken straight from a parsed file would each pin an
@@ -487,7 +550,7 @@ class TestBuildDataset:
         eids = ["ex-1", "ex-\udfff\ud83d", "ex-1", "ex-\u00e9t\u00e9", "ex-1"]
         pairs = [("ex-1", "con-x"), ("ex-\udfff\ud83d", "con-\ud83d\ude00"),
                  ("ex-\u00e9t\u00e9", "con-x"), ("ex-unused", "con-y")]
-        ds = build_dataset(LogColumns(sids, eids, np.ones(5)), pairs, min_logs=1)
+        ds = build_dataset(LogColumns.from_rows(sids, eids, np.ones(5)), pairs, min_logs=1)
         assert ds.student_ids == ["stu-a", "stu-\ud800", "stu-b", "stu-\U0001f600"]
         assert ds.exercise_ids == ["ex-1", "ex-\udfff\ud83d", "ex-\u00e9t\u00e9"]
         assert ds.concept_ids == ["con-x", "con-\ud83d\ude00"]
@@ -546,7 +609,7 @@ def csv_cohorts(draw):
     exercises = draw(st.lists(core_ids, min_size=1, max_size=5, unique=True))
     concepts = draw(st.lists(core_ids, min_size=1, max_size=3, unique=True))
     n = draw(st.integers(1, 30))
-    records = LogColumns(
+    records = LogColumns.from_rows(
         draw(st.lists(st.sampled_from(students), min_size=n, max_size=n)),
         draw(st.lists(st.sampled_from(exercises), min_size=n, max_size=n)),
         np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=np.float64),
@@ -592,7 +655,8 @@ class TestColumnarIngestRoundTrip:
             logs, q_pairs = load_logs(log_path), load_qmatrix(q_path)
             sids, eids, scores = reader_columns(log_path, LOG_HEADER)
             q_eids, q_cids = reader_columns(q_path, QMATRIX_HEADER)
-        assert (logs.student_ids, logs.exercise_ids) == (sids, eids)
+        got = rows_of(logs)
+        assert ([r.student_id for r in got], [r.exercise_id for r in got]) == (sids, eids)
         np.testing.assert_array_equal(logs.scores, np.array(scores, dtype=np.float64))
         assert q_pairs == list(dict.fromkeys(zip(q_eids, q_cids)))
         assert len(logs) == len(records)
@@ -621,7 +685,7 @@ def toy_dataset(per_student, n_exercises=50):
     """Dataset with the given per-student interaction counts."""
     sids = [sid for sid, n in per_student.items() for _ in range(n)]
     k = np.arange(len(sids))
-    logs = LogColumns(sids, [f"e{j}" for j in k % n_exercises], (k % 2).astype(np.float64))
+    logs = LogColumns.from_rows(sids, [f"e{j}" for j in k % n_exercises], (k % 2).astype(np.float64))
     q = [(f"e{j}", f"c{j % 5}") for j in range(n_exercises)]
     return build_dataset(logs, q, min_logs=1)
 
@@ -704,7 +768,8 @@ def interleaved_dataset(seed=0):
     owners = np.repeat(np.arange(6), [40, 300, 3, 120, 75, 260])
     owners = owners[rng.permutation(len(owners))]
     k = np.arange(len(owners))
-    logs = LogColumns([f"s{o}" for o in owners], [f"e{j}" for j in k % 37], (k % 2).astype(np.float64))
+    logs = LogColumns.from_rows([f"s{o}" for o in owners], [f"e{j}" for j in k % 37],
+                                (k % 2).astype(np.float64))
     q = [(f"e{j}", f"c{j % 4}") for j in range(37)]
     return build_dataset(logs, q, min_logs=1)
 

@@ -540,7 +540,8 @@ class TestBatchGradients:
             ("big", "n0", 1), ("tiny", "n1", 0), ("floor", "n1", 1), ("floor", "w2", 1),
         ]
         sids, eids, labels = zip(*plan)
-        ds = build_dataset(LogColumns(list(sids), list(eids), np.array(labels, dtype=np.float64)),
+        ds = build_dataset(LogColumns.from_rows(list(sids), list(eids),
+                                                np.array(labels, dtype=np.float64)),
                            q_pairs, min_logs=1)
         cfg = self.config(keep_all)
         fn, store, tracker = self.fixtures(variant, ds, cfg)

@@ -557,13 +557,13 @@ class TestDiagnose:
             n_students=25, n_exercises=30, n_concepts=4, per_student=18, seed=2
         )
         # s0007's logs are spread through everyone else's; the rest stay grouped
-        sids = cohort.logs.student_ids
-        spread = [i for i, sid in enumerate(sids) if sid == "s0007"]
-        order = [i for i, sid in enumerate(sids) if sid != "s0007"]
+        rows = [cohort.logs[i] for i in range(len(cohort.logs))]
+        spread = [i for i, r in enumerate(rows) if r.student_id == "s0007"]
+        order = [i for i, r in enumerate(rows) if r.student_id != "s0007"]
         for k, i in enumerate(spread):
             order.insert(k * 23, i)
-        logs = LogColumns([sids[i] for i in order],
-                          [cohort.logs.exercise_ids[i] for i in order], cohort.logs.scores[order])
+        logs = LogColumns.from_rows([rows[i].student_id for i in order],
+                                    [rows[i].exercise_id for i in order], cohort.logs.scores[order])
         ds = build_dataset(logs, cohort.q_pairs, min_logs=1)
         trainer, ck = trained_checkpoint(ds, "ncd")
         concepts_of_exercise = {}

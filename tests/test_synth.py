@@ -1,6 +1,8 @@
 """The planted-cohort generator against a per-log reference loop."""
 
+import csv
 import hashlib
+import io
 import math
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cogdiag.data import LOG_HEADER, QMATRIX_HEADER
 from cogdiag.seeding import substream
 from cogdiag.synth import _distinct_concepts, planted_cohort, write_cohort_csv
 from test_acceptance import RECOVERY_SHAPE
@@ -95,7 +98,9 @@ class TestPlantedCohort:
         records, q_pairs, abilities, difficulties = per_log_cohort(seed=seed, **shape)
         logs = got.logs
         assert logs.scores.dtype == np.float64
-        assert list(zip(logs.student_ids, logs.exercise_ids, logs.scores.tolist())) == records
+        rows = [logs[i] for i in range(len(logs))]
+        assert [(r.student_id, r.exercise_id, score)
+                for r, score in zip(rows, logs.scores.tolist())] == records
         assert got.q_pairs == q_pairs
         np.testing.assert_array_equal(got.abilities, abilities)
         np.testing.assert_array_equal(got.difficulties, difficulties)
@@ -155,3 +160,26 @@ class TestPlantedCohort:
                      cohort.abilities.tobytes(), cohort.difficulties.tobytes()):
             h.update(part)
         assert h.hexdigest() == digest
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_writes_what_csv_writer_writes(self, tmp_path_factory, data):
+        # any id, quoted or not, against csv.writer fed one row at a time
+        cohort = planted_cohort(n_students=6, n_exercises=8, n_concepts=3, per_student=4, seed=5)
+        ids = st.text(alphabet=',"\r\n xé', max_size=4)
+        for table in ("student_ids", "exercise_ids"):
+            n = len(getattr(cohort.logs, table))
+            setattr(cohort.logs, table, data.draw(st.lists(ids, min_size=n, max_size=n, unique=True)))
+        cohort.q_pairs = data.draw(st.lists(st.tuples(ids, ids), max_size=6))
+        tmp_path = tmp_path_factory.mktemp("written")
+        write_cohort_csv(cohort, tmp_path / "logs.csv", tmp_path / "qmatrix.csv")
+        logs = [cohort.logs[i] for i in range(len(cohort.logs))]
+        for path, header, rows in (
+            ("logs.csv", LOG_HEADER, [(r.student_id, r.exercise_id, r.score) for r in logs]),
+            ("qmatrix.csv", QMATRIX_HEADER, cohort.q_pairs),
+        ):
+            want = io.StringIO()
+            writer = csv.writer(want)
+            writer.writerow(header)
+            writer.writerows(rows)
+            assert (tmp_path / path).read_bytes() == want.getvalue().encode("utf-8")
